@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from .families import (
     DigitSet,
@@ -19,6 +20,7 @@ from .families import (
     LambdaFamily,
     Power,
     Proportional,
+    _lengths,
     level_stats,
 )
 
@@ -84,11 +86,43 @@ class ExpansionRecord:
         return cls(int(obj["base"]), tuple(obj["preperiod"]), tuple(obj["period"]))
 
 
+def _preperiod_length(q: int, base: int) -> int:
+    """Preperiod length of any p/q in lowest terms: the least m such that the
+    part of q built from the primes of the base divides base^m."""
+    m = 0
+    while (g := math.gcd(q, base)) > 1:
+        q //= g  # removes up to v_p(base) factors of each shared prime p
+        m += 1
+    return m
+
+
+def _division(x: Fraction, base: int, m: int) -> Iterator[tuple[int, int]]:
+    """(digit, remainder) pairs of the long division of x in [0,1), through
+    the preperiod of m digits and one period, then stop.
+
+    Remainder r_j = p * base^j mod q first recurs at j = m and comes back
+    after exactly one minimal period (it is 0 when the expansion terminates),
+    so only r_m is remembered, not every remainder seen.
+    """
+    p, q = x.numerator, x.denominator
+    rem = p
+    for _ in range(m):
+        digit, rem = divmod(rem * base, q)
+        yield digit, rem
+    start = rem
+    while rem:
+        digit, rem = divmod(rem * base, q)
+        yield digit, rem
+        if rem == start:
+            return
+
+
 def base_expansion(x: Fraction, base: int) -> ExpansionRecord:
     """Canonical base-n expansion of a rational in [0,1] by exact long division.
 
     x = 1 is reported in its infinite form 0.(n-1)(n-1)... since no digit
-    string below the radix point can terminate at 1.
+    string below the radix point can terminate at 1. Costs O(preperiod +
+    period) integer steps and holds no remainder table.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
@@ -96,19 +130,9 @@ def base_expansion(x: Fraction, base: int) -> ExpansionRecord:
         raise ValueError(f"expansion input must lie in [0,1], got {x}")
     if x == 1:
         return ExpansionRecord(base, (), (base - 1,))
-    p, q = x.numerator, x.denominator
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    rem = p
-    while rem and rem not in seen:
-        seen[rem] = len(digits)
-        rem *= base
-        digits.append(rem // q)
-        rem %= q
-    if rem == 0:
-        return ExpansionRecord(base, tuple(digits), ())
-    cut = seen[rem]
-    return ExpansionRecord(base, tuple(digits[:cut]), tuple(digits[cut:]))
+    m = _preperiod_length(x.denominator, base)
+    digits = [digit for digit, _ in _division(x, base, m)]
+    return ExpansionRecord(base, tuple(digits[:m]), tuple(digits[m:]))
 
 
 # --- measures ----------------------------------------------------------------
@@ -188,11 +212,12 @@ def similarity_dimension(f: FamilySpec) -> DimensionReport:
 
 def _estimate_sequence(f: FamilySpec, kmax: int) -> tuple[tuple[int, float], ...]:
     out = []
-    for k in range(1, kmax + 1):
-        stats = level_stats(f, k)
-        if stats.max_length == 0:
+    denom = 1
+    for k, (s, length, count) in enumerate(islice(_lengths(f, 1), kmax), 1):
+        denom *= s
+        if length == 0:
             raise ValueError(f"stage {k} is a finite point set; dilation estimate undefined")
-        out.append((k, math.log(stats.count) / _log(1 / stats.max_length)))
+        out.append((k, math.log(count) / _log(Fraction(denom, length))))
     return tuple(out)
 
 
@@ -221,13 +246,7 @@ def member_limit(x: Fraction, f: DigitSet) -> bool:
     base, allowed = f.n, set(f.digits)
     if x == 1:
         return True  # 0.(n-1)(n-1)... and n-1 is always kept
-    p, q = x.numerator, x.denominator
-    seen: set[int] = set()
-    rem = p
-    while rem and rem not in seen:
-        seen.add(rem)
-        rem *= base
-        digit, rem = divmod(rem, q)
+    for digit, rem in _division(x, base, _preperiod_length(x.denominator, base)):
         if digit not in allowed:
             # the alternate tail form digit-1 followed by (n-1)(n-1)...
             # exists only when this is the final digit of a terminating
@@ -252,44 +271,32 @@ def member_at_depth(x: Fraction, f: FamilySpec, k: int) -> bool:
     """Whether x lies in the stage-k set, by descending the refinement tree.
 
     O(k) per query: at each step only the child interval containing x is
-    refined, never the whole stage.
+    refined, never the whole stage. With x = p/q, the offset u of x from the
+    left end of its interval and the interval's width are integers in units of
+    1/(D_j * q), so a step is a few small-by-big products and no gcd.
     """
     if not 0 <= x <= 1:
         raise ValueError(f"membership query needs x in [0,1], got {x}")
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {k}")
-    a, b = Fraction(0), Fraction(1)
-    for j in range(1, k + 1):
-        if isinstance(f, Proportional):
-            h = (b - a) * (1 - f.alpha) / 2
-        elif isinstance(f, Power):
-            if a == b:
-                return True  # point survived its collapse; fixpoint from here
-            removal = Fraction(1, f.n**j)
-            if removal > b - a:
-                raise ValueError(f"power removal 1/{f.n}^{j} exceeds interval length")
-            h = (b - a - removal) / 2
-        elif isinstance(f, LambdaFamily):
-            h = (b - a - f.lam / 3**j) / 2
-        elif isinstance(f, DigitSet):
-            h = (b - a) / f.n
-            for d in f.digits:
-                lo = a + d * h
-                if lo <= x <= lo + h:
-                    a, b = lo, lo + h
-                    break
-            else:
+    u, width = x.numerator, x.denominator
+    digits = set(f.digits) if isinstance(f, DigitSet) else None
+    for s, child, _ in islice(_lengths(f, width), k):
+        u *= s
+        if digits is not None:
+            d, rest = divmod(u, child)
+            if rest == 0 and d - 1 in digits:
+                d -= 1  # on a block boundary: the left block is tried first
+            elif d not in digits:
                 return False
-            continue
-        else:
-            raise TypeError(f"unknown family spec: {f!r}")
-        if a <= x <= a + h:
-            b = a + h
-        elif b - h <= x <= b:
-            a = b - h
-        else:
-            return False
-    return True
+            u -= d * child
+        elif u > child:
+            right = width * s - child
+            if u < right:
+                return False
+            u -= right
+        width = child
+    return True  # past a Power(2) collapse the stage no longer changes
 
 
 # --- the staircase map -----------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Subcommands: generate | analyze | member | expansion | cantor-fn |
 counterexample | render. Machine output (JSON/CSV/SVG) goes to stdout,
-diagnostics to stderr. Exit codes: 2 invalid family or malformed rational,
-3 depth over cap, 4 --limit requested where no digit characterization exists.
+diagnostics to stderr. Exit codes: 1 cantor-fn point not in the set, 2 invalid
+family, malformed rational or out-of-range argument, 3 depth over cap, 4
+--limit requested where no digit characterization exists.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .analysis import (
     cantor_function,
     dimension_estimates,
     limit_measure,
-    measure_at_depth,
     member_at_depth,
     member_limit,
     membership_witness,
@@ -87,6 +87,11 @@ def _build_family(args: argparse.Namespace) -> FamilySpec:
         _fail(EXIT_BAD_FAMILY, f"invalid family: {exc}")
 
 
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        _fail(EXIT_BAD_FAMILY, f"{flag} must be >= {low}, got {value}")
+
+
 def _parse_x(text: str) -> Fraction:
     try:
         x = parse_rational(text)
@@ -124,29 +129,29 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
     family = _build_family(args)
+    _require_at_least("--depth", args.depth, 0)
+    _require_at_least("--kmax", args.kmax, 1)
+    stats = level_stats(family, args.depth)
+    measure = stats.count * stats.min_length
+    report = {
+        "family": family_to_json(family),
+        "depth": args.depth,
+        "measure_at_depth": format_rational(measure),
+        "limit_measure": format_rational(limit_measure(family)),
+        "level_stats": {
+            "count": stats.count,
+            "min_length": format_rational(stats.min_length),
+            "max_length": format_rational(stats.max_length),
+        },
+    }
     try:
-        stats = level_stats(family, args.depth)
-        report = {
-            "family": family_to_json(family),
-            "depth": args.depth,
-            "measure_at_depth": format_rational(measure_at_depth(family, args.depth)),
-            "limit_measure": format_rational(limit_measure(family)),
-            "level_stats": {
-                "count": stats.count,
-                "min_length": format_rational(stats.min_length),
-                "max_length": format_rational(stats.max_length),
-            },
-        }
-        try:
-            report["similarity_dimension"] = similarity_dimension(family).to_json()
-            report["dimension_estimates"] = dimension_estimates(family, args.kmax).to_json()
-        except ValueError as exc:
-            report["dimension_note"] = str(exc)  # power n=2 has no dimension report
-        if args.decimal:
-            report["measure_at_depth_decimal"] = rational_decimal(measure_at_depth(family, args.depth))
-            report["limit_measure_decimal"] = rational_decimal(limit_measure(family))
-    except DepthCapError as exc:
-        _fail(EXIT_DEPTH_CAP, str(exc))
+        report["similarity_dimension"] = similarity_dimension(family).to_json()
+        report["dimension_estimates"] = dimension_estimates(family, args.kmax).to_json()
+    except ValueError as exc:
+        report["dimension_note"] = str(exc)  # power n=2 has no dimension report
+    if args.decimal:
+        report["measure_at_depth_decimal"] = rational_decimal(measure)
+        report["limit_measure_decimal"] = rational_decimal(limit_measure(family))
     print(json.dumps(report))
 
 
@@ -173,15 +178,13 @@ def _cmd_member(args: argparse.Namespace) -> None:
     else:
         if args.depth is None:
             _fail(EXIT_BAD_FAMILY, "member requires --depth or --limit")
-        try:
-            verdict = member_at_depth(x, family, args.depth)
-        except DepthCapError as exc:
-            _fail(EXIT_DEPTH_CAP, str(exc))
-        print("true" if verdict else "false")
+        _require_at_least("--depth", args.depth, 0)
+        print("true" if member_at_depth(x, family, args.depth) else "false")
 
 
 def _cmd_expansion(args: argparse.Namespace) -> None:
     x = _parse_x(args.x)
+    _require_at_least("--base", args.base, 2)
     record = base_expansion(x, args.base)
     obj = record.to_json()
     alternate = record.alternate_tail_form()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd
 from typing import Iterator, NamedTuple, Union
 
@@ -284,40 +285,57 @@ class LevelStats(NamedTuple):
     max_length: Fraction
 
 
+def _lengths(f: FamilySpec, unit: int) -> Iterator[tuple[int, int, int]]:
+    """The length recurrence: (s, length_j, count_j) for steps j = 1, 2, ...
+
+    Every family is a homogeneous Moran construction: at step j each surviving
+    interval, of common length L_{j-1}, is replaced by equal children of length
+    L_j. Over the denominator D_j = s^j, length_j = unit * D_j * L_j is an
+    integer that obeys length_j = c * length_{j-1} - removal * g^(j-1) with
+    per-family integers (s, c, removal, g), so the recurrence never takes a gcd.
+    count_j is the number of intervals in the construction tree. A Power(2)
+    stage of points is a fixpoint: the generator stops after the step whose
+    length is 0.
+    """
+    if isinstance(f, Proportional):  # children (1 - alpha)/2 of the parent
+        p, q = f.alpha.numerator, f.alpha.denominator
+        s, children, c, removal, g = 2 * q, 2, q - p, 0, 1
+    elif isinstance(f, Power):  # (L - 1/n^j)/2, with 1/n^j = 2^j / (2n)^j
+        s, children, c, removal, g = 2 * f.n, 2, f.n, unit, 2
+    elif isinstance(f, LambdaFamily):  # (L - lam/3^j)/2, with lam/3^j = 2p(2q)^(j-1) / (6q)^j
+        p, q = f.lam.numerator, f.lam.denominator
+        s, children, c, removal, g = 6 * q, 2, 3 * q, unit * p, 2 * q
+    elif isinstance(f, DigitSet):  # children 1/n of the parent
+        s, children, c, removal, g = f.n, len(f.digits), 1, 0, 1
+    else:
+        raise TypeError(f"unknown family spec: {f!r}")
+    length, intervals = unit, 1
+    for j in count(1):
+        length = c * length - removal
+        if length < 0:
+            raise ConstructionError(f"{f!r}: removal at step {j} exceeds interval length")
+        intervals *= children
+        yield s, length, intervals
+        if length == 0:
+            return  # all intervals are points: no further step changes the stage
+        removal *= g
+
+
 def level_stats(f: FamilySpec, k: int) -> LevelStats:
     """Interval count and extreme lengths at stage k, via the length recurrence.
 
     All four families split every interval into equal-length children, so the
-    stats follow from an O(k) recurrence; no stage enumeration happens here.
-    Counts refer to the construction tree (adjacent digit blocks that merge
-    into one closed interval are still counted separately).
+    stats follow from an O(k) integer recurrence; no stage enumeration happens
+    here. Counts refer to the construction tree (adjacent digit blocks that
+    merge into one closed interval are still counted separately).
     """
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {k}")
-    one = Fraction(1)
-    if isinstance(f, Proportional):
-        ratio = (1 - f.alpha) / 2
-        return LevelStats(2**k, ratio**k, ratio**k)
-    if isinstance(f, DigitSet):
-        length = Fraction(1, f.n**k)
-        return LevelStats(len(f.digits) ** k, length, length)
-    if isinstance(f, Power):
-        length, count = one, 1
-        for j in range(1, k + 1):
-            if length == 0:
-                break  # all intervals already degenerate: fixpoint
-            removal = Fraction(1, f.n**j)
-            if removal > length:
-                raise ConstructionError(f"power removal 1/{f.n}^{j} exceeds interval length")
-            length = (length - removal) / 2
-            count *= 2
-        return LevelStats(count, length, length)
-    if isinstance(f, LambdaFamily):
-        length = one
-        for j in range(1, k + 1):
-            length = (length - f.lam / Fraction(3**j)) / 2
-        return LevelStats(2**k, length, length)
-    raise TypeError(f"unknown family spec: {f!r}")
+    denom, length, count = 1, 1, 1
+    for s, length, count in islice(_lengths(f, 1), k):
+        denom *= s
+    length_k = Fraction(length, denom)
+    return LevelStats(count, length_k, length_k)
 
 
 def ifs_step(s: IntervalSet, maps: IfsMaps) -> IntervalSet:

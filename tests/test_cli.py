@@ -106,6 +106,20 @@ class TestAnalyze:
         assert report["measure_at_depth"] == "0/1"
         assert "dimension_note" in report
 
+    @pytest.mark.parametrize("flags", [("--depth", "-1"), ("--kmax", "0"), ("--kmax", "-3")])
+    def test_out_of_range_argument_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, "analyze", "--family", "power", "--n", "4", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and f"{flags[0]} must be >=" in err
+
+    def test_measure_decimal_matches_exact_measure(self, capsys):
+        _, out, _ = run(capsys, "analyze", "--family", "power", "--n", "4", "--depth", "2",
+                        "--decimal")
+        report = json.loads(out)
+        assert report["measure_at_depth"] == "5/8"
+        assert report["measure_at_depth_decimal"] == "0.625"
+
 
 class TestMember:
     def test_limit_membership_with_witness(self, capsys):
@@ -145,6 +159,13 @@ class TestMember:
                          "--alpha", "1/3", "--depth", "2")
         assert code == 2
 
+    def test_negative_depth_exits_2(self, capsys):
+        code, out, err = run(capsys, "member", "--x", "1/4", "--family", "proportional",
+                             "--alpha", "1/3", "--depth", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "--depth must be >= 0, got -1\n"
+
 
 class TestExpansion:
     def test_ternary_quarter(self, capsys):
@@ -158,6 +179,13 @@ class TestExpansion:
         obj = json.loads(out)
         assert obj["preperiod"] == [1] and obj["period"] == []
         assert obj["alternate_tail"] == {"base": 3, "preperiod": [0], "period": [2]}
+
+    @pytest.mark.parametrize("base", ["0", "1", "-5"])
+    def test_base_below_two_exits_2(self, capsys, base):
+        code, out, err = run(capsys, "expansion", "--x", "1/4", "--base", base)
+        assert code == 2
+        assert out == ""
+        assert err == f"--base must be >= 2, got {base}\n"
 
 
 class TestCantorFn:

@@ -1,0 +1,299 @@
+"""The integer point queries against the Fraction implementations they replaced.
+
+The reference functions below are the earlier implementations, kept verbatim
+in substance: the per-step Fraction recurrence of ``level_stats``, the
+Fraction descent of ``member_at_depth``, long division with a table of every
+remainder seen, and the ``seen``-set ``member_limit``. The library's integer
+recurrences must agree with them exactly, on every family.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cantorlike.analysis import (
+    ExpansionRecord,
+    _log,
+    base_expansion,
+    dimension_estimates,
+    member_at_depth,
+    member_limit,
+)
+from cantorlike.families import (
+    ConstructionError,
+    DigitSet,
+    LambdaFamily,
+    Power,
+    Proportional,
+    level_stats,
+)
+
+
+# --- reference implementations ---------------------------------------------------
+
+def ref_level_stats(f, k):
+    if isinstance(f, Proportional):
+        ratio = (1 - f.alpha) / 2
+        return (2**k, ratio**k, ratio**k)
+    if isinstance(f, DigitSet):
+        length = F(1, f.n**k)
+        return (len(f.digits) ** k, length, length)
+    if isinstance(f, Power):
+        length, count = F(1), 1
+        for j in range(1, k + 1):
+            if length == 0:
+                break
+            removal = F(1, f.n**j)
+            if removal > length:
+                raise ConstructionError(f"power removal 1/{f.n}^{j} exceeds interval length")
+            length = (length - removal) / 2
+            count *= 2
+        return (count, length, length)
+    length = F(1)
+    for j in range(1, k + 1):
+        length = (length - f.lam / F(3**j)) / 2
+    return (2**k, length, length)
+
+
+def ref_member_at_depth(x, f, k):
+    a, b = F(0), F(1)
+    for j in range(1, k + 1):
+        if isinstance(f, Proportional):
+            h = (b - a) * (1 - f.alpha) / 2
+        elif isinstance(f, Power):
+            if a == b:
+                return True
+            removal = F(1, f.n**j)
+            if removal > b - a:
+                raise ValueError(f"power removal 1/{f.n}^{j} exceeds interval length")
+            h = (b - a - removal) / 2
+        elif isinstance(f, LambdaFamily):
+            h = (b - a - f.lam / 3**j) / 2
+        else:
+            h = (b - a) / f.n
+            for d in f.digits:
+                lo = a + d * h
+                if lo <= x <= lo + h:
+                    a, b = lo, lo + h
+                    break
+            else:
+                return False
+            continue
+        if a <= x <= a + h:
+            b = a + h
+        elif b - h <= x <= b:
+            a = b - h
+        else:
+            return False
+    return True
+
+
+def ref_base_expansion(x, base):
+    if x == 1:
+        return ExpansionRecord(base, (), (base - 1,))
+    p, q = x.numerator, x.denominator
+    digits, seen, rem = [], {}, p
+    while rem and rem not in seen:
+        seen[rem] = len(digits)
+        rem *= base
+        digits.append(rem // q)
+        rem %= q
+    if rem == 0:
+        return ExpansionRecord(base, tuple(digits), ())
+    cut = seen[rem]
+    return ExpansionRecord(base, tuple(digits[:cut]), tuple(digits[cut:]))
+
+
+def ref_member_limit(x, f):
+    if not 0 <= x <= 1:
+        return False
+    base, allowed = f.n, set(f.digits)
+    if x == 1:
+        return True
+    p, q = x.numerator, x.denominator
+    seen, rem = set(), p
+    while rem and rem not in seen:
+        seen.add(rem)
+        rem *= base
+        digit, rem = divmod(rem, q)
+        if digit not in allowed:
+            return rem == 0 and (digit - 1) in allowed
+    return True
+
+
+# --- inputs ------------------------------------------------------------------------
+
+FIXED_FAMILIES = (
+    Proportional(F(1, 3)),
+    Proportional(F(999_999, 1_000_003)),   # alpha with a large q
+    Power(2),                              # collapses to four points at stage 2
+    Power(3),
+    Power(4),
+    DigitSet(5, (0, 1, 4)),                # kept blocks 0 and 1 touch
+    DigitSet(3, (0, 2)),
+    LambdaFamily(F(1)),
+    LambdaFamily(F(1, 2)),
+    LambdaFamily(F(7, 1_000_003)),
+)
+
+proportionals = st.builds(
+    lambda q, p: Proportional(F(p % (q - 1) + 1, q)),
+    st.integers(2, 10**6), st.integers(0, 10**6))
+powers = st.builds(Power, st.integers(2, 9))
+lambdas = st.builds(
+    lambda q, p: LambdaFamily(F(p % q + 1, q)),
+    st.integers(1, 10**6), st.integers(0, 10**6))
+digit_sets = st.integers(3, 12).flatmap(lambda n: st.builds(
+    lambda inner: DigitSet(n, (0, n - 1, *inner)),
+    st.sets(st.integers(1, n - 2), max_size=n - 3)))
+families = st.one_of(st.sampled_from(FIXED_FAMILIES), proportionals, powers, lambdas, digit_sets)
+
+
+def descend(f, depth, rng):
+    """A random stage-``depth`` interval [a, b] and the gaps its ancestors left,
+    following the construction with the reference lengths."""
+    a, b, gaps = F(0), F(1), []
+    for j in range(1, depth + 1):
+        if isinstance(f, DigitSet):
+            h = (b - a) / f.n
+            kids = [(a + d * h, a + (d + 1) * h) for d in f.digits]
+            gaps += [(hi0, lo1) for (_, hi0), (lo1, _) in zip(kids, kids[1:]) if hi0 < lo1]
+        else:
+            h = ref_level_stats(f, j)[1]
+            kids = [(a, a + h), (b - h, b)]
+            if a + h < b - h:
+                gaps.append((a + h, b - h))
+        a, b = rng.choice(kids)
+    return a, b, gaps
+
+
+def query_points(f, depth, rng):
+    a, b, gaps = descend(f, depth, rng)
+    points = [a, b, (a + b) / 2]
+    points += [(lo + hi) / 2 for lo, hi in rng.sample(gaps, min(3, len(gaps)))]
+    points += [F(rng.randrange(q + 1), q) for q in (rng.randrange(1, 50), rng.randrange(1, 10**12))]
+    return points
+
+
+# --- the length recurrence -----------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(families, st.integers(0, 64))
+def test_level_stats_matches_fraction_recurrence(f, k):
+    assert tuple(level_stats(f, k)) == ref_level_stats(f, k)
+
+
+@pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
+def test_level_stats_every_depth(f):
+    for k in range(65):
+        assert tuple(level_stats(f, k)) == ref_level_stats(f, k)
+
+
+def test_power_two_fixpoint_keeps_four_points():
+    assert level_stats(Power(2), 64) == (4, 0, 0)
+    assert member_at_depth(F(1, 4), Power(2), 64)
+    assert not member_at_depth(F(1, 8), Power(2), 64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from([f for f in FIXED_FAMILIES if f != Power(2)]),
+                 proportionals, st.builds(Power, st.integers(3, 9)), lambdas, digit_sets),
+       st.integers(1, 40))
+def test_estimate_sequence_floats_match_per_k_formula(f, kmax):
+    expected = []
+    for k in range(1, kmax + 1):
+        count, _, length = ref_level_stats(f, k)
+        expected.append((k, math.log(count) / _log(1 / length)))
+    assert dimension_estimates(f, kmax).sequence == tuple(expected)
+
+
+def test_point_set_has_no_estimates():
+    assert dimension_estimates(Power(2), 1).sequence == ((1, 0.5),)
+    for kmax in (2, 3, 10):
+        with pytest.raises(ValueError, match="finite point set"):
+            dimension_estimates(Power(2), kmax)
+
+
+# --- the point descent ------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(families, st.integers(0, 64), st.integers(0, 2**32))
+def test_member_at_depth_matches_fraction_descent(f, depth, seed):
+    rng = random.Random(seed)
+    for x in query_points(f, depth, rng) + [F(0), F(1)]:
+        for k in {depth, max(depth - 1, 0), depth + 1}:
+            assert member_at_depth(x, f, k) == ref_member_at_depth(x, f, k), (x, k)
+
+
+@pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
+def test_member_at_depth_stage_ends_and_gap_midpoints(f):
+    rng = random.Random(7)
+    for depth in (0, 1, 2, 5, 17, 64):
+        a, b, gaps = descend(f, depth, rng)
+        assert member_at_depth(a, f, depth) and member_at_depth(b, f, depth)
+        for lo, hi in gaps:
+            assert not member_at_depth((lo + hi) / 2, f, depth)
+        for x in query_points(f, depth, rng):
+            assert member_at_depth(x, f, depth) == ref_member_at_depth(x, f, depth)
+
+
+@pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
+def test_out_of_range_queries_rejected(f):
+    with pytest.raises(ValueError):
+        member_at_depth(F(3, 2), f, 2)
+    with pytest.raises(ValueError):
+        member_at_depth(F(-1, 2), f, 2)
+    with pytest.raises(ValueError):
+        member_at_depth(F(1, 2), f, -1)
+    with pytest.raises(ValueError):
+        level_stats(f, -1)
+
+
+# --- expansions -------------------------------------------------------------------------
+
+def smooth_part(base, rng):
+    """A random product of powers of the primes of ``base``."""
+    primes = [p for p in range(2, base + 1) if base % p == 0 and all(p % r for r in range(2, p))]
+    out = 1
+    for p in primes:
+        out *= p ** rng.randrange(0, 6)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2**32))
+def test_base_expansion_matches_dict_long_division(base, seed):
+    rng = random.Random(seed)
+    q = smooth_part(base, rng) * rng.choice((1, rng.randrange(1, 2000)))
+    x = F(rng.randrange(q + 1), q)
+    rec = base_expansion(x, base)
+    assert rec == ref_base_expansion(x, base)
+    assert rec.to_rational() == x
+
+
+@pytest.mark.parametrize("base", range(2, 41))
+def test_base_expansion_ends_and_terminating_points(base):
+    for x in (F(0), F(1), F(1, base), F(base - 1, base**3), F(7, base**4 * 3)):
+        if 0 <= x <= 1:
+            assert base_expansion(x, base) == ref_base_expansion(x, base)
+
+
+digit_families = st.one_of(st.sampled_from((DigitSet(5, (0, 1, 4)), DigitSet(3, (0, 2)))), digit_sets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_families, st.integers(0, 2**32))
+def test_member_limit_matches_seen_set(f, seed):
+    rng = random.Random(seed)
+    kept = list(f.digits)
+    pre = tuple(rng.choice(kept) for _ in range(rng.randrange(0, 6)))
+    period = tuple(rng.choice(kept) for _ in range(rng.randrange(0, 8)))
+    x = ExpansionRecord(f.n, pre, period).to_rational()
+    q = smooth_part(f.n, rng) * rng.randrange(1, 500)
+    candidates = [x, F(0), F(1), F(rng.randrange(q + 1), q), x + F(1, f.n**7), F(3, 2), F(-1, 3)]
+    for y in candidates:
+        assert member_limit(y, f) == ref_member_limit(y, f), y
