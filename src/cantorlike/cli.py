@@ -102,8 +102,23 @@ def _parse_x(text: str) -> Fraction:
     return x
 
 
+def _write_svg(family: FamilySpec, args: argparse.Namespace) -> None:
+    _require_at_least("--width", args.width, 1)
+    _require_at_least("--row-height", args.row_height, 1)
+    spec = RenderSpec(family=family, depth=args.depth, width_px=args.width,
+                      row_height_px=args.row_height)
+    try:
+        sys.stdout.write(render_svg(spec, depth_cap=args.depth_cap))
+    except DepthCapError as exc:
+        _fail(EXIT_DEPTH_CAP, str(exc))
+
+
 def _cmd_generate(args: argparse.Namespace) -> None:
     family = _build_family(args)
+    _require_at_least("--depth", args.depth, 0)
+    if args.format == "svg":
+        _write_svg(family, args)  # the diagram runs its own stage pass
+        return
     try:
         stage = iterate(family, args.depth, depth_cap=args.depth_cap)
     except DepthCapError as exc:
@@ -115,16 +130,12 @@ def _cmd_generate(args: argparse.Namespace) -> None:
                 row["a_decimal"] = rational_decimal(interval.a)
                 row["b_decimal"] = rational_decimal(interval.b)
         print(json.dumps(rows))
-    elif args.format == "csv":
+    else:
         for interval in stage:
             cells = [format_rational(interval.a), format_rational(interval.b)]
             if args.decimal:
                 cells += [rational_decimal(interval.a), rational_decimal(interval.b)]
             print(",".join(cells))
-    else:
-        spec = RenderSpec(family=family, depth=args.depth, width_px=args.width,
-                          row_height_px=args.row_height)
-        sys.stdout.write(render_svg(spec, depth_cap=args.depth_cap))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
@@ -204,17 +215,14 @@ def _cmd_cantor_fn(args: argparse.Namespace) -> None:
 
 def _cmd_counterexample(args: argparse.Namespace) -> None:
     family = _build_family(args) if (args.family or args.family_json) else Power(4)
+    _require_at_least("--n-max", args.n_max, 0)
     sys.stdout.write(tail_table_csv(family, args.n_max))
 
 
 def _cmd_render(args: argparse.Namespace) -> None:
     family = _build_family(args)
-    try:
-        spec = RenderSpec(family=family, depth=args.depth, width_px=args.width,
-                          row_height_px=args.row_height)
-        sys.stdout.write(render_svg(spec, depth_cap=args.depth_cap))
-    except DepthCapError as exc:
-        _fail(EXIT_DEPTH_CAP, str(exc))
+    _require_at_least("--depth", args.depth, 0)
+    _write_svg(family, args)
 
 
 def build_parser() -> argparse.ArgumentParser:

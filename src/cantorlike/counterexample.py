@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Iterator
 
-from .exact import format_rational, rational_decimal
-from .families import FamilySpec, OpenInterval, removed_by_generation
+from .families import FamilySpec, OpenInterval, _gaps, removed_by_generation
 from .analysis import limit_measure
 
 
@@ -51,26 +52,56 @@ def total_removed_measure(f: FamilySpec) -> Fraction:
     return 1 - limit_measure(f)
 
 
-def _first_n_removed(f: FamilySpec, n: int) -> list[OpenInterval]:
-    entries: list[OpenInterval] = []
-    g = 0
-    while len(entries) < n:
-        g += 1
-        gen = removed_by_generation(f, g, depth_cap=g)[g - 1]
-        if not gen:
+def _prefix_sums(f: FamilySpec, n_max: int) -> Iterator[tuple[int, int, int]]:
+    """(n, num, denom) with sum_{i <= n} |E_i| = num/denom, for n = 0..n_max.
+
+    One pass over the gap generator: the sum is kept as an integer numerator
+    over the denominator of the current generation and rescaled by the step
+    scale when the next generation starts. Generations are only refined while
+    rows still need them; past the last removal the sums simply stay put.
+    """
+    n, num, denom = 0, 0, 1
+    yield n, num, denom
+    gaps = _gaps(f)
+    while n < n_max:
+        step = next(gaps, None)
+        if step is None:
             break  # construction reached a fixpoint; no further removals exist
-        entries.extend(gen)
-    return entries[:n]
+        denom, s, lengths, parents = step
+        num *= s
+        for _ in range(parents):
+            for length in lengths:
+                if n == n_max:
+                    return
+                n += 1
+                num += length
+                yield n, num, denom
+    for n in range(n + 1, n_max + 1):
+        yield n, num, denom
 
 
 def tail_measure(f: FamilySpec, n: int) -> Fraction:
     """Exact value of sum_{i > n} |E_i|, the L1 distance between the
     indicator of the first n removed intervals and the indicator of the
-    whole complement."""
+    whole complement.
+
+    Costs O(generations), not O(n): generation j removes ``parents`` copies of
+    one parent's gaps, so its whole contribution is parents * sum(lengths),
+    and only the last generation reached is cut short.
+    """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    prefix = sum((e.length for e in _first_n_removed(f, n)), Fraction(0))
-    return total_removed_measure(f) - prefix
+    num, denom = 0, 1
+    gaps = _gaps(f)
+    while n:
+        step = next(gaps, None)
+        if step is None:
+            break  # construction reached a fixpoint; no further removals exist
+        denom, s, lengths, parents = step
+        whole, part = divmod(min(n, parents * len(lengths)), len(lengths))
+        num = num * s + whole * sum(lengths) + sum(lengths[:part])
+        n -= whole * len(lengths) + part
+    return total_removed_measure(f) - Fraction(num, denom)
 
 
 def partial_indicator_discontinuity_count(n: int) -> int:
@@ -104,20 +135,25 @@ def tail_table(f: FamilySpec, n_max: int) -> list[tuple[int, Fraction, Fraction]
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     total = total_removed_measure(f)
-    entries = _first_n_removed(f, n_max)
     rows = []
-    acc = Fraction(0)
-    for n in range(n_max + 1):
-        if n > 0:
-            # past the last existing removal the sums simply stay put
-            if n <= len(entries):
-                acc += entries[n - 1].length
+    for n, num, denom in _prefix_sums(f, n_max):
+        acc = Fraction(num, denom)
         rows.append((n, acc, total - acc))
     return rows
 
 
 def tail_table_csv(f: FamilySpec, n_max: int) -> str:
+    """The tail table as CSV, formatted from integers: each p/q cell is
+    reduced by one gcd, and the decimal column is the integer true division
+    num / den, which is correctly rounded and so equals float(Fraction)."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    total = total_removed_measure(f)
+    tp, tq = total.numerator, total.denominator
     lines = ["n,sum_removed,tail,tail_decimal"]
-    for n, acc, tail in tail_table(f, n_max):
-        lines.append(f"{n},{format_rational(acc)},{format_rational(tail)},{rational_decimal(tail)}")
+    for n, num, denom in _prefix_sums(f, n_max):
+        tail_num, tail_den = tp * denom - tq * num, tq * denom
+        g, h = gcd(num, denom), gcd(tail_num, tail_den)
+        lines.append(f"{n},{num // g}/{denom // g},{tail_num // h}/{tail_den // h},"
+                     f"{tail_num / tail_den:.15g}")
     return "\n".join(lines) + "\n"

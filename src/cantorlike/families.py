@@ -15,13 +15,14 @@ intervals) stay cheap; Fractions are materialized only on output.
 from __future__ import annotations
 
 import gc
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd
 from typing import Iterator, NamedTuple, Union
 
-from .exact import ClosedInterval, IntervalSet
+from .exact import ClosedInterval, IntervalSet, parse_rational
 
 DEFAULT_DEPTH_CAP = 24
 
@@ -321,6 +322,27 @@ def _lengths(f: FamilySpec, unit: int) -> Iterator[tuple[int, int, int]]:
         removal *= g
 
 
+def _gaps(f: FamilySpec) -> Iterator[tuple[int, int, list, int]]:
+    """The removal sequence: (denom, s, lengths, parents) for generations j = 1, 2, ...
+
+    In a homogeneous Moran construction every stage-(j-1) interval has the same
+    length, so each one loses the same gaps at step j. Refining only the
+    leftmost interval through _refine gives those gaps: ``lengths`` are their
+    integer lengths over the stage-j denominator ``denom`` = s * D_{j-1}, left
+    to right, and ``parents`` is the number of stage-(j-1) intervals in the
+    construction tree. Generation j removes ``parents`` copies of ``lengths``
+    in that order. The generator stops at the first step that removes nothing
+    (the Power(2) point fixpoint).
+    """
+    denom, pairs, parents = 1, [(0, 1)], 1
+    for j in count(1):
+        new_denom, children, gaps = _refine(f, j, denom, pairs)
+        if not gaps:
+            return
+        yield new_denom, new_denom // denom, [b - a for a, b in gaps], parents
+        denom, pairs, parents = new_denom, children[:1], parents * len(children)
+
+
 def level_stats(f: FamilySpec, k: int) -> LevelStats:
     """Interval count and extreme lengths at stage k, via the length recurrence.
 
@@ -388,14 +410,43 @@ def family_to_json(f: FamilySpec) -> dict:
     raise TypeError(f"unknown family spec: {f!r}")
 
 
-def family_from_json(obj: dict) -> FamilySpec:
+_JSON_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _json_rational(value: object, name: str) -> Fraction:
+    # A JSON number with a fraction or exponent is a binary double and a bool
+    # is not a number: both are refused rather than rounded. type() rather
+    # than isinstance, because bool is a subclass of int. Strings are held to
+    # the same form: decimals and exponents ("0.1", "1e5") are refused too.
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str and _JSON_RATIONAL.fullmatch(value):
+        return parse_rational(value)
+    raise ValueError(f"{name} must be an integer or a 'p/q' string, got {value!r}")
+
+
+def _json_int(value: object, name: str) -> int:
+    x = _json_rational(value, name)
+    if x.denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return x.numerator
+
+
+def family_from_json(obj: object) -> FamilySpec:
+    """The family a JSON object names. Exact values only: integers and "p/q"
+    strings; floats, bools, lists and non-objects raise ValueError."""
+    if type(obj) is not dict:
+        raise ValueError(f"family JSON must be an object, got {obj!r}")
     kind = obj.get("family")
     if kind == "proportional":
-        return Proportional(Fraction(obj["alpha"]))
+        return Proportional(_json_rational(obj["alpha"], "alpha"))
     if kind == "power":
-        return Power(int(obj["n"]))
+        return Power(_json_int(obj["n"], "n"))
     if kind == "digit":
-        return DigitSet(int(obj["n"]), tuple(int(d) for d in obj["digits"]))
+        digits = obj["digits"]
+        if type(digits) is not list:
+            raise ValueError(f"digits must be a list of integers, got {digits!r}")
+        return DigitSet(_json_int(obj["n"], "n"), tuple(_json_int(d, "digit") for d in digits))
     if kind == "lambda":
-        return LambdaFamily(Fraction(obj["lambda"]))
+        return LambdaFamily(_json_rational(obj["lambda"], "lambda"))
     raise ValueError(f"unknown family kind: {kind!r}")

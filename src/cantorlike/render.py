@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import DEFAULT_DEPTH_CAP, FamilySpec, iterate
+from .families import DEFAULT_DEPTH_CAP, FamilySpec, _check_depth, iterate
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,9 @@ def _fmt(v: float) -> str:
 
 
 def render_svg(spec: RenderSpec, depth_cap: int = DEFAULT_DEPTH_CAP) -> str:
+    # Checked once up front: the per-row iterate calls would otherwise build
+    # every stage up to the cap before the first one over it fails.
+    _check_depth(spec.depth, depth_cap)
     width = spec.width_px
     row_h = spec.row_height_px
     bar_h = max(row_h - 6, 1)

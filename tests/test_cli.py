@@ -67,6 +67,40 @@ class TestGenerate:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+    def test_negative_depth_exits_2(self, capsys, fmt):
+        code, out, err = run(capsys, "generate", "--family", "power", "--n", "4",
+                             "--depth", "-1", "--format", fmt)
+        assert (code, out, err) == (2, "", "--depth must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("flag", ["--width", "--row-height"])
+    def test_svg_nonpositive_pixels_exit_2(self, capsys, flag):
+        code, out, err = run(capsys, "generate", "--family", "power", "--n", "4",
+                             "--depth", "2", "--format", "svg", flag, "0")
+        assert (code, out, err) == (2, "", f"{flag} must be >= 1, got 0\n")
+
+    def test_svg_depth_over_cap_exits_3(self, capsys):
+        code, out, err = run(capsys, "generate", "--family", "power", "--n", "4",
+                             "--depth", "5", "--depth-cap", "4", "--format", "svg")
+        assert (code, out, err) == (3, "", "stage 5 exceeds depth cap 4\n")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "[]",
+            '{"family":"proportional","alpha":[1]}',
+            '{"family":"proportional","alpha":0.1}',
+            '{"family":"power","n":4.7}',
+            '{"family":"power","n":true}',
+            '{"family":"digit","n":5,"digits":"014"}',
+        ],
+    )
+    def test_inexact_family_json_exits_2(self, capsys, spec):
+        code, out, err = run(capsys, "generate", "--family-json", spec, "--depth", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("invalid family: ")
+
     def test_svg_deterministic(self, capsys):
         args = ("generate", "--family", "proportional", "--alpha", "1/3",
                 "--depth", "4", "--format", "svg")
@@ -210,6 +244,10 @@ class TestCounterexample:
         assert lines[2].split(",")[2] == "1/4"
         assert lines[8].split(",")[2] == "1/16"  # end of generation 3
 
+    def test_negative_n_max_exits_2(self, capsys):
+        code, out, err = run(capsys, "counterexample", "--n-max", "-1")
+        assert (code, out, err) == (2, "", "--n-max must be >= 0, got -1\n")
+
 
 class TestRender:
     def test_deterministic_and_sized(self, capsys):
@@ -219,3 +257,26 @@ class TestRender:
         _, second, _ = run(capsys, *args)
         assert first == second
         assert 'width="400"' in first and 'height="80"' in first
+
+    @pytest.mark.parametrize("flags", [("--depth", "-1"), ("--width", "0"), ("--row-height", "0"),
+                                       ("--width", "-3")])
+    def test_out_of_range_argument_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, "render", "--family", "power", "--n", "4", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"{flags[0]} must be >= {0 if flags[0] == '--depth' else 1}, got {flags[1]}\n"
+
+    def test_depth_over_cap_exits_3(self, capsys):
+        code, out, err = run(capsys, "render", "--family", "power", "--n", "4",
+                             "--depth", "5", "--depth-cap", "4")
+        assert (code, out, err) == (3, "", "stage 5 exceeds depth cap 4\n")
+
+    def test_depth_over_cap_builds_no_stage(self, capsys, monkeypatch):
+        from cantorlike import render
+
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage was built before the cap check")
+
+        monkeypatch.setattr(render, "iterate", no_stage)
+        code, out, err = run(capsys, "render", "--family", "power", "--n", "4", "--depth", "30")
+        assert (code, out, err) == (3, "", "stage 30 exceeds depth cap 24\n")

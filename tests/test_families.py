@@ -281,3 +281,41 @@ class TestFamilyJson:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             family_from_json({"family": "spiral"})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [],
+            "power",
+            None,
+            {"family": "proportional", "alpha": [1]},
+            {"family": "proportional", "alpha": 0.1},
+            {"family": "proportional", "alpha": True},
+            {"family": "power", "n": 4.7},
+            {"family": "power", "n": 4.0},
+            {"family": "power", "n": True},
+            {"family": "power", "n": "9/2"},
+            {"family": "power", "n": "4.0"},
+            {"family": "power", "n": " 4 "},
+            {"family": "proportional", "alpha": "0.1"},
+            {"family": "proportional", "alpha": "1e-1"},
+            {"family": "proportional", "alpha": "1/0"},
+            {"family": "lambda", "lambda": "1e5"},
+            {"family": "lambda", "lambda": "1e-300000"},
+            {"family": "digit", "n": 5, "digits": "014"},
+            {"family": "digit", "n": 5, "digits": [0, 1.0, 4]},
+            {"family": "digit", "n": 5, "digits": {"0": 1}},
+            {"family": "lambda", "lambda": 0.5},
+            {"family": "lambda", "lambda": None},
+        ],
+        ids=repr,
+    )
+    def test_inexact_or_malformed_values_rejected(self, obj):
+        with pytest.raises(ValueError):
+            family_from_json(obj)
+
+    def test_integers_and_rational_strings_accepted(self):
+        assert family_from_json({"family": "power", "n": "4"}) == VOLTERRA
+        assert family_from_json({"family": "lambda", "lambda": 1}) == LambdaFamily(F(1))
+        assert family_from_json({"family": "proportional", "alpha": "2/6"}) == MIDDLE_THIRDS
+        assert family_from_json({"family": "digit", "n": 5, "digits": [4, 0, 2]}) == ODD_FIFTHS

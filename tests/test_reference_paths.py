@@ -1,10 +1,11 @@
-"""The integer point queries against the Fraction implementations they replaced.
+"""The integer paths against the Fraction implementations they replaced.
 
 The reference functions below are the earlier implementations, kept verbatim
 in substance: the per-step Fraction recurrence of ``level_stats``, the
 Fraction descent of ``member_at_depth``, long division with a table of every
-remainder seen, and the ``seen``-set ``member_limit``. The library's integer
-recurrences must agree with them exactly, on every family.
+remainder seen, the ``seen``-set ``member_limit``, and the removal tail summed
+over ``removed_by_generation`` restarted for every generation. The library's
+integer paths must agree with them exactly, on every family.
 """
 
 import math
@@ -23,6 +24,14 @@ from cantorlike.analysis import (
     member_at_depth,
     member_limit,
 )
+from cantorlike import families as families_module
+from cantorlike.counterexample import (
+    tail_measure,
+    tail_table,
+    tail_table_csv,
+    total_removed_measure,
+)
+from cantorlike.exact import format_rational, rational_decimal
 from cantorlike.families import (
     ConstructionError,
     DigitSet,
@@ -30,6 +39,7 @@ from cantorlike.families import (
     Power,
     Proportional,
     level_stats,
+    removed_by_generation,
 )
 
 
@@ -123,6 +133,40 @@ def ref_member_limit(x, f):
         if digit not in allowed:
             return rem == 0 and (digit - 1) in allowed
     return True
+
+
+def ref_first_n_removed(f, n):
+    entries = []
+    g = 0
+    while len(entries) < n:
+        g += 1
+        gen = removed_by_generation(f, g, depth_cap=g)[g - 1]
+        if not gen:
+            break
+        entries.extend(gen)
+    return entries[:n]
+
+
+def ref_tail_measure(f, n):
+    return total_removed_measure(f) - sum((e.length for e in ref_first_n_removed(f, n)), F(0))
+
+
+def ref_tail_table(f, n_max):
+    total = total_removed_measure(f)
+    entries = ref_first_n_removed(f, n_max)
+    rows, acc = [], F(0)
+    for n in range(n_max + 1):
+        if 0 < n <= len(entries):
+            acc += entries[n - 1].length
+        rows.append((n, acc, total - acc))
+    return rows
+
+
+def ref_tail_table_csv(f, n_max):
+    lines = ["n,sum_removed,tail,tail_decimal"]
+    for n, acc, tail in ref_tail_table(f, n_max):
+        lines.append(f"{n},{format_rational(acc)},{format_rational(tail)},{rational_decimal(tail)}")
+    return "\n".join(lines) + "\n"
 
 
 # --- inputs ------------------------------------------------------------------------
@@ -297,3 +341,89 @@ def test_member_limit_matches_seen_set(f, seed):
     candidates = [x, F(0), F(1), F(rng.randrange(q + 1), q), x + F(1, f.n**7), F(3, 2), F(-1, 3)]
     for y in candidates:
         assert member_limit(y, f) == ref_member_limit(y, f), y
+
+
+# --- removal tails ---------------------------------------------------------
+
+TAIL_FAMILIES = (
+    Power(2),                              # three gaps, then a fixpoint
+    Power(3),
+    Power(4),
+    Proportional(F(1, 3)),
+    Proportional(F(2, 7)),
+    DigitSet(5, (0, 1, 4)),                # kept blocks 0 and 1 touch
+    DigitSet(7, (0, 2, 4, 6)),             # three gaps per parent
+    LambdaFamily(F(1)),
+    LambdaFamily(F(3, 7)),
+)
+
+
+def generation_ends(f, generations):
+    """n at the end of each generation 1..generations (fewer after a fixpoint)."""
+    ends, n = [], 0
+    for gen in removed_by_generation(f, generations, depth_cap=generations):
+        if not gen:
+            break
+        n += len(gen)
+        ends.append(n)
+    return ends
+
+
+@pytest.mark.parametrize("f", TAIL_FAMILIES, ids=repr)
+def test_tail_table_matches_restarted_generations(f):
+    ends = generation_ends(f, 5 if isinstance(f, DigitSet) else 7)
+    n_max = ends[-1] + 5  # past the end for Power(2), mid-generation for the rest
+    assert tail_table(f, n_max) == ref_tail_table(f, n_max)
+    assert tail_table_csv(f, n_max) == ref_tail_table_csv(f, n_max)
+    for n in {0, 1, 2, *ends, *(e + 1 for e in ends), *(e - 1 for e in ends)}:
+        assert tail_measure(f, n) == ref_tail_measure(f, n), n
+        assert tail_table(f, n) == ref_tail_table(f, n), n
+        assert tail_table_csv(f, n) == ref_tail_table_csv(f, n), n
+
+
+def test_power_two_tail_past_exhaustion():
+    assert generation_ends(Power(2), 5) == [1, 3]
+    for n in (3, 4, 50):
+        assert tail_measure(Power(2), n) == 0
+        assert tail_table_csv(Power(2), n) == ref_tail_table_csv(Power(2), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(families, st.integers(0, 300))
+def test_tail_table_csv_matches_reference(f, n_max):
+    assert tail_table_csv(f, n_max) == ref_tail_table_csv(f, n_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(families, st.integers(0, 300))
+def test_tail_measure_matches_reference(f, n):
+    assert tail_measure(f, n) == ref_tail_measure(f, n)
+
+
+# --- one pass over the integer engine ---------------------------------------------------
+
+def count_refines(monkeypatch):
+    """Route families._refine through a recorder of the number of intervals refined."""
+    calls, refine = [], families_module._refine
+
+    def counted(f, k, denom, pairs):
+        calls.append(len(pairs))
+        return refine(f, k, denom, pairs)
+
+    monkeypatch.setattr(families_module, "_refine", counted)
+    return calls
+
+
+def test_tail_table_csv_refines_one_interval_per_generation(monkeypatch):
+    calls = count_refines(monkeypatch)
+    tail_table_csv(Power(4), 2**12)
+    assert calls == [1] * 13  # generations 1..12 remove 2^12 - 1 gaps
+
+
+def test_tail_measure_sums_whole_generations(monkeypatch):
+    calls = count_refines(monkeypatch)
+    assert tail_measure(Power(4), 2**40 - 1) == F(1, 2**41)  # removed: 1/2 - 2^-41 of 1/2
+    assert calls == [1] * 40
+    calls.clear()
+    assert tail_measure(Power(2), 10**18) == 0
+    assert calls == [1] * 3  # two generations, then the fixpoint
