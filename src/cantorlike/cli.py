@@ -3,8 +3,9 @@
 Subcommands: generate | analyze | member | expansion | cantor-fn |
 counterexample | render. Machine output (JSON/CSV/SVG) goes to stdout,
 diagnostics to stderr. Exit codes: 1 cantor-fn point not in the set, 2 invalid
-family, malformed rational or out-of-range argument, 3 depth over cap, 4
---limit requested where no digit characterization exists.
+family, malformed rational, out-of-range argument or a result with too many
+digits to print, 3 depth over cap, 4 --limit requested where no digit
+characterization exists.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import NoReturn
+from itertools import islice
+from typing import Iterable, NoReturn
 
 from .analysis import (
     base_expansion,
@@ -25,8 +27,8 @@ from .analysis import (
     membership_witness,
     similarity_dimension,
 )
-from .counterexample import tail_table_csv
-from .exact import format_rational, parse_rational, rational_decimal
+from .counterexample import tail_table_rows
+from .exact import format_ratio, format_rational, parse_rational, rational_decimal
 from .families import (
     DEFAULT_DEPTH_CAP,
     DepthCapError,
@@ -38,8 +40,8 @@ from .families import (
     digit_equivalent,
     family_from_json,
     family_to_json,
-    iterate,
     level_stats,
+    stage_pairs,
 )
 from .render import RenderSpec, render_svg
 
@@ -113,6 +115,33 @@ def _write_svg(family: FamilySpec, args: argparse.Namespace) -> None:
         _fail(EXIT_DEPTH_CAP, str(exc))
 
 
+# One stage row per pair (a, b) over denom: the ratio cells, then the decimal
+# cells a / denom and b / denom (integer true division is correctly rounded, so
+# each equals rational_decimal of the Fraction). The JSON rows are the text
+# json.dumps gives for the same dicts, with its ", " and ": " separators.
+_STAGE_ROWS = {
+    ("csv", False): "{},{}",
+    ("csv", True): "{},{},{:.15g},{:.15g}",
+    ("json", False): '{{"a": "{}", "b": "{}"}}',
+    ("json", True): '{{"a": "{}", "b": "{}", "a_decimal": "{:.15g}", "b_decimal": "{:.15g}"}}',
+}
+_CHUNK_ROWS = 4096
+
+
+def _write_rows(rows: Iterable[str], sep: str, head: str = "", tail: str = "\n") -> None:
+    """Write head + sep.join(rows) + tail to stdout, one write per chunk of
+    _CHUNK_ROWS rows, so the text is never held whole and never written row
+    by row."""
+    write = sys.stdout.write
+    rows = iter(rows)
+    write(head)
+    lead = ""
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        write(lead + sep.join(chunk))
+        lead = sep
+    write(tail)
+
+
 def _cmd_generate(args: argparse.Namespace) -> None:
     family = _build_family(args)
     _require_at_least("--depth", args.depth, 0)
@@ -120,22 +149,16 @@ def _cmd_generate(args: argparse.Namespace) -> None:
         _write_svg(family, args)  # the diagram runs its own stage pass
         return
     try:
-        stage = iterate(family, args.depth, depth_cap=args.depth_cap)
+        denom, pairs = stage_pairs(family, args.depth, depth_cap=args.depth_cap)
     except DepthCapError as exc:
         _fail(EXIT_DEPTH_CAP, str(exc))
+    row = _STAGE_ROWS[args.format, args.decimal].format
+    rows = (row(format_ratio(a, denom), format_ratio(b, denom), a / denom, b / denom)
+            for a, b in pairs)
     if args.format == "json":
-        rows = stage.to_json()
-        if args.decimal:
-            for row, interval in zip(rows, stage):
-                row["a_decimal"] = rational_decimal(interval.a)
-                row["b_decimal"] = rational_decimal(interval.b)
-        print(json.dumps(rows))
+        _write_rows(rows, ", ", "[", "]\n")
     else:
-        for interval in stage:
-            cells = [format_rational(interval.a), format_rational(interval.b)]
-            if args.decimal:
-                cells += [rational_decimal(interval.a), rational_decimal(interval.b)]
-            print(",".join(cells))
+        _write_rows(rows, "\n")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
@@ -216,7 +239,7 @@ def _cmd_cantor_fn(args: argparse.Namespace) -> None:
 def _cmd_counterexample(args: argparse.Namespace) -> None:
     family = _build_family(args) if (args.family or args.family_json) else Power(4)
     _require_at_least("--n-max", args.n_max, 0)
-    sys.stdout.write(tail_table_csv(family, args.n_max))
+    _write_rows(tail_table_rows(family, args.n_max), "\n")
 
 
 def _cmd_render(args: argparse.Namespace) -> None:
@@ -281,7 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except ValueError as exc:
+        # Python refuses to print an integer of more digits than
+        # sys.get_int_max_str_digits() (4300 by default): an exact result too
+        # large to print is a request out of range, not a crash.
+        if "integer string conversion" not in str(exc):
+            raise
+        _fail(EXIT_BAD_FAMILY, f"result too large to print: {exc}")
     return 0
 
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterator
 
 from .families import FamilySpec, OpenInterval, _gaps, removed_by_generation
 from .analysis import limit_measure
+from .exact import format_ratio
 
 
 @dataclass(frozen=True)
@@ -142,18 +142,23 @@ def tail_table(f: FamilySpec, n_max: int) -> list[tuple[int, Fraction, Fraction]
     return rows
 
 
-def tail_table_csv(f: FamilySpec, n_max: int) -> str:
-    """The tail table as CSV, formatted from integers: each p/q cell is
-    reduced by one gcd, and the decimal column is the integer true division
-    num / den, which is correctly rounded and so equals float(Fraction)."""
+def tail_table_rows(f: FamilySpec, n_max: int) -> Iterator[str]:
+    """The tail table as CSV lines without line ends, header first, formatted
+    from integers: each p/q cell is reduced by one gcd, and the decimal column
+    is the integer true division num / den, which is correctly rounded and so
+    equals float(Fraction). Rows are made one at a time, so a writer can emit
+    them in bounded chunks."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     total = total_removed_measure(f)
     tp, tq = total.numerator, total.denominator
-    lines = ["n,sum_removed,tail,tail_decimal"]
+    yield "n,sum_removed,tail,tail_decimal"
     for n, num, denom in _prefix_sums(f, n_max):
         tail_num, tail_den = tp * denom - tq * num, tq * denom
-        g, h = gcd(num, denom), gcd(tail_num, tail_den)
-        lines.append(f"{n},{num // g}/{denom // g},{tail_num // h}/{tail_den // h},"
-                     f"{tail_num / tail_den:.15g}")
-    return "\n".join(lines) + "\n"
+        yield (f"{n},{format_ratio(num, denom)},{format_ratio(tail_num, tail_den)},"
+               f"{tail_num / tail_den:.15g}")
+
+
+def tail_table_csv(f: FamilySpec, n_max: int) -> str:
+    """The tail table as one CSV string: the lines of tail_table_rows."""
+    return "\n".join(tail_table_rows(f, n_max)) + "\n"

@@ -12,6 +12,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 
@@ -26,6 +27,13 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Render a Fraction as "p/q" in lowest terms, always with a denominator."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_ratio(num: int, den: int) -> str:
+    """Render the integer ratio num/den, den > 0, as format_rational does:
+    reduced by one gcd, with no Fraction built."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def rational_decimal(x: Fraction, sig: int = 15) -> str:

@@ -121,13 +121,12 @@ class IfsMaps:
 #
 # A stage is (denom, pairs) with pairs a list of (a, b) integers, meaning
 # the closed intervals [a/denom, b/denom] in construction-tree order.
-# _refine returns the next stage plus the integer gaps removed at that step,
-# all over the *new* denominator.
+# _refine returns the next stage, over the *new* denominator; _removed reads
+# the gaps of that step off it.
 
 
-def _refine(f: FamilySpec, k: int, denom: int, pairs: list) -> tuple[int, list, list]:
+def _refine(f: FamilySpec, k: int, denom: int, pairs: list) -> tuple[int, list]:
     children: list = []
-    gaps: list = []
     if isinstance(f, Proportional):
         p, q = f.alpha.numerator, f.alpha.denominator
         s = 2 * q
@@ -136,20 +135,16 @@ def _refine(f: FamilySpec, k: int, denom: int, pairs: list) -> tuple[int, list, 
             a2, b2 = a * s, b * s
             children.append((a2, a2 + h))
             children.append((b2 - h, b2))
-            gaps.append((a2 + h, b2 - h))
-        return denom * s, children, gaps
+        return denom * s, children
 
     if isinstance(f, Power):
         n = f.n
         s = 2 * n
         if all(a == b for a, b in pairs):
-            return denom, list(pairs), []  # all points already: fixpoint
+            return denom, list(pairs)  # all points already: fixpoint
         removal = 2**k  # (1/n^k) scaled by the new denominator (2n)^k
         for a, b in pairs:
             a2, b2 = a * s, b * s
-            if a == b:
-                children.append((a2, a2))
-                continue
             width = b2 - a2
             if width < removal:
                 raise ConstructionError(
@@ -158,8 +153,7 @@ def _refine(f: FamilySpec, k: int, denom: int, pairs: list) -> tuple[int, list, 
             h = (width - removal) // 2
             children.append((a2, a2 + h))
             children.append((b2 - h, b2))
-            gaps.append((a2 + h, b2 - h))
-        return denom * s, children, gaps
+        return denom * s, children
 
     if isinstance(f, DigitSet):
         n, digits = f.n, f.digits
@@ -168,10 +162,7 @@ def _refine(f: FamilySpec, k: int, denom: int, pairs: list) -> tuple[int, list, 
             a2 = a * n
             for d in digits:
                 children.append((a2 + d * h, a2 + (d + 1) * h))
-            for d0, d1 in zip(digits, digits[1:]):
-                if d1 > d0 + 1:
-                    gaps.append((a2 + (d0 + 1) * h, a2 + d1 * h))
-        return denom * n, children, gaps
+        return denom * n, children
 
     if isinstance(f, LambdaFamily):
         p, q = f.lam.numerator, f.lam.denominator
@@ -185,21 +176,32 @@ def _refine(f: FamilySpec, k: int, denom: int, pairs: list) -> tuple[int, list, 
             h = (width - removal) // 2
             children.append((a2, a2 + h))
             children.append((b2 - h, b2))
-            gaps.append((a2 + h, b2 - h))
-        return denom * s, children, gaps
+        return denom * s, children
 
     raise TypeError(f"unknown family spec: {f!r}")
 
 
-def _stages(f: FamilySpec) -> Iterator[tuple[int, list, list]]:
-    """Yield (denom, pairs, gaps) for k = 0, 1, 2, ...; gaps are stage-k removals."""
+def _removed(parents: int, children: list) -> list:
+    """The gaps one step removed from ``parents`` intervals, as (a, b) pairs
+    over the denominator of ``children``, left to right.
+
+    All intervals of a stage have the same length, so every parent has the
+    same number m of children. The step's gaps are the spaces between
+    consecutive children of one parent (touching digit blocks leave none);
+    the space after a parent's last child is an older gap.
+    """
+    m = len(children) // parents
+    return [(children[i - 1][1], children[i][0]) for i in range(1, len(children))
+            if i % m and children[i - 1][1] < children[i][0]]
+
+
+def _stages(f: FamilySpec) -> Iterator[tuple[int, list]]:
+    """Yield the stages (denom, pairs) for k = 0, 1, 2, ..."""
     denom, pairs = 1, [(0, 1)]
-    k = 0
-    yield denom, pairs, []
-    while True:
-        k += 1
-        denom, pairs, gaps = _refine(f, k, denom, pairs)
-        yield denom, pairs, gaps
+    yield denom, pairs
+    for k in count(1):
+        denom, pairs = _refine(f, k, denom, pairs)
+        yield denom, pairs
 
 
 def _check_depth(k: int, depth_cap: int) -> None:
@@ -218,22 +220,38 @@ def _fraction(n: int, d: int) -> Fraction:
     return f
 
 
-def _materialize(denom: int, pairs: list) -> IntervalSet:
-    # Children come out of _refine already sorted left-to-right; merging the
-    # rare touching pairs (adjacent kept digits) in the integer domain keeps
-    # deep stages clear of O(n log n) Fraction comparisons. Intervals are
-    # built through the validation-free path: a <= b holds by construction.
+def _merge_touching(pairs: list) -> list:
+    # Children come out of _refine already sorted left-to-right; the only
+    # overlaps are touching blocks (adjacent kept digits), merged here in the
+    # integer domain, so deep stages stay clear of O(n log n) comparisons.
     merged: list = []
     for a, b in pairs:
         if merged and a <= merged[-1][1]:
             if b > merged[-1][1]:
-                merged[-1][1] = b
+                merged[-1] = (merged[-1][0], b)
         else:
-            merged.append([a, b])
+            merged.append((a, b))
+    return merged
+
+
+def stage_pairs(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> tuple[int, list]:
+    """Stage k as ``(denom, pairs)``: the disjoint closed intervals
+    [a/denom, b/denom] left to right, touching blocks merged, as integers.
+
+    Raises ValueError for k < 0 and DepthCapError for k over ``depth_cap``.
+    """
+    _check_depth(k, depth_cap)
+    denom, pairs = next(islice(_stages(f), k, None))
+    return denom, _merge_touching(pairs)
+
+
+def _materialize(denom: int, pairs: list) -> IntervalSet:
+    # Intervals are built through the validation-free path: pairs are disjoint,
+    # sorted and a <= b holds by construction.
     new_interval = ClosedInterval.__new__
     setattr_ = object.__setattr__
     out = []
-    for a, b in merged:
+    for a, b in pairs:
         iv = new_interval(ClosedInterval)
         setattr_(iv, "a", _fraction(a, denom))
         setattr_(iv, "b", _fraction(b, denom))
@@ -243,17 +261,12 @@ def _materialize(denom: int, pairs: list) -> IntervalSet:
 
 def iterate(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> IntervalSet:
     """The stage-k set of the construction, as an exact IntervalSet."""
-    _check_depth(k, depth_cap)
     # Deep stages allocate millions of small immutable objects; generational
     # GC passes over the growing heap dominate the runtime unless paused.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        gen = _stages(f)
-        for _ in range(k):
-            next(gen)
-        denom, pairs, _ = next(gen)
-        return _materialize(denom, pairs)
+        return _materialize(*stage_pairs(f, k, depth_cap))
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -264,12 +277,13 @@ def removed_by_generation(
 ) -> list[list[OpenInterval]]:
     """Removed open gaps, one list per generation 1..k, left-to-right within each."""
     _check_depth(k, depth_cap)
-    gen = _stages(f)
-    next(gen)  # stage 0 removes nothing
+    stages = _stages(f)
+    _, parents = next(stages)
     out = []
-    for _ in range(k):
-        denom, _, gaps = next(gen)
+    for denom, pairs in islice(stages, k):
+        gaps = _removed(len(parents), pairs)
         out.append([OpenInterval(Fraction(a, denom), Fraction(b, denom)) for a, b in gaps])
+        parents = pairs
     return out
 
 
@@ -327,16 +341,17 @@ def _gaps(f: FamilySpec) -> Iterator[tuple[int, int, list, int]]:
 
     In a homogeneous Moran construction every stage-(j-1) interval has the same
     length, so each one loses the same gaps at step j. Refining only the
-    leftmost interval through _refine gives those gaps: ``lengths`` are their
-    integer lengths over the stage-j denominator ``denom`` = s * D_{j-1}, left
-    to right, and ``parents`` is the number of stage-(j-1) intervals in the
-    construction tree. Generation j removes ``parents`` copies of ``lengths``
-    in that order. The generator stops at the first step that removes nothing
-    (the Power(2) point fixpoint).
+    leftmost interval through _refine and reading its gaps with _removed gives
+    them: ``lengths`` are their integer lengths over the stage-j denominator
+    ``denom`` = s * D_{j-1}, left to right, and ``parents`` is the number of
+    stage-(j-1) intervals in the construction tree. Generation j removes
+    ``parents`` copies of ``lengths`` in that order. The generator stops at
+    the first step that removes nothing (the Power(2) point fixpoint).
     """
     denom, pairs, parents = 1, [(0, 1)], 1
     for j in count(1):
-        new_denom, children, gaps = _refine(f, j, denom, pairs)
+        new_denom, children = _refine(f, j, denom, pairs)
+        gaps = _removed(1, children)
         if not gaps:
             return
         yield new_denom, new_denom // denom, [b - a for a, b in gaps], parents

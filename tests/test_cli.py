@@ -1,11 +1,24 @@
 import json
+import sys
 
 import pytest
 
 from cantorlike.cli import main
+from cantorlike.counterexample import tail_table_csv
 from cantorlike.exact import IntervalSet
-from cantorlike.families import Proportional, iterate
+from cantorlike.families import Power, Proportional, iterate
 from fractions import Fraction as F
+
+
+class WriteLog:
+    """A stdout that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
 
 
 def run(capsys, *argv):
@@ -110,6 +123,17 @@ class TestGenerate:
         assert first.startswith("<svg ")
         assert first.count("<rect") == 1 + 2 + 4 + 8 + 16
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rows_go_out_in_bounded_chunks(self, monkeypatch, fmt):
+        log = WriteLog()
+        monkeypatch.setattr(sys, "stdout", log)
+        assert main(["generate", "--family", "power", "--n", "4", "--depth", "13",
+                     "--format", fmt]) == 0
+        text = "".join(log.writes)
+        rows = json.loads(text) if fmt == "json" else text.splitlines()
+        assert len(rows) == 2**13
+        assert 3 <= len(log.writes) < 10  # 8192 rows in chunks of 4096, not one write per row
+
 
 class TestAnalyze:
     def test_volterra_report(self, capsys):
@@ -146,6 +170,20 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and f"{flags[0]} must be >=" in err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("flags", [("--family", "power", "--n", "4", "--depth", "8000"),
+                                       ("--family", "lambda", "--lambda", "1e-4400")])
+    def test_result_too_large_to_print_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, "analyze", *flags)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("result too large to print: ")
+
+    def test_depth_2000_still_answers(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--family", "power", "--n", "4",
+                           "--depth", "2000", "--kmax", "3")
+        assert code == 0 and json.loads(out)["depth"] == 2000
 
     def test_measure_decimal_matches_exact_measure(self, capsys):
         _, out, _ = run(capsys, "analyze", "--family", "power", "--n", "4", "--depth", "2",
@@ -247,6 +285,13 @@ class TestCounterexample:
     def test_negative_n_max_exits_2(self, capsys):
         code, out, err = run(capsys, "counterexample", "--n-max", "-1")
         assert (code, out, err) == (2, "", "--n-max must be >= 0, got -1\n")
+
+    def test_rows_go_out_in_bounded_chunks(self, monkeypatch):
+        log = WriteLog()
+        monkeypatch.setattr(sys, "stdout", log)
+        assert main(["counterexample", "--n-max", "10000"]) == 0
+        assert "".join(log.writes) == tail_table_csv(Power(4), 10000)
+        assert 3 <= len(log.writes) < 10  # 10,002 lines in chunks of 4096, not one write per row
 
 
 class TestRender:

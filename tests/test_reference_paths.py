@@ -3,11 +3,15 @@
 The reference functions below are the earlier implementations, kept verbatim
 in substance: the per-step Fraction recurrence of ``level_stats``, the
 Fraction descent of ``member_at_depth``, long division with a table of every
-remainder seen, the ``seen``-set ``member_limit``, and the removal tail summed
-over ``removed_by_generation`` restarted for every generation. The library's
-integer paths must agree with them exactly, on every family.
+remainder seen, the ``seen``-set ``member_limit``, the removal tail summed
+over ``removed_by_generation`` restarted for every generation, the gaps of
+each step built family by family, and the ``generate`` listing printed from
+the Fractions and intervals of ``iterate``. The library's integer paths must
+agree with them exactly, on every family.
 """
 
+import io
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -24,6 +28,7 @@ from cantorlike.analysis import (
     member_at_depth,
     member_limit,
 )
+from cantorlike import cli as cli_module
 from cantorlike import families as families_module
 from cantorlike.counterexample import (
     tail_measure,
@@ -38,6 +43,8 @@ from cantorlike.families import (
     LambdaFamily,
     Power,
     Proportional,
+    family_to_json,
+    iterate,
     level_stats,
     removed_by_generation,
 )
@@ -160,6 +167,48 @@ def ref_tail_table(f, n_max):
             acc += entries[n - 1].length
         rows.append((n, acc, total - acc))
     return rows
+
+
+def ref_removed_by_generation(f, k):
+    """Gaps per generation 1..k as (a, b) Fractions: each tree interval is cut
+    into its family's blocks and loses the spaces between them."""
+    tree, out = [(F(0), F(1))], []
+    for j in range(1, k + 1):
+        kids, gaps = [], []
+        for a, b in tree:
+            if isinstance(f, DigitSet):
+                h = (b - a) / f.n
+                blocks = [(a + d * h, a + (d + 1) * h) for d in f.digits]
+            elif a == b:
+                blocks = [(a, b)]  # a point stays a point
+            else:
+                h = ref_level_stats(f, j)[1]
+                blocks = [(a, a + h), (b - h, b)]
+            kids += blocks
+            gaps += [(hi, lo) for (_, hi), (lo, _) in zip(blocks, blocks[1:]) if hi < lo]
+        tree = kids
+        out.append(gaps)
+    return out
+
+
+def ref_generate(f, depth, fmt, decimal):
+    """stdout of ``generate --format json|csv`` as it was printed from iterate."""
+    stage = iterate(f, depth)
+    buf = io.StringIO()
+    if fmt == "json":
+        rows = stage.to_json()
+        if decimal:
+            for row, interval in zip(rows, stage):
+                row["a_decimal"] = rational_decimal(interval.a)
+                row["b_decimal"] = rational_decimal(interval.b)
+        print(json.dumps(rows), file=buf)
+    else:
+        for interval in stage:
+            cells = [format_rational(interval.a), format_rational(interval.b)]
+            if decimal:
+                cells += [rational_decimal(interval.a), rational_decimal(interval.b)]
+            print(",".join(cells), file=buf)
+    return buf.getvalue()
 
 
 def ref_tail_table_csv(f, n_max):
@@ -427,3 +476,72 @@ def test_tail_measure_sums_whole_generations(monkeypatch):
     calls.clear()
     assert tail_measure(Power(2), 10**18) == 0
     assert calls == [1] * 3  # two generations, then the fixpoint
+
+
+# --- stage listings and gaps straight from the integer stages ---------------------------
+
+def tree_depth(f, limit=4000):
+    """The deepest stage, at most 6, whose construction tree has at most ``limit`` intervals."""
+    per_step = len(f.digits) if isinstance(f, DigitSet) else 2
+    return min(6, int(math.log(limit) / math.log(per_step)))
+
+
+@pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
+def test_removed_gaps_match_blocks_cut_per_family(f):
+    k = tree_depth(f)
+    got = [[(g.a, g.b) for g in gen] for gen in removed_by_generation(f, k, depth_cap=k)]
+    assert got == ref_removed_by_generation(f, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(families)
+def test_removed_gaps_match_reference_on_random_families(f):
+    k = tree_depth(f, 1000)
+    got = [[(g.a, g.b) for g in gen] for gen in removed_by_generation(f, k, depth_cap=k)]
+    assert got == ref_removed_by_generation(f, k)
+
+
+GENERATE_CASES = (
+    (Proportional(F(1, 3)), 4),
+    (Proportional(F(1, 3)), 13),              # 8192 rows: output spans several write chunks
+    (Proportional(F(999_999, 1_000_003)), 5),  # alpha with a large q
+    (Power(4), 6),
+    (Power(2), 5),                             # past the four-point fixpoint
+    (DigitSet(5, (0, 1, 4)), 4),               # touching blocks 0 and 1
+    (DigitSet(7, (0, 1, 2, 6)), 3),            # a run of three touching blocks
+    (DigitSet(3, (0, 2)), 5),
+    (LambdaFamily(F(1)), 5),
+    (LambdaFamily(F(1, 2)), 6),
+    (LambdaFamily(F(7, 1_000_003)), 4),
+    (Power(4), 0),
+    (DigitSet(5, (0, 1, 4)), 0),
+)
+
+
+def generate_stdout(capsys, f, depth, fmt, decimal):
+    argv = ["generate", "--family-json", json.dumps(family_to_json(f)),
+            "--depth", str(depth), "--format", fmt]
+    assert cli_module.main(argv + ["--decimal"] * decimal) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("decimal", (False, True))
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("f, depth", GENERATE_CASES, ids=repr)
+def test_generate_matches_iterate_listing(capsys, f, depth, fmt, decimal):
+    assert generate_stdout(capsys, f, depth, fmt, decimal) == ref_generate(f, depth, fmt, decimal)
+
+
+@pytest.mark.parametrize("decimal", (False, True))
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+def test_generate_builds_no_interval_objects(monkeypatch, capsys, fmt, decimal):
+    f = DigitSet(5, (0, 1, 4))
+    expected = ref_generate(f, 3, fmt, decimal)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("generate materialized a stage")
+
+    for name in ("iterate", "_materialize"):
+        monkeypatch.setattr(families_module, name, forbidden)
+        monkeypatch.setattr(cli_module, name, forbidden, raising=False)
+    assert generate_stdout(capsys, f, 3, fmt, decimal) == expected
