@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional
 
+from .exact import format_rational
 from .families import (
     DigitSet,
     FamilySpec,
@@ -174,7 +175,7 @@ class DimensionReport:
         obj: dict = {"kind": self.kind, "value": self.value}
         if self.kind == EXACT_SIMILARITY:
             obj["numerator_count"] = self.count_base
-            obj["scale"] = f"{self.scale.numerator}/{self.scale.denominator}"
+            obj["scale"] = format_rational(self.scale)
         else:
             obj["sequence"] = [[k, d] for k, d in (self.sequence or ())]
         return obj

@@ -5,13 +5,15 @@ counterexample | render. Machine output (JSON/CSV/SVG) goes to stdout,
 diagnostics to stderr. Exit codes: 1 cantor-fn point not in the set, 2 invalid
 family, malformed rational, out-of-range argument or a result with too many
 digits to print, 3 depth over cap, 4 --limit requested where no digit
-characterization exists.
+characterization exists, 141 stdout closed by its reader before the output
+ended (as a shell reports a SIGPIPE death; nothing goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -48,6 +50,7 @@ from .render import RenderSpec, render_svg
 EXIT_BAD_FAMILY = 2
 EXIT_DEPTH_CAP = 3
 EXIT_NO_DIGIT_FORM = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _fail(code: int, message: str) -> NoReturn:
@@ -306,6 +309,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`). Python's documented recipe:
+        # point stdout at devnull so the flush at exit finds no broken pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(EXIT_BROKEN_PIPE)
     except ValueError as exc:
         # Python refuses to print an integer of more digits than
         # sys.get_int_max_str_digits() (4300 by default): an exact result too

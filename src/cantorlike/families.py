@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd
-from typing import Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
-from .exact import ClosedInterval, IntervalSet, parse_rational
+from .exact import ClosedInterval, IntervalSet, format_rational, parse_rational
 
 DEFAULT_DEPTH_CAP = 24
 
@@ -120,88 +120,11 @@ class IfsMaps:
 # --- integer stage engine -------------------------------------------------
 #
 # A stage is (denom, pairs) with pairs a list of (a, b) integers, meaning
-# the closed intervals [a/denom, b/denom] in construction-tree order.
-# _refine returns the next stage, over the *new* denominator; _removed reads
-# the gaps of that step off it.
-
-
-def _refine(f: FamilySpec, k: int, denom: int, pairs: list) -> tuple[int, list]:
-    children: list = []
-    if isinstance(f, Proportional):
-        p, q = f.alpha.numerator, f.alpha.denominator
-        s = 2 * q
-        for a, b in pairs:
-            h = (b - a) * (q - p)
-            a2, b2 = a * s, b * s
-            children.append((a2, a2 + h))
-            children.append((b2 - h, b2))
-        return denom * s, children
-
-    if isinstance(f, Power):
-        n = f.n
-        s = 2 * n
-        if all(a == b for a, b in pairs):
-            return denom, list(pairs)  # all points already: fixpoint
-        removal = 2**k  # (1/n^k) scaled by the new denominator (2n)^k
-        for a, b in pairs:
-            a2, b2 = a * s, b * s
-            width = b2 - a2
-            if width < removal:
-                raise ConstructionError(
-                    f"power removal 1/{n}^{k} exceeds remaining interval length"
-                )
-            h = (width - removal) // 2
-            children.append((a2, a2 + h))
-            children.append((b2 - h, b2))
-        return denom * s, children
-
-    if isinstance(f, DigitSet):
-        n, digits = f.n, f.digits
-        for a, b in pairs:
-            h = b - a
-            a2 = a * n
-            for d in digits:
-                children.append((a2 + d * h, a2 + (d + 1) * h))
-        return denom * n, children
-
-    if isinstance(f, LambdaFamily):
-        p, q = f.lam.numerator, f.lam.denominator
-        s = 6 * q
-        removal = 2**k * q ** (k - 1) * p  # (lam/3^k) scaled by (6q)^k
-        for a, b in pairs:
-            a2, b2 = a * s, b * s
-            width = b2 - a2
-            if width < removal:
-                raise ConstructionError(f"lambda removal {f.lam}/3^{k} exceeds interval length")
-            h = (width - removal) // 2
-            children.append((a2, a2 + h))
-            children.append((b2 - h, b2))
-        return denom * s, children
-
-    raise TypeError(f"unknown family spec: {f!r}")
-
-
-def _removed(parents: int, children: list) -> list:
-    """The gaps one step removed from ``parents`` intervals, as (a, b) pairs
-    over the denominator of ``children``, left to right.
-
-    All intervals of a stage have the same length, so every parent has the
-    same number m of children. The step's gaps are the spaces between
-    consecutive children of one parent (touching digit blocks leave none);
-    the space after a parent's last child is an older gap.
-    """
-    m = len(children) // parents
-    return [(children[i - 1][1], children[i][0]) for i in range(1, len(children))
-            if i % m and children[i - 1][1] < children[i][0]]
-
-
-def _stages(f: FamilySpec) -> Iterator[tuple[int, list]]:
-    """Yield the stages (denom, pairs) for k = 0, 1, 2, ..."""
-    denom, pairs = 1, [(0, 1)]
-    yield denom, pairs
-    for k in count(1):
-        denom, pairs = _refine(f, k, denom, pairs)
-        yield denom, pairs
+# the closed intervals [a/denom, b/denom] in construction-tree order. Every
+# stage and gap is read off one step table, _steps (beside _lengths below):
+# per step, the scale s, the child length and the children's offsets from
+# their parent's left end, over the new denominator. A parent with left end
+# a has the children [a * s + o, a * s + o + length], one per offset o.
 
 
 def _check_depth(k: int, depth_cap: int) -> None:
@@ -220,8 +143,8 @@ def _fraction(n: int, d: int) -> Fraction:
     return f
 
 
-def _merge_touching(pairs: list) -> list:
-    # Children come out of _refine already sorted left-to-right; the only
+def _merge_touching(pairs: Iterable[tuple[int, int]]) -> list:
+    # Children come out of the step fold already sorted left-to-right; the only
     # overlaps are touching blocks (adjacent kept digits), merged here in the
     # integer domain, so deep stages stay clear of O(n log n) comparisons.
     merged: list = []
@@ -241,8 +164,11 @@ def stage_pairs(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> tu
     Raises ValueError for k < 0 and DepthCapError for k over ``depth_cap``.
     """
     _check_depth(k, depth_cap)
-    denom, pairs = next(islice(_stages(f), k, None))
-    return denom, _merge_touching(pairs)
+    denom, length, lefts = 1, 1, [0]
+    for s, length, offsets in islice(_steps(f), k):
+        denom *= s
+        lefts = [a * s + o for a in lefts for o in offsets]
+    return denom, _merge_touching((a, a + length) for a in lefts)
 
 
 def _materialize(denom: int, pairs: list) -> IntervalSet:
@@ -277,14 +203,14 @@ def removed_by_generation(
 ) -> list[list[OpenInterval]]:
     """Removed open gaps, one list per generation 1..k, left-to-right within each."""
     _check_depth(k, depth_cap)
-    stages = _stages(f)
-    _, parents = next(stages)
-    out = []
-    for denom, pairs in islice(stages, k):
-        gaps = _removed(len(parents), pairs)
-        out.append([OpenInterval(Fraction(a, denom), Fraction(b, denom)) for a, b in gaps])
-        parents = pairs
-    return out
+    denom, lefts, out = 1, [0], []
+    for s, length, offsets in islice(_steps(f), k):
+        denom *= s
+        gaps = _step_gaps(length, offsets)
+        out.append([OpenInterval(Fraction(a * s + g0, denom), Fraction(a * s + g1, denom))
+                    for a in lefts for g0, g1 in gaps])
+        lefts = [a * s + o for a in lefts for o in offsets]
+    return out + [[] for _ in range(k - len(out))]  # past a Power(2) collapse
 
 
 def removed_intervals(
@@ -336,26 +262,40 @@ def _lengths(f: FamilySpec, unit: int) -> Iterator[tuple[int, int, int]]:
         removal *= g
 
 
+def _steps(f: FamilySpec) -> Iterator[tuple[int, int, list]]:
+    """(s, length, offsets) for steps j = 1, 2, ...: _lengths(f, 1) with the
+    children's offsets from their parent's left end. The two children of a
+    binary family sit at both ends of the parent, whose width is parent * s;
+    kept digit d sits at d * length. Ends where _lengths ends."""
+    digits = f.digits if isinstance(f, DigitSet) else None
+    parent = 1
+    for s, length, _ in _lengths(f, 1):
+        yield s, length, [d * length for d in digits] if digits else [0, parent * s - length]
+        parent = length
+
+
+def _step_gaps(length: int, offsets: list) -> list:
+    # The open spaces between consecutive children of one parent, relative to
+    # its left end; touching digit blocks leave none.
+    return [(o0 + length, o1) for o0, o1 in zip(offsets, offsets[1:]) if o0 + length < o1]
+
+
 def _gaps(f: FamilySpec) -> Iterator[tuple[int, int, list, int]]:
     """The removal sequence: (denom, s, lengths, parents) for generations j = 1, 2, ...
 
     In a homogeneous Moran construction every stage-(j-1) interval has the same
-    length, so each one loses the same gaps at step j. Refining only the
-    leftmost interval through _refine and reading its gaps with _removed gives
-    them: ``lengths`` are their integer lengths over the stage-j denominator
+    length, so each one loses the same gaps at step j, read off the step's
+    offsets: ``lengths`` are their integer lengths over the stage-j denominator
     ``denom`` = s * D_{j-1}, left to right, and ``parents`` is the number of
     stage-(j-1) intervals in the construction tree. Generation j removes
-    ``parents`` copies of ``lengths`` in that order. The generator stops at
-    the first step that removes nothing (the Power(2) point fixpoint).
+    ``parents`` copies of ``lengths`` in that order. No interval is refined;
+    the generator ends with the step table (after the Power(2) collapse).
     """
-    denom, pairs, parents = 1, [(0, 1)], 1
-    for j in count(1):
-        new_denom, children = _refine(f, j, denom, pairs)
-        gaps = _removed(1, children)
-        if not gaps:
-            return
-        yield new_denom, new_denom // denom, [b - a for a, b in gaps], parents
-        denom, pairs, parents = new_denom, children[:1], parents * len(children)
+    denom, parents = 1, 1
+    for s, length, offsets in _steps(f):
+        denom *= s
+        yield denom, s, [o1 - o0 for o0, o1 in _step_gaps(length, offsets)], parents
+        parents *= len(offsets)
 
 
 def level_stats(f: FamilySpec, k: int) -> LevelStats:
@@ -415,13 +355,13 @@ def digit_equivalent(alpha: Fraction) -> DigitSet | None:
 
 def family_to_json(f: FamilySpec) -> dict:
     if isinstance(f, Proportional):
-        return {"family": "proportional", "alpha": f"{f.alpha.numerator}/{f.alpha.denominator}"}
+        return {"family": "proportional", "alpha": format_rational(f.alpha)}
     if isinstance(f, Power):
         return {"family": "power", "n": f.n}
     if isinstance(f, DigitSet):
         return {"family": "digit", "n": f.n, "digits": list(f.digits)}
     if isinstance(f, LambdaFamily):
-        return {"family": "lambda", "lambda": f"{f.lam.numerator}/{f.lam.denominator}"}
+        return {"family": "lambda", "lambda": format_rational(f.lam)}
     raise TypeError(f"unknown family spec: {f!r}")
 
 

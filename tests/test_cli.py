@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,9 @@ class WriteLog:
     def write(self, text):
         self.writes.append(text)
         return len(text)
+
+    def flush(self):
+        pass
 
 
 def run(capsys, *argv):
@@ -325,3 +331,20 @@ class TestRender:
         monkeypatch.setattr(render, "iterate", no_stage)
         code, out, err = run(capsys, "render", "--family", "power", "--n", "4", "--depth", "30")
         assert (code, out, err) == (3, "", "stage 30 exceeds depth cap 24\n")
+
+
+class TestClosedStdout:
+    def test_broken_pipe_exits_141_without_stderr(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes a byte
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cantorlike.cli", "generate", "--family", "power",
+                 "--n", "4", "--depth", "16", "--format", "csv"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")

@@ -5,7 +5,8 @@ in substance: the per-step Fraction recurrence of ``level_stats``, the
 Fraction descent of ``member_at_depth``, long division with a table of every
 remainder seen, the ``seen``-set ``member_limit``, the removal tail summed
 over ``removed_by_generation`` restarted for every generation, the gaps of
-each step built family by family, and the ``generate`` listing printed from
+each step built family by family, the per-family integer step that built
+every stage before the step table, and the ``generate`` listing printed from
 the Fractions and intervals of ``iterate``. The library's integer paths must
 agree with them exactly, on every family.
 """
@@ -29,6 +30,7 @@ from cantorlike.analysis import (
     member_limit,
 )
 from cantorlike import cli as cli_module
+from cantorlike import counterexample as counterexample_module
 from cantorlike import families as families_module
 from cantorlike.counterexample import (
     tail_measure,
@@ -47,6 +49,7 @@ from cantorlike.families import (
     iterate,
     level_stats,
     removed_by_generation,
+    stage_pairs,
 )
 
 
@@ -189,6 +192,77 @@ def ref_removed_by_generation(f, k):
         tree = kids
         out.append(gaps)
     return out
+
+
+def ref_refine(f, k, denom, pairs):
+    """The per-family integer step the stage engine used before the step table."""
+    children: list = []
+    if isinstance(f, Proportional):
+        p, q = f.alpha.numerator, f.alpha.denominator
+        s = 2 * q
+        for a, b in pairs:
+            h = (b - a) * (q - p)
+            a2, b2 = a * s, b * s
+            children.append((a2, a2 + h))
+            children.append((b2 - h, b2))
+        return denom * s, children
+
+    if isinstance(f, Power):
+        n = f.n
+        s = 2 * n
+        if all(a == b for a, b in pairs):
+            return denom, list(pairs)  # all points already: fixpoint
+        removal = 2**k  # (1/n^k) scaled by the new denominator (2n)^k
+        for a, b in pairs:
+            a2, b2 = a * s, b * s
+            width = b2 - a2
+            if width < removal:
+                raise ConstructionError(
+                    f"power removal 1/{n}^{k} exceeds remaining interval length"
+                )
+            h = (width - removal) // 2
+            children.append((a2, a2 + h))
+            children.append((b2 - h, b2))
+        return denom * s, children
+
+    if isinstance(f, DigitSet):
+        n, digits = f.n, f.digits
+        for a, b in pairs:
+            h = b - a
+            a2 = a * n
+            for d in digits:
+                children.append((a2 + d * h, a2 + (d + 1) * h))
+        return denom * n, children
+
+    if isinstance(f, LambdaFamily):
+        p, q = f.lam.numerator, f.lam.denominator
+        s = 6 * q
+        removal = 2**k * q ** (k - 1) * p  # (lam/3^k) scaled by (6q)^k
+        for a, b in pairs:
+            a2, b2 = a * s, b * s
+            width = b2 - a2
+            if width < removal:
+                raise ConstructionError(f"lambda removal {f.lam}/3^{k} exceeds interval length")
+            h = (width - removal) // 2
+            children.append((a2, a2 + h))
+            children.append((b2 - h, b2))
+        return denom * s, children
+
+    raise TypeError(f"unknown family spec: {f!r}")
+
+
+def ref_stage_pairs(f, k):
+    """Stage k refined family by family from [0, 1], touching blocks merged."""
+    denom, pairs = 1, [(0, 1)]
+    for j in range(1, k + 1):
+        denom, pairs = ref_refine(f, j, denom, pairs)
+    merged = []
+    for a, b in pairs:
+        if merged and a == merged[-1][1]:
+            merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    return denom, merged
 
 
 def ref_generate(f, depth, fmt, decimal):
@@ -449,33 +523,41 @@ def test_tail_measure_matches_reference(f, n):
     assert tail_measure(f, n) == ref_tail_measure(f, n)
 
 
-# --- one pass over the integer engine ---------------------------------------------------
+# --- one pass over the step table -------------------------------------------------------
 
-def count_refines(monkeypatch):
-    """Route families._refine through a recorder of the number of intervals refined."""
-    calls, refine = [], families_module._refine
+def count_steps(monkeypatch):
+    """Route families._steps through a recorder of the steps drawn, and forbid
+    every path that builds a stage."""
+    calls, steps = [], families_module._steps
 
-    def counted(f, k, denom, pairs):
-        calls.append(len(pairs))
-        return refine(f, k, denom, pairs)
+    def counted(f):
+        for step in steps(f):
+            calls.append(step[0])
+            yield step
 
-    monkeypatch.setattr(families_module, "_refine", counted)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a stage was built")
+
+    monkeypatch.setattr(families_module, "_steps", counted)
+    for name in ("stage_pairs", "iterate", "removed_by_generation"):
+        for module in (families_module, counterexample_module):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
     return calls
 
 
-def test_tail_table_csv_refines_one_interval_per_generation(monkeypatch):
-    calls = count_refines(monkeypatch)
+def test_tail_table_csv_draws_one_step_per_generation(monkeypatch):
+    calls = count_steps(monkeypatch)
     tail_table_csv(Power(4), 2**12)
-    assert calls == [1] * 13  # generations 1..12 remove 2^12 - 1 gaps
+    assert len(calls) == 13  # generations 1..12 remove 2^12 - 1 gaps
 
 
 def test_tail_measure_sums_whole_generations(monkeypatch):
-    calls = count_refines(monkeypatch)
+    calls = count_steps(monkeypatch)
     assert tail_measure(Power(4), 2**40 - 1) == F(1, 2**41)  # removed: 1/2 - 2^-41 of 1/2
-    assert calls == [1] * 40
+    assert len(calls) == 40
     calls.clear()
     assert tail_measure(Power(2), 10**18) == 0
-    assert calls == [1] * 3  # two generations, then the fixpoint
+    assert len(calls) == 2  # two generations, then the step table ends
 
 
 # --- stage listings and gaps straight from the integer stages ---------------------------
@@ -499,6 +581,24 @@ def test_removed_gaps_match_reference_on_random_families(f):
     k = tree_depth(f, 1000)
     got = [[(g.a, g.b) for g in gen] for gen in removed_by_generation(f, k, depth_cap=k)]
     assert got == ref_removed_by_generation(f, k)
+
+
+@pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
+def test_stage_pairs_match_refined_stages(f):
+    for k in range(tree_depth(f) + 1):
+        assert stage_pairs(f, k) == ref_stage_pairs(f, k), k
+
+
+def test_power_two_stage_stays_at_its_fixpoint():
+    four_points = (16, [(0, 0), (4, 4), (12, 12), (16, 16)])
+    assert stage_pairs(Power(2), 5) == ref_stage_pairs(Power(2), 5) == four_points
+
+
+@settings(max_examples=40, deadline=None)
+@given(families)
+def test_stage_pairs_match_refined_stages_on_random_families(f):
+    k = tree_depth(f, 1000)
+    assert stage_pairs(f, k) == ref_stage_pairs(f, k)
 
 
 GENERATE_CASES = (
