@@ -1,23 +1,45 @@
 """Exact rational scalars and finite unions of closed intervals.
 
-Everything in this module is immutable and exact: endpoints are
-``fractions.Fraction`` values, lengths are computed symbolically, and no
-floating point ever enters. ``IntervalSet`` is the workhorse container: a
-sorted, pairwise-disjoint list of closed intervals inside (usually) [0,1].
+Everything in this module is immutable and exact, and no floating point ever
+enters. Scalars are ``fractions.Fraction`` values. ``IntervalSet`` is the
+workhorse container: a sorted, pairwise-disjoint union of closed intervals
+inside (usually) [0,1], held as integer endpoint pairs over one common
+denominator, the shape the stage engine produces. Its measure, membership,
+cover and affine image work on those integers; ``ClosedInterval`` and
+``Fraction`` objects are built only when the intervals are read out
+(``intervals``, iteration, ``repr``).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator, Sequence
+from math import gcd, lcm
+from operator import itemgetter
+from typing import Iterable, Iterator
+
+MAX_DECIMAL_EXPONENT = 100_000
+"""Largest decimal exponent magnitude parse_rational accepts: "1e-100000"
+already expands to a 100,001-digit denominator."""
+
+_EXPONENT = re.compile(r"e[-+]?([0-9_]+)\s*$", re.IGNORECASE)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" (or plain integer) string into an exact Fraction."""
+    """Parse a "p/q" (or plain integer or decimal) string into an exact Fraction.
+
+    A decimal exponent over MAX_DECIMAL_EXPONENT in magnitude is refused
+    before any digit is expanded.
+    """
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent of {text[:40]!r} exceeds {MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -75,76 +97,101 @@ class ClosedInterval:
         return cls(parse_rational(obj["a"]), parse_rational(obj["b"]))
 
 
+_start = itemgetter(0)
+
+
+def _closed(a: int, b: int, denom: int) -> ClosedInterval:
+    return ClosedInterval(Fraction(a, denom), Fraction(b, denom))
+
+
 class IntervalSet:
     """A finite union of closed intervals, stored sorted and disjoint.
 
-    Consecutive intervals satisfy I.b < J.a strictly; ``normalize`` merges
-    anything overlapping or touching, so equality of sets is equality of
-    the underlying tuples.
+    The set is the intervals [a/denom, b/denom] for (a, b) in ``pairs``, a
+    tuple of integer pairs left to right. Consecutive pairs satisfy b < a'
+    strictly (``normalize`` merges anything overlapping or touching), and
+    ``denom`` is the least common denominator of the endpoints, so equal
+    sets have equal ``(denom, pairs)`` whatever denominators they were built
+    from; equality and hashing compare that form.
     """
 
-    __slots__ = ("intervals", "_starts")
+    __slots__ = ("denom", "pairs")
 
     def __init__(self, intervals: Iterable[ClosedInterval]):
-        merged = _merge(sorted(intervals, key=lambda i: (i.a, i.b)))
-        self.intervals: tuple[ClosedInterval, ...] = tuple(merged)
-        self._starts = [i.a for i in self.intervals]
+        ends = [(i.a, i.b) for i in intervals]
+        denom = lcm(*(x.denominator for end in ends for x in end))
+        pairs = sorted(tuple(x.numerator * (denom // x.denominator) for x in end) for end in ends)
+        self.denom, self.pairs = _reduced(denom, _merge(pairs))
 
     @classmethod
-    def _from_disjoint_sorted(cls, intervals: Sequence[ClosedInterval]) -> "IntervalSet":
-        # Trusted constructor for generators that already produce sorted,
-        # strictly-separated intervals; skips the O(n log n) merge.
+    def _from_pairs(cls, denom: int, pairs: list) -> "IntervalSet":
+        # Trusted constructor for a list of integer pairs that are already
+        # sorted and strictly separated; skips the sort and the merge. The
+        # list is the caller's no longer: it is reduced in place.
         self = object.__new__(cls)
-        self.intervals = tuple(intervals)
-        self._starts = [i.a for i in self.intervals]
+        self.denom, self.pairs = _reduced(denom, pairs)
         return self
 
+    @property
+    def intervals(self) -> "Sequence[ClosedInterval]":
+        """The intervals as ClosedInterval objects, each built when it is read."""
+        return _Intervals(self)
+
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.pairs)
 
     def __iter__(self) -> Iterator[ClosedInterval]:
-        return iter(self.intervals)
+        denom = self.denom
+        for a, b in self.pairs:
+            yield _closed(a, b, denom)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self.intervals == other.intervals
+        return self.denom == other.denom and self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return hash(self.intervals)
+        return hash((self.denom, self.pairs))
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"[{i.a}, {i.b}]" for i in self.intervals)
+        parts = ", ".join(f"[{i.a}, {i.b}]" for i in self)
         return f"IntervalSet({parts})"
 
     @property
     def total_length(self) -> Fraction:
-        return sum((i.length for i in self.intervals), Fraction(0))
+        return Fraction(sum(b - a for a, b in self.pairs), self.denom)
 
     def affine_image(self, scale: Fraction, shift: Fraction = Fraction(0)) -> "IntervalSet":
         """Map every [a,b] to [scale*a + shift, scale*b + shift]; scale > 0."""
         if scale <= 0:
             raise ValueError(f"affine scale must be positive, got {scale}")
-        mapped = [ClosedInterval(scale * i.a + shift, scale * i.b + shift) for i in self.intervals]
-        return IntervalSet._from_disjoint_sorted(mapped)
+        # Over denom * m, m = lcm of the two denominators, x -> scale*x + shift
+        # sends the numerator a to a * mul + add.
+        m = lcm(scale.denominator, shift.denominator)
+        mul = scale.numerator * (m // scale.denominator)
+        add = shift.numerator * (m // shift.denominator) * self.denom
+        mapped = [(a * mul + add, b * mul + add) for a, b in self.pairs]
+        return IntervalSet._from_pairs(self.denom * m, mapped)
 
     def contains_point(self, x: Fraction) -> bool:
-        """Membership by binary search over interval starts."""
-        idx = bisect_right(self._starts, x) - 1
-        return idx >= 0 and x <= self.intervals[idx].b
+        """Membership: bisect the starts at floor(x * denom), then one
+        cross-multiplied check against that interval's right end."""
+        p, q = x.numerator, x.denominator
+        idx = bisect_right(self.pairs, p * self.denom // q, key=_start) - 1
+        return idx >= 0 and p * self.denom <= self.pairs[idx][1] * q
 
     def covers(self, other: "IntervalSet") -> bool:
         """True iff every interval of ``other`` lies inside one of ours."""
-        return all(
-            self._covers_interval(j) for j in other.intervals
-        )
-
-    def _covers_interval(self, j: ClosedInterval) -> bool:
-        idx = bisect_right(self._starts, j.a) - 1
-        return idx >= 0 and j.b <= self.intervals[idx].b
+        mine, d, e = self.pairs, self.denom, other.denom
+        for a, b in other.pairs:
+            idx = bisect_right(mine, a * d // e, key=_start) - 1
+            if idx < 0 or b * d > mine[idx][1] * e:
+                return False
+        return True
 
     def to_json(self) -> list[dict]:
-        return [i.to_json() for i in self.intervals]
+        denom = self.denom
+        return [{"a": format_ratio(a, denom), "b": format_ratio(b, denom)} for a, b in self.pairs]
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())
@@ -158,21 +205,73 @@ class IntervalSet:
         return cls.from_json(json.loads(text))
 
 
+class _Intervals(Sequence):
+    """The intervals of an IntervalSet as a read-only sequence of
+    ClosedInterval, built on access; it compares equal to the tuple of the
+    same intervals."""
+
+    __slots__ = ("_set",)
+
+    def __init__(self, s: IntervalSet):
+        self._set = s
+
+    def __len__(self) -> int:
+        return len(self._set.pairs)
+
+    def __getitem__(self, index):
+        denom, pairs = self._set.denom, self._set.pairs
+        if isinstance(index, slice):
+            return tuple(_closed(a, b, denom) for a, b in pairs[index])
+        return _closed(*pairs[index], denom)
+
+    def __iter__(self) -> Iterator[ClosedInterval]:
+        return iter(self._set)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _Intervals)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 def normalize(intervals: Iterable[ClosedInterval]) -> IntervalSet:
     """Sort and merge arbitrary closed intervals into a canonical IntervalSet."""
     return IntervalSet(intervals)
 
 
-def _merge(ordered: Sequence[ClosedInterval]) -> list[ClosedInterval]:
-    out: list[ClosedInterval] = []
-    for cur in ordered:
-        if out and cur.a <= out[-1].b:
-            prev = out[-1]
-            if cur.b > prev.b:
-                out[-1] = ClosedInterval(prev.a, cur.b)
+def _merge(pairs: Iterable[tuple[int, int]]) -> list:
+    # Integer pairs sorted by start, merged in one pass: a pair that overlaps
+    # or touches the last one kept extends it, so the result is strictly
+    # separated. The stage engine merges its touching digit blocks here too.
+    merged: list = []
+    for a, b in pairs:
+        if merged and a <= merged[-1][1]:
+            if b > merged[-1][1]:
+                merged[-1] = (merged[-1][0], b)
         else:
-            out.append(cur)
-    return out
+            merged.append((a, b))
+    return merged
+
+
+def _reduced(denom: int, pairs: list) -> tuple[int, tuple]:
+    # The canonical form: denom and every endpoint divided by their gcd, which
+    # leaves the least common denominator. The scan stops at the first pair
+    # that brings the gcd to 1. Otherwise the list is divided in place, so
+    # each old pair is freed as its quotient is made and the peak stays at
+    # one copy of the stage.
+    g = denom
+    for a, b in pairs:
+        g = gcd(g, a, b)
+        if g == 1:
+            return denom, tuple(pairs)
+    for i, (a, b) in enumerate(pairs):
+        pairs[i] = (a // g, b // g)
+    return denom // g, tuple(pairs)
 
 
 UNIT = IntervalSet([ClosedInterval(Fraction(0), Fraction(1))])

@@ -8,21 +8,22 @@ Families:
   * LambdaFamily(lam)    -- remove a centered open interval of length lam/3^k
 
 Stages are produced by an integer refinement engine: every stage is held as
-integer endpoint pairs over one common denominator, so deep stages (2^20
-intervals) stay cheap; Fractions are materialized only on output.
+integer endpoint pairs over one common denominator, and ``iterate`` wraps
+those pairs, reduced to their least denominator, in an ``IntervalSet``, so
+deep stages (2^20 intervals) stay cheap; interval and Fraction objects are
+built only when a caller reads the intervals out.
 """
 
 from __future__ import annotations
 
-import gc
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Union
+from math import lcm
+from typing import Iterator, NamedTuple, Union
 
-from .exact import ClosedInterval, IntervalSet, format_rational, parse_rational
+from .exact import IntervalSet, _merge, format_rational, parse_rational
 
 DEFAULT_DEPTH_CAP = 24
 
@@ -134,29 +135,6 @@ def _check_depth(k: int, depth_cap: int) -> None:
         raise DepthCapError(f"stage {k} exceeds depth cap {depth_cap}")
 
 
-def _fraction(n: int, d: int) -> Fraction:
-    # Bypasses Fraction.__new__'s type dispatch; n, d already integers, d > 0.
-    g = gcd(n, d)
-    f = object.__new__(Fraction)
-    f._numerator = n // g
-    f._denominator = d // g
-    return f
-
-
-def _merge_touching(pairs: Iterable[tuple[int, int]]) -> list:
-    # Children come out of the step fold already sorted left-to-right; the only
-    # overlaps are touching blocks (adjacent kept digits), merged here in the
-    # integer domain, so deep stages stay clear of O(n log n) comparisons.
-    merged: list = []
-    for a, b in pairs:
-        if merged and a <= merged[-1][1]:
-            if b > merged[-1][1]:
-                merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-    return merged
-
-
 def stage_pairs(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> tuple[int, list]:
     """Stage k as ``(denom, pairs)``: the disjoint closed intervals
     [a/denom, b/denom] left to right, touching blocks merged, as integers.
@@ -168,34 +146,13 @@ def stage_pairs(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> tu
     for s, length, offsets in islice(_steps(f), k):
         denom *= s
         lefts = [a * s + o for a in lefts for o in offsets]
-    return denom, _merge_touching((a, a + length) for a in lefts)
-
-
-def _materialize(denom: int, pairs: list) -> IntervalSet:
-    # Intervals are built through the validation-free path: pairs are disjoint,
-    # sorted and a <= b holds by construction.
-    new_interval = ClosedInterval.__new__
-    setattr_ = object.__setattr__
-    out = []
-    for a, b in pairs:
-        iv = new_interval(ClosedInterval)
-        setattr_(iv, "a", _fraction(a, denom))
-        setattr_(iv, "b", _fraction(b, denom))
-        out.append(iv)
-    return IntervalSet._from_disjoint_sorted(out)
+    return denom, _merge((a, a + length) for a in lefts)
 
 
 def iterate(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> IntervalSet:
-    """The stage-k set of the construction, as an exact IntervalSet."""
-    # Deep stages allocate millions of small immutable objects; generational
-    # GC passes over the growing heap dominate the runtime unless paused.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _materialize(*stage_pairs(f, k, depth_cap))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    """The stage-k set of the construction, as an exact IntervalSet over the
+    integer pairs of ``stage_pairs``; no interval or Fraction object is built."""
+    return IntervalSet._from_pairs(*stage_pairs(f, k, depth_cap))
 
 
 def removed_by_generation(
@@ -318,11 +275,16 @@ def level_stats(f: FamilySpec, k: int) -> LevelStats:
 def ifs_step(s: IntervalSet, maps: IfsMaps) -> IntervalSet:
     """One application of the IFS: the union of the affine images of s."""
     images = [s.affine_image(scale, shift) for scale, shift in maps.maps]
-    pieces = [i for img in images for i in img]
-    result = IntervalSet(pieces)
-    if result.total_length != sum((img.total_length for img in images), Fraction(0)):
+    denom = lcm(*(img.denom for img in images))
+    pieces = []
+    for img in images:
+        m = denom // img.denom
+        pieces += [(a * m, b * m) for a, b in img.pairs]
+    pieces.sort()
+    union = _merge(pieces)
+    if sum(b - a for a, b in union) != sum(b - a for a, b in pieces):
         raise ConstructionError("IFS images overlap; union is not disjoint")
-    return result
+    return IntervalSet._from_pairs(denom, union)
 
 
 def ifs_maps(f: FamilySpec) -> IfsMaps:

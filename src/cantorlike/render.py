@@ -44,9 +44,12 @@ def render_svg(spec: RenderSpec, depth_cap: int = DEFAULT_DEPTH_CAP) -> str:
     ]
     for stage in range(spec.depth + 1):
         y = stage * row_h
-        for interval in iterate(spec.family, stage, depth_cap=depth_cap):
-            x = float(interval.a) * width
-            w = max(float(interval.length) * width, 1.0)  # keep degenerate points visible
+        row = iterate(spec.family, stage, depth_cap=depth_cap)
+        denom = row.denom
+        for a, b in row.pairs:
+            # int / int is correctly rounded, so these equal float(Fraction) * width
+            x = a / denom * width
+            w = max((b - a) / denom * width, 1.0)  # keep degenerate points visible
             parts.append(
                 f'<rect x="{_fmt(x)}" y="{y}" width="{_fmt(w)}" height="{bar_h}" fill="#1f2430"/>'
             )

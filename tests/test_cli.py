@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,17 @@ class TestMember:
         assert code == 2
         assert out == ""
         assert err == "--depth must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("flags", [
+        ("--x", "1e-3000000", "--family", "power", "--n", "4"),
+        ("--x", "1/4", "--family", "lambda", "--lambda", "1E-1_000_000"),
+    ])
+    def test_huge_decimal_exponent_exits_2_at_once(self, capsys, flags):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "member", *flags, "--depth", "1")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "exceeds 100000" in err
 
 
 class TestExpansion:

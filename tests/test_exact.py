@@ -34,6 +34,13 @@ class TestRationalStrings:
         with pytest.raises(ValueError):
             parse_rational("1/0")
 
+    def test_decimal_exponent_bound(self):
+        assert parse_rational("1e-100000") == F(1, 10**100000)
+        assert parse_rational("3E+0_99") == 3 * 10**99
+        for text in ("1e-100001", "1e100001", "2.5e-" + "9" * 5000):
+            with pytest.raises(ValueError, match="exceeds 100000"):
+                parse_rational(text)
+
     def test_decimal_rendering(self):
         assert rational_decimal(F(1, 2)) == "0.5"
         assert len(rational_decimal(F(1, 3)).lstrip("0.")) == 15

@@ -6,16 +6,20 @@ Fraction descent of ``member_at_depth``, long division with a table of every
 remainder seen, the ``seen``-set ``member_limit``, the removal tail summed
 over ``removed_by_generation`` restarted for every generation, the gaps of
 each step built family by family, the per-family integer step that built
-every stage before the step table, and the ``generate`` listing printed from
-the Fractions and intervals of ``iterate``. The library's integer paths must
-agree with them exactly, on every family.
+every stage before the step table, the ``IntervalSet`` that held every
+endpoint as a Fraction (with its merge and the ``ifs_step`` built on it), and
+the ``generate`` listing printed from the Fractions and intervals of that
+set. The library's integer paths must agree with them exactly, on every
+family.
 """
 
 import io
 import json
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +35,7 @@ from cantorlike.analysis import (
 )
 from cantorlike import cli as cli_module
 from cantorlike import counterexample as counterexample_module
+from cantorlike import exact as exact_module
 from cantorlike import families as families_module
 from cantorlike.counterexample import (
     tail_measure,
@@ -38,14 +43,23 @@ from cantorlike.counterexample import (
     tail_table_csv,
     total_removed_measure,
 )
-from cantorlike.exact import format_rational, rational_decimal
+from cantorlike.exact import (
+    ClosedInterval,
+    IntervalSet,
+    format_rational,
+    normalize,
+    rational_decimal,
+)
 from cantorlike.families import (
     ConstructionError,
     DigitSet,
+    IfsMaps,
     LambdaFamily,
     Power,
     Proportional,
     family_to_json,
+    ifs_maps,
+    ifs_step,
     iterate,
     level_stats,
     removed_by_generation,
@@ -265,9 +279,112 @@ def ref_stage_pairs(f, k):
     return denom, merged
 
 
+class RefIntervalSet:
+    """A finite union of closed intervals, stored sorted and disjoint.
+
+    Consecutive intervals satisfy I.b < J.a strictly; ``normalize`` merges
+    anything overlapping or touching, so equality of sets is equality of
+    the underlying tuples.
+    """
+
+    __slots__ = ("intervals", "_starts")
+
+    def __init__(self, intervals: Iterable[ClosedInterval]):
+        merged = ref_merge(sorted(intervals, key=lambda i: (i.a, i.b)))
+        self.intervals: tuple[ClosedInterval, ...] = tuple(merged)
+        self._starts = [i.a for i in self.intervals]
+
+    @classmethod
+    def _from_disjoint_sorted(cls, intervals: Sequence[ClosedInterval]) -> "RefIntervalSet":
+        # Trusted constructor for generators that already produce sorted,
+        # strictly-separated intervals; skips the O(n log n) merge.
+        self = object.__new__(cls)
+        self.intervals = tuple(intervals)
+        self._starts = [i.a for i in self.intervals]
+        return self
+
+    def __len__(self) -> int:
+        return len(self.intervals)
+
+    def __iter__(self):
+        return iter(self.intervals)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RefIntervalSet):
+            return NotImplemented
+        return self.intervals == other.intervals
+
+    def __hash__(self) -> int:
+        return hash(self.intervals)
+
+    def __repr__(self) -> str:
+        parts = ", ".join(f"[{i.a}, {i.b}]" for i in self.intervals)
+        return f"IntervalSet({parts})"
+
+    @property
+    def total_length(self) -> F:
+        return sum((i.length for i in self.intervals), F(0))
+
+    def affine_image(self, scale: F, shift: F = F(0)) -> "RefIntervalSet":
+        """Map every [a,b] to [scale*a + shift, scale*b + shift]; scale > 0."""
+        if scale <= 0:
+            raise ValueError(f"affine scale must be positive, got {scale}")
+        mapped = [ClosedInterval(scale * i.a + shift, scale * i.b + shift) for i in self.intervals]
+        return RefIntervalSet._from_disjoint_sorted(mapped)
+
+    def contains_point(self, x: F) -> bool:
+        """Membership by binary search over interval starts."""
+        idx = bisect_right(self._starts, x) - 1
+        return idx >= 0 and x <= self.intervals[idx].b
+
+    def covers(self, other: "RefIntervalSet") -> bool:
+        """True iff every interval of ``other`` lies inside one of ours."""
+        return all(
+            self._covers_interval(j) for j in other.intervals
+        )
+
+    def _covers_interval(self, j: ClosedInterval) -> bool:
+        idx = bisect_right(self._starts, j.a) - 1
+        return idx >= 0 and j.b <= self.intervals[idx].b
+
+    def to_json(self) -> list[dict]:
+        return [i.to_json() for i in self.intervals]
+
+    def dumps(self) -> str:
+        return json.dumps(self.to_json())
+
+
+def ref_merge(ordered: Sequence[ClosedInterval]) -> list[ClosedInterval]:
+    out: list[ClosedInterval] = []
+    for cur in ordered:
+        if out and cur.a <= out[-1].b:
+            prev = out[-1]
+            if cur.b > prev.b:
+                out[-1] = ClosedInterval(prev.a, cur.b)
+        else:
+            out.append(cur)
+    return out
+
+
+def ref_ifs_step(s, maps):
+    """One application of the IFS: the union of the affine images of s."""
+    images = [s.affine_image(scale, shift) for scale, shift in maps.maps]
+    pieces = [i for img in images for i in img]
+    result = RefIntervalSet(pieces)
+    if result.total_length != sum((img.total_length for img in images), F(0)):
+        raise ConstructionError("IFS images overlap; union is not disjoint")
+    return result
+
+
+def ref_iterate(f, k):
+    """Stage k as a Fraction set, built from the per-family integer step."""
+    denom, pairs = ref_stage_pairs(f, k)
+    return RefIntervalSet([ClosedInterval(F(a, denom), F(b, denom)) for a, b in pairs])
+
+
 def ref_generate(f, depth, fmt, decimal):
     """stdout of ``generate --format json|csv`` as it was printed from iterate."""
-    stage = iterate(f, depth)
+    stage = ref_iterate(f, depth)
     buf = io.StringIO()
     if fmt == "json":
         rows = stage.to_json()
@@ -639,9 +756,96 @@ def test_generate_builds_no_interval_objects(monkeypatch, capsys, fmt, decimal):
     expected = ref_generate(f, 3, fmt, decimal)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("generate materialized a stage")
+        raise AssertionError("generate built a stage set or an interval object")
 
-    for name in ("iterate", "_materialize"):
-        monkeypatch.setattr(families_module, name, forbidden)
-        monkeypatch.setattr(cli_module, name, forbidden, raising=False)
+    monkeypatch.setattr(families_module, "iterate", forbidden)
+    monkeypatch.setattr(cli_module, "iterate", forbidden, raising=False)
+    monkeypatch.setattr(exact_module.ClosedInterval, "__post_init__", forbidden)
     assert generate_stdout(capsys, f, 3, fmt, decimal) == expected
+
+
+# --- the integer IntervalSet against the Fraction one ------------------------------------
+
+endpoints = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+closed_intervals = st.one_of(
+    st.tuples(endpoints, endpoints).map(lambda ab: ClosedInterval(min(ab), max(ab))),
+    endpoints.map(lambda x: ClosedInterval(x, x)),  # a single point
+)
+interval_lists = st.lists(closed_intervals, max_size=10)  # the empty list too
+scales = st.fractions(min_value=F(1, 50), max_value=20, max_denominator=60)
+
+
+def probe_points(ivs, extra):
+    """Every endpoint, every midpoint and a point just outside each end."""
+    out = list(extra)
+    for i in ivs:
+        out += [i.a, i.b, (i.a + i.b) / 2, i.a - F(1, 997), i.b + F(1, 997)]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_lists, interval_lists, st.lists(endpoints, max_size=5), scales, endpoints)
+def test_interval_set_matches_fraction_reference(ivs, others, points, scale, shift):
+    new, ref = IntervalSet(ivs), RefIntervalSet(ivs)
+    assert new.intervals == ref.intervals and tuple(new) == ref.intervals
+    assert new.intervals[1::2] == ref.intervals[1::2] and new.intervals[-1:] == ref.intervals[-1:]
+    assert len(new) == len(new.intervals) == len(ref)
+    assert new.total_length == ref.total_length
+    assert new.to_json() == ref.to_json() and new.dumps() == ref.dumps()
+    assert repr(new) == repr(ref)
+    for x in probe_points(ivs + others, points):
+        assert new.contains_point(x) == ref.contains_point(x), x
+    other_new, other_ref = IntervalSet(others), RefIntervalSet(others)
+    for a, b in ((new, other_new), (other_new, new), (new, new)):
+        assert a.covers(b) == RefIntervalSet(a.intervals).covers(RefIntervalSet(b.intervals))
+    assert (new == other_new) == (ref == other_ref)
+    image = new.affine_image(scale, shift)
+    assert image.intervals == ref.affine_image(scale, shift).intervals
+    assert image == IntervalSet(image.intervals)  # the image is in canonical form
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_lists, st.integers(2, 10**6), scales)
+def test_equal_sets_hash_equal_whatever_their_denominators(ivs, m, scale):
+    s = IntervalSet(ivs)
+    same = [
+        IntervalSet._from_pairs(s.denom * m, [(a * m, b * m) for a, b in s.pairs]),
+        s.affine_image(scale).affine_image(1 / scale),
+        normalize(list(ivs) + [ClosedInterval(i.a, (i.a + i.b) / 2) for i in ivs]),
+        IntervalSet(reversed(list(s.intervals))),
+    ]
+    for t in same:
+        assert t == s and hash(t) == hash(s) and (t.denom, t.pairs) == (s.denom, s.pairs)
+
+
+def test_merged_endpoints_leave_the_denominator():
+    s = normalize([ClosedInterval(F(0), F(1, 7)), ClosedInterval(F(1, 7), F(1))])
+    assert (s.denom, s.pairs) == (1, ((0, 1),))
+    assert s == exact_module.UNIT and hash(s) == hash(exact_module.UNIT)
+
+
+SELF_SIMILAR = [f for f in FIXED_FAMILIES if isinstance(f, (Proportional, DigitSet))]
+
+
+@pytest.mark.parametrize("f", SELF_SIMILAR, ids=repr)
+def test_ifs_step_matches_fraction_reference(f):
+    maps = ifs_maps(f)
+    for k in range(tree_depth(f, 1000) + 1):
+        stage, ref = iterate(f, k), ref_iterate(f, k)
+        assert stage.intervals == ref.intervals
+        for m in (maps, IfsMaps(maps.maps[::-1])):  # the images in either order
+            assert ifs_step(stage, m).intervals == ref_ifs_step(ref, m).intervals
+
+
+def test_iterate_builds_no_interval_objects(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an interval object was built")
+
+    monkeypatch.setattr(exact_module.ClosedInterval, "__post_init__", forbidden)
+    f = Proportional(F(1, 3))
+    stage, finer = iterate(f, 6), iterate(f, 7)
+    assert stage.total_length == F(2, 3) ** 6
+    assert stage.contains_point(F(1, 4)) and not stage.contains_point(F(1, 2))
+    assert stage.covers(finer) and not finer.covers(stage)
+    assert ifs_step(stage, ifs_maps(f)) == finer
+    assert stage.to_json()[-1] == {"a": "728/729", "b": "1/1"}
