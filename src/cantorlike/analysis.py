@@ -9,12 +9,11 @@ deep stages do not lose precision to overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional
 
-from .exact import format_rational
+from .exact import _Frozen, format_rational
 from .families import (
     DigitSet,
     FamilySpec,
@@ -34,8 +33,7 @@ def _log(x: Fraction) -> float:
 
 # --- digit expansions -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpansionRecord:
+class ExpansionRecord(_Frozen):
     """Eventually periodic base-n expansion: 0.(preperiod)(period)(period)...
 
     An empty period means the expansion terminates (implicit all-zero tail).
@@ -43,9 +41,12 @@ class ExpansionRecord:
     long-division remainder and the period holds distinct remainders only.
     """
 
-    base: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("base", "preperiod", "period")
+
+    def __init__(self, base: int, preperiod: tuple[int, ...], period: tuple[int, ...]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
 
     @property
     def terminating(self) -> bool:
@@ -163,13 +164,20 @@ EXACT_SIMILARITY = "exact_similarity"
 ESTIMATE_SEQUENCE = "estimate_sequence"
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    value: float
-    kind: str
-    sequence: tuple[tuple[int, float], ...] | None = None
-    count_base: int | None = None     # children per interval (exact reports)
-    scale: Fraction | None = None     # per-step dilation factor (exact reports)
+class DimensionReport(_Frozen):
+    """A dimension value. Exact reports add count_base (children per interval)
+    and scale (the per-step dilation factor), estimates the sequence (k, d_k)."""
+
+    __slots__ = ("value", "kind", "sequence", "count_base", "scale")
+
+    def __init__(self, value: float, kind: str,
+                 sequence: tuple[tuple[int, float], ...] | None = None,
+                 count_base: int | None = None, scale: Fraction | None = None) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "count_base", count_base)
+        object.__setattr__(self, "scale", scale)
 
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind, "value": self.value}
@@ -257,15 +265,13 @@ def member_limit(x: Fraction, f: DigitSet) -> bool:
 
 
 def membership_witness(x: Fraction, f: DigitSet) -> ExpansionRecord | None:
-    """The expansion proving membership, or None if x is not in the limit set."""
-    allowed = set(f.digits)
+    """The expansion proving membership, or None if x is not in the limit set.
+    member_limit streams the digits first, so a non-member is rejected at its
+    first bad digit, never after its whole (possibly huge) period."""
+    if not member_limit(x, f):
+        return None
     rec = base_expansion(x, f.n)
-    if rec.digits_used() <= allowed:
-        return rec
-    alt = rec.alternate_tail_form()
-    if alt is not None and alt.digits_used() <= allowed:
-        return alt
-    return None
+    return rec if rec.digits_used() <= set(f.digits) else rec.alternate_tail_form()
 
 
 def member_at_depth(x: Fraction, f: FamilySpec, k: int) -> bool:

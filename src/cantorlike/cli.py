@@ -25,7 +25,6 @@ from .analysis import (
     dimension_estimates,
     limit_measure,
     member_at_depth,
-    member_limit,
     membership_witness,
     similarity_dimension,
 )
@@ -206,12 +205,8 @@ def _cmd_member(args: argparse.Namespace) -> None:
     family = _build_family(args)
     x = _parse_x(args.x)
     if args.limit:
-        digit_family = _digit_form(family)
-        verdict = member_limit(x, digit_family)
-        print("true" if verdict else "false")
-        if verdict:
-            witness = membership_witness(x, digit_family)
-            print(f"witness: {json.dumps(witness.to_json())}")
+        witness = membership_witness(x, _digit_form(family))
+        print("false" if witness is None else f"true\nwitness: {json.dumps(witness.to_json())}")
     else:
         if args.depth is None:
             _fail(EXIT_BAD_FAMILY, "member requires --depth or --limit")

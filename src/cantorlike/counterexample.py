@@ -12,22 +12,24 @@ measure minus a finite prefix sum); no quadrature is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .families import FamilySpec, OpenInterval, _gaps, removed_by_generation
 from .analysis import limit_measure
-from .exact import format_ratio
+from .exact import _Frozen, format_ratio
 
 
-@dataclass(frozen=True)
-class RemovedSequence:
+class RemovedSequence(_Frozen):
     """The removed intervals E_i through some generation, in listing order."""
 
-    source: FamilySpec
-    entries: tuple[OpenInterval, ...]
-    generation_sizes: tuple[int, ...]
+    __slots__ = ("source", "entries", "generation_sizes")
+
+    def __init__(self, source: FamilySpec, entries: tuple[OpenInterval, ...],
+                 generation_sizes: tuple[int, ...]) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "generation_sizes", generation_sizes)
 
     def generation_end_indices(self) -> list[int]:
         """Cumulative counts n at the end of each generation (1, 3, 7, ... for binary splits)."""
@@ -114,10 +116,12 @@ def partial_indicator_discontinuity_count(n: int) -> int:
     return 2 * n
 
 
-@dataclass(frozen=True)
-class DiscontinuityReport:
-    measure: Fraction
-    riemann_integrable: bool
+class DiscontinuityReport(_Frozen):
+    __slots__ = ("measure", "riemann_integrable")
+
+    def __init__(self, measure: Fraction, riemann_integrable: bool) -> None:
+        object.__setattr__(self, "measure", measure)
+        object.__setattr__(self, "riemann_integrable", riemann_integrable)
 
 
 def discontinuity_report(f: FamilySpec) -> DiscontinuityReport:

@@ -16,7 +16,6 @@ import json
 import re
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -63,20 +62,55 @@ def rational_decimal(x: Fraction, sig: int = 15) -> str:
     return f"{float(x):.{sig}g}"
 
 
-@dataclass(frozen=True)
-class ClosedInterval:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and sets each one in its
+    ``__init__`` with ``object.__setattr__``; equality (same class, equal
+    fields), hashing, repr, copying and pickling are read off those fields.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
+class ClosedInterval(_Frozen):
     """A closed interval [a, b] with exact rational endpoints.
 
     a == b is allowed and encodes a single point (needed by constructions
     that collapse to isolated endpoints).
     """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a > self.b:
-            raise ValueError(f"interval endpoints out of order: [{self.a}, {self.b}]")
+    def __init__(self, a: Fraction, b: Fraction) -> None:
+        if a > b:
+            raise ValueError(f"interval endpoints out of order: [{a}, {b}]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def length(self) -> Fraction:

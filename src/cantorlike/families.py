@@ -17,13 +17,12 @@ built only when a caller reads the intervals out.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import lcm
 from typing import Iterator, NamedTuple, Union
 
-from .exact import IntervalSet, _merge, format_rational, parse_rational
+from .exact import IntervalSet, _Frozen, _merge, format_rational, parse_rational
 
 DEFAULT_DEPTH_CAP = 24
 
@@ -36,79 +35,77 @@ class DepthCapError(ValueError):
     """Requested stage exceeds the configured enumeration cap."""
 
 
-@dataclass(frozen=True)
-class Proportional:
-    alpha: Fraction
+class Proportional(_Frozen):
+    __slots__ = ("alpha",)
 
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"proportional removal must satisfy 0 < alpha < 1, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class Power:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"power construction needs n >= 2, got {self.n}")
+    def __init__(self, alpha: Fraction) -> None:
+        if not 0 < alpha < 1:
+            raise ValueError(f"proportional removal must satisfy 0 < alpha < 1, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class DigitSet:
-    n: int
-    digits: tuple[int, ...]
+class Power(_Frozen):
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(sorted(self.digits)))
-        d = self.digits
-        if self.n < 3:
-            raise ValueError(f"digit construction needs base n >= 3, got {self.n}")
-        if len(set(d)) != len(d) or not all(0 <= x < self.n for x in d):
-            raise ValueError(f"digits must be distinct values in 0..{self.n - 1}")
-        if not (2 <= len(d) < self.n):
+    def __init__(self, n: int) -> None:
+        if n < 2:
+            raise ValueError(f"power construction needs n >= 2, got {n}")
+        object.__setattr__(self, "n", n)
+
+
+class DigitSet(_Frozen):
+    __slots__ = ("n", "digits")
+
+    def __init__(self, n: int, digits: tuple[int, ...]) -> None:
+        d = tuple(sorted(digits))
+        if n < 3:
+            raise ValueError(f"digit construction needs base n >= 3, got {n}")
+        if len(set(d)) != len(d) or not all(0 <= x < n for x in d):
+            raise ValueError(f"digits must be distinct values in 0..{n - 1}")
+        if not (2 <= len(d) < n):
             raise ValueError("must keep at least 2 and fewer than n digits")
-        if d[0] != 0 or d[-1] != self.n - 1:
+        if d[0] != 0 or d[-1] != n - 1:
             raise ValueError("digits must include 0 and n-1 (first and last blocks kept)")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "digits", d)
 
 
-@dataclass(frozen=True)
-class LambdaFamily:
-    lam: Fraction
+class LambdaFamily(_Frozen):
+    __slots__ = ("lam",)
 
-    def __post_init__(self) -> None:
-        if not 0 < self.lam <= 1:
-            raise ValueError(f"lambda family needs 0 < lambda <= 1, got {self.lam}")
+    def __init__(self, lam: Fraction) -> None:
+        if not 0 < lam <= 1:
+            raise ValueError(f"lambda family needs 0 < lambda <= 1, got {lam}")
+        object.__setattr__(self, "lam", lam)
 
 
 FamilySpec = Union[Proportional, Power, DigitSet, LambdaFamily]
 
 
-@dataclass(frozen=True)
-class OpenInterval:
+class OpenInterval(_Frozen):
     """An open interval (a, b), a < b; a removed gap."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a >= self.b:
-            raise ValueError(f"open interval needs a < b, got ({self.a}, {self.b})")
+    def __init__(self, a: Fraction, b: Fraction) -> None:
+        if a >= b:
+            raise ValueError(f"open interval needs a < b, got ({a}, {b})")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def length(self) -> Fraction:
         return self.b - self.a
 
 
-@dataclass(frozen=True)
-class IfsMaps:
+class IfsMaps(_Frozen):
     """Affine contraction system: a list of x -> scale*x + shift maps."""
 
-    maps: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("maps",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, maps: tuple[tuple[Fraction, Fraction], ...]) -> None:
         images = []
-        for scale, shift in self.maps:
+        for scale, shift in maps:
             if not 0 < scale < 1:
                 raise ValueError(f"IFS scale must lie in (0,1), got {scale}")
             images.append((shift, scale + shift))
@@ -116,6 +113,7 @@ class IfsMaps:
         for (a0, b0), (a1, b1) in zip(images, images[1:]):
             if a1 < b0:
                 raise ValueError("IFS images of [0,1] overlap")
+        object.__setattr__(self, "maps", maps)
 
 
 # --- integer stage engine -------------------------------------------------

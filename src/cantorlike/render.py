@@ -7,23 +7,23 @@ pure function of the inputs, so identical calls give byte-identical SVG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .exact import _Frozen
 from .families import DEFAULT_DEPTH_CAP, FamilySpec, _check_depth, iterate
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    family: FamilySpec
-    depth: int
-    width_px: int = 800
-    row_height_px: int = 28
+class RenderSpec(_Frozen):
+    __slots__ = ("family", "depth", "width_px", "row_height_px")
 
-    def __post_init__(self) -> None:
-        if self.width_px <= 0 or self.row_height_px <= 0:
+    def __init__(self, family: FamilySpec, depth: int, width_px: int = 800,
+                 row_height_px: int = 28) -> None:
+        if width_px <= 0 or row_height_px <= 0:
             raise ValueError("pixel dimensions must be positive")
-        if self.depth < 0:
+        if depth < 0:
             raise ValueError("depth must be nonnegative")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "width_px", width_px)
+        object.__setattr__(self, "row_height_px", row_height_px)
 
 
 def _fmt(v: float) -> str:

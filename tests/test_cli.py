@@ -289,6 +289,14 @@ class TestCantorFn:
         assert code == 1
         assert "Cantor" in err
 
+    def test_non_member_with_a_huge_period_fails_at_once(self, capsys):
+        # The ternary period of 1/1000000007 can run to 10^9 digits; the
+        # verdict must come from the first digit 1, not the whole expansion.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cantor-fn", "--x", "1/1000000007")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", "1/1000000007 is not in the ternary Cantor set\n")
+
 
 class TestCounterexample:
     def test_default_volterra_table(self, capsys):

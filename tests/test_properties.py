@@ -10,6 +10,7 @@ from cantorlike.analysis import (
     cantor_function,
     member_at_depth,
     member_limit,
+    membership_witness,
 )
 from cantorlike.exact import ClosedInterval, normalize
 from cantorlike.families import (
@@ -191,6 +192,28 @@ def test_lambda_one_equals_power_three():
 
 
 # --- membership oracles ---------------------------------------------------------
+
+digit_families = st.integers(3, 9).flatmap(lambda n: st.builds(
+    lambda inner: DigitSet(n, (0, *inner, n - 1)),
+    st.sets(st.integers(1, n - 2), max_size=n - 3),
+))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(digit_families, st.data())
+def test_membership_witness_exists_exactly_for_members(f, data):
+    # Plain rationals, some outside [0,1], and n-adic points, whose second
+    # expansion (a tail of n-1 digits) may be the only witness.
+    x = data.draw(st.one_of(
+        st.fractions(min_value=-1, max_value=2, max_denominator=10**4),
+        st.integers(0, 6).flatmap(lambda m: st.integers(0, f.n**m).map(lambda k: F(k, f.n**m))),
+    ))
+    witness = membership_witness(x, f)
+    assert (witness is None) == (not member_limit(x, f))
+    if witness is not None:
+        assert witness.base == f.n and witness.digits_used() <= set(f.digits)
+        assert witness.to_rational() == x
+
 
 def test_member_limit_agrees_with_deep_stage_verdict():
     rng = random.Random(SEED + 5)

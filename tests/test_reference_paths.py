@@ -760,7 +760,7 @@ def test_generate_builds_no_interval_objects(monkeypatch, capsys, fmt, decimal):
 
     monkeypatch.setattr(families_module, "iterate", forbidden)
     monkeypatch.setattr(cli_module, "iterate", forbidden, raising=False)
-    monkeypatch.setattr(exact_module.ClosedInterval, "__post_init__", forbidden)
+    monkeypatch.setattr(exact_module.ClosedInterval, "__init__", forbidden)
     assert generate_stdout(capsys, f, 3, fmt, decimal) == expected
 
 
@@ -841,7 +841,7 @@ def test_iterate_builds_no_interval_objects(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an interval object was built")
 
-    monkeypatch.setattr(exact_module.ClosedInterval, "__post_init__", forbidden)
+    monkeypatch.setattr(exact_module.ClosedInterval, "__init__", forbidden)
     f = Proportional(F(1, 3))
     stage, finer = iterate(f, 6), iterate(f, 7)
     assert stage.total_length == F(2, 3) ** 6

@@ -1,0 +1,174 @@
+"""The contract of the twelve frozen value classes, and what a launch imports.
+
+Every class is an immutable record compared by value: its repr lists the
+fields, equal fields mean equal and hash-equal objects of the same class,
+fields cannot be assigned or deleted, construction takes the fields
+positionally or by keyword, and copies and pickles round-trip.
+"""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from cantorlike.analysis import DimensionReport, ExpansionRecord
+from cantorlike.counterexample import DiscontinuityReport, RemovedSequence
+from cantorlike.exact import ClosedInterval
+from cantorlike.families import (
+    DigitSet,
+    IfsMaps,
+    LambdaFamily,
+    OpenInterval,
+    Power,
+    Proportional,
+)
+from cantorlike.render import RenderSpec
+
+GAP = OpenInterval(F(3, 8), F(5, 8))
+
+# (class, fields in order, the same fields with one value changed, repr text)
+CASES = [
+    (ClosedInterval, {"a": F(1, 3), "b": F(1, 2)}, {"a": F(1, 4)},
+     "ClosedInterval(a=Fraction(1, 3), b=Fraction(1, 2))"),
+    (Proportional, {"alpha": F(1, 3)}, {"alpha": F(1, 2)},
+     "Proportional(alpha=Fraction(1, 3))"),
+    (Power, {"n": 4}, {"n": 5}, "Power(n=4)"),
+    (DigitSet, {"n": 5, "digits": (0, 1, 4)}, {"digits": (0, 2, 4)},
+     "DigitSet(n=5, digits=(0, 1, 4))"),
+    (LambdaFamily, {"lam": F(1, 2)}, {"lam": F(1)}, "LambdaFamily(lam=Fraction(1, 2))"),
+    (OpenInterval, {"a": F(1, 3), "b": F(2, 3)}, {"b": F(3, 4)},
+     "OpenInterval(a=Fraction(1, 3), b=Fraction(2, 3))"),
+    (IfsMaps, {"maps": ((F(1, 3), F(0)), (F(1, 3), F(2, 3)))}, {"maps": ((F(1, 3), F(0)),)},
+     "IfsMaps(maps=((Fraction(1, 3), Fraction(0, 1)), (Fraction(1, 3), Fraction(2, 3))))"),
+    (RenderSpec, {"family": Power(4), "depth": 3, "width_px": 640, "row_height_px": 20},
+     {"width_px": 641},
+     "RenderSpec(family=Power(n=4), depth=3, width_px=640, row_height_px=20)"),
+    (ExpansionRecord, {"base": 3, "preperiod": (0,), "period": (2,)}, {"period": ()},
+     "ExpansionRecord(base=3, preperiod=(0,), period=(2,))"),
+    (DimensionReport,
+     {"value": 0.5, "kind": "exact_similarity", "sequence": None, "count_base": 2, "scale": F(4)},
+     {"scale": F(5)},
+     "DimensionReport(value=0.5, kind='exact_similarity', sequence=None, count_base=2, "
+     "scale=Fraction(4, 1))"),
+    (RemovedSequence, {"source": Power(4), "entries": (GAP,), "generation_sizes": (1,)},
+     {"generation_sizes": (2,)},
+     "RemovedSequence(source=Power(n=4), entries=(OpenInterval(a=Fraction(3, 8), "
+     "b=Fraction(5, 8)),), generation_sizes=(1,))"),
+    (DiscontinuityReport, {"measure": F(1, 2), "riemann_integrable": False},
+     {"riemann_integrable": True},
+     "DiscontinuityReport(measure=Fraction(1, 2), riemann_integrable=False)"),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+
+def make(cls, fields):
+    return cls(*fields.values())
+
+
+@pytest.mark.parametrize("cls, fields, changed, text", CASES, ids=IDS)
+def test_repr_lists_the_fields(cls, fields, changed, text):
+    assert repr(make(cls, fields)) == text
+
+
+@pytest.mark.parametrize("cls, fields, changed, text", CASES, ids=IDS)
+def test_equal_fields_compare_and_hash_equal(cls, fields, changed, text):
+    obj, same = make(cls, fields), make(cls, fields)
+    assert obj is not same and obj == same and not obj != same and hash(obj) == hash(same)
+    other = make(cls, {**fields, **changed})
+    assert obj != other and not obj == other
+    assert obj != tuple(fields.values()) and obj != object()
+    assert len({obj, same, other}) == 2
+
+
+def test_classes_with_equal_fields_differ():
+    assert Proportional(F(1, 3)) != LambdaFamily(F(1, 3))
+    assert ClosedInterval(F(1, 3), F(2, 3)) != OpenInterval(F(1, 3), F(2, 3))
+    assert len({Proportional(F(1, 3)), LambdaFamily(F(1, 3))}) == 2
+
+
+@pytest.mark.parametrize("cls, fields, changed, text", CASES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls, fields, changed, text):
+    obj = make(cls, fields)
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) == value
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert obj == make(cls, fields)
+
+
+@pytest.mark.parametrize("cls, fields, changed, text", CASES, ids=IDS)
+def test_positional_and_keyword_construction_agree(cls, fields, changed, text):
+    obj = make(cls, fields)
+    assert cls(**fields) == obj
+    names = list(fields)
+    assert cls(*list(fields.values())[:1], **{n: fields[n] for n in names[1:]}) == obj
+    assert [getattr(obj, n) for n in names] == list(fields.values())
+
+
+def test_defaults():
+    assert RenderSpec(Power(4), 3) == RenderSpec(Power(4), 3, 800, 28)
+    assert RenderSpec(family=Power(4), depth=3, row_height_px=10).width_px == 800
+    report = DimensionReport(0.5, "estimate_sequence")
+    assert (report.sequence, report.count_base, report.scale) == (None, None, None)
+    assert report == DimensionReport(value=0.5, kind="estimate_sequence", sequence=None)
+
+
+@pytest.mark.parametrize("cls, fields, changed, text", CASES, ids=IDS)
+def test_missing_or_unknown_arguments_raise_type_error(cls, fields, changed, text):
+    init = rf"{cls.__name__}.__init__\(\)"
+    first = next(iter(fields))
+    with pytest.raises(TypeError, match=rf"{init} missing \d+ required positional .*'{first}'"):
+        cls()
+    with pytest.raises(TypeError, match=rf"{init} got an unexpected keyword argument 'bogus'"):
+        cls(**fields, bogus=1)
+    with pytest.raises(TypeError, match=rf"{init} got multiple values for argument '{first}'"):
+        cls(*fields.values(), **{first: fields[first]})
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None, None, None)  # more positional arguments than fields
+
+
+@pytest.mark.parametrize("cls, fields, changed, text", CASES, ids=IDS)
+def test_copies_and_pickles_round_trip(cls, fields, changed, text):
+    obj = make(cls, fields)
+    for clone in (copy.copy(obj), copy.deepcopy(obj),
+                  *(pickle.loads(pickle.dumps(obj, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert type(clone) is cls and clone == obj and hash(clone) == hash(obj)
+        assert repr(clone) == text
+
+
+def test_digit_set_sorts_its_digits():
+    f = DigitSet(5, (4, 0, 1))
+    assert f.digits == (0, 1, 4) and f == DigitSet(5, (0, 1, 4))
+    assert repr(f) == "DigitSet(n=5, digits=(0, 1, 4))"
+    assert DigitSet(n=7, digits=[6, 3, 0]).digits == (0, 3, 6)
+    assert pickle.loads(pickle.dumps(f)) == f and copy.deepcopy(f).digits == (0, 1, 4)
+
+
+def test_validation_still_runs_on_construction():
+    with pytest.raises(ValueError, match=r"interval endpoints out of order: \[1, 0\]"):
+        ClosedInterval(F(1), F(0))
+    with pytest.raises(ValueError, match="pixel dimensions must be positive"):
+        RenderSpec(Power(4), 3, width_px=0)
+
+
+def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Both modules cost a launch about a quarter of its start-up; only what
+    # importing the CLI adds is checked, not what the interpreter's site hooks load.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    program = ("import sys; before = set(sys.modules); import cantorlike.cli; "
+               "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
