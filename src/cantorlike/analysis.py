@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 
 from .exact import _Frozen, format_rational
 from .families import (
+    DepthCapError,
     DigitSet,
     FamilySpec,
     LambdaFamily,
@@ -25,6 +26,14 @@ from .families import (
 )
 
 CANTOR_TERNARY = DigitSet(3, (0, 2))
+
+MAX_PERIOD_DIGITS = 1_000_000
+"""Longest period, in digits, that a long division follows before it gives
+up with PeriodCapError: the period of 1/p can be p - 1 digits long."""
+
+
+class PeriodCapError(DepthCapError):
+    """An expansion's period is longer than MAX_PERIOD_DIGITS."""
 
 
 def _log(x: Fraction) -> float:
@@ -104,7 +113,8 @@ def _division(x: Fraction, base: int, m: int) -> Iterator[tuple[int, int]]:
 
     Remainder r_j = p * base^j mod q first recurs at j = m and comes back
     after exactly one minimal period (it is 0 when the expansion terminates),
-    so only r_m is remembered, not every remainder seen.
+    so only r_m is remembered, not every remainder seen. A period not closed
+    within MAX_PERIOD_DIGITS digits raises PeriodCapError.
     """
     p, q = x.numerator, x.denominator
     rem = p
@@ -112,11 +122,15 @@ def _division(x: Fraction, base: int, m: int) -> Iterator[tuple[int, int]]:
         digit, rem = divmod(rem * base, q)
         yield digit, rem
     start = rem
-    while rem:
+    if not rem:
+        return  # terminating: no period
+    for _ in range(MAX_PERIOD_DIGITS):
         digit, rem = divmod(rem * base, q)
         yield digit, rem
         if rem == start:
             return
+    raise PeriodCapError(f"the base-{base} period exceeds the period cap of "
+                         f"{MAX_PERIOD_DIGITS} digits")
 
 
 def base_expansion(x: Fraction, base: int) -> ExpansionRecord:

@@ -4,9 +4,10 @@ Subcommands: generate | analyze | member | expansion | cantor-fn |
 counterexample | render. Machine output (JSON/CSV/SVG) goes to stdout,
 diagnostics to stderr. Exit codes: 1 cantor-fn point not in the set, 2 invalid
 family, malformed rational, out-of-range argument or a result with too many
-digits to print, 3 depth over cap, 4 --limit requested where no digit
-characterization exists, 141 stdout closed by its reader before the output
-ended (as a shell reports a SIGPIPE death; nothing goes to stderr).
+digits to print, 3 depth, stage size or period over its cap, 4 --limit
+requested where no digit characterization exists, 141 stdout closed by its
+reader before the output ended (as a shell reports a SIGPIPE death; nothing
+goes to stderr).
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import os
 import sys
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import Iterable, NoReturn
 
 from .analysis import (
+    PeriodCapError,
     base_expansion,
     cantor_function,
     dimension_estimates,
@@ -29,7 +32,7 @@ from .analysis import (
     similarity_dimension,
 )
 from .counterexample import tail_table_rows
-from .exact import format_ratio, format_rational, parse_rational, rational_decimal
+from .exact import format_rational, parse_rational, rational_decimal
 from .families import (
     DEFAULT_DEPTH_CAP,
     DepthCapError,
@@ -42,7 +45,7 @@ from .families import (
     family_from_json,
     family_to_json,
     level_stats,
-    stage_pairs,
+    stage_stream,
 )
 from .render import RenderSpec, render_svg
 
@@ -111,21 +114,19 @@ def _write_svg(family: FamilySpec, args: argparse.Namespace) -> None:
     _require_at_least("--row-height", args.row_height, 1)
     spec = RenderSpec(family=family, depth=args.depth, width_px=args.width,
                       row_height_px=args.row_height)
-    try:
-        sys.stdout.write(render_svg(spec, depth_cap=args.depth_cap))
-    except DepthCapError as exc:
-        _fail(EXIT_DEPTH_CAP, str(exc))
+    sys.stdout.write(render_svg(spec, depth_cap=args.depth_cap))
 
 
-# One stage row per pair (a, b) over denom: the ratio cells, then the decimal
-# cells a / denom and b / denom (integer true division is correctly rounded, so
-# each equals rational_decimal of the Fraction). The JSON rows are the text
-# json.dumps gives for the same dicts, with its ", " and ": " separators.
+# One stage row per pair (a, b) over denom: the two ratios reduced by one gcd
+# each, as format_rational prints them, then with --decimal the cells a / denom
+# and b / denom (integer true division is correctly rounded, so each equals
+# rational_decimal of the Fraction). The JSON rows are the text json.dumps
+# gives for the same dicts, with its ", " and ": " separators.
 _STAGE_ROWS = {
-    ("csv", False): "{},{}",
-    ("csv", True): "{},{},{:.15g},{:.15g}",
-    ("json", False): '{{"a": "{}", "b": "{}"}}',
-    ("json", True): '{{"a": "{}", "b": "{}", "a_decimal": "{:.15g}", "b_decimal": "{:.15g}"}}',
+    ("csv", False): "{}/{},{}/{}",
+    ("csv", True): "{}/{},{}/{},{:.15g},{:.15g}",
+    ("json", False): '{{"a": "{}/{}", "b": "{}/{}"}}',
+    ("json", True): '{{"a": "{}/{}", "b": "{}/{}", "a_decimal": "{:.15g}", "b_decimal": "{:.15g}"}}',
 }
 _CHUNK_ROWS = 4096
 
@@ -150,13 +151,14 @@ def _cmd_generate(args: argparse.Namespace) -> None:
     if args.format == "svg":
         _write_svg(family, args)  # the diagram runs its own stage pass
         return
-    try:
-        denom, pairs = stage_pairs(family, args.depth, depth_cap=args.depth_cap)
-    except DepthCapError as exc:
-        _fail(EXIT_DEPTH_CAP, str(exc))
+    denom, pairs = stage_stream(family, args.depth, depth_cap=args.depth_cap)
     row = _STAGE_ROWS[args.format, args.decimal].format
-    rows = (row(format_ratio(a, denom), format_ratio(b, denom), a / denom, b / denom)
-            for a, b in pairs)
+    if args.decimal:
+        rows = (row(a // (g := gcd(a, denom)), denom // g, b // (h := gcd(b, denom)), denom // h,
+                    a / denom, b / denom) for a, b in pairs)
+    else:
+        rows = (row(a // (g := gcd(a, denom)), denom // g, b // (h := gcd(b, denom)), denom // h)
+                for a, b in pairs)
     if args.format == "json":
         _write_rows(rows, ", ", "[", "]\n")
     else:
@@ -229,6 +231,8 @@ def _cmd_cantor_fn(args: argparse.Namespace) -> None:
     x = _parse_x(args.x)
     try:
         value = cantor_function(x)
+    except PeriodCapError:
+        raise  # exit 3 in main, not "not in the set"
     except ValueError as exc:
         _fail(1, str(exc))
     print(format_rational(value))
@@ -310,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
         # point stdout at devnull so the flush at exit finds no broken pipe.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise SystemExit(EXIT_BROKEN_PIPE)
+    except DepthCapError as exc:  # a depth, stage size or period cap, before any output
+        _fail(EXIT_DEPTH_CAP, str(exc))
     except ValueError as exc:
         # Python refuses to print an integer of more digits than
         # sys.get_int_max_str_digits() (4300 by default): an exact result too

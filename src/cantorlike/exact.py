@@ -155,7 +155,7 @@ class IntervalSet:
         ends = [(i.a, i.b) for i in intervals]
         denom = lcm(*(x.denominator for end in ends for x in end))
         pairs = sorted(tuple(x.numerator * (denom // x.denominator) for x in end) for end in ends)
-        self.denom, self.pairs = _reduced(denom, _merge(pairs))
+        self.denom, self.pairs = _reduced(denom, list(_merge(pairs)))
 
     @classmethod
     def _from_pairs(cls, denom: int, pairs: list) -> "IntervalSet":
@@ -278,18 +278,21 @@ def normalize(intervals: Iterable[ClosedInterval]) -> IntervalSet:
     return IntervalSet(intervals)
 
 
-def _merge(pairs: Iterable[tuple[int, int]]) -> list:
-    # Integer pairs sorted by start, merged in one pass: a pair that overlaps
-    # or touches the last one kept extends it, so the result is strictly
-    # separated. The stage engine merges its touching digit blocks here too.
-    merged: list = []
-    for a, b in pairs:
-        if merged and a <= merged[-1][1]:
-            if b > merged[-1][1]:
-                merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-    return merged
+def _merge(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    # Integer pairs sorted by start, merged in one pass and yielded as they
+    # close: a pair that overlaps or touches the open one extends it, so the
+    # output is strictly separated. The stage engine merges its touching digit
+    # blocks here too. The inner loop reads the rest of the same iterator, so
+    # the outer one only ever takes the first pair.
+    pairs = iter(pairs)
+    for lo, hi in pairs:
+        for a, b in pairs:
+            if a > hi:
+                yield lo, hi
+                lo, hi = a, b
+            elif b > hi:
+                hi = b
+        yield lo, hi
 
 
 def _reduced(denom: int, pairs: list) -> tuple[int, tuple]:

@@ -7,11 +7,14 @@ Families:
   * DigitSet(n, digits)  -- keep the base-n digit blocks listed in ``digits``
   * LambdaFamily(lam)    -- remove a centered open interval of length lam/3^k
 
-Stages are produced by an integer refinement engine: every stage is held as
-integer endpoint pairs over one common denominator, and ``iterate`` wraps
-those pairs, reduced to their least denominator, in an ``IntervalSet``, so
-deep stages (2^20 intervals) stay cheap; interval and Fraction objects are
-built only when a caller reads the intervals out.
+Stages are produced by an integer refinement engine: every stage is a
+stream of integer endpoint pairs over one common denominator, built from two
+half-depth folds of the step table, so it is never held whole unless a
+caller asks for it. ``iterate`` wraps the pairs, reduced to their least
+denominator, in an ``IntervalSet``, so deep stages (2^20 intervals) stay
+cheap; interval and Fraction objects are built only when a caller reads the
+intervals out. A stage whose predicted size is over ``STAGE_SIZE_CAP`` is
+refused before anything is built.
 """
 
 from __future__ import annotations
@@ -26,13 +29,23 @@ from .exact import IntervalSet, _Frozen, _merge, format_rational, parse_rational
 
 DEFAULT_DEPTH_CAP = 24
 
+STAGE_SIZE_CAP = 1 << 27
+"""Largest predicted stage size, tree count x denominator bits, that a stage
+build admits: the ternary stage 20 is 2^20 intervals x 52 bits (about 2^25.7),
+and Lambda(1e-200) at depth 16 is 2^16 x 10,683 bits (about 2^29.4)."""
+
 
 class ConstructionError(ValueError):
     """The requested refinement step is geometrically impossible."""
 
 
 class DepthCapError(ValueError):
-    """Requested stage exceeds the configured enumeration cap."""
+    """A request exceeds one of the enumeration caps: depth, stage size or
+    period length."""
+
+
+class StageSizeError(DepthCapError):
+    """The predicted stage size exceeds STAGE_SIZE_CAP."""
 
 
 class Proportional(_Frozen):
@@ -118,12 +131,21 @@ class IfsMaps(_Frozen):
 
 # --- integer stage engine -------------------------------------------------
 #
-# A stage is (denom, pairs) with pairs a list of (a, b) integers, meaning
-# the closed intervals [a/denom, b/denom] in construction-tree order. Every
-# stage and gap is read off one step table, _steps (beside _lengths below):
-# per step, the scale s, the child length and the children's offsets from
-# their parent's left end, over the new denominator. A parent with left end
-# a has the children [a * s + o, a * s + o + length], one per offset o.
+# A stage is (denom, pairs) with pairs (a, b) integers, meaning the closed
+# intervals [a/denom, b/denom] in construction-tree order. Every stage and gap
+# is read off one step table, _steps (beside _lengths below): per step, the
+# scale s, the child length and the children's offsets from their parent's
+# left end, over the new denominator. A parent with left end a has the
+# children [a * s + o, a * s + o + length], one per offset o.
+#
+# Every family is a homogeneous Moran construction (each interval of a level
+# splits the same way), and a fold of the steps is linear in the left end it
+# starts from: folding steps h+1..k from a gives a * d_in + p for each p that
+# the same steps give from 0, with d_in their product of scales. So stage k is
+# the outer fold of steps 1..h and the inner fold of steps h+1..k, each from
+# [0], combined pair by pair as they are read; with h = k // 2 each half
+# holds about the square root of the stage's tree count (2^(k/2) for a binary
+# family) in left ends.
 
 
 def _check_depth(k: int, depth_cap: int) -> None:
@@ -133,18 +155,66 @@ def _check_depth(k: int, depth_cap: int) -> None:
         raise DepthCapError(f"stage {k} exceeds depth cap {depth_cap}")
 
 
-def stage_pairs(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> tuple[int, list]:
-    """Stage k as ``(denom, pairs)``: the disjoint closed intervals
-    [a/denom, b/denom] left to right, touching blocks merged, as integers.
-
-    Raises ValueError for k < 0 and DepthCapError for k over ``depth_cap``.
-    """
+def _check_stage(f: FamilySpec, k: int, depth_cap: int) -> None:
+    """Refuse stage k before anything is built: its depth over ``depth_cap``,
+    or its predicted size, tree count x (s^k).bit_length(), over
+    STAGE_SIZE_CAP. The prediction walks the length recurrence and stops at
+    the first step whose lower bound on the size is already over the cap, so
+    a refused stage's denominator is never built."""
     _check_depth(k, depth_cap)
+    denom = count = 1
+    for s, _, count in islice(_lengths(f, 1), k):
+        # (denom * s).bit_length() is at least denom's bits + s's bits - 1
+        if count * (denom.bit_length() + s.bit_length() - 1) > STAGE_SIZE_CAP:
+            break
+        denom *= s
+    else:
+        if count * denom.bit_length() <= STAGE_SIZE_CAP:
+            return
+    raise StageSizeError(f"stage {k} exceeds the stage size cap of {STAGE_SIZE_CAP} "
+                         "(intervals x denominator bits)")
+
+
+def _fold(steps: list) -> tuple[int, list, int]:
+    # Steps applied to [0]: (denominator, left ends, child length).
     denom, length, lefts = 1, 1, [0]
-    for s, length, offsets in islice(_steps(f), k):
+    for s, length, offsets in steps:
         denom *= s
         lefts = [a * s + o for a in lefts for o in offsets]
-    return denom, _merge((a, a + length) for a in lefts)
+    return denom, lefts, length
+
+
+def stage_stream(
+    f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP
+) -> tuple[int, Iterator[tuple[int, int]]]:
+    """Stage k as ``(denom, pairs)``, with ``pairs`` a lazy stream of the
+    disjoint closed intervals [a/denom, b/denom] left to right, touching
+    blocks merged, as integers. Memory is O(2^(k/2)) for a binary family
+    (O(m^(k/2)) for m kept digits) however far the stream is read.
+
+    Raises ValueError for k < 0, DepthCapError for k over ``depth_cap`` and
+    StageSizeError for a stage over STAGE_SIZE_CAP, all before any fold.
+    """
+    _check_stage(f, k, depth_cap)
+    steps = list(islice(_steps(f), k))
+    half = len(steps) // 2
+    d_out, outer, _ = _fold(steps[:half])
+    d_in, inner, length = _fold(steps[half:])
+    lefts = [a * d_in for a in outer]
+    inner_pairs = [(p, p + length) for p in inner]
+    pairs = ((a + p, a + q) for a in lefts for p, q in inner_pairs)
+    # Blocks of different parents touch only where siblings touch at some
+    # step (a digit set with adjacent kept digits); otherwise there is
+    # nothing to merge.
+    if any(len(_step_gaps(size, offsets)) < len(offsets) - 1 for _, size, offsets in steps):
+        pairs = _merge(pairs)
+    return d_out * d_in, pairs
+
+
+def stage_pairs(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> tuple[int, list]:
+    """Stage k as ``(denom, pairs)``: ``stage_stream`` with the pairs in a list."""
+    denom, pairs = stage_stream(f, k, depth_cap)
+    return denom, list(pairs)
 
 
 def iterate(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> IntervalSet:
@@ -279,7 +349,7 @@ def ifs_step(s: IntervalSet, maps: IfsMaps) -> IntervalSet:
         m = denom // img.denom
         pieces += [(a * m, b * m) for a, b in img.pairs]
     pieces.sort()
-    union = _merge(pieces)
+    union = list(_merge(pieces))
     if sum(b - a for a, b in union) != sum(b - a for a, b in pieces):
         raise ConstructionError("IFS images overlap; union is not disjoint")
     return IntervalSet._from_pairs(denom, union)

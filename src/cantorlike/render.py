@@ -8,7 +8,7 @@ pure function of the inputs, so identical calls give byte-identical SVG.
 from __future__ import annotations
 
 from .exact import _Frozen
-from .families import DEFAULT_DEPTH_CAP, FamilySpec, _check_depth, iterate
+from .families import DEFAULT_DEPTH_CAP, FamilySpec, _check_stage, iterate
 
 
 class RenderSpec(_Frozen):
@@ -33,7 +33,7 @@ def _fmt(v: float) -> str:
 def render_svg(spec: RenderSpec, depth_cap: int = DEFAULT_DEPTH_CAP) -> str:
     # Checked once up front: the per-row iterate calls would otherwise build
     # every stage up to the cap before the first one over it fails.
-    _check_depth(spec.depth, depth_cap)
+    _check_stage(spec.family, spec.depth, depth_cap)
     width = spec.width_px
     row_h = spec.row_height_px
     bar_h = max(row_h - 6, 1)

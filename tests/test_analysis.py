@@ -3,11 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from cantorlike import analysis as analysis_module
 from cantorlike.analysis import (
     CANTOR_TERNARY,
     ESTIMATE_SEQUENCE,
     EXACT_SIMILARITY,
     ExpansionRecord,
+    PeriodCapError,
     base_expansion,
     cantor_function,
     dimension_estimates,
@@ -197,6 +199,24 @@ class TestBaseExpansion:
                     alt = rec.alternate_tail_form()
                     if alt is not None:
                         assert alt.to_rational() == F(p, q)
+
+    def test_period_cap_bounds_every_long_division(self, monkeypatch):
+        # 1/7 has the decimal period 142857 after no preperiod, 1/14 after one
+        # digit; the ternary member 2/(3^6 - 1) = 0.(000002) has period 6.
+        member = F(2, 3**6 - 1)
+        monkeypatch.setattr(analysis_module, "MAX_PERIOD_DIGITS", 6)
+        assert base_expansion(F(1, 7), 10).period == (1, 4, 2, 8, 5, 7)
+        assert base_expansion(F(1, 14), 10).period == (7, 1, 4, 2, 8, 5)
+        assert cantor_function(member) == F(1, 2**6 - 1)
+        monkeypatch.setattr(analysis_module, "MAX_PERIOD_DIGITS", 5)
+        for call in (lambda: base_expansion(F(1, 7), 10), lambda: base_expansion(F(1, 14), 10),
+                     lambda: member_limit(member, CANTOR_TERNARY),
+                     lambda: membership_witness(member, CANTOR_TERNARY),
+                     lambda: cantor_function(member)):
+            with pytest.raises(PeriodCapError, match="period cap of 5 digits"):
+                call()
+        assert base_expansion(F(1, 8), 10).preperiod == (1, 2, 5)  # no period: no cap
+        assert not member_limit(F(1, 2), CANTOR_TERNARY)  # rejected at its first digit
 
 
 class TestMemberLimit:

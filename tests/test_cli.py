@@ -353,6 +353,46 @@ class TestRender:
         assert (code, out, err) == (3, "", "stage 30 exceeds depth cap 24\n")
 
 
+def launch(*argv, code=""):
+    """Run the CLI as a subprocess, after ``code`` in the same interpreter;
+    return its exit code, stdout and stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    program = f"{code}\nimport sys\nfrom cantorlike.cli import main\nsys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", program, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestCaps:
+    # Uncapped, each request below runs for seconds to hours.
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--format", "csv"), ("generate", "--format", "svg"), ("render",)])
+    def test_stage_over_the_size_cap_exits_3(self, argv):
+        code, out, err = launch(*argv, "--family", "lambda", "--lambda", "1e-200",
+                                "--depth", "16")
+        assert (code, out) == (3, "")
+        assert err == "stage 16 exceeds the stage size cap of 134217728 (intervals x denominator bits)\n"
+
+    def test_period_over_the_cap_exits_3(self):
+        # The ternary period of 1/1000000007 is 500000003 digits long.
+        code, out, err = launch("expansion", "--x", "1/1000000007", "--base", "3")
+        assert (code, out, err) == (3, "", "the base-3 period exceeds the period cap of 1000000 digits\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("cantor-fn",), ("member", "--family", "digit", "--n", "3", "--digits", "0,2", "--limit")])
+    def test_member_with_a_period_over_the_cap_exits_3(self, argv):
+        # A ternary-set member with period 101 beside a cap of 100 digits: no
+        # member reaches the real cap with an --x short enough for a command line.
+        x = f"2/{3**101 - 1}"
+        lowered = "import cantorlike.analysis as a; a.MAX_PERIOD_DIGITS = {}"
+        assert launch(*argv, "--x", x, code=lowered.format(101))[0] == 0
+        code, out, err = launch(*argv, "--x", x, code=lowered.format(100))
+        assert (code, out, err) == (3, "", "the base-3 period exceeds the period cap of 100 digits\n")
+
+
 class TestClosedStdout:
     def test_broken_pipe_exits_141_without_stderr(self):
         read_end, write_end = os.pipe()

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction as F
 from typing import Iterable, Sequence
@@ -52,11 +53,13 @@ from cantorlike.exact import (
 )
 from cantorlike.families import (
     ConstructionError,
+    DepthCapError,
     DigitSet,
     IfsMaps,
     LambdaFamily,
     Power,
     Proportional,
+    StageSizeError,
     family_to_json,
     ifs_maps,
     ifs_step,
@@ -64,6 +67,7 @@ from cantorlike.families import (
     level_stats,
     removed_by_generation,
     stage_pairs,
+    stage_stream,
 )
 
 
@@ -700,10 +704,20 @@ def test_removed_gaps_match_reference_on_random_families(f):
     assert got == ref_removed_by_generation(f, k)
 
 
+def streamed(f, k):
+    denom, pairs = stage_stream(f, k)
+    assert not isinstance(pairs, (list, tuple))  # read lazily, never held whole
+    return denom, list(pairs)
+
+
 @pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
 def test_stage_pairs_match_refined_stages(f):
+    # Depths 0..6 cover both halves of the fold: the empty outer half at k = 1,
+    # odd and even k, the Power(2) collapse and touching digit blocks.
     for k in range(tree_depth(f) + 1):
-        assert stage_pairs(f, k) == ref_stage_pairs(f, k), k
+        expected = ref_stage_pairs(f, k)
+        assert stage_pairs(f, k) == expected, k
+        assert streamed(f, k) == expected, k
 
 
 def test_power_two_stage_stays_at_its_fixpoint():
@@ -715,7 +729,43 @@ def test_power_two_stage_stays_at_its_fixpoint():
 @given(families)
 def test_stage_pairs_match_refined_stages_on_random_families(f):
     k = tree_depth(f, 1000)
-    assert stage_pairs(f, k) == ref_stage_pairs(f, k)
+    expected = ref_stage_pairs(f, k)
+    assert stage_pairs(f, k) == expected
+    assert streamed(f, k) == expected
+
+
+@pytest.mark.parametrize("f", (Proportional(F(1, 3)), DigitSet(5, (0, 1, 4))), ids=repr)
+def test_stage_stream_holds_two_half_stages(f):
+    # Ternary stage 16 holds 2^16 pairs (about 7 MB as a list); its stream
+    # holds two folds of 2^8 left ends. The digit stage runs the merge too.
+    k = 16 if isinstance(f, Proportional) else 10
+    tracemalloc.start()
+    try:
+        denom, pairs = stage_stream(f, k)
+        count = 0
+        for count, (_, b) in enumerate(pairs, 1):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (count, b) == (len(stage_pairs(f, k)[1]), denom)
+    assert peak < 500_000, peak
+
+
+@pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
+def test_stage_size_cap_is_tree_count_times_denominator_bits(monkeypatch, f):
+    # The prediction is exact: a cap equal to the stage's size admits it, one
+    # below refuses it before anything is built.
+    for k in range(1, tree_depth(f) + 1):
+        size = level_stats(f, k).count * stage_pairs(f, k)[0].bit_length()
+        monkeypatch.setattr(families_module, "STAGE_SIZE_CAP", size)
+        assert stage_pairs(f, k) == ref_stage_pairs(f, k)
+        monkeypatch.setattr(families_module, "STAGE_SIZE_CAP", size - 1)
+        with pytest.raises(StageSizeError):
+            stage_stream(f, k)
+        with pytest.raises(DepthCapError):  # the CLI's exit 3
+            iterate(f, k)
+        monkeypatch.undo()
 
 
 GENERATE_CASES = (
@@ -758,8 +808,9 @@ def test_generate_builds_no_interval_objects(monkeypatch, capsys, fmt, decimal):
     def forbidden(*args, **kwargs):
         raise AssertionError("generate built a stage set or an interval object")
 
-    monkeypatch.setattr(families_module, "iterate", forbidden)
-    monkeypatch.setattr(cli_module, "iterate", forbidden, raising=False)
+    for name in ("iterate", "stage_pairs"):  # generate reads the stream itself
+        monkeypatch.setattr(families_module, name, forbidden)
+        monkeypatch.setattr(cli_module, name, forbidden, raising=False)
     monkeypatch.setattr(exact_module.ClosedInterval, "__init__", forbidden)
     assert generate_stdout(capsys, f, 3, fmt, decimal) == expected
 
