@@ -13,11 +13,12 @@ measure minus a finite prefix sum); no quadrature is involved.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
 from .families import FamilySpec, OpenInterval, _gaps, removed_by_generation
 from .analysis import limit_measure
-from .exact import _Frozen, format_ratio
+from .exact import _Frozen
 
 
 class RemovedSequence(_Frozen):
@@ -41,10 +42,13 @@ class RemovedSequence(_Frozen):
 
 
 def removed_sequence(f: FamilySpec, generations: int) -> RemovedSequence:
-    """All removed intervals through the given generation, generation-major order."""
+    """All removed intervals through the given generation, generation-major order.
+
+    Bounded like ``removed_by_generation``: DepthCapError past the default
+    depth cap, StageSizeError past the stage size cap."""
     if generations < 1:
         raise ValueError(f"need at least one generation, got {generations}")
-    by_gen = removed_by_generation(f, generations, depth_cap=max(generations, 1))
+    by_gen = removed_by_generation(f, generations)
     entries = tuple(g for gen in by_gen for g in gen)
     return RemovedSequence(source=f, entries=entries, generation_sizes=tuple(len(g) for g in by_gen))
 
@@ -159,7 +163,8 @@ def tail_table_rows(f: FamilySpec, n_max: int) -> Iterator[str]:
     yield "n,sum_removed,tail,tail_decimal"
     for n, num, denom in _prefix_sums(f, n_max):
         tail_num, tail_den = tp * denom - tq * num, tq * denom
-        yield (f"{n},{format_ratio(num, denom)},{format_ratio(tail_num, tail_den)},"
+        yield (f"{n},{num // (g := gcd(num, denom))}/{denom // g},"
+               f"{tail_num // (h := gcd(tail_num, tail_den))}/{tail_den // h},"
                f"{tail_num / tail_den:.15g}")
 
 

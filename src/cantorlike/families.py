@@ -8,10 +8,10 @@ Families:
   * LambdaFamily(lam)    -- remove a centered open interval of length lam/3^k
 
 Stages are produced by an integer refinement engine: every stage is a
-stream of integer endpoint pairs over one common denominator, built from two
-half-depth folds of the step table, so it is never held whole unless a
-caller asks for it. ``iterate`` wraps the pairs, reduced to their least
-denominator, in an ``IntervalSet``, so deep stages (2^20 intervals) stay
+stream of integer endpoint pairs over its least denominator (bar merged
+digit blocks), built from two half-depth folds of the step table, so it is
+never held whole unless a caller asks for it. ``iterate`` wraps the pairs,
+in lowest terms, in an ``IntervalSet``, so deep stages (2^20 intervals) stay
 cheap; interval and Fraction objects are built only when a caller reads the
 intervals out. A stage whose predicted size is over ``STAGE_SIZE_CAP`` is
 refused before anything is built.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import count, islice
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, NamedTuple, Union
 
 from .exact import IntervalSet, _Frozen, _merge, format_rational, parse_rational
@@ -146,13 +146,13 @@ class IfsMaps(_Frozen):
 # [0], combined pair by pair as they are read; with h = k // 2 each half
 # holds about the square root of the stage's tree count (2^(k/2) for a binary
 # family) in left ends.
-
-
-def _check_depth(k: int, depth_cap: int) -> None:
-    if k < 0:
-        raise ValueError(f"stage index must be nonnegative, got {k}")
-    if k > depth_cap:
-        raise DepthCapError(f"stage {k} exceeds depth cap {depth_cap}")
+#
+# The scales multiply to s^k, which can hold a factor that no endpoint needs
+# (the ternary stage k is folded over 6^k; its least denominator is 3^k).
+# Both halves are divided by the gcd of s^k and every endpoint before the
+# stream starts, so a stage is emitted over its least denominator. Only a
+# merge of touching digit blocks, which drops endpoints, can leave a factor;
+# iterate's _reduced takes that out.
 
 
 def _check_stage(f: FamilySpec, k: int, depth_cap: int) -> None:
@@ -161,7 +161,10 @@ def _check_stage(f: FamilySpec, k: int, depth_cap: int) -> None:
     STAGE_SIZE_CAP. The prediction walks the length recurrence and stops at
     the first step whose lower bound on the size is already over the cap, so
     a refused stage's denominator is never built."""
-    _check_depth(k, depth_cap)
+    if k < 0:
+        raise ValueError(f"stage index must be nonnegative, got {k}")
+    if k > depth_cap:
+        raise DepthCapError(f"stage {k} exceeds depth cap {depth_cap}")
     denom = count = 1
     for s, _, count in islice(_lengths(f, 1), k):
         # (denom * s).bit_length() is at least denom's bits + s's bits - 1
@@ -189,7 +192,9 @@ def stage_stream(
 ) -> tuple[int, Iterator[tuple[int, int]]]:
     """Stage k as ``(denom, pairs)``, with ``pairs`` a lazy stream of the
     disjoint closed intervals [a/denom, b/denom] left to right, touching
-    blocks merged, as integers. Memory is O(2^(k/2)) for a binary family
+    blocks merged, as integers. ``denom`` divides s^k, the product of the
+    step scales, and is the stage's least denominator unless touching digit
+    blocks merged. Memory is O(2^(k/2)) for a binary family
     (O(m^(k/2)) for m kept digits) however far the stream is read.
 
     Raises ValueError for k < 0, DepthCapError for k over ``depth_cap`` and
@@ -200,15 +205,19 @@ def stage_stream(
     half = len(steps) // 2
     d_out, outer, _ = _fold(steps[:half])
     d_in, inner, length = _fold(steps[half:])
-    lefts = [a * d_in for a in outer]
-    inner_pairs = [(p, p + length) for p in inner]
+    # Both folds contain 0, so the endpoints include every a * d_in, every p
+    # and length: g is the gcd of the denominator and every endpoint.
+    denom = d_out * d_in
+    g = gcd(denom, length, d_in * gcd(*outer), *inner)
+    lefts = [a * d_in // g for a in outer]
+    inner_pairs = [(p // g, (p + length) // g) for p in inner]
     pairs = ((a + p, a + q) for a in lefts for p, q in inner_pairs)
     # Blocks of different parents touch only where siblings touch at some
     # step (a digit set with adjacent kept digits); otherwise there is
     # nothing to merge.
     if any(len(_step_gaps(size, offsets)) < len(offsets) - 1 for _, size, offsets in steps):
         pairs = _merge(pairs)
-    return d_out * d_in, pairs
+    return denom // g, pairs
 
 
 def stage_pairs(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> tuple[int, list]:
@@ -226,8 +235,11 @@ def iterate(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> Interv
 def removed_by_generation(
     f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> list[list[OpenInterval]]:
-    """Removed open gaps, one list per generation 1..k, left-to-right within each."""
-    _check_depth(k, depth_cap)
+    """Removed open gaps, one list per generation 1..k, left-to-right within each.
+
+    Raises like ``stage_stream``, before any gap is built: generation k holds
+    about as many gaps as stage k has intervals, over the same denominator."""
+    _check_stage(f, k, depth_cap)
     denom, lefts, out = 1, [0], []
     for s, length, offsets in islice(_steps(f), k):
         denom *= s

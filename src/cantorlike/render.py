@@ -43,15 +43,15 @@ def render_svg(spec: RenderSpec, depth_cap: int = DEFAULT_DEPTH_CAP) -> str:
         f'viewBox="0 0 {width} {height}">'
     ]
     for stage in range(spec.depth + 1):
-        y = stage * row_h
         row = iterate(spec.family, stage, depth_cap=depth_cap)
-        denom = row.denom
-        for a, b in row.pairs:
-            # int / int is correctly rounded, so these equal float(Fraction) * width
-            x = a / denom * width
-            w = max((b - a) / denom * width, 1.0)  # keep degenerate points visible
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{y}" width="{_fmt(w)}" height="{bar_h}" fill="#1f2430"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        denom, pairs = row.denom, row.pairs
+        # Every block of a stage has one width, except where touching digit
+        # blocks merged, so the rest of a rect is formatted once per distinct
+        # b - a and only x once per rect. int / int is correctly rounded, so
+        # both equal float(Fraction) * width; max(..., 1.0) keeps points visible.
+        tails = {d: f'" y="{stage * row_h}" width="{_fmt(max(d / denom * width, 1.0))}" '
+                    f'height="{bar_h}" fill="#1f2430"/>' for d in {b - a for a, b in pairs}}
+        parts.append("\n".join([f'<rect x="{_fmt(a / denom * width)}{tails[b - a]}'
+                                for a, b in pairs]))
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -11,7 +11,16 @@ from cantorlike.counterexample import (
     tail_table_csv,
     total_removed_measure,
 )
-from cantorlike.families import LambdaFamily, OpenInterval, Power, Proportional, iterate
+from cantorlike import families as families_module
+from cantorlike.families import (
+    DepthCapError,
+    LambdaFamily,
+    OpenInterval,
+    Power,
+    Proportional,
+    StageSizeError,
+    iterate,
+)
 
 VOLTERRA = Power(4)
 
@@ -46,6 +55,21 @@ class TestRemovedSequence:
     def test_requires_a_generation(self):
         with pytest.raises(ValueError):
             removed_sequence(VOLTERRA, 0)
+
+    def test_depth_cap_bounds_the_generations(self):
+        assert len(removed_sequence(Power(2), 24).entries) == 3  # past the fixpoint
+        with pytest.raises(DepthCapError):
+            removed_sequence(Power(2), 25)
+
+    def test_stage_size_cap_refuses_before_any_gap(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a gap was built")
+
+        # ternary generation 10: 2^10 intervals over 6^10 (26 bits)
+        monkeypatch.setattr(families_module, "STAGE_SIZE_CAP", 2**10 * 26 - 1)
+        monkeypatch.setattr(OpenInterval, "__init__", forbidden)
+        with pytest.raises(StageSizeError):
+            removed_sequence(Proportional(F(1, 3)), 10)
 
 
 class TestTailMeasure:

@@ -7,10 +7,10 @@ remainder seen, the ``seen``-set ``member_limit``, the removal tail summed
 over ``removed_by_generation`` restarted for every generation, the gaps of
 each step built family by family, the per-family integer step that built
 every stage before the step table, the ``IntervalSet`` that held every
-endpoint as a Fraction (with its merge and the ``ifs_step`` built on it), and
+endpoint as a Fraction (with its merge and the ``ifs_step`` built on it),
 the ``generate`` listing printed from the Fractions and intervals of that
-set. The library's integer paths must agree with them exactly, on every
-family.
+set, and the SVG that drew every rect with its own f-string. The library's
+integer paths must agree with them exactly, on every family.
 """
 
 import io
@@ -69,6 +69,7 @@ from cantorlike.families import (
     stage_pairs,
     stage_stream,
 )
+from cantorlike.render import RenderSpec, render_svg
 
 
 # --- reference implementations ---------------------------------------------------
@@ -406,6 +407,32 @@ def ref_generate(f, depth, fmt, decimal):
     return buf.getvalue()
 
 
+def ref_fmt(v):
+    return f"{v:.3f}".rstrip("0").rstrip(".")
+
+
+def ref_render_svg(f, depth, width, row_h):
+    """``render_svg`` as it drew each rect with one f-string, from Fractions."""
+    bar_h = max(row_h - 6, 1)
+    height = (depth + 1) * row_h
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+    ]
+    for stage in range(depth + 1):
+        y = stage * row_h
+        denom, pairs = ref_stage_pairs(f, stage)
+        for a, b in pairs:
+            lo, hi = F(a, denom), F(b, denom)
+            x = float(lo) * width
+            w = max(float(hi - lo) * width, 1.0)
+            parts.append(
+                f'<rect x="{ref_fmt(x)}" y="{y}" width="{ref_fmt(w)}" height="{bar_h}" fill="#1f2430"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def ref_tail_table_csv(f, n_max):
     lines = ["n,sum_removed,tail,tail_decimal"]
     for n, acc, tail in ref_tail_table(f, n_max):
@@ -710,28 +737,53 @@ def streamed(f, k):
     return denom, list(pairs)
 
 
+def lowest(stage):
+    """``(denom, pairs)`` divided by the gcd of denom and every endpoint."""
+    denom, pairs = stage
+    g = math.gcd(denom, *(x for pair in pairs for x in pair))
+    return denom // g, [(a // g, b // g) for a, b in pairs]
+
+
+def has_touching_blocks(f):
+    return isinstance(f, DigitSet) and any(b - a == 1 for a, b in zip(f.digits, f.digits[1:]))
+
+
 @pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
 def test_stage_pairs_match_refined_stages(f):
     # Depths 0..6 cover both halves of the fold: the empty outer half at k = 1,
-    # odd and even k, the Power(2) collapse and touching digit blocks.
+    # odd and even k, the Power(2) collapse and touching digit blocks. The
+    # reference stays over s^k; the engine emits a smaller denominator, so
+    # both sides are compared in lowest terms.
     for k in range(tree_depth(f) + 1):
-        expected = ref_stage_pairs(f, k)
-        assert stage_pairs(f, k) == expected, k
-        assert streamed(f, k) == expected, k
+        expected = lowest(ref_stage_pairs(f, k))
+        assert lowest(stage_pairs(f, k)) == expected, k
+        assert lowest(streamed(f, k)) == expected, k
 
 
 def test_power_two_stage_stays_at_its_fixpoint():
-    four_points = (16, [(0, 0), (4, 4), (12, 12), (16, 16)])
-    assert stage_pairs(Power(2), 5) == ref_stage_pairs(Power(2), 5) == four_points
+    four_points = (4, [(0, 0), (1, 1), (3, 3), (4, 4)])
+    assert stage_pairs(Power(2), 5) == lowest(ref_stage_pairs(Power(2), 5)) == four_points
 
 
 @settings(max_examples=40, deadline=None)
 @given(families)
 def test_stage_pairs_match_refined_stages_on_random_families(f):
     k = tree_depth(f, 1000)
-    expected = ref_stage_pairs(f, k)
-    assert stage_pairs(f, k) == expected
-    assert streamed(f, k) == expected
+    expected = lowest(ref_stage_pairs(f, k))
+    assert lowest(stage_pairs(f, k)) == expected
+    assert lowest(streamed(f, k)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(families, st.integers(0, 6))
+def test_stage_stream_is_over_the_least_denominator(f, k):
+    # The stream's denominator divides s^k, and without touching blocks (whose
+    # merge drops endpoints) no factor is left for iterate to take out.
+    k = min(k, tree_depth(f, 1000))
+    denom, pairs = streamed(f, k)
+    assert ref_stage_pairs(f, k)[0] % denom == 0
+    if not has_touching_blocks(f):
+        assert math.gcd(denom, *(x for pair in pairs for x in pair)) == 1
 
 
 @pytest.mark.parametrize("f", (Proportional(F(1, 3)), DigitSet(5, (0, 1, 4))), ids=repr)
@@ -757,9 +809,11 @@ def test_stage_size_cap_is_tree_count_times_denominator_bits(monkeypatch, f):
     # The prediction is exact: a cap equal to the stage's size admits it, one
     # below refuses it before anything is built.
     for k in range(1, tree_depth(f) + 1):
-        size = level_stats(f, k).count * stage_pairs(f, k)[0].bit_length()
+        # The cap reads the bits of s^k, the reference's denominator, whatever
+        # the denominator the stage is emitted over.
+        size = level_stats(f, k).count * ref_stage_pairs(f, k)[0].bit_length()
         monkeypatch.setattr(families_module, "STAGE_SIZE_CAP", size)
-        assert stage_pairs(f, k) == ref_stage_pairs(f, k)
+        assert lowest(stage_pairs(f, k)) == lowest(ref_stage_pairs(f, k))
         monkeypatch.setattr(families_module, "STAGE_SIZE_CAP", size - 1)
         with pytest.raises(StageSizeError):
             stage_stream(f, k)
@@ -813,6 +867,14 @@ def test_generate_builds_no_interval_objects(monkeypatch, capsys, fmt, decimal):
         monkeypatch.setattr(cli_module, name, forbidden, raising=False)
     monkeypatch.setattr(exact_module.ClosedInterval, "__init__", forbidden)
     assert generate_stdout(capsys, f, 3, fmt, decimal) == expected
+
+
+@pytest.mark.parametrize("width, row_h", [(w, h) for w in (800, 801, 333) for h in (28, 7, 1)])
+@pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
+def test_render_matches_per_rect_reference(f, width, row_h):
+    for depth in range(tree_depth(f) + 1):
+        got = render_svg(RenderSpec(f, depth, width_px=width, row_height_px=row_h))
+        assert got == ref_render_svg(f, depth, width, row_h), depth
 
 
 # --- the integer IntervalSet against the Fraction one ------------------------------------
