@@ -1,6 +1,7 @@
 """Measures, dimensions, digit expansions, limit-set membership, staircase map.
 
-Measures are exact Fractions computed from the per-family length recurrences.
+Measures are exact Fractions read off each family's Moran row (the length
+recurrence and its closed form).
 Dimension values are floats (53-bit doubles) derived from exact interval
 counts and lengths; logarithms of huge integers are taken term-by-term so
 deep stages do not lose precision to overflow.
@@ -13,16 +14,15 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional
 
-from .exact import _Frozen, format_rational
+from .exact import _Frozen, _json_int, _json_ints, format_rational
 from .families import (
     DepthCapError,
     DigitSet,
     FamilySpec,
     LambdaFamily,
-    Power,
-    Proportional,
     _lengths,
     level_stats,
+    moran_row,
 )
 
 CANTOR_TERNARY = DigitSet(3, (0, 2))
@@ -94,7 +94,14 @@ class ExpansionRecord(_Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExpansionRecord":
-        return cls(int(obj["base"]), tuple(obj["preperiod"]), tuple(obj["period"]))
+        """Exact values only, as in the family JSON: else ValueError."""
+        base = _json_int(obj["base"], "base")
+        if base < 2:
+            raise ValueError(f"base must be >= 2, got {base}")
+        pre, period = _json_ints(obj["preperiod"], "preperiod"), _json_ints(obj["period"], "period")
+        if not all(0 <= d < base for d in pre + period):
+            raise ValueError(f"digits must lie in 0..{base - 1}")
+        return cls(base, pre, period)
 
 
 def _preperiod_length(q: int, base: int) -> int:
@@ -160,16 +167,13 @@ def measure_at_depth(f: FamilySpec, k: int) -> Fraction:
 
 
 def limit_measure(f: FamilySpec) -> Fraction:
-    """Lebesgue measure of the limit set, in closed form."""
-    if isinstance(f, (Proportional, DigitSet)):
+    """Lebesgue measure of the limit set, the limit of m^j L_j with the closed
+    form L_j = (1 - r/(c-g)) (c/s)^j + (r/(c-g)) (g/s)^j (and m*g < s): 0 when
+    m*c < s or for the Power(2) collapse (then c = g), else 1 - r/(c-g)."""
+    s, m, c, r, g, _ = moran_row(f)
+    if m * c < s or c == g:
         return Fraction(0)
-    if isinstance(f, Power):
-        if f.n == 2:
-            return Fraction(0)  # collapses to finitely many points
-        return Fraction(f.n - 3, f.n - 2)
-    if isinstance(f, LambdaFamily):
-        return 1 - f.lam
-    raise TypeError(f"unknown family spec: {f!r}")
+    return 1 - Fraction(r, c - g)
 
 
 # --- dimensions ---------------------------------------------------------------
@@ -204,33 +208,23 @@ class DimensionReport(_Frozen):
 
 
 def similarity_dimension(f: FamilySpec) -> DimensionReport:
-    """Dimension from the one-step dilation argument.
-
-    Proportional and DigitSet families are self-similar, so the value is the
-    exact similarity dimension. Power (n >= 3) and Lambda families are not
-    proportional across steps; for them the step-1 dilation value is reported
-    as an estimate only (see dimension_estimates for the full sequence).
+    """Dimension from the one-step dilation argument: log m / log(s/c), exact
+    for a self-similar family (r = 0: m maps of ratio c/s). Power (n >= 3)
+    and Lambda families are not proportional across steps; for them the step-1
+    dilation value is an estimate only (dimension_estimates has the sequence).
     """
-    if isinstance(f, Proportional):
-        scale = 2 / (1 - f.alpha)
-        return DimensionReport(
-            value=math.log(2) / _log(scale),
-            kind=EXACT_SIMILARITY, count_base=2, scale=scale,
-        )
-    if isinstance(f, DigitSet):
-        return DimensionReport(
-            value=math.log(len(f.digits)) / math.log(f.n),
-            kind=EXACT_SIMILARITY, count_base=len(f.digits), scale=Fraction(f.n),
-        )
-    if isinstance(f, Power):
-        if f.n == 2:
-            raise ValueError("power n=2 collapses to finitely many points; no dimension")
-        d1 = _estimate_sequence(f, 1)
-        return DimensionReport(value=d1[0][1], kind=ESTIMATE_SEQUENCE, sequence=d1)
-    if isinstance(f, LambdaFamily):
-        value = math.log(2) / (math.log(6) - _log(3 - f.lam))
-        return DimensionReport(value=value, kind=ESTIMATE_SEQUENCE, sequence=((1, value),))
-    raise TypeError(f"unknown family spec: {f!r}")
+    row = moran_row(f)
+    if not row.r:
+        scale = Fraction(row.s, row.c)
+        return DimensionReport(value=math.log(row.m) / _log(scale),
+                               kind=EXACT_SIMILARITY, count_base=row.m, scale=scale)
+    if row.c == row.g:
+        raise ValueError("power n=2 collapses to finitely many points; no dimension")
+    # Lambda keeps its own float, which differs from _estimate_sequence(f, 1)
+    # in the last bit for most lambda; Lambda(1) and Power(3) share one row.
+    d1 = (((1, math.log(2) / (math.log(6) - _log(3 - f.lam))),)
+          if isinstance(f, LambdaFamily) else _estimate_sequence(f, 1))
+    return DimensionReport(value=d1[0][1], kind=ESTIMATE_SEQUENCE, sequence=d1)
 
 
 def _estimate_sequence(f: FamilySpec, kmax: int) -> tuple[tuple[int, float], ...]:
@@ -301,10 +295,10 @@ def member_at_depth(x: Fraction, f: FamilySpec, k: int) -> bool:
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {k}")
     u, width = x.numerator, x.denominator
-    digits = set(f.digits) if isinstance(f, DigitSet) else None
+    digits = set(moran_row(f).digits)
     for s, child, _ in islice(_lengths(f, width), k):
         u *= s
-        if digits is not None:
+        if digits:
             d, rest = divmod(u, child)
             if rest == 0 and d - 1 in digits:
                 d -= 1  # on a block boundary: the left block is tried first

@@ -41,7 +41,7 @@ from .families import (
     LambdaFamily,
     Power,
     Proportional,
-    digit_equivalent,
+    digit_form,
     family_from_json,
     family_to_json,
     level_stats,
@@ -193,21 +193,14 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     print(json.dumps(report))
 
 
-def _digit_form(family: FamilySpec) -> DigitSet:
-    if isinstance(family, DigitSet):
-        return family
-    if isinstance(family, Proportional):
-        equivalent = digit_equivalent(family.alpha)
-        if equivalent is not None:
-            return equivalent
-    _fail(EXIT_NO_DIGIT_FORM, "no digit characterization exists for this family")
-
-
 def _cmd_member(args: argparse.Namespace) -> None:
     family = _build_family(args)
     x = _parse_x(args.x)
     if args.limit:
-        witness = membership_witness(x, _digit_form(family))
+        form = digit_form(family)
+        if form is None:
+            _fail(EXIT_NO_DIGIT_FORM, "no digit characterization exists for this family")
+        witness = membership_witness(x, form)
         print("false" if witness is None else f"true\nwitness: {json.dumps(witness.to_json())}")
     else:
         if args.depth is None:

@@ -62,6 +62,37 @@ def rational_decimal(x: Fraction, sig: int = 15) -> str:
     return f"{float(x):.{sig}g}"
 
 
+# --- exact JSON values: every reader of the wire format takes its numbers
+# through these (families, interval sets, expansions).
+
+_JSON_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _json_rational(value: object, name: str) -> Fraction:
+    # A JSON number with a fraction or exponent is a binary double and a bool
+    # is not a number: both are refused rather than rounded. type() rather
+    # than isinstance, because bool is a subclass of int. Strings are held to
+    # the same form: decimals and exponents ("0.1", "1e5") are refused too.
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str and _JSON_RATIONAL.fullmatch(value):
+        return parse_rational(value)
+    raise ValueError(f"{name} must be an integer or a 'p/q' string, got {value!r}")
+
+
+def _json_int(value: object, name: str) -> int:
+    x = _json_rational(value, name)
+    if x.denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return x.numerator
+
+
+def _json_ints(value: object, name: str) -> tuple[int, ...]:
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(_json_int(d, "digit") for d in value)
+
+
 class _Frozen:
     """Base of the package's immutable value classes.
 
@@ -128,7 +159,7 @@ class ClosedInterval(_Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClosedInterval":
-        return cls(parse_rational(obj["a"]), parse_rational(obj["b"]))
+        return cls(_json_rational(obj["a"], "a"), _json_rational(obj["b"], "b"))
 
 
 _start = itemgetter(0)

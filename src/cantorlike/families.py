@@ -7,25 +7,33 @@ Families:
   * DigitSet(n, digits)  -- keep the base-n digit blocks listed in ``digits``
   * LambdaFamily(lam)    -- remove a centered open interval of length lam/3^k
 
-Stages are produced by an integer refinement engine: every stage is a
-stream of integer endpoint pairs over its least denominator (bar merged
-digit blocks), built from two half-depth folds of the step table, so it is
-never held whole unless a caller asks for it. ``iterate`` wraps the pairs,
-in lowest terms, in an ``IntervalSet``, so deep stages (2^20 intervals) stay
-cheap; interval and Fraction objects are built only when a caller reads the
-intervals out. A stage whose predicted size is over ``STAGE_SIZE_CAP`` is
-refused before anything is built.
+Each family is a homogeneous Moran construction (Feng, Wen & Wu, Sci. China
+1997), read through one row of integers ``moran_row(f) = (s, m, c, r, g,
+digits)``: every step scales by s and splits each interval into m equal
+children, whose length over s^j is c * length_{j-1} - r * g^(j-1).
+
+  family              s    m         c      r   g    digits
+  Proportional(p/q)   2q   2         q - p  0   1    ()
+  Power(n)            2n   2         n      1   2    ()
+  LambdaFamily(p/q)   6q   2         3q     p   2q   ()
+  DigitSet(n, D)      n    len(D)    1      0   1    D
+
+Stages, lengths, the limit measure, IFS maps and digit forms are all read
+off the row; a family with r = 0 is self-similar.
+
+Stages are integer endpoint pairs streamed from two half-depth folds of the
+step table; ``iterate`` wraps them in an ``IntervalSet``. A stage whose
+predicted size is over ``STAGE_SIZE_CAP`` is refused before anything is built.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Union
 
-from .exact import IntervalSet, _Frozen, _merge, format_rational, parse_rational
+from .exact import IntervalSet, _Frozen, _json_int, _json_ints, _json_rational, _merge, format_rational
 
 DEFAULT_DEPTH_CAP = 24
 
@@ -36,7 +44,7 @@ and Lambda(1e-200) at depth 16 is 2^16 x 10,683 bits (about 2^29.4)."""
 
 
 class ConstructionError(ValueError):
-    """The requested refinement step is geometrically impossible."""
+    """A construction step is geometrically impossible (IFS images overlap)."""
 
 
 class DepthCapError(ValueError):
@@ -95,6 +103,32 @@ class LambdaFamily(_Frozen):
 FamilySpec = Union[Proportional, Power, DigitSet, LambdaFamily]
 
 
+class MoranRow(NamedTuple):
+    """A family's homogeneous Moran construction (see the module docstring)."""
+
+    s: int
+    m: int
+    c: int
+    r: int
+    g: int
+    digits: tuple = ()
+
+
+def moran_row(f: FamilySpec) -> MoranRow:
+    """The one row of integers that every construction and query reads."""
+    if isinstance(f, Proportional):  # children (1 - alpha)/2 of the parent
+        p, q = f.alpha.numerator, f.alpha.denominator
+        return MoranRow(2 * q, 2, q - p, 0, 1)
+    if isinstance(f, Power):  # (L - 1/n^j)/2, with 1/n^j = 2^j / (2n)^j
+        return MoranRow(2 * f.n, 2, f.n, 1, 2)
+    if isinstance(f, LambdaFamily):  # (L - lam/3^j)/2, with lam/3^j = 2p(2q)^(j-1) / (6q)^j
+        p, q = f.lam.numerator, f.lam.denominator
+        return MoranRow(6 * q, 2, 3 * q, p, 2 * q)
+    if isinstance(f, DigitSet):  # children 1/n of the parent
+        return MoranRow(f.n, len(f.digits), 1, 0, 1, f.digits)
+    raise TypeError(f"unknown family spec: {f!r}")
+
+
 class OpenInterval(_Frozen):
     """An open interval (a, b), a < b; a removed gap."""
 
@@ -131,21 +165,17 @@ class IfsMaps(_Frozen):
 
 # --- integer stage engine -------------------------------------------------
 #
-# A stage is (denom, pairs) with pairs (a, b) integers, meaning the closed
-# intervals [a/denom, b/denom] in construction-tree order. Every stage and gap
-# is read off one step table, _steps (beside _lengths below): per step, the
-# scale s, the child length and the children's offsets from their parent's
-# left end, over the new denominator. A parent with left end a has the
-# children [a * s + o, a * s + o + length], one per offset o.
+# Every stage and gap is read off one step table, _steps (beside _lengths
+# below): a parent with left end a has the children [a * s + o, a * s + o +
+# length], one per offset o of the step, over the new denominator.
 #
-# Every family is a homogeneous Moran construction (each interval of a level
-# splits the same way), and a fold of the steps is linear in the left end it
-# starts from: folding steps h+1..k from a gives a * d_in + p for each p that
-# the same steps give from 0, with d_in their product of scales. So stage k is
-# the outer fold of steps 1..h and the inner fold of steps h+1..k, each from
-# [0], combined pair by pair as they are read; with h = k // 2 each half
-# holds about the square root of the stage's tree count (2^(k/2) for a binary
-# family) in left ends.
+# Each interval of a level splits the same way, so a fold of the steps is
+# linear in the left end it starts from: folding steps h+1..k from a gives
+# a * d_in + p for each p that the same steps give from 0, with d_in their
+# product of scales. So stage k is the outer fold of steps 1..h and the inner
+# fold of steps h+1..k, each from [0], combined pair by pair as they are read;
+# with h = k // 2 each half holds about the square root of the stage's tree
+# count (2^(k/2) for a binary family) in left ends.
 #
 # The scales multiply to s^k, which can hold a factor that no endpoint needs
 # (the ternary stage k is folded over 6^k; its least denominator is 3^k).
@@ -157,25 +187,22 @@ class IfsMaps(_Frozen):
 
 def _check_stage(f: FamilySpec, k: int, depth_cap: int) -> None:
     """Refuse stage k before anything is built: its depth over ``depth_cap``,
-    or its predicted size, tree count x (s^k).bit_length(), over
-    STAGE_SIZE_CAP. The prediction walks the length recurrence and stops at
-    the first step whose lower bound on the size is already over the cap, so
-    a refused stage's denominator is never built."""
+    or its size read off the row, m^k x (s^k).bit_length(), over
+    STAGE_SIZE_CAP; s^k is built only if k * (bits of s - 1) + 1, its least
+    bit length, leaves the size under the cap."""
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {k}")
     if k > depth_cap:
         raise DepthCapError(f"stage {k} exceeds depth cap {depth_cap}")
-    denom = count = 1
-    for s, _, count in islice(_lengths(f, 1), k):
-        # (denom * s).bit_length() is at least denom's bits + s's bits - 1
-        if count * (denom.bit_length() + s.bit_length() - 1) > STAGE_SIZE_CAP:
-            break
-        denom *= s
-    else:
-        if count * denom.bit_length() <= STAGE_SIZE_CAP:
-            return
-    raise StageSizeError(f"stage {k} exceeds the stage size cap of {STAGE_SIZE_CAP} "
-                         "(intervals x denominator bits)")
+    s, m, c, r, g, _ = moran_row(f)
+    # With c = g, length_j = c^(j-1) * (c - j * r): the stage collapses to
+    # points at step c / r (Power(2) at step 2) and no later step changes it.
+    steps = min(k, c // r) if r and c == g else k
+    count = m**steps
+    if (count * (steps * (s.bit_length() - 1) + 1) > STAGE_SIZE_CAP
+            or count * (s**steps).bit_length() > STAGE_SIZE_CAP):
+        raise StageSizeError(f"stage {k} exceeds the stage size cap of {STAGE_SIZE_CAP} "
+                             "(intervals x denominator bits)")
 
 
 def _fold(steps: list) -> tuple[int, list, int]:
@@ -212,10 +239,8 @@ def stage_stream(
     lefts = [a * d_in // g for a in outer]
     inner_pairs = [(p // g, (p + length) // g) for p in inner]
     pairs = ((a + p, a + q) for a in lefts for p, q in inner_pairs)
-    # Blocks of different parents touch only where siblings touch at some
-    # step (a digit set with adjacent kept digits); otherwise there is
-    # nothing to merge.
-    if any(len(_step_gaps(size, offsets)) < len(offsets) - 1 for _, size, offsets in steps):
+    digits = moran_row(f).digits  # blocks touch only where kept digits are adjacent
+    if any(b - a == 1 for a, b in zip(digits, digits[1:])):
         pairs = _merge(pairs)
     return denom // g, pairs
 
@@ -264,35 +289,17 @@ class LevelStats(NamedTuple):
 
 
 def _lengths(f: FamilySpec, unit: int) -> Iterator[tuple[int, int, int]]:
-    """The length recurrence: (s, length_j, count_j) for steps j = 1, 2, ...
-
-    Every family is a homogeneous Moran construction: at step j each surviving
-    interval, of common length L_{j-1}, is replaced by equal children of length
-    L_j. Over the denominator D_j = s^j, length_j = unit * D_j * L_j is an
-    integer that obeys length_j = c * length_{j-1} - removal * g^(j-1) with
-    per-family integers (s, c, removal, g), so the recurrence never takes a gcd.
-    count_j is the number of intervals in the construction tree. A Power(2)
-    stage of points is a fixpoint: the generator stops after the step whose
-    length is 0.
-    """
-    if isinstance(f, Proportional):  # children (1 - alpha)/2 of the parent
-        p, q = f.alpha.numerator, f.alpha.denominator
-        s, children, c, removal, g = 2 * q, 2, q - p, 0, 1
-    elif isinstance(f, Power):  # (L - 1/n^j)/2, with 1/n^j = 2^j / (2n)^j
-        s, children, c, removal, g = 2 * f.n, 2, f.n, unit, 2
-    elif isinstance(f, LambdaFamily):  # (L - lam/3^j)/2, with lam/3^j = 2p(2q)^(j-1) / (6q)^j
-        p, q = f.lam.numerator, f.lam.denominator
-        s, children, c, removal, g = 6 * q, 2, 3 * q, unit * p, 2 * q
-    elif isinstance(f, DigitSet):  # children 1/n of the parent
-        s, children, c, removal, g = f.n, len(f.digits), 1, 0, 1
-    else:
-        raise TypeError(f"unknown family spec: {f!r}")
-    length, intervals = unit, 1
-    for j in count(1):
+    """The length recurrence of the row (s, m, c, r, g): (s, length_j, m^j)
+    for steps j = 1, 2, ..., where length_j = c * length_{j-1} - unit * r *
+    g^(j-1), from length_0 = unit, is unit times the common child length over
+    s^j (no gcd is taken) and m^j counts the construction tree. No length is
+    negative: r = 0, or r <= c - g, or the family is Power(2), whose stage of
+    points is a fixpoint; the generator stops after the step of length 0."""
+    s, m, c, r, g, _ = moran_row(f)
+    length, removal, intervals = unit, unit * r, 1
+    while True:
         length = c * length - removal
-        if length < 0:
-            raise ConstructionError(f"{f!r}: removal at step {j} exceeds interval length")
-        intervals *= children
+        intervals *= m
         yield s, length, intervals
         if length == 0:
             return  # all intervals are points: no further step changes the stage
@@ -304,7 +311,7 @@ def _steps(f: FamilySpec) -> Iterator[tuple[int, int, list]]:
     children's offsets from their parent's left end. The two children of a
     binary family sit at both ends of the parent, whose width is parent * s;
     kept digit d sits at d * length. Ends where _lengths ends."""
-    digits = f.digits if isinstance(f, DigitSet) else None
+    digits = moran_row(f).digits
     parent = 1
     for s, length, _ in _lengths(f, 1):
         yield s, length, [d * length for d in digits] if digits else [0, parent * s - length]
@@ -320,9 +327,8 @@ def _step_gaps(length: int, offsets: list) -> list:
 def _gaps(f: FamilySpec) -> Iterator[tuple[int, int, list, int]]:
     """The removal sequence: (denom, s, lengths, parents) for generations j = 1, 2, ...
 
-    In a homogeneous Moran construction every stage-(j-1) interval has the same
-    length, so each one loses the same gaps at step j, read off the step's
-    offsets: ``lengths`` are their integer lengths over the stage-j denominator
+    Every stage-(j-1) interval loses the same gaps at step j, read off the
+    step's offsets: ``lengths`` are their integer lengths over the stage-j denominator
     ``denom`` = s * D_{j-1}, left to right, and ``parents`` is the number of
     stage-(j-1) intervals in the construction tree. Generation j removes
     ``parents`` copies of ``lengths`` in that order. No interval is refined;
@@ -336,13 +342,10 @@ def _gaps(f: FamilySpec) -> Iterator[tuple[int, int, list, int]]:
 
 
 def level_stats(f: FamilySpec, k: int) -> LevelStats:
-    """Interval count and extreme lengths at stage k, via the length recurrence.
-
-    All four families split every interval into equal-length children, so the
-    stats follow from an O(k) integer recurrence; no stage enumeration happens
-    here. Counts refer to the construction tree (adjacent digit blocks that
-    merge into one closed interval are still counted separately).
-    """
+    """Interval count and extreme (equal) lengths at stage k, from the O(k)
+    length recurrence; no stage is enumerated. Counts refer to the
+    construction tree (adjacent digit blocks that merge into one closed
+    interval are still counted separately)."""
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {k}")
     denom, length, count = 1, 1, 1
@@ -368,65 +371,50 @@ def ifs_step(s: IntervalSet, maps: IfsMaps) -> IntervalSet:
 
 
 def ifs_maps(f: FamilySpec) -> IfsMaps:
-    """The self-similar contraction system realizing a Proportional or DigitSet family."""
-    if isinstance(f, Proportional):
-        scale = (1 - f.alpha) / 2
-        return IfsMaps(((scale, Fraction(0)), (scale, 1 - scale)))
-    if isinstance(f, DigitSet):
-        scale = Fraction(1, f.n)
-        return IfsMaps(tuple((scale, Fraction(d, f.n)) for d in f.digits))
-    raise ValueError(f"{type(f).__name__} families are not self-similar; no IFS form")
+    """The contraction system of a self-similar family (r = 0: every step
+    repeats step 1): x -> (length * x + o) / s per child offset o of step 1."""
+    if moran_row(f).r:
+        raise ValueError(f"{type(f).__name__} families are not self-similar; no IFS form")
+    s, length, offsets = next(_steps(f))
+    return IfsMaps(tuple((Fraction(length, s), Fraction(o, s)) for o in offsets))
+
+
+def digit_form(f: FamilySpec) -> DigitSet | None:
+    """The digit family with the stages of f, when f is self-similar and its
+    step-1 child length divides every child offset (so s, the last child's end)."""
+    if moran_row(f).r:
+        return None
+    s, length, offsets = next(_steps(f))
+    if any(o % length for o in offsets):
+        return None
+    return DigitSet(s // length, tuple(o // length for o in offsets))
 
 
 def digit_equivalent(alpha: Fraction) -> DigitSet | None:
-    """The two-digit family matching Proportional(alpha), when one exists.
-
-    Removing the middle proportion alpha keeps two blocks of width (1-alpha)/2;
-    that matches keeping digits {0, m-1} in base m exactly when m = 2/(1-alpha)
-    is an integer >= 3.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError(f"need 0 < alpha < 1, got {alpha}")
-    m = 2 / (1 - alpha)
-    if m.denominator != 1 or m < 3:
-        return None
-    return DigitSet(int(m), (0, int(m) - 1))
+    """The two-digit family matching Proportional(alpha), when one exists:
+    when n = 2/(1-alpha) is an integer, the digits {0, n-1} in base n."""
+    return digit_form(Proportional(alpha))
 
 
 # --- JSON wire format -----------------------------------------------------
+#
+# kind -> (class, fields): one (JSON name, reader, writer) per constructor
+# argument, in the order of the class's __slots__.
+
+_FAMILY_FIELDS = {
+    "proportional": (Proportional, (("alpha", _json_rational, format_rational),)),
+    "power": (Power, (("n", _json_int, int),)),
+    "digit": (DigitSet, (("n", _json_int, int), ("digits", _json_ints, list))),
+    "lambda": (LambdaFamily, (("lambda", _json_rational, format_rational),)),
+}
+
 
 def family_to_json(f: FamilySpec) -> dict:
-    if isinstance(f, Proportional):
-        return {"family": "proportional", "alpha": format_rational(f.alpha)}
-    if isinstance(f, Power):
-        return {"family": "power", "n": f.n}
-    if isinstance(f, DigitSet):
-        return {"family": "digit", "n": f.n, "digits": list(f.digits)}
-    if isinstance(f, LambdaFamily):
-        return {"family": "lambda", "lambda": format_rational(f.lam)}
+    for kind, (cls, fields) in _FAMILY_FIELDS.items():
+        if type(f) is cls:
+            return {"family": kind, **{name: write(value)
+                                       for (name, _, write), value in zip(fields, f._fields())}}
     raise TypeError(f"unknown family spec: {f!r}")
-
-
-_JSON_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def _json_rational(value: object, name: str) -> Fraction:
-    # A JSON number with a fraction or exponent is a binary double and a bool
-    # is not a number: both are refused rather than rounded. type() rather
-    # than isinstance, because bool is a subclass of int. Strings are held to
-    # the same form: decimals and exponents ("0.1", "1e5") are refused too.
-    if type(value) is int:
-        return Fraction(value)
-    if type(value) is str and _JSON_RATIONAL.fullmatch(value):
-        return parse_rational(value)
-    raise ValueError(f"{name} must be an integer or a 'p/q' string, got {value!r}")
-
-
-def _json_int(value: object, name: str) -> int:
-    x = _json_rational(value, name)
-    if x.denominator != 1:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return x.numerator
 
 
 def family_from_json(obj: object) -> FamilySpec:
@@ -435,15 +423,7 @@ def family_from_json(obj: object) -> FamilySpec:
     if type(obj) is not dict:
         raise ValueError(f"family JSON must be an object, got {obj!r}")
     kind = obj.get("family")
-    if kind == "proportional":
-        return Proportional(_json_rational(obj["alpha"], "alpha"))
-    if kind == "power":
-        return Power(_json_int(obj["n"], "n"))
-    if kind == "digit":
-        digits = obj["digits"]
-        if type(digits) is not list:
-            raise ValueError(f"digits must be a list of integers, got {digits!r}")
-        return DigitSet(_json_int(obj["n"], "n"), tuple(_json_int(d, "digit") for d in digits))
-    if kind == "lambda":
-        return LambdaFamily(_json_rational(obj["lambda"], "lambda"))
-    raise ValueError(f"unknown family kind: {kind!r}")
+    if type(kind) is not str or kind not in _FAMILY_FIELDS:
+        raise ValueError(f"unknown family kind: {kind!r}")
+    cls, fields = _FAMILY_FIELDS[kind]
+    return cls(*(read(obj[name], name) for name, read, _ in fields))

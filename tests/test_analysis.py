@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -199,6 +200,29 @@ class TestBaseExpansion:
                     alt = rec.alternate_tail_form()
                     if alt is not None:
                         assert alt.to_rational() == F(p, q)
+
+    def test_json_round_trip(self):
+        for rec in (base_expansion(F(1, 6), 10), base_expansion(F(1, 4), 3), ExpansionRecord(2, (), ())):
+            assert ExpansionRecord.from_json(json.loads(json.dumps(rec.to_json()))) == rec
+        assert ExpansionRecord.from_json({"base": "3", "preperiod": ["1/1"], "period": [0, 2]}) == \
+            ExpansionRecord(3, (1,), (0, 2))
+
+    @pytest.mark.parametrize("obj", [
+        {"base": 3.9, "preperiod": [], "period": [2]},     # was read as base 3
+        {"base": True, "preperiod": [], "period": [1]},
+        {"base": "3/2", "preperiod": [], "period": [1]},
+        {"base": 1, "preperiod": [], "period": [0]},       # below 2
+        {"base": 0, "preperiod": [], "period": []},
+        {"base": 3, "preperiod": [7.5], "period": []},      # was accepted
+        {"base": 3, "preperiod": "ab", "period": []},       # was accepted as ("a", "b")
+        {"base": 3, "preperiod": [], "period": [3]},        # outside 0..base-1
+        {"base": 3, "preperiod": [-1], "period": []},
+        {"base": 10, "preperiod": [1], "period": "12"},
+        {"base": 10, "preperiod": [1], "period": None},
+    ], ids=repr)
+    def test_json_rejects_inexact_or_out_of_range_values(self, obj):
+        with pytest.raises(ValueError):
+            ExpansionRecord.from_json(obj)
 
     def test_period_cap_bounds_every_long_division(self, monkeypatch):
         # 1/7 has the decimal period 142857 after no preperiod, 1/14 after one

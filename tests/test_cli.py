@@ -376,6 +376,13 @@ class TestCaps:
         assert (code, out) == (3, "")
         assert err == "stage 16 exceeds the stage size cap of 134217728 (intervals x denominator bits)\n"
 
+    def test_stage_at_the_parse_limit_exits_3(self, capsys):
+        # Refused off the Moran row, before any step of the length recurrence.
+        code, out, err = run(capsys, "generate", "--family", "lambda", "--lambda", "1e-100000",
+                             "--depth", "20")
+        assert (code, out) == (3, "")
+        assert err == "stage 20 exceeds the stage size cap of 134217728 (intervals x denominator bits)\n"
+
     def test_period_over_the_cap_exits_3(self):
         # The ternary period of 1/1000000007 is 500000003 digits long.
         code, out, err = launch("expansion", "--x", "1/1000000007", "--base", "3")

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -151,3 +152,17 @@ class TestSerialization:
     def test_wire_format(self):
         s = normalize([ci("0", "1/3")])
         assert s.to_json() == [{"a": "0/1", "b": "1/3"}]
+
+    def test_integer_and_rational_string_endpoints_accepted(self):
+        expected = normalize([ci("0", "1/3"), ci("2/3", "1")])
+        assert IntervalSet.from_json([{"a": 0, "b": "2/6"}, {"a": "2/3", "b": 1}]) == expected
+
+    @pytest.mark.parametrize("end", [0.5, 1.0, True, None, [1], "0.5", "1e-1", " 1/2 ", "1/0"],
+                             ids=repr)
+    def test_inexact_endpoints_rejected(self, end):
+        # Read like the family JSON: a float, bool, decimal or exponent string
+        # raises ValueError (a float or an int raised TypeError before).
+        with pytest.raises(ValueError):
+            IntervalSet.from_json([{"a": end, "b": "1/1"}])
+        with pytest.raises(ValueError):
+            IntervalSet.loads(json.dumps([{"a": "0/1", "b": end}]))

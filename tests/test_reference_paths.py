@@ -2,7 +2,10 @@
 
 The reference functions below are the earlier implementations, kept verbatim
 in substance: the per-step Fraction recurrence of ``level_stats``, the
-Fraction descent of ``member_at_depth``, long division with a table of every
+Fraction descent of ``member_at_depth``, the per-family branches that the
+Moran row replaced (``_lengths``, ``limit_measure``, ``ifs_maps``, the digit
+form of ``digit_equivalent`` and the CLI, ``similarity_dimension`` and
+``family_to_json``), long division with a table of every
 remainder seen, the ``seen``-set ``member_limit``, the removal tail summed
 over ``removed_by_generation`` restarted for every generation, the gaps of
 each step built family by family, the per-family integer step that built
@@ -20,6 +23,7 @@ import random
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction as F
+from itertools import count, islice
 from typing import Iterable, Sequence
 
 import pytest
@@ -27,12 +31,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorlike.analysis import (
+    ESTIMATE_SEQUENCE,
+    EXACT_SIMILARITY,
+    DimensionReport,
     ExpansionRecord,
+    _estimate_sequence,
     _log,
     base_expansion,
     dimension_estimates,
+    limit_measure,
     member_at_depth,
     member_limit,
+    similarity_dimension,
 )
 from cantorlike import cli as cli_module
 from cantorlike import counterexample as counterexample_module
@@ -60,11 +70,16 @@ from cantorlike.families import (
     Power,
     Proportional,
     StageSizeError,
+    _lengths,
+    digit_equivalent,
+    digit_form,
+    family_from_json,
     family_to_json,
     ifs_maps,
     ifs_step,
     iterate,
     level_stats,
+    moran_row,
     removed_by_generation,
     stage_pairs,
     stage_stream,
@@ -440,6 +455,109 @@ def ref_tail_table_csv(f, n_max):
     return "\n".join(lines) + "\n"
 
 
+def ref_lengths(f, unit):
+    """The length recurrence with its per-family constants, before the Moran row."""
+    if isinstance(f, Proportional):  # children (1 - alpha)/2 of the parent
+        p, q = f.alpha.numerator, f.alpha.denominator
+        s, children, c, removal, g = 2 * q, 2, q - p, 0, 1
+    elif isinstance(f, Power):  # (L - 1/n^j)/2, with 1/n^j = 2^j / (2n)^j
+        s, children, c, removal, g = 2 * f.n, 2, f.n, unit, 2
+    elif isinstance(f, LambdaFamily):  # (L - lam/3^j)/2, with lam/3^j = 2p(2q)^(j-1) / (6q)^j
+        p, q = f.lam.numerator, f.lam.denominator
+        s, children, c, removal, g = 6 * q, 2, 3 * q, unit * p, 2 * q
+    elif isinstance(f, DigitSet):  # children 1/n of the parent
+        s, children, c, removal, g = f.n, len(f.digits), 1, 0, 1
+    else:
+        raise TypeError(f"unknown family spec: {f!r}")
+    length, intervals = unit, 1
+    for j in count(1):
+        length = c * length - removal
+        if length < 0:
+            raise ConstructionError(f"{f!r}: removal at step {j} exceeds interval length")
+        intervals *= children
+        yield s, length, intervals
+        if length == 0:
+            return  # all intervals are points: no further step changes the stage
+        removal *= g
+
+
+def ref_limit_measure(f):
+    if isinstance(f, (Proportional, DigitSet)):
+        return F(0)
+    if isinstance(f, Power):
+        if f.n == 2:
+            return F(0)  # collapses to finitely many points
+        return F(f.n - 3, f.n - 2)
+    if isinstance(f, LambdaFamily):
+        return 1 - f.lam
+    raise TypeError(f"unknown family spec: {f!r}")
+
+
+def ref_ifs_maps(f):
+    if isinstance(f, Proportional):
+        scale = (1 - f.alpha) / 2
+        return IfsMaps(((scale, F(0)), (scale, 1 - scale)))
+    if isinstance(f, DigitSet):
+        scale = F(1, f.n)
+        return IfsMaps(tuple((scale, F(d, f.n)) for d in f.digits))
+    raise ValueError(f"{type(f).__name__} families are not self-similar; no IFS form")
+
+
+def ref_digit_equivalent(alpha):
+    if not 0 < alpha < 1:
+        raise ValueError(f"need 0 < alpha < 1, got {alpha}")
+    m = 2 / (1 - alpha)
+    if m.denominator != 1 or m < 3:
+        return None
+    return DigitSet(int(m), (0, int(m) - 1))
+
+
+def ref_digit_form(family):
+    """The CLI's digit form for ``member --limit``, with None for its exit 4."""
+    if isinstance(family, DigitSet):
+        return family
+    if isinstance(family, Proportional):
+        equivalent = ref_digit_equivalent(family.alpha)
+        if equivalent is not None:
+            return equivalent
+    return None
+
+
+def ref_similarity_dimension(f):
+    if isinstance(f, Proportional):
+        scale = 2 / (1 - f.alpha)
+        return DimensionReport(
+            value=math.log(2) / _log(scale),
+            kind=EXACT_SIMILARITY, count_base=2, scale=scale,
+        )
+    if isinstance(f, DigitSet):
+        return DimensionReport(
+            value=math.log(len(f.digits)) / math.log(f.n),
+            kind=EXACT_SIMILARITY, count_base=len(f.digits), scale=F(f.n),
+        )
+    if isinstance(f, Power):
+        if f.n == 2:
+            raise ValueError("power n=2 collapses to finitely many points; no dimension")
+        d1 = _estimate_sequence(f, 1)
+        return DimensionReport(value=d1[0][1], kind=ESTIMATE_SEQUENCE, sequence=d1)
+    if isinstance(f, LambdaFamily):
+        value = math.log(2) / (math.log(6) - _log(3 - f.lam))
+        return DimensionReport(value=value, kind=ESTIMATE_SEQUENCE, sequence=((1, value),))
+    raise TypeError(f"unknown family spec: {f!r}")
+
+
+def ref_family_to_json(f):
+    if isinstance(f, Proportional):
+        return {"family": "proportional", "alpha": format_rational(f.alpha)}
+    if isinstance(f, Power):
+        return {"family": "power", "n": f.n}
+    if isinstance(f, DigitSet):
+        return {"family": "digit", "n": f.n, "digits": list(f.digits)}
+    if isinstance(f, LambdaFamily):
+        return {"family": "lambda", "lambda": format_rational(f.lam)}
+    raise TypeError(f"unknown family spec: {f!r}")
+
+
 # --- inputs ------------------------------------------------------------------------
 
 FIXED_FAMILIES = (
@@ -492,6 +610,60 @@ def query_points(f, depth, rng):
     points += [(lo + hi) / 2 for lo, hi in rng.sample(gaps, min(3, len(gaps)))]
     points += [F(rng.randrange(q + 1), q) for q in (rng.randrange(1, 50), rng.randrange(1, 10**12))]
     return points
+
+
+# --- the Moran row against the per-family branches --------------------------------------
+
+def outcome(call, *args):
+    """The value of call(*args), or the type and text of what it raised."""
+    try:
+        return call(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_row_paths_match_references(f, unit):
+    for u in (1, unit):
+        assert list(islice(_lengths(f, u), 40)) == list(islice(ref_lengths(f, u), 40))
+    assert limit_measure(f) == ref_limit_measure(f)
+    assert outcome(ifs_maps, f) == outcome(ref_ifs_maps, f)
+    assert digit_form(f) == ref_digit_form(f)
+    if isinstance(f, Proportional):
+        assert digit_equivalent(f.alpha) == ref_digit_equivalent(f.alpha)
+    # DimensionReport equality compares value and every sequence float by ==.
+    assert outcome(similarity_dimension, f) == outcome(ref_similarity_dimension, f)
+    wire = family_to_json(f)
+    assert json.dumps(wire) == json.dumps(ref_family_to_json(f))
+    assert family_from_json(json.loads(json.dumps(wire))) == f
+
+
+@pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
+def test_row_paths_match_per_family_references(f):
+    assert_row_paths_match_references(f, 10**12 + 39)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families, st.integers(1, 10**30))
+def test_row_paths_match_per_family_references_on_random_families(f, unit):
+    assert_row_paths_match_references(f, unit)
+
+
+def test_digit_equivalent_out_of_range_rejected():
+    for alpha in (F(0), F(1), F(2), F(-1, 3)):
+        assert outcome(ref_digit_equivalent, alpha)[0] is ValueError
+        with pytest.raises(ValueError):
+            digit_equivalent(alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families)
+def test_every_length_is_nonnegative(f):
+    # Why _lengths needs no check: r = 0, or r <= c - g (both terms of the
+    # closed form are then nonnegative), or the Power(2) collapse (c = g).
+    s, m, c, r, g, _ = moran_row(f)
+    assert r == 0 or r <= c - g or c == g
+    assert all(length >= 0 for _, length, _ in islice(_lengths(f, 1), 64))
+    assert all(length >= 0 for _, length, _ in islice(_lengths(f, 7), 64))
 
 
 # --- the length recurrence -----------------------------------------------------------
@@ -820,6 +992,25 @@ def test_stage_size_cap_is_tree_count_times_denominator_bits(monkeypatch, f):
         with pytest.raises(DepthCapError):  # the CLI's exit 3
             iterate(f, k)
         monkeypatch.undo()
+
+
+def test_stage_size_guard_reads_the_row_not_the_recurrence(monkeypatch):
+    # At the parse limit, lambda = 1e-100000 gives s = 6 * 10^100000 (332,195
+    # bits), and stage 20 is refused on the lower bound 2^20 x (20 x 332,194
+    # + 1) bits of s^20, with no step of the length recurrence taken (it used
+    # to multiply 332,000-bit integers for about a second first).
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the guard walked the length recurrence")
+
+    f = LambdaFamily(F(1, 10**100000))
+    monkeypatch.setattr(families_module, "_lengths", forbidden)
+    monkeypatch.setattr(families_module, "_steps", forbidden)
+    for build in (stage_stream, removed_by_generation, iterate):
+        with pytest.raises(StageSizeError, match="^stage 20 exceeds the stage size cap"):
+            build(f, 20)
+    monkeypatch.undo()
+    # The Power(2) tree count stops growing at its collapse: depth 24 stays admitted.
+    assert stage_pairs(Power(2), 24) == (4, [(0, 0), (1, 1), (3, 3), (4, 4)])
 
 
 GENERATE_CASES = (
