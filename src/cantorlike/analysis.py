@@ -10,11 +10,11 @@ deep stages do not lose precision to overflow.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional
 
-from .exact import _Frozen, _json_int, _json_ints, format_rational
+from .exact import _Frozen, _json_int, _json_ints, _json_shape, format_rational
 from .families import (
     DepthCapError,
     DigitSet,
@@ -78,7 +78,7 @@ class ExpansionRecord(_Frozen):
             value += Fraction(tail, b**m * (b ** len(self.period) - 1))
         return value
 
-    def alternate_tail_form(self) -> Optional["ExpansionRecord"]:
+    def alternate_tail_form(self) -> ExpansionRecord | None:
         """The second representation of a terminating expansion, if any.
 
         k/n^m also equals (k-1)/n^m followed by an all-(n-1) tail; nonzero
@@ -95,6 +95,7 @@ class ExpansionRecord(_Frozen):
     @classmethod
     def from_json(cls, obj: dict) -> "ExpansionRecord":
         """Exact values only, as in the family JSON: else ValueError."""
+        _json_shape(obj, "expansion", ("base", "preperiod", "period"))
         base = _json_int(obj["base"], "base")
         if base < 2:
             raise ValueError(f"base must be >= 2, got {base}")

@@ -16,10 +16,10 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from typing import Iterable, NoReturn
 
 from .analysis import (
     PeriodCapError,
@@ -34,7 +34,6 @@ from .analysis import (
 from .counterexample import tail_table_rows
 from .exact import format_rational, parse_rational, rational_decimal
 from .families import (
-    DEFAULT_DEPTH_CAP,
     DepthCapError,
     DigitSet,
     FamilySpec,
@@ -55,7 +54,7 @@ EXIT_NO_DIGIT_FORM = 4
 EXIT_BROKEN_PIPE = 141
 
 
-def _fail(code: int, message: str) -> NoReturn:
+def _fail(code: int, message: str) -> None:  # never returns
     print(message, file=sys.stderr)
     raise SystemExit(code)
 
@@ -90,7 +89,7 @@ def _build_family(args: argparse.Namespace) -> FamilySpec:
                 raise ValueError("--family lambda requires --lambda")
             return LambdaFamily(parse_rational(args.lam))
         raise ValueError("no family given (use --family or --family-json)")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, json.JSONDecodeError) as exc:
         _fail(EXIT_BAD_FAMILY, f"invalid family: {exc}")
 
 
@@ -114,7 +113,7 @@ def _write_svg(family: FamilySpec, args: argparse.Namespace) -> None:
     _require_at_least("--row-height", args.row_height, 1)
     spec = RenderSpec(family=family, depth=args.depth, width_px=args.width,
                       row_height_px=args.row_height)
-    sys.stdout.write(render_svg(spec, depth_cap=args.depth_cap))
+    sys.stdout.write(render_svg(spec))
 
 
 # One stage row per pair (a, b) over denom: the two ratios reduced by one gcd
@@ -151,7 +150,7 @@ def _cmd_generate(args: argparse.Namespace) -> None:
     if args.format == "svg":
         _write_svg(family, args)  # the diagram runs its own stage pass
         return
-    denom, pairs = stage_stream(family, args.depth, depth_cap=args.depth_cap)
+    denom, pairs = stage_stream(family, args.depth)
     row = _STAGE_ROWS[args.format, args.decimal].format
     if args.decimal:
         rows = (row(a // (g := gcd(a, denom)), denom // g, b // (h := gcd(b, denom)), denom // h,
@@ -252,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv", "svg"], default="json")
-    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
     p.add_argument("--decimal", action="store_true", help="add 15-digit decimal columns")
     p.add_argument("--width", type=int, default=800, help="SVG width in px")
     p.add_argument("--row-height", type=int, default=28, help="SVG row height in px")
@@ -291,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--width", type=int, default=800)
     p.add_argument("--row-height", type=int, default=28)
-    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
     p.set_defaults(func=_cmd_render)
 
     return parser

@@ -12,9 +12,9 @@ measure minus a finite prefix sum); no quadrature is involved.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
 
 from .families import FamilySpec, OpenInterval, _gaps, removed_by_generation
 from .analysis import limit_measure
@@ -44,8 +44,8 @@ class RemovedSequence(_Frozen):
 def removed_sequence(f: FamilySpec, generations: int) -> RemovedSequence:
     """All removed intervals through the given generation, generation-major order.
 
-    Bounded like ``removed_by_generation``: DepthCapError past the default
-    depth cap, StageSizeError past the stage size cap."""
+    Bounded like ``removed_by_generation``: DepthCapError past the depth
+    cap, StageSizeError past the stage size cap."""
     if generations < 1:
         raise ValueError(f"need at least one generation, got {generations}")
     by_gen = removed_by_generation(f, generations)

@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Iterator
 
 MAX_DECIMAL_EXPONENT = 100_000
 """Largest decimal exponent magnitude parse_rational accepts: "1e-100000"
@@ -57,13 +56,13 @@ def format_ratio(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def rational_decimal(x: Fraction, sig: int = 15) -> str:
-    """Decimal rendering with the given number of significant digits."""
-    return f"{float(x):.{sig}g}"
+def rational_decimal(x: Fraction) -> str:
+    """Decimal rendering with 15 significant digits."""
+    return f"{float(x):.15g}"
 
 
-# --- exact JSON values: every reader of the wire format takes its numbers
-# through these (families, interval sets, expansions).
+# --- exact JSON values: every reader of the wire format (families, interval
+# sets, expansions) takes its lists, objects and numbers through these.
 
 _JSON_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -80,6 +79,15 @@ def _json_rational(value: object, name: str) -> Fraction:
     raise ValueError(f"{name} must be an integer or a 'p/q' string, got {value!r}")
 
 
+def _json_shape(value: object, name: str, keys: tuple[str, ...] | None = None):
+    # A list when keys is None, else an object holding every one of keys.
+    if type(value) is not (list if keys is None else dict):
+        raise ValueError(f"{name} must be {'a list' if keys is None else 'an object'}, got {value!r}")
+    if missing := [key for key in keys or () if key not in value]:
+        raise ValueError(f"{name} has no {missing[0]!r} key: {value!r}")
+    return value
+
+
 def _json_int(value: object, name: str) -> int:
     x = _json_rational(value, name)
     if x.denominator != 1:
@@ -88,9 +96,7 @@ def _json_int(value: object, name: str) -> int:
 
 
 def _json_ints(value: object, name: str) -> tuple[int, ...]:
-    if type(value) is not list:
-        raise ValueError(f"{name} must be a list of integers, got {value!r}")
-    return tuple(_json_int(d, "digit") for d in value)
+    return tuple(_json_int(d, "digit") for d in _json_shape(value, name))
 
 
 class _Frozen:
@@ -159,6 +165,7 @@ class ClosedInterval(_Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClosedInterval":
+        _json_shape(obj, "interval", ("a", "b"))
         return cls(_json_rational(obj["a"], "a"), _json_rational(obj["b"], "b"))
 
 
@@ -263,7 +270,7 @@ class IntervalSet:
 
     @classmethod
     def from_json(cls, obj: list[dict]) -> "IntervalSet":
-        return cls(ClosedInterval.from_json(item) for item in obj)
+        return cls(ClosedInterval.from_json(item) for item in _json_shape(obj, "interval set"))
 
     @classmethod
     def loads(cls, text: str) -> "IntervalSet":

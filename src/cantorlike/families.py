@@ -22,20 +22,23 @@ Stages, lengths, the limit measure, IFS maps and digit forms are all read
 off the row; a family with r = 0 is self-similar.
 
 Stages are integer endpoint pairs streamed from two half-depth folds of the
-step table; ``iterate`` wraps them in an ``IntervalSet``. A stage whose
-predicted size is over ``STAGE_SIZE_CAP`` is refused before anything is built.
+step table; ``iterate`` wraps them in an ``IntervalSet``. A stage over either
+fixed cap, ``STAGE_SIZE_CAP`` or ``DEFAULT_DEPTH_CAP``, is refused before anything is built.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Union
 
-from .exact import IntervalSet, _Frozen, _json_int, _json_ints, _json_rational, _merge, format_rational
+from .exact import (IntervalSet, _Frozen, _json_int, _json_ints, _json_rational, _json_shape, _merge,
+                    format_rational)
 
 DEFAULT_DEPTH_CAP = 24
+"""Deepest stage built; binds only for Power(2): the size cap refuses the rest past 21."""
 
 STAGE_SIZE_CAP = 1 << 27
 """Largest predicted stage size, tree count x denominator bits, that a stage
@@ -100,18 +103,13 @@ class LambdaFamily(_Frozen):
         object.__setattr__(self, "lam", lam)
 
 
-FamilySpec = Union[Proportional, Power, DigitSet, LambdaFamily]
+FamilySpec = Proportional | Power | DigitSet | LambdaFamily
 
 
-class MoranRow(NamedTuple):
+class MoranRow(namedtuple("MoranRow", "s m c r g digits", defaults=((),))):
     """A family's homogeneous Moran construction (see the module docstring)."""
 
-    s: int
-    m: int
-    c: int
-    r: int
-    g: int
-    digits: tuple = ()
+    __slots__ = ()
 
 
 def moran_row(f: FamilySpec) -> MoranRow:
@@ -185,22 +183,26 @@ class IfsMaps(_Frozen):
 # iterate's _reduced takes that out.
 
 
-def _check_stage(f: FamilySpec, k: int, depth_cap: int) -> None:
-    """Refuse stage k before anything is built: its depth over ``depth_cap``,
-    or its size read off the row, m^k x (s^k).bit_length(), over
-    STAGE_SIZE_CAP; s^k is built only if k * (bits of s - 1) + 1, its least
-    bit length, leaves the size under the cap."""
+def _live_steps(row: MoranRow, k: int) -> int:
+    # How many of steps 1..k change the stage. With r != 0 and c = g, length_j
+    # = c^(j-1) * (c - j * r): the stage is points from step c // r on (Power(2): 2).
+    return min(k, row.c // row.r) if row.r and row.c == row.g else k
+
+
+def _check_stage(f: FamilySpec, k: int) -> None:
+    """Refuse stage k before anything is built: its depth over the fixed
+    DEFAULT_DEPTH_CAP, or its size read off the row, m^j x (s^j).bit_length()
+    with j = _live_steps, over STAGE_SIZE_CAP; s^j is built only if
+    j * (bits of s - 1) + 1, its least bit length, leaves the size under the cap."""
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {k}")
-    if k > depth_cap:
-        raise DepthCapError(f"stage {k} exceeds depth cap {depth_cap}")
-    s, m, c, r, g, _ = moran_row(f)
-    # With c = g, length_j = c^(j-1) * (c - j * r): the stage collapses to
-    # points at step c / r (Power(2) at step 2) and no later step changes it.
-    steps = min(k, c // r) if r and c == g else k
-    count = m**steps
-    if (count * (steps * (s.bit_length() - 1) + 1) > STAGE_SIZE_CAP
-            or count * (s**steps).bit_length() > STAGE_SIZE_CAP):
+    if k > DEFAULT_DEPTH_CAP:
+        raise DepthCapError(f"stage {k} exceeds depth cap {DEFAULT_DEPTH_CAP}")
+    row = moran_row(f)
+    steps = _live_steps(row, k)
+    count = row.m**steps
+    if (count * (steps * (row.s.bit_length() - 1) + 1) > STAGE_SIZE_CAP
+            or count * (row.s**steps).bit_length() > STAGE_SIZE_CAP):
         raise StageSizeError(f"stage {k} exceeds the stage size cap of {STAGE_SIZE_CAP} "
                              "(intervals x denominator bits)")
 
@@ -214,9 +216,7 @@ def _fold(steps: list) -> tuple[int, list, int]:
     return denom, lefts, length
 
 
-def stage_stream(
-    f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> tuple[int, Iterator[tuple[int, int]]]:
+def stage_stream(f: FamilySpec, k: int) -> tuple[int, Iterator[tuple[int, int]]]:
     """Stage k as ``(denom, pairs)``, with ``pairs`` a lazy stream of the
     disjoint closed intervals [a/denom, b/denom] left to right, touching
     blocks merged, as integers. ``denom`` divides s^k, the product of the
@@ -224,10 +224,10 @@ def stage_stream(
     blocks merged. Memory is O(2^(k/2)) for a binary family
     (O(m^(k/2)) for m kept digits) however far the stream is read.
 
-    Raises ValueError for k < 0, DepthCapError for k over ``depth_cap`` and
-    StageSizeError for a stage over STAGE_SIZE_CAP, all before any fold.
+    Raises ValueError for k < 0, DepthCapError for k over DEFAULT_DEPTH_CAP
+    and StageSizeError for a stage over STAGE_SIZE_CAP, all before any fold.
     """
-    _check_stage(f, k, depth_cap)
+    _check_stage(f, k)
     steps = list(islice(_steps(f), k))
     half = len(steps) // 2
     d_out, outer, _ = _fold(steps[:half])
@@ -245,26 +245,24 @@ def stage_stream(
     return denom // g, pairs
 
 
-def stage_pairs(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> tuple[int, list]:
+def stage_pairs(f: FamilySpec, k: int) -> tuple[int, list]:
     """Stage k as ``(denom, pairs)``: ``stage_stream`` with the pairs in a list."""
-    denom, pairs = stage_stream(f, k, depth_cap)
+    denom, pairs = stage_stream(f, k)
     return denom, list(pairs)
 
 
-def iterate(f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> IntervalSet:
+def iterate(f: FamilySpec, k: int) -> IntervalSet:
     """The stage-k set of the construction, as an exact IntervalSet over the
     integer pairs of ``stage_pairs``; no interval or Fraction object is built."""
-    return IntervalSet._from_pairs(*stage_pairs(f, k, depth_cap))
+    return IntervalSet._from_pairs(*stage_pairs(f, k))
 
 
-def removed_by_generation(
-    f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> list[list[OpenInterval]]:
+def removed_by_generation(f: FamilySpec, k: int) -> list[list[OpenInterval]]:
     """Removed open gaps, one list per generation 1..k, left-to-right within each.
 
     Raises like ``stage_stream``, before any gap is built: generation k holds
     about as many gaps as stage k has intervals, over the same denominator."""
-    _check_stage(f, k, depth_cap)
+    _check_stage(f, k)
     denom, lefts, out = 1, [0], []
     for s, length, offsets in islice(_steps(f), k):
         denom *= s
@@ -275,17 +273,12 @@ def removed_by_generation(
     return out + [[] for _ in range(k - len(out))]  # past a Power(2) collapse
 
 
-def removed_intervals(
-    f: FamilySpec, k: int, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> list[OpenInterval]:
+def removed_intervals(f: FamilySpec, k: int) -> list[OpenInterval]:
     """All removals through stage k, generation-major then left-to-right."""
-    return [g for gen in removed_by_generation(f, k, depth_cap) for g in gen]
+    return [g for gen in removed_by_generation(f, k) for g in gen]
 
 
-class LevelStats(NamedTuple):
-    count: int
-    min_length: Fraction
-    max_length: Fraction
+LevelStats = namedtuple("LevelStats", "count min_length max_length")
 
 
 def _lengths(f: FamilySpec, unit: int) -> Iterator[tuple[int, int, int]]:
@@ -342,17 +335,19 @@ def _gaps(f: FamilySpec) -> Iterator[tuple[int, int, list, int]]:
 
 
 def level_stats(f: FamilySpec, k: int) -> LevelStats:
-    """Interval count and extreme (equal) lengths at stage k, from the O(k)
-    length recurrence; no stage is enumerated. Counts refer to the
-    construction tree (adjacent digit blocks that merge into one closed
-    interval are still counted separately)."""
+    """Interval count m^j and extreme (equal) lengths at stage k, j = _live_steps: ``_lengths``
+    unrolled over the reduced ratios c/s and g/s, so no stage is enumerated and no step walked.
+    Counts refer to the construction tree (touching digit blocks are counted separately)."""
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {k}")
-    denom, length, count = 1, 1, 1
-    for s, length, count in islice(_lengths(f, 1), k):
-        denom *= s
-    length_k = Fraction(length, denom)
-    return LevelStats(count, length_k, length_k)
+    s, m, c, r, g, _ = row = moran_row(f)
+    j = _live_steps(row, k)
+    length_k = Fraction(c, s) ** j
+    if r and c == g:  # the Power(2) collapse: (c/s)^j (c - j r) / c
+        length_k *= Fraction(c - j * r, c)
+    elif r:  # (1 - w) (c/s)^j + w (g/s)^j, with w = r / (c - g)
+        length_k += Fraction(r, c - g) * (Fraction(g, s) ** j - length_k)
+    return LevelStats(m**j, length_k, length_k)
 
 
 def ifs_step(s: IntervalSet, maps: IfsMaps) -> IntervalSet:
@@ -419,11 +414,10 @@ def family_to_json(f: FamilySpec) -> dict:
 
 def family_from_json(obj: object) -> FamilySpec:
     """The family a JSON object names. Exact values only: integers and "p/q"
-    strings; floats, bools, lists and non-objects raise ValueError."""
-    if type(obj) is not dict:
-        raise ValueError(f"family JSON must be an object, got {obj!r}")
-    kind = obj.get("family")
+    strings; floats, bools, lists, non-objects and missing fields raise ValueError."""
+    kind = _json_shape(obj, "family JSON", ()).get("family")
     if type(kind) is not str or kind not in _FAMILY_FIELDS:
         raise ValueError(f"unknown family kind: {kind!r}")
     cls, fields = _FAMILY_FIELDS[kind]
+    _json_shape(obj, "family JSON", tuple(name for name, _, _ in fields))
     return cls(*(read(obj[name], name) for name, read, _ in fields))

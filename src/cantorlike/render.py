@@ -8,7 +8,7 @@ pure function of the inputs, so identical calls give byte-identical SVG.
 from __future__ import annotations
 
 from .exact import _Frozen
-from .families import DEFAULT_DEPTH_CAP, FamilySpec, _check_stage, iterate
+from .families import FamilySpec, _check_stage, iterate
 
 
 class RenderSpec(_Frozen):
@@ -30,10 +30,10 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}".rstrip("0").rstrip(".")
 
 
-def render_svg(spec: RenderSpec, depth_cap: int = DEFAULT_DEPTH_CAP) -> str:
+def render_svg(spec: RenderSpec) -> str:
     # Checked once up front: the per-row iterate calls would otherwise build
     # every stage up to the cap before the first one over it fails.
-    _check_stage(spec.family, spec.depth, depth_cap)
+    _check_stage(spec.family, spec.depth)
     width = spec.width_px
     row_h = spec.row_height_px
     bar_h = max(row_h - 6, 1)
@@ -43,7 +43,7 @@ def render_svg(spec: RenderSpec, depth_cap: int = DEFAULT_DEPTH_CAP) -> str:
         f'viewBox="0 0 {width} {height}">'
     ]
     for stage in range(spec.depth + 1):
-        row = iterate(spec.family, stage, depth_cap=depth_cap)
+        row = iterate(spec.family, stage)
         denom, pairs = row.denom, row.pairs
         # Every block of a stage has one width, except where touching digit
         # blocks merged, so the rest of a rect is formatted once per distinct

@@ -219,6 +219,8 @@ class TestBaseExpansion:
         {"base": 3, "preperiod": [-1], "period": []},
         {"base": 10, "preperiod": [1], "period": "12"},
         {"base": 10, "preperiod": [1], "period": None},
+        [], 3, None, "base",                                # not an object
+        {"base": 3}, {"base": 3, "preperiod": []}, {"preperiod": [], "period": []},  # a key missing
     ], ids=repr)
     def test_json_rejects_inexact_or_out_of_range_values(self, obj):
         with pytest.raises(ValueError):

@@ -101,8 +101,8 @@ class TestGenerate:
 
     def test_svg_depth_over_cap_exits_3(self, capsys):
         code, out, err = run(capsys, "generate", "--family", "power", "--n", "4",
-                             "--depth", "5", "--depth-cap", "4", "--format", "svg")
-        assert (code, out, err) == (3, "", "stage 5 exceeds depth cap 4\n")
+                             "--depth", "25", "--format", "svg")
+        assert (code, out, err) == (3, "", "stage 25 exceeds depth cap 24\n")
 
     @pytest.mark.parametrize(
         "spec",
@@ -120,6 +120,11 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("invalid family: ")
+
+    def test_family_json_missing_field_exits_2(self, capsys):
+        code, out, err = run(capsys, "generate", "--family-json", '{"family": "power"}', "--depth", "1")
+        assert (code, out) == (2, "")
+        assert err == "invalid family: family JSON has no 'n' key: {'family': 'power'}\n"
 
     def test_svg_deterministic(self, capsys):
         args = ("generate", "--family", "proportional", "--alpha", "1/3",
@@ -339,8 +344,8 @@ class TestRender:
 
     def test_depth_over_cap_exits_3(self, capsys):
         code, out, err = run(capsys, "render", "--family", "power", "--n", "4",
-                             "--depth", "5", "--depth-cap", "4")
-        assert (code, out, err) == (3, "", "stage 5 exceeds depth cap 4\n")
+                             "--depth", "25")
+        assert (code, out, err) == (3, "", "stage 25 exceeds depth cap 24\n")
 
     def test_depth_over_cap_builds_no_stage(self, capsys, monkeypatch):
         from cantorlike import render

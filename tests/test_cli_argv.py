@@ -80,8 +80,7 @@ COMMANDS = {
     "generate": concat(families, flag("--depth", ints(-1, 4)),
                        flag("--format", mostly(st.sampled_from(("json", "csv", "svg")),
                                                st.just("xml"))),
-                       flag("--depth-cap", ints(-1, 5)), switch.map(lambda on: ["--decimal"] * on),
-                       pixels),
+                       switch.map(lambda on: ["--decimal"] * on), pixels),
     "analyze": concat(families, flag("--depth", ints(-1, 300)), flag("--kmax", ints(-1, 10)),
                       switch.map(lambda on: ["--decimal"] * on)),
     "member": concat(families, flag("--x", points), flag("--depth", ints(-1, 60)),
@@ -89,8 +88,7 @@ COMMANDS = {
     "expansion": concat(flag("--x", points), flag("--base", ints(-1, 12))),
     "cantor-fn": flag("--x", points),
     "counterexample": concat(families, flag("--n-max", ints(-1, 200))),
-    "render": concat(families, flag("--depth", ints(-1, 4)), flag("--depth-cap", ints(-1, 5)),
-                     pixels),
+    "render": concat(families, flag("--depth", ints(-1, 4)), pixels),
 }
 
 argvs = st.one_of(*(

@@ -166,3 +166,13 @@ class TestSerialization:
             IntervalSet.from_json([{"a": end, "b": "1/1"}])
         with pytest.raises(ValueError):
             IntervalSet.loads(json.dumps([{"a": "0/1", "b": end}]))
+
+    @pytest.mark.parametrize("obj", [[1], 5, {"a": 1}, None, "ab", [[0, 1]], [{"a": 0}], [{"b": 1}],
+                                     [{"a": 0, "b": 1}, {}]], ids=repr)
+    def test_malformed_documents_rejected(self, obj):
+        # A non-list, a non-object interval or a missing endpoint raised
+        # TypeError or KeyError before.
+        with pytest.raises(ValueError):
+            IntervalSet.from_json(obj)
+        with pytest.raises(ValueError):
+            IntervalSet.loads(json.dumps(obj))

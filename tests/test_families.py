@@ -141,9 +141,6 @@ class TestIterateStageListings:
     def test_depth_cap_enforced(self):
         with pytest.raises(DepthCapError):
             iterate(MIDDLE_THIRDS, 25)
-        iterate(MIDDLE_THIRDS, 5, depth_cap=5)
-        with pytest.raises(DepthCapError):
-            iterate(MIDDLE_THIRDS, 6, depth_cap=5)
 
 
 class TestRemovedIntervals:
@@ -307,6 +304,10 @@ class TestFamilyJson:
             {"family": "digit", "n": 5, "digits": {"0": 1}},
             {"family": "lambda", "lambda": 0.5},
             {"family": "lambda", "lambda": None},
+            {"family": "power"},                       # a field missing
+            {"family": "proportional"},
+            {"family": "lambda", "alpha": "1/2"},
+            {"family": "digit", "n": 5},
         ],
         ids=repr,
     )

@@ -70,6 +70,7 @@ from cantorlike.families import (
     Power,
     Proportional,
     StageSizeError,
+    _check_stage,
     _lengths,
     digit_equivalent,
     digit_form,
@@ -111,6 +112,14 @@ def ref_level_stats(f, k):
     for j in range(1, k + 1):
         length = (length - f.lam / F(3**j)) / 2
     return (2**k, length, length)
+
+
+def ref_level_stats_recurrence(f, k):
+    # level_stats before its closed form: the O(k) walk of the length recurrence.
+    denom, length, count = 1, 1, 1
+    for s, length, count in islice(_lengths(f, 1), k):
+        denom *= s
+    return (count, F(length, denom), F(length, denom))
 
 
 def ref_member_at_depth(x, f, k):
@@ -184,7 +193,7 @@ def ref_first_n_removed(f, n):
     g = 0
     while len(entries) < n:
         g += 1
-        gen = removed_by_generation(f, g, depth_cap=g)[g - 1]
+        gen = removed_by_generation(f, g)[g - 1]
         if not gen:
             break
         entries.extend(gen)
@@ -680,6 +689,33 @@ def test_level_stats_every_depth(f):
         assert tuple(level_stats(f, k)) == ref_level_stats(f, k)
 
 
+@pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
+def test_level_stats_closed_form_matches_the_recurrence(f):
+    for k in [*range(65), 100, 333, 1000, 2000]:
+        assert tuple(level_stats(f, k)) == ref_level_stats_recurrence(f, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(families, st.integers(0, 2000))
+def test_level_stats_closed_form_matches_the_recurrence_on_random_families(f, k):
+    assert tuple(level_stats(f, k)) == ref_level_stats_recurrence(f, k)
+
+
+def test_level_stats_reads_the_row_not_the_recurrence(monkeypatch):
+    # Lambda(1e-1000) at depth 400 used to walk _lengths over integers of up
+    # to 1.3 million bits for about 3 s, and depth 2000 for about a minute. For
+    # Lambda p/q the row gives L_k = (1 - lam) / 2^k + lam / 3^k, whose
+    # denominator is small.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("level_stats walked the length recurrence")
+
+    lam = F(1, 10**1000)
+    monkeypatch.setattr(families_module, "_lengths", forbidden)
+    for k in (400, 2000):
+        length = (1 - lam) / 2**k + lam / 3**k
+        assert level_stats(LambdaFamily(lam), k) == (2**k, length, length)
+
+
 def test_power_two_fixpoint_keeps_four_points():
     assert level_stats(Power(2), 64) == (4, 0, 0)
     assert member_at_depth(F(1, 4), Power(2), 64)
@@ -804,7 +840,7 @@ TAIL_FAMILIES = (
 def generation_ends(f, generations):
     """n at the end of each generation 1..generations (fewer after a fixpoint)."""
     ends, n = [], 0
-    for gen in removed_by_generation(f, generations, depth_cap=generations):
+    for gen in removed_by_generation(f, generations):
         if not gen:
             break
         n += len(gen)
@@ -891,7 +927,7 @@ def tree_depth(f, limit=4000):
 @pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
 def test_removed_gaps_match_blocks_cut_per_family(f):
     k = tree_depth(f)
-    got = [[(g.a, g.b) for g in gen] for gen in removed_by_generation(f, k, depth_cap=k)]
+    got = [[(g.a, g.b) for g in gen] for gen in removed_by_generation(f, k)]
     assert got == ref_removed_by_generation(f, k)
 
 
@@ -899,7 +935,7 @@ def test_removed_gaps_match_blocks_cut_per_family(f):
 @given(families)
 def test_removed_gaps_match_reference_on_random_families(f):
     k = tree_depth(f, 1000)
-    got = [[(g.a, g.b) for g in gen] for gen in removed_by_generation(f, k, depth_cap=k)]
+    got = [[(g.a, g.b) for g in gen] for gen in removed_by_generation(f, k)]
     assert got == ref_removed_by_generation(f, k)
 
 
@@ -992,6 +1028,22 @@ def test_stage_size_cap_is_tree_count_times_denominator_bits(monkeypatch, f):
         with pytest.raises(DepthCapError):  # the CLI's exit 3
             iterate(f, k)
         monkeypatch.undo()
+
+
+@settings(max_examples=200, deadline=None)
+@given(families)
+def test_only_power_two_reaches_the_depth_cap(f):
+    # Why the depth cap is a fixed constant: with it lifted, the size cap alone
+    # refuses stage 22 of every family but Power(2). m >= 2 and s >= 3 always,
+    # and 2^22 x (3^22).bit_length() = 2^22 x 35 > 2^27; Power(2)'s stage is
+    # four points from step 2 on.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families_module, "DEFAULT_DEPTH_CAP", 10**6)
+        if f == Power(2):
+            _check_stage(f, 22)
+        else:
+            with pytest.raises(StageSizeError):
+                _check_stage(f, 22)
 
 
 def test_stage_size_guard_reads_the_row_not_the_recurrence(monkeypatch):

@@ -161,14 +161,15 @@ def test_validation_still_runs_on_construction():
         RenderSpec(Power(4), 3, width_px=0)
 
 
-def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
-    # Both modules cost a launch about a quarter of its start-up; only what
-    # importing the CLI adds is checked, not what the interpreter's site hooks load.
+def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect_nor_typing():
+    # dataclasses and inspect cost a launch about a quarter of its start-up,
+    # typing about 7 ms. Only what importing the CLI adds is checked, and
+    # under -S, so that no site hook has loaded one of them beforehand.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))))
     program = ("import sys; before = set(sys.modules); import cantorlike.cli; "
-               "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+               "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", program], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
