@@ -21,6 +21,7 @@ from .families import (
     FamilySpec,
     LambdaFamily,
     _lengths,
+    _live_steps,
     level_stats,
     moran_row,
 )
@@ -32,8 +33,25 @@ MAX_PERIOD_DIGITS = 1_000_000
 up with PeriodCapError: the period of 1/p can be p - 1 digits long."""
 
 
+MAX_WALK_BITS = 1 << 14
+"""Largest integer, in bits, that a walk of the length recurrence may reach
+(``member_at_depth`` and the dimension estimates): member at depth 2000 on
+Lambda(1/2), at a point over 2 * 12^2000, is predicted at 15,172 bits."""
+
+
 class PeriodCapError(DepthCapError):
     """An expansion's period is longer than MAX_PERIOD_DIGITS."""
+
+
+def _check_walk(f: FamilySpec, k: int, unit: int) -> None:
+    """Refuse a walk of k steps of ``_lengths(f, unit)`` before its first
+    step when its integers, below unit * s^j with j = _live_steps, can reach
+    unit bits + j x bits of s over MAX_WALK_BITS."""
+    row = moran_row(f)
+    bits = unit.bit_length() + _live_steps(row, k) * row.s.bit_length()
+    if bits > MAX_WALK_BITS:
+        raise DepthCapError(f"a walk of {k} steps may reach {bits}-bit integers, over the "
+                            f"walk cap of {MAX_WALK_BITS} bits")
 
 
 def _log(x: Fraction) -> float:
@@ -229,6 +247,7 @@ def similarity_dimension(f: FamilySpec) -> DimensionReport:
 
 
 def _estimate_sequence(f: FamilySpec, kmax: int) -> tuple[tuple[int, float], ...]:
+    _check_walk(f, kmax, 1)
     out = []
     denom = 1
     for k, (s, length, count) in enumerate(islice(_lengths(f, 1), kmax), 1):
@@ -240,7 +259,8 @@ def _estimate_sequence(f: FamilySpec, kmax: int) -> tuple[tuple[int, float], ...
 
 
 def dimension_estimates(f: FamilySpec, kmax: int) -> DimensionReport:
-    """Dilation estimates d_k = ln(count_k) / ln(1/length_k) for k = 1..kmax."""
+    """Dilation estimates d_k = ln(count_k) / ln(1/length_k) for k = 1..kmax.
+    Raises DepthCapError, before the first step, for a walk over MAX_WALK_BITS."""
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     seq = _estimate_sequence(f, kmax)
@@ -289,12 +309,14 @@ def member_at_depth(x: Fraction, f: FamilySpec, k: int) -> bool:
     O(k) per query: at each step only the child interval containing x is
     refined, never the whole stage. With x = p/q, the offset u of x from the
     left end of its interval and the interval's width are integers in units of
-    1/(D_j * q), so a step is a few small-by-big products and no gcd.
+    1/(D_j * q), so a step is a few small-by-big products and no gcd. A walk
+    whose integers may pass MAX_WALK_BITS raises DepthCapError before its first step.
     """
     if not 0 <= x <= 1:
         raise ValueError(f"membership query needs x in [0,1], got {x}")
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {k}")
+    _check_walk(f, k, x.denominator)
     u, width = x.numerator, x.denominator
     digits = set(moran_row(f).digits)
     for s, child, _ in islice(_lengths(f, width), k):

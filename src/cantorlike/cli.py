@@ -4,7 +4,7 @@ Subcommands: generate | analyze | member | expansion | cantor-fn |
 counterexample | render. Machine output (JSON/CSV/SVG) goes to stdout,
 diagnostics to stderr. Exit codes: 1 cantor-fn point not in the set, 2 invalid
 family, malformed rational, out-of-range argument or a result with too many
-digits to print, 3 depth, stage size or period over its cap, 4 --limit
+digits to print, 3 depth, stage size, period or walk bits over its cap, 4 --limit
 requested where no digit characterization exists, 141 stdout closed by its
 reader before the output ended (as a shell reports a SIGPIPE death; nothing
 goes to stderr).
@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -40,11 +40,13 @@ from .families import (
     LambdaFamily,
     Power,
     Proportional,
+    _blocks,
+    _stage_halves,
     digit_form,
     family_from_json,
     family_to_json,
     level_stats,
-    stage_stream,
+    moran_row,
 )
 from .render import RenderSpec, render_svg
 
@@ -116,9 +118,9 @@ def _write_svg(family: FamilySpec, args: argparse.Namespace) -> None:
     sys.stdout.write(render_svg(spec))
 
 
-# One stage row per pair (a, b) over denom: the two ratios reduced by one gcd
-# each, as format_rational prints them, then with --decimal the cells a / denom
-# and b / denom (integer true division is correctly rounded, so each equals
+# One stage row per pair (x, y) over denom: each ratio reduced as
+# format_rational prints it, then with --decimal the cells x / denom and
+# y / denom (integer true division is correctly rounded, so each equals
 # rational_decimal of the Fraction). The JSON rows are the text json.dumps
 # gives for the same dicts, with its ", " and ": " separators.
 _STAGE_ROWS = {
@@ -144,20 +146,56 @@ def _write_rows(rows: Iterable[str], sep: str, head: str = "", tail: str = "\n")
     write(tail)
 
 
+# Each endpoint of a stage is x = a + p over denom, a an outer left end and p
+# an inner endpoint (merged pairs too: see _blocks), and m = gcd(denom, *lefts)
+# divides every a. With h = gcd(p, m), h divides x and denom, and x/h = p/h
+# (mod m/h) with gcd(p/h, m/h) = 1, so x/h shares no prime with m/h. Hence
+# gcd(x, denom) = h for every a whenever each prime of denom/h divides m/h:
+# that is checked once per h, by stripping from denom/h what it shares with
+# m/h until 1 is left or nothing is shared. Otherwise (as for p = 0) the end
+# keeps h = 0, one gcd per row.
+def _end_plans(denom: int, lefts: list, inner: list) -> list:
+    """Each inner pair (p, q) as ((p, h, d), (q, h', d')): for every a in
+    lefts, (a + p)/denom reduces to ((a + p) // h)/d, d = str(denom // h)."""
+    m = gcd(denom, *lefts)
+    known = {}
+
+    def plan(p: int) -> tuple:
+        h = gcd(p, m)
+        if h not in known:
+            rest, shared = denom // h, m // h
+            while (t := gcd(rest, shared)) > 1:
+                rest //= t
+                shared = t * t  # exponents double: O(log) steps per h
+            known[h] = (h, str(denom // h)) if rest == 1 else (0, 0)
+        return (p, *known[h])
+
+    return [(plan(p), plan(q)) for p, q in inner]
+
+
+def _stage_rows(row, denom: int, blocks: Iterable[tuple], decimal: bool) -> Iterator[str]:
+    for a, b, plans in blocks:
+        for (p, hp, dp), (q, hq, dq) in plans:
+            x, y = a + p, b + q
+            if not hp:
+                hp = gcd(x, denom)
+                dp = denom // hp
+            if not hq:
+                hq = gcd(y, denom)
+                dq = denom // hq
+            yield (row(x // hp, dp, y // hq, dq, x / denom, y / denom) if decimal
+                   else row(x // hp, dp, y // hq, dq))
+
+
 def _cmd_generate(args: argparse.Namespace) -> None:
     family = _build_family(args)
     _require_at_least("--depth", args.depth, 0)
     if args.format == "svg":
         _write_svg(family, args)  # the diagram runs its own stage pass
         return
-    denom, pairs = stage_stream(family, args.depth)
-    row = _STAGE_ROWS[args.format, args.decimal].format
-    if args.decimal:
-        rows = (row(a // (g := gcd(a, denom)), denom // g, b // (h := gcd(b, denom)), denom // h,
-                    a / denom, b / denom) for a, b in pairs)
-    else:
-        rows = (row(a // (g := gcd(a, denom)), denom // g, b // (h := gcd(b, denom)), denom // h)
-                for a, b in pairs)
+    denom, lefts, inner, touch = _stage_halves(family, args.depth)
+    blocks = _blocks(lefts, _end_plans(denom, lefts, inner), touch)
+    rows = _stage_rows(_STAGE_ROWS[args.format, args.decimal].format, denom, blocks, args.decimal)
     if args.format == "json":
         _write_rows(rows, ", ", "[", "]\n")
     else:
@@ -168,6 +206,13 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     family = _build_family(args)
     _require_at_least("--depth", args.depth, 0)
     _require_at_least("--kmax", args.kmax, 1)
+    s, _, c, r, _, _ = moran_row(family)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # With r = 0 the stage length is (c/s)^k, over (s / gcd(c, s))^k, which is
+    # at least 2^(k (bits - 1)); past 2^(3.33 limit) > 10^limit it cannot be printed.
+    if not r and limit and args.depth * ((s // gcd(c, s)).bit_length() - 1) > 3.33 * limit:
+        _fail(EXIT_BAD_FAMILY, f"result too large to print: the stage-{args.depth} length has "
+                               f"over {limit} digits (sys.get_int_max_str_digits())")
     stats = level_stats(family, args.depth)
     measure = stats.count * stats.min_length
     report = {
@@ -184,6 +229,8 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     try:
         report["similarity_dimension"] = similarity_dimension(family).to_json()
         report["dimension_estimates"] = dimension_estimates(family, args.kmax).to_json()
+    except DepthCapError:
+        raise  # exit 3 in main, not a dimension note
     except ValueError as exc:
         report["dimension_note"] = str(exc)  # power n=2 has no dimension report
     if args.decimal:

@@ -216,6 +216,53 @@ def _fold(steps: list) -> tuple[int, list, int]:
     return denom, lefts, length
 
 
+def _stage_halves(f: FamilySpec, k: int) -> tuple[int, list, list, int | None]:
+    """Stage k as ``(denom, lefts, inner, touch)`` over the least denominator
+    ``denom``: the outer left ends and the inner pairs that ``_blocks`` combines.
+    Where kept digits are adjacent, touching pairs of ``inner`` are merged and
+    ``touch`` is the span of an outer block; otherwise it is None. Raises like
+    ``stage_stream``, before any fold."""
+    _check_stage(f, k)
+    steps = list(islice(_steps(f), k))
+    half = len(steps) // 2
+    d_out, outer, _ = _fold(steps[:half])
+    d_in, inner, length = _fold(steps[half:])
+    # Both folds contain 0, so the endpoints include every a * d_in, every p
+    # and length: g is the gcd of the denominator and every endpoint.
+    denom = d_out * d_in
+    g = gcd(denom, length, d_in * gcd(*outer), *inner)
+    lefts = [a * d_in // g for a in outer]
+    inner = [(p // g, (p + length) // g) for p in inner]
+    digits = moran_row(f).digits  # blocks touch only where kept digits are adjacent
+    if any(b - a == 1 for a, b in zip(digits, digits[1:])):
+        inner = list(_merge(inner))
+        return denom // g, lefts, inner, inner[-1][1] - inner[0][0]
+    return denom // g, lefts, inner, None
+
+
+def _blocks(lefts: list, pairs: list, touch: int | None) -> Iterator[tuple[int, int, list]]:
+    """``(a, b, pairs)`` per outer block, left to right: the stage's pairs are
+    (a + p, b + q) for each (p, q) in ``pairs``, where p and q are the first
+    and second items of an entry. Blocks whose left ends lie ``touch`` apart
+    meet, and the last pair of one and the first of the next become one pair.
+    The first and last inner pairs differ whenever blocks meet: a merged digit
+    stage past depth 1 keeps a gap inside each block."""
+    if touch is None:
+        for a in lefts:
+            yield a, a, pairs
+        return
+    joined = [(pairs[-1][0], pairs[0][1])]
+    start = 0
+    for a, b in zip(lefts, lefts[1:] + [None]):
+        if b is not None and b - a == touch:
+            yield a, a, pairs[start:-1]
+            yield a, b, joined
+            start = 1
+        else:
+            yield a, a, pairs[start:]
+            start = 0
+
+
 def stage_stream(f: FamilySpec, k: int) -> tuple[int, Iterator[tuple[int, int]]]:
     """Stage k as ``(denom, pairs)``, with ``pairs`` a lazy stream of the
     disjoint closed intervals [a/denom, b/denom] left to right, touching
@@ -227,22 +274,9 @@ def stage_stream(f: FamilySpec, k: int) -> tuple[int, Iterator[tuple[int, int]]]
     Raises ValueError for k < 0, DepthCapError for k over DEFAULT_DEPTH_CAP
     and StageSizeError for a stage over STAGE_SIZE_CAP, all before any fold.
     """
-    _check_stage(f, k)
-    steps = list(islice(_steps(f), k))
-    half = len(steps) // 2
-    d_out, outer, _ = _fold(steps[:half])
-    d_in, inner, length = _fold(steps[half:])
-    # Both folds contain 0, so the endpoints include every a * d_in, every p
-    # and length: g is the gcd of the denominator and every endpoint.
-    denom = d_out * d_in
-    g = gcd(denom, length, d_in * gcd(*outer), *inner)
-    lefts = [a * d_in // g for a in outer]
-    inner_pairs = [(p // g, (p + length) // g) for p in inner]
-    pairs = ((a + p, a + q) for a in lefts for p, q in inner_pairs)
-    digits = moran_row(f).digits  # blocks touch only where kept digits are adjacent
-    if any(b - a == 1 for a, b in zip(digits, digits[1:])):
-        pairs = _merge(pairs)
-    return denom // g, pairs
+    denom, lefts, inner, touch = _stage_halves(f, k)
+    return denom, ((a + p, b + q) for a, b, pairs in _blocks(lefts, inner, touch)
+                   for p, q in pairs)
 
 
 def stage_pairs(f: FamilySpec, k: int) -> tuple[int, list]:

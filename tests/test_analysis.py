@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -21,7 +22,17 @@ from cantorlike.analysis import (
     membership_witness,
     similarity_dimension,
 )
-from cantorlike.families import DigitSet, LambdaFamily, Power, Proportional, iterate
+from cantorlike.families import (
+    DepthCapError,
+    DigitSet,
+    LambdaFamily,
+    Power,
+    Proportional,
+    _lengths,
+    _live_steps,
+    iterate,
+    moran_row,
+)
 
 MIDDLE_THIRDS = Proportional(F(1, 3))
 VOLTERRA = Power(4)
@@ -301,6 +312,58 @@ class TestMemberAtDepth:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             member_at_depth(F(3, 2), MIDDLE_THIRDS, 3)
+
+
+def forbidden_walk(*args, **kwargs):
+    raise AssertionError("the walk started before the cap was checked")
+
+
+class TestWalkCap:
+    # Uncapped, member --alpha 1e-1000 --depth 2000 walked 6.6-million-bit
+    # integers for 76 s, and --kmax 200 on Lambda(1e-1000) for 2.2 s.
+    FAMILIES = (MIDDLE_THIRDS, VOLTERRA, ODD_FIFTHS, LambdaFamily(F(1, 2)),
+                LambdaFamily(F(7, 1_000_003)), Power(2), DigitSet(5, (0, 1, 4)))
+
+    @staticmethod
+    def predicted(f, k, unit):
+        row = moran_row(f)
+        return unit.bit_length() + _live_steps(row, k) * row.s.bit_length()
+
+    @pytest.mark.parametrize("f", FAMILIES, ids=repr)
+    def test_prediction_bounds_every_integer_of_the_walk(self, f):
+        x, k = F(5, 10**12 + 39), 60
+        bits = self.predicted(f, k, x.denominator)
+        row = moran_row(f)
+        assert (x.denominator * row.s ** _live_steps(row, k)).bit_length() <= bits
+        assert all(length.bit_length() <= bits
+                   for _, length, _ in islice(_lengths(f, x.denominator), k))
+
+    @pytest.mark.parametrize("f", FAMILIES, ids=repr)
+    def test_cap_is_exact_and_refuses_before_the_first_step(self, monkeypatch, f):
+        x, k = F(1, 3), 50
+        walks = [(lambda: member_at_depth(x, f, k), self.predicted(f, k, 3))]
+        if f != Power(2):  # its estimates stop at the point stage, step 2
+            walks.append((lambda: dimension_estimates(f, k), self.predicted(f, k, 1)))
+        for walk, bits in walks:
+            expected = walk()
+            monkeypatch.setattr(analysis_module, "MAX_WALK_BITS", bits)
+            assert walk() == expected
+            monkeypatch.setattr(analysis_module, "MAX_WALK_BITS", bits - 1)
+            monkeypatch.setattr(analysis_module, "_lengths", forbidden_walk)
+            with pytest.raises(DepthCapError, match=f"may reach {bits}-bit integers"):
+                walk()
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("f", (MIDDLE_THIRDS, VOLTERRA, LambdaFamily(F(1, 2)),
+                                   DigitSet(5, (0, 1, 4))), ids=repr)
+    def test_benchmark_point_queries_still_answer(self, f):
+        # member --depth 2000 at a point over 2 s^2000, as the benchmark's
+        # stage-2000 ends and gap midpoints are, and analyze --kmax 300.
+        s = moran_row(f).s
+        x = F(1, 2 * s**2000)
+        assert self.predicted(f, 2000, x.denominator) <= analysis_module.MAX_WALK_BITS
+        member_at_depth(x, f, 2000)
+        assert len(dimension_estimates(f, 300).sequence) == 300
 
 
 class TestCantorFunction:

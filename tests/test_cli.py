@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from cantorlike import cli as cli_module
 from cantorlike.cli import main
 from cantorlike.counterexample import tail_table_csv
 from cantorlike.exact import IntervalSet
-from cantorlike.families import Power, Proportional, iterate
+from cantorlike.families import Power, Proportional, iterate, moran_row
 from fractions import Fraction as F
 
 
@@ -403,6 +405,51 @@ class TestCaps:
         assert launch(*argv, "--x", x, code=lowered.format(101))[0] == 0
         code, out, err = launch(*argv, "--x", x, code=lowered.format(100))
         assert (code, out, err) == (3, "", "the base-3 period exceeds the period cap of 100 digits\n")
+
+    @pytest.mark.parametrize("argv, steps, bits", [
+        (("member", "--family", "proportional", "--alpha", "1e-1000", "--x", "1/3",
+          "--depth", "2000"), 2000, 6_646_002),
+        (("analyze", "--family", "lambda", "--lambda", "1e-1000", "--depth", "10",
+          "--kmax", "200"), 200, 665_001),
+    ])
+    def test_walk_over_the_bits_cap_exits_3(self, capsys, argv, steps, bits):
+        # Uncapped, these walked the length recurrence for 76 s and 2.2 s.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (f"a walk of {steps} steps may reach {bits}-bit integers, "
+                       "over the walk cap of 16384 bits\n")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter prints integers of any length")
+    def test_stage_length_too_large_to_print_exits_2_before_it_is_computed(self, capsys,
+                                                                          monkeypatch):
+        # (1e-1000 / 2)^2000 used to take 1.9 s in level_stats before the same exit 2.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("analyze computed a length it cannot print")
+
+        monkeypatch.setattr(cli_module, "level_stats", forbidden)
+        code, out, err = run(capsys, "analyze", "--family", "proportional", "--alpha", "1e-1000",
+                             "--depth", "2000")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("result too large to print: ")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("alpha", ["1/3", "1/2", "7/1000003", "999999/1000003"])
+    def test_length_guard_refuses_only_what_cannot_be_printed(self, capsys, alpha):
+        # The first depth the guard refuses has a stage length whose
+        # denominator has more digits than Python converts; the depth before
+        # it is left to the conversion itself.
+        row = moran_row(Proportional(F(alpha)))
+        t = row.s // math.gcd(row.c, row.s)
+        k = int(3.33 * sys.get_int_max_str_digits() / (t.bit_length() - 1)) + 1
+        assert t**k >= 10 ** sys.get_int_max_str_digits()
+        code, _, err = run(capsys, "analyze", "--family", "proportional", "--alpha", alpha,
+                           "--depth", str(k), "--kmax", "1")
+        assert code == 2 and err.startswith(f"result too large to print: the stage-{k} length")
+        code, _, err = run(capsys, "analyze", "--family", "proportional", "--alpha", alpha,
+                           "--depth", str(k - 1), "--kmax", "1")
+        assert code in (0, 2) and not err.startswith("result too large to print: the stage-")
 
 
 class TestClosedStdout:

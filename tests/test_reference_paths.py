@@ -16,10 +16,12 @@ set, and the SVG that drew every rect with its own f-string. The library's
 integer paths must agree with them exactly, on every family.
 """
 
+import contextlib
 import io
 import json
 import math
 import random
+import sys
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -72,6 +74,7 @@ from cantorlike.families import (
     StageSizeError,
     _check_stage,
     _lengths,
+    _stage_halves,
     digit_equivalent,
     digit_form,
     family_from_json,
@@ -1082,10 +1085,13 @@ GENERATE_CASES = (
 )
 
 
+def generate_argv(f, depth, fmt, decimal):
+    return ["generate", "--family-json", json.dumps(family_to_json(f)),
+            "--depth", str(depth), "--format", fmt] + ["--decimal"] * decimal
+
+
 def generate_stdout(capsys, f, depth, fmt, decimal):
-    argv = ["generate", "--family-json", json.dumps(family_to_json(f)),
-            "--depth", str(depth), "--format", fmt]
-    assert cli_module.main(argv + ["--decimal"] * decimal) == 0
+    assert cli_module.main(generate_argv(f, depth, fmt, decimal)) == 0
     return capsys.readouterr().out
 
 
@@ -1094,6 +1100,110 @@ def generate_stdout(capsys, f, depth, fmt, decimal):
 @pytest.mark.parametrize("f, depth", GENERATE_CASES, ids=repr)
 def test_generate_matches_iterate_listing(capsys, f, depth, fmt, decimal):
     assert generate_stdout(capsys, f, depth, fmt, decimal) == ref_generate(f, depth, fmt, decimal)
+
+
+def generate_text(f, depth, fmt, decimal):
+    # generate_stdout without a fixture, for hypothesis to call per example.
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli_module.main(generate_argv(f, depth, fmt, decimal)) == 0
+    return buf.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(families, st.integers(0, 8))
+def test_generate_matches_iterate_listing_on_random_families(f, depth):
+    # Each end is reduced by the gcd its inner endpoint fixes for every outer
+    # block, or by its own gcd where none is fixed; either way as the listing
+    # printed from the Fraction set.
+    depth = min(depth, tree_depth(f))
+    for fmt in ("json", "csv"):
+        for decimal in (False, True):
+            assert generate_text(f, depth, fmt, decimal) == ref_generate(f, depth, fmt, decimal)
+
+
+def keeps_a_prime_the_outer_ends_lack(f, k):
+    denom, lefts, _, _ = _stage_halves(f, k)
+    m = math.gcd(denom, *lefts)
+    return denom // math.gcd(denom, m ** denom.bit_length()) > 1
+
+
+@pytest.mark.parametrize("f, depth", [(LambdaFamily(F(1, 5)), 4), (Power(2), 5)], ids=repr)
+def test_generate_where_the_denominator_keeps_a_prime_the_outer_ends_lack(capsys, f, depth):
+    # Lambda(1/5): stage 4 is over 1620 = 2^2 3^4 5 and every outer left end
+    # is a multiple of 36, so no end's gcd is fixed across outer blocks.
+    # Power(2): stage 5 is over 4 and M = gcd(4, 0, 3) = 1.
+    assert keeps_a_prime_the_outer_ends_lack(f, depth)
+    for fmt in ("json", "csv"):
+        for decimal in (False, True):
+            assert generate_stdout(capsys, f, depth, fmt, decimal) == ref_generate(f, depth, fmt,
+                                                                                   decimal)
+
+
+class Sink:
+    """A stdout that keeps only the byte count of what is written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+TERNARY_16 = ["generate", "--family", "proportional", "--alpha", "1/3", "--depth", "16",
+              "--format", "csv"]
+
+
+@pytest.mark.parametrize("f, depth", [(Proportional(F(1, 3)), 16), (DigitSet(5, (0, 1, 4)), 10)],
+                         ids=repr)
+def test_generate_reduces_once_per_inner_endpoint(monkeypatch, f, depth):
+    # One gcd per cell made 2^17 calls for ternary stage 16 (2^16 rows) and
+    # 59,050 for the 29,525 merged rows of Digit 5{0,1,4} stage 10. The 2^8
+    # (3^5) inner pairs fix the gcd of all their ends but those M divides.
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args))
+        return math.gcd(*args)
+
+    monkeypatch.setattr(cli_module, "gcd", counted)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert cli_module.main(generate_argv(f, depth, "csv", False)) == 0
+    assert sys.stdout.size == csv_listing_size(f, depth)
+    assert len(calls) < 2**13, len(calls)
+
+
+def csv_listing_size(f, k):
+    """The length of the CSV listing of stage k, from Fractions."""
+    denom, pairs = stage_pairs(f, k)
+    return sum(len(f"{format_rational(F(a, denom))},{format_rational(F(b, denom))}\n")
+               for a, b in pairs)
+
+
+def test_generate_row_writer_holds_two_half_stages(monkeypatch):
+    # As stage_stream: the rows of ternary stage 16 (2.2 MB of text) are made
+    # one at a time from the two halves and the reduction of each inner end.
+    # _write_rows, which holds one chunk of 4096 rows, is read row by row here.
+    size = 0
+
+    def read_rows(rows, sep, head="", tail="\n"):
+        nonlocal size
+        for row in rows:
+            size += len(row) + len(sep)
+
+    monkeypatch.setattr(cli_module, "_write_rows", read_rows)
+    tracemalloc.start()
+    try:
+        assert cli_module.main(TERNARY_16) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == csv_listing_size(Proportional(F(1, 3)), 16)
+    assert peak < 500_000, peak
 
 
 @pytest.mark.parametrize("decimal", (False, True))
