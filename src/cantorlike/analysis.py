@@ -22,6 +22,7 @@ from .families import (
     LambdaFamily,
     _lengths,
     _live_steps,
+    digit_form,
     level_stats,
     moran_row,
 )
@@ -269,19 +270,20 @@ def dimension_estimates(f: FamilySpec, kmax: int) -> DimensionReport:
 
 # --- membership ----------------------------------------------------------------
 
-def member_limit(x: Fraction, f: DigitSet) -> bool:
-    """Exact limit-set membership for digit families.
+def member_limit(x: Fraction, f: FamilySpec) -> bool:
+    """Exact limit-set membership for any family with a digit form (else TypeError).
 
     True iff some base-n expansion of x (canonical, or the alternate tail
-    form when x is n-adic) uses only the kept digits. Digits are streamed
-    straight out of the long division so a disallowed digit rejects
-    immediately, without materializing a possibly huge period.
+    form when x is n-adic) uses only the kept digits of ``digit_form(f)``.
+    Digits are streamed straight out of the long division so a disallowed
+    digit rejects immediately, without materializing a possibly huge period.
     """
-    if not isinstance(f, DigitSet):
-        raise TypeError("member_limit requires a DigitSet family")
+    form = digit_form(f)
+    if form is None:
+        raise TypeError(f"limit membership needs a family with a digit form; {f!r} has none")
     if not 0 <= x <= 1:
         return False
-    base, allowed = f.n, set(f.digits)
+    base, allowed = form.n, set(form.digits)
     if x == 1:
         return True  # 0.(n-1)(n-1)... and n-1 is always kept
     for digit, rem in _division(x, base, _preperiod_length(x.denominator, base)):
@@ -293,14 +295,16 @@ def member_limit(x: Fraction, f: DigitSet) -> bool:
     return True  # terminated or entered a cycle with every digit kept
 
 
-def membership_witness(x: Fraction, f: DigitSet) -> ExpansionRecord | None:
+def membership_witness(x: Fraction, f: FamilySpec) -> ExpansionRecord | None:
     """The expansion proving membership, or None if x is not in the limit set.
     member_limit streams the digits first, so a non-member is rejected at its
-    first bad digit, never after its whole (possibly huge) period."""
+    first bad digit, never after its whole (possibly huge) period. Raises
+    TypeError, like member_limit, when f has no digit form."""
     if not member_limit(x, f):
         return None
-    rec = base_expansion(x, f.n)
-    return rec if rec.digits_used() <= set(f.digits) else rec.alternate_tail_form()
+    form = digit_form(f)
+    rec = base_expansion(x, form.n)
+    return rec if rec.digits_used() <= set(form.digits) else rec.alternate_tail_form()
 
 
 def member_at_depth(x: Fraction, f: FamilySpec, k: int) -> bool:

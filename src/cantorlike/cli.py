@@ -34,13 +34,12 @@ from .analysis import (
 from .counterexample import tail_table_rows
 from .exact import format_rational, parse_rational, rational_decimal
 from .families import (
+    _FAMILY_FIELDS,
     DepthCapError,
-    DigitSet,
     FamilySpec,
-    LambdaFamily,
     Power,
-    Proportional,
     _blocks,
+    _live_steps,
     _stage_halves,
     digit_form,
     family_from_json,
@@ -62,35 +61,28 @@ def _fail(code: int, message: str) -> None:  # never returns
 
 
 def _add_family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=["proportional", "power", "digit", "lambda"])
+    p.add_argument("--family", choices=list(_FAMILY_FIELDS))
     p.add_argument("--alpha", help="middle proportion for --family proportional, as p/q")
     p.add_argument("--n", type=int, help="base for --family power or digit")
     p.add_argument("--digits", help="kept digits for --family digit, e.g. 0,2,4")
-    p.add_argument("--lambda", dest="lam", help="removal scale for --family lambda, as p/q")
+    p.add_argument("--lambda", dest="lambda", metavar="LAM",
+                   help="removal scale for --family lambda, as p/q")
     p.add_argument("--family-json", help="full family spec as JSON (overrides shorthand flags)")
 
 
 def _build_family(args: argparse.Namespace) -> FamilySpec:
+    """The family of --family-json, else of --family and one flag per field of its kind."""
     try:
         if args.family_json:
             return family_from_json(json.loads(args.family_json))
-        if args.family == "proportional":
-            if args.alpha is None:
-                raise ValueError("--family proportional requires --alpha")
-            return Proportional(parse_rational(args.alpha))
-        if args.family == "power":
-            if args.n is None:
-                raise ValueError("--family power requires --n")
-            return Power(args.n)
-        if args.family == "digit":
-            if args.n is None or args.digits is None:
-                raise ValueError("--family digit requires --n and --digits")
-            return DigitSet(args.n, tuple(int(d) for d in args.digits.split(",")))
-        if args.family == "lambda":
-            if args.lam is None:
-                raise ValueError("--family lambda requires --lambda")
-            return LambdaFamily(parse_rational(args.lam))
-        raise ValueError("no family given (use --family or --family-json)")
+        if args.family is None:
+            raise ValueError("no family given (use --family or --family-json)")
+        cls, fields = _FAMILY_FIELDS[args.family]
+        texts = [getattr(args, name) for name, *_ in fields]
+        if None in texts:
+            flags = " and ".join(f"--{name}" for name, *_ in fields)
+            raise ValueError(f"--family {args.family} requires {flags}")
+        return cls(*(read(text) for (*_, read), text in zip(fields, texts)))
     except (ValueError, json.JSONDecodeError) as exc:
         _fail(EXIT_BAD_FAMILY, f"invalid family: {exc}")
 
@@ -133,16 +125,18 @@ _CHUNK_ROWS = 4096
 
 
 def _write_rows(rows: Iterable[str], sep: str, head: str = "", tail: str = "\n") -> None:
-    """Write head + sep.join(rows) + tail to stdout, one write per chunk of
-    _CHUNK_ROWS rows, so the text is never held whole and never written row
-    by row."""
+    """Write head + sep.join(rows) + tail to stdout a chunk of _CHUNK_ROWS
+    rows at a time, the separator between chunks apart, so one chunk's rows
+    and text are held at most and no row is written alone."""
     write = sys.stdout.write
     rows = iter(rows)
     write(head)
     lead = ""
     while chunk := list(islice(rows, _CHUNK_ROWS)):
-        write(lead + sep.join(chunk))
+        write(lead)
+        write(sep.join(chunk))
         lead = sep
+        del chunk  # the rows go before the next chunk is read
     write(tail)
 
 
@@ -206,20 +200,23 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     family = _build_family(args)
     _require_at_least("--depth", args.depth, 0)
     _require_at_least("--kmax", args.kmax, 1)
-    s, _, c, r, _, _ = moran_row(family)
+    row = s, m, c, r, _, _ = moran_row(family)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # With r = 0 the stage length is (c/s)^k, over (s / gcd(c, s))^k, which is
-    # at least 2^(k (bits - 1)); past 2^(3.33 limit) > 10^limit it cannot be printed.
-    if not r and limit and args.depth * ((s // gcd(c, s)).bit_length() - 1) > 3.33 * limit:
-        _fail(EXIT_BAD_FAMILY, f"result too large to print: the stage-{args.depth} length has "
-                               f"over {limit} digits (sys.get_int_max_str_digits())")
+    # With r = 0 the stage length is over (s / gcd(c, s))^k, and every count is
+    # m^j, j = _live_steps: each at least 2^bits for the bits below, and past
+    # 2^(3.33 limit) > 10^limit it cannot be printed.
+    for what, bits in (("length", 0 if r else args.depth * ((s // gcd(c, s)).bit_length() - 1)),
+                       ("count", _live_steps(row, args.depth) * (m.bit_length() - 1))):
+        if limit and bits > 3.33 * limit:
+            _fail(EXIT_BAD_FAMILY, f"result too large to print: the stage-{args.depth} {what} "
+                                   f"has over {limit} digits (sys.get_int_max_str_digits())")
     stats = level_stats(family, args.depth)
-    measure = stats.count * stats.min_length
+    measure, limit_value = stats.count * stats.min_length, limit_measure(family)
     report = {
         "family": family_to_json(family),
         "depth": args.depth,
         "measure_at_depth": format_rational(measure),
-        "limit_measure": format_rational(limit_measure(family)),
+        "limit_measure": format_rational(limit_value),
         "level_stats": {
             "count": stats.count,
             "min_length": format_rational(stats.min_length),
@@ -235,7 +232,7 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
         report["dimension_note"] = str(exc)  # power n=2 has no dimension report
     if args.decimal:
         report["measure_at_depth_decimal"] = rational_decimal(measure)
-        report["limit_measure_decimal"] = rational_decimal(limit_measure(family))
+        report["limit_measure_decimal"] = rational_decimal(limit_value)
     print(json.dumps(report))
 
 
@@ -243,10 +240,9 @@ def _cmd_member(args: argparse.Namespace) -> None:
     family = _build_family(args)
     x = _parse_x(args.x)
     if args.limit:
-        form = digit_form(family)
-        if form is None:
+        if digit_form(family) is None:
             _fail(EXIT_NO_DIGIT_FORM, "no digit characterization exists for this family")
-        witness = membership_witness(x, form)
+        witness = membership_witness(x, family)
         print("false" if witness is None else f"true\nwitness: {json.dumps(witness.to_json())}")
     else:
         if args.depth is None:

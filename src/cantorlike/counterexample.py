@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .families import FamilySpec, OpenInterval, _gaps, removed_by_generation
@@ -34,11 +35,7 @@ class RemovedSequence(_Frozen):
 
     def generation_end_indices(self) -> list[int]:
         """Cumulative counts n at the end of each generation (1, 3, 7, ... for binary splits)."""
-        out, total = [], 0
-        for size in self.generation_sizes:
-            total += size
-            out.append(total)
-        return out
+        return list(accumulate(self.generation_sizes))
 
 
 def removed_sequence(f: FamilySpec, generations: int) -> RemovedSequence:

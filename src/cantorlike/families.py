@@ -35,7 +35,7 @@ from itertools import islice
 from math import gcd, lcm
 
 from .exact import (IntervalSet, _Frozen, _json_int, _json_ints, _json_rational, _json_shape, _merge,
-                    format_rational)
+                    format_rational, parse_rational)
 
 DEFAULT_DEPTH_CAP = 24
 """Deepest stage built; binds only for Power(2): the size cap refuses the rest past 21."""
@@ -425,16 +425,18 @@ def digit_equivalent(alpha: Fraction) -> DigitSet | None:
     return digit_form(Proportional(alpha))
 
 
-# --- JSON wire format -----------------------------------------------------
+# --- family kinds: JSON wire format and command-line flags -----------------
 #
-# kind -> (class, fields): one (JSON name, reader, writer) per constructor
-# argument, in the order of the class's __slots__.
+# The one table of family kinds. kind -> (class, fields): one (name, JSON reader,
+# JSON writer, reader of the text of flag --name) per constructor argument, in
+# the order of the class's __slots__.
 
 _FAMILY_FIELDS = {
-    "proportional": (Proportional, (("alpha", _json_rational, format_rational),)),
-    "power": (Power, (("n", _json_int, int),)),
-    "digit": (DigitSet, (("n", _json_int, int), ("digits", _json_ints, list))),
-    "lambda": (LambdaFamily, (("lambda", _json_rational, format_rational),)),
+    "proportional": (Proportional, (("alpha", _json_rational, format_rational, parse_rational),)),
+    "power": (Power, (("n", _json_int, int, int),)),
+    "digit": (DigitSet, (("n", _json_int, int, int),
+                         ("digits", _json_ints, list, lambda text: tuple(map(int, text.split(",")))))),
+    "lambda": (LambdaFamily, (("lambda", _json_rational, format_rational, parse_rational),)),
 }
 
 
@@ -442,7 +444,7 @@ def family_to_json(f: FamilySpec) -> dict:
     for kind, (cls, fields) in _FAMILY_FIELDS.items():
         if type(f) is cls:
             return {"family": kind, **{name: write(value)
-                                       for (name, _, write), value in zip(fields, f._fields())}}
+                                       for (name, _, write, _), value in zip(fields, f._fields())}}
     raise TypeError(f"unknown family spec: {f!r}")
 
 
@@ -453,5 +455,5 @@ def family_from_json(obj: object) -> FamilySpec:
     if type(kind) is not str or kind not in _FAMILY_FIELDS:
         raise ValueError(f"unknown family kind: {kind!r}")
     cls, fields = _FAMILY_FIELDS[kind]
-    _json_shape(obj, "family JSON", tuple(name for name, _, _ in fields))
-    return cls(*(read(obj[name], name) for name, read, _ in fields))
+    _json_shape(obj, "family JSON", tuple(name for name, *_ in fields))
+    return cls(*(read(obj[name], name) for name, read, _, _ in fields))

@@ -278,7 +278,8 @@ class TestMemberLimit:
 
     def test_requires_digit_family(self):
         with pytest.raises(TypeError):
-            member_limit(F(1, 4), MIDDLE_THIRDS)
+            member_limit(F(1, 4), VOLTERRA)
+        assert member_limit(F(1, 4), MIDDLE_THIRDS) is True
 
 
 class TestMemberAtDepth:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,8 @@ from cantorlike import cli as cli_module
 from cantorlike.cli import main
 from cantorlike.counterexample import tail_table_csv
 from cantorlike.exact import IntervalSet
-from cantorlike.families import Power, Proportional, iterate, moran_row
+from cantorlike.families import (_FAMILY_FIELDS, DigitSet, LambdaFamily, Power, Proportional,
+                                  family_to_json, iterate, moran_row)
 from fractions import Fraction as F
 
 
@@ -450,6 +452,73 @@ class TestCaps:
         code, _, err = run(capsys, "analyze", "--family", "proportional", "--alpha", alpha,
                            "--depth", str(k - 1), "--kmax", "1")
         assert code in (0, 2) and not err.startswith("result too large to print: the stage-")
+
+    # The count m^j of a Power or Lambda row (m = 2) is printed at any depth;
+    # unguarded, Power(4) at depth 10^6 spent 11 s in level_stats before the
+    # same exit 2.
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("family, what", [(Power(4), "count"), (LambdaFamily(F(1, 2)), "count"),
+                                              (DigitSet(5, (0, 1, 4)), "length")], ids=repr)
+    def test_stage_count_too_large_to_print_exits_2_before_it_is_computed(self, capsys,
+                                                                         monkeypatch, family, what):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("analyze computed a count it cannot print")
+
+        monkeypatch.setattr(cli_module, "level_stats", forbidden)
+        code, out, err = run(capsys, "analyze", "--family-json", json.dumps(family_to_json(family)),
+                             "--depth", "10000000")
+        assert (code, out) == (2, "")
+        assert err == (f"result too large to print: the stage-10000000 {what} has over "
+                       f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())\n")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("family", [Power(3), Power(4), LambdaFamily(F(1, 2)),
+                                        LambdaFamily(F(1))], ids=repr)
+    def test_count_guard_refuses_only_what_cannot_be_printed(self, capsys, family):
+        # The first depth the guard refuses has a count m^k with more digits
+        # than Python converts; the depth before it is left to the conversion.
+        m, limit = moran_row(family).m, sys.get_int_max_str_digits()
+        k = int(3.33 * limit / (m.bit_length() - 1)) + 1
+        assert m**k >= 10**limit
+        spec = json.dumps(family_to_json(family))
+        code, _, err = run(capsys, "analyze", "--family-json", spec, "--depth", str(k), "--kmax", "1")
+        assert code == 2 and err.startswith(f"result too large to print: the stage-{k} count")
+        code, _, err = run(capsys, "analyze", "--family-json", spec, "--depth", str(k - 1),
+                           "--kmax", "1")
+        assert code in (0, 2) and not err.startswith("result too large to print: the stage-")
+
+    @pytest.mark.parametrize("flags", [("--family", "power", "--n", "2", "--depth", "10000000"),
+                                       ("--family", "lambda", "--lambda", "1/2", "--depth", "2000")])
+    def test_printable_counts_still_answer(self, capsys, flags):
+        # Power(2) stops changing at step 2, so its count is 4 at every depth.
+        code, out, err = run(capsys, "analyze", *flags, "--kmax", "3")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["level_stats"]["count"] == (4 if "power" in flags else 2**2000)
+
+
+class TestFamilyFlags:
+    def test_family_choices_are_the_family_table(self):
+        sub = next(a for a in cli_module.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        with_family = {name for name, p in sub.choices.items()
+                       for a in p._actions if a.dest == "family" and a.choices == list(_FAMILY_FIELDS)}
+        assert with_family == {"generate", "analyze", "member", "counterexample", "render"}
+
+    @pytest.mark.parametrize("flags, message", [
+        ((), "no family given (use --family or --family-json)"),
+        (("--family", "proportional"), "--family proportional requires --alpha"),
+        (("--family", "power", "--alpha", "1/3"), "--family power requires --n"),
+        (("--family", "digit", "--n", "5"), "--family digit requires --n and --digits"),
+        (("--family", "digit", "--digits", "0,4"), "--family digit requires --n and --digits"),
+        (("--family", "lambda"), "--family lambda requires --lambda"),
+        (("--family", "digit", "--n", "5", "--digits", "0,x"),
+         "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_family_flag_errors_exit_2(self, capsys, flags, message):
+        code, out, err = run(capsys, "generate", *flags, "--depth", "1")
+        assert (code, out, err) == (2, "", f"invalid family: {message}\n")
 
 
 class TestClosedStdout:

@@ -44,6 +44,7 @@ from cantorlike.analysis import (
     limit_measure,
     member_at_depth,
     member_limit,
+    membership_witness,
     similarity_dimension,
 )
 from cantorlike import cli as cli_module
@@ -825,6 +826,46 @@ def test_member_limit_matches_seen_set(f, seed):
         assert member_limit(y, f) == ref_member_limit(y, f), y
 
 
+# Proportional((n - 2)/n) is the digit family {0, n - 1} in base n; few drawn
+# proportions have that form.
+digit_proportionals = st.integers(3, 12).map(lambda n: Proportional(F(n - 2, n)))
+unit_points = st.integers(1, 10**4).flatmap(lambda q: st.integers(0, q).map(lambda p: F(p, q)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(families, digit_proportionals), unit_points, st.data())
+def test_limit_membership_reads_the_digit_form(f, x, data):
+    form = digit_form(f)
+    if form is None:
+        for call in (member_limit, membership_witness):
+            with pytest.raises(TypeError, match="has none"):
+                call(x, f)
+        return
+    # A member too: an expansion in kept digits only.
+    digits = st.lists(st.sampled_from(form.digits), max_size=6)
+    member = ExpansionRecord(form.n, tuple(data.draw(digits)), tuple(data.draw(digits))).to_rational()
+    assert member_limit(member, f)
+    for y in (x, member):
+        assert member_limit(y, f) == member_limit(y, form)
+        assert membership_witness(y, f) == membership_witness(y, form)
+
+
+def family_flags(f):
+    """The --family flags of f, from its JSON: rationals as p/q, digits joined by commas."""
+    wire = family_to_json(f)
+    flags = ["--family", wire.pop("family")]
+    for name, value in wire.items():
+        flags += [f"--{name}", ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+    return flags
+
+
+@settings(max_examples=300, deadline=None)
+@given(families)
+def test_family_flags_build_the_family(f):
+    args = cli_module.build_parser().parse_args(["member", "--x", "0", *family_flags(f)])
+    assert cli_module._build_family(args) == f
+
+
 # --- removal tails ---------------------------------------------------------
 
 TAIL_FAMILIES = (
@@ -1204,6 +1245,25 @@ def test_generate_row_writer_holds_two_half_stages(monkeypatch):
         tracemalloc.stop()
     assert size == csv_listing_size(Proportional(F(1, 3)), 16)
     assert peak < 500_000, peak
+
+
+def test_row_writer_holds_one_chunk_at_a_time(monkeypatch):
+    # Three chunks of fresh 100-character rows, as the stage rows are made.
+    # Writing lead + the joined chunk held the chunk's text twice, and the
+    # rows of one chunk were still held while the next chunk was read.
+    chunk, width = cli_module._CHUNK_ROWS, 100
+    rows = (f"{i:0{width}d}" for i in range(3 * chunk))
+    bound = (chunk * sys.getsizeof("0" * width) + sys.getsizeof([None] * chunk)
+             + sys.getsizeof("0" * (chunk * (width + 1))) + 65_536)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        cli_module._write_rows(rows, "\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sys.stdout.size == 3 * chunk * (width + 1)
+    assert peak < bound, (peak, bound)
 
 
 @pytest.mark.parametrize("decimal", (False, True))
