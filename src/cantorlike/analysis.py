@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import islice
+from functools import lru_cache
+from itertools import islice, product
 
 from .exact import _Frozen, _json_int, _json_ints, _json_shape, format_rational
 from .families import (
@@ -86,15 +87,9 @@ class ExpansionRecord(_Frozen):
     def to_rational(self) -> Fraction:
         """Exact value of the represented expansion."""
         b, m = self.base, len(self.preperiod)
-        head = 0
-        for d in self.preperiod:
-            head = head * b + d
-        value = Fraction(head, b**m)
+        value = Fraction(_digits_value(self.preperiod, b), b**m)
         if self.period:
-            tail = 0
-            for d in self.period:
-                tail = tail * b + d
-            value += Fraction(tail, b**m * (b ** len(self.period) - 1))
+            value += Fraction(_digits_value(self.period, b), b**m * (b ** len(self.period) - 1))
         return value
 
     def alternate_tail_form(self) -> ExpansionRecord | None:
@@ -124,40 +119,89 @@ class ExpansionRecord(_Frozen):
         return cls(base, pre, period)
 
 
+def _digits_value(digits: tuple[int, ...], base: int) -> int:
+    """The integer with these base-n digits, by balanced splitting: a few big
+    products instead of one step per digit on an ever longer integer."""
+    if len(digits) <= 64:
+        value = 0
+        for d in digits:
+            value = value * base + d
+        return value
+    half = len(digits) // 2
+    return (_digits_value(digits[:half], base) * base ** (len(digits) - half)
+            + _digits_value(digits[half:], base))
+
+
 def _preperiod_length(q: int, base: int) -> int:
     """Preperiod length of any p/q in lowest terms: the least m such that the
     part of q built from the primes of the base divides base^m."""
     m = 0
     while (g := math.gcd(q, base)) > 1:
-        q //= g  # removes up to v_p(base) factors of each shared prime p
-        m += 1
+        # A step removes g (up to v_p(base) of each shared prime p), and the
+        # next k steps too while g^k divides q: strip g^(2^j), largest first.
+        powers = [g]
+        while q % (square := powers[-1] ** 2) == 0:
+            powers.append(square)
+        for j in reversed(range(len(powers))):
+            if q % powers[j] == 0:
+                q //= powers[j]
+                m += 1 << j
     return m
 
 
-def _division(x: Fraction, base: int, m: int) -> Iterator[tuple[int, int]]:
-    """(digit, remainder) pairs of the long division of x in [0,1), through
+@lru_cache(maxsize=8)
+def _chunk_table(base: int) -> tuple[int, int, tuple[tuple[int, ...], ...] | None]:
+    """(t, base^t, the t digits of each quotient below base^t): t is the
+    largest with base^t <= 4096, or 1 with no table past 4096. Kept per base,
+    so a short expansion does not pay for a table of up to 4096 rows."""
+    t = 1
+    while base ** (t + 1) <= 4096:
+        t += 1
+    step = base**t
+    return t, step, tuple(product(range(base), repeat=t)) if step <= 4096 else None
+
+
+def _digit_chunks(x: Fraction, base: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(digits, remainder) chunks of the long division of x in [0,1), through
     the preperiod of m digits and one period, then stop.
 
-    Remainder r_j = p * base^j mod q first recurs at j = m and comes back
-    after exactly one minimal period (it is 0 when the expansion terminates),
-    so only r_m is remembered, not every remainder seen. A period not closed
-    within MAX_PERIOD_DIGITS digits raises PeriodCapError.
+    A step multiplies the remainder by base^t (see _chunk_table) and reads
+    the t digits of the quotient from a table. Remainder r_j = p * base^j
+    mod q is periodic from j = m with the minimal period L (0 when the
+    expansion terminates), so r_{m+a} = r_{m+b} iff L divides a - b. The first t remainders r_m .. r_{m+t-1} are kept,
+    found one digit at a time, so a period of at most t digits ends among
+    them. Past them L > t, and when the remainder after chunk J is r_{m+i},
+    L = J*t - i: of the t ends J*t - i, at most one is a multiple of L. A
+    period not closed within MAX_PERIOD_DIGITS digits raises PeriodCapError
+    once those digits are yielded.
     """
     p, q = x.numerator, x.denominator
+    t, step, table = _chunk_table(base)
     rem = p
-    for _ in range(m):
+    for _ in range(m // t):
+        chunk, rem = divmod(rem * step, q)
+        yield table[chunk] if table else (chunk,), rem
+    for _ in range(m % t):
         digit, rem = divmod(rem * base, q)
-        yield digit, rem
-    start = rem
+        yield (digit,), rem
     if not rem:
         return  # terminating: no period
-    for _ in range(MAX_PERIOD_DIGITS):
+    cap, seen, first = MAX_PERIOD_DIGITS, {}, []
+    while len(first) < t and rem not in seen:
+        seen[rem] = len(first)
         digit, rem = divmod(rem * base, q)
-        yield digit, rem
-        if rem == start:
-            return
-    raise PeriodCapError(f"the base-{base} period exceeds the period cap of "
-                         f"{MAX_PERIOD_DIGITS} digits")
+        first.append(digit)
+    digits, done = tuple(first), 0
+    while (i := seen.get(rem)) is None and done + t <= cap:
+        yield digits, rem
+        done += t
+        chunk, rem = divmod(rem * step, q)
+        digits = table[chunk] if table else (chunk,)
+    size = len(digits) - (i or 0)  # the period ends in this chunk, or passes the cap
+    if done + size > cap:
+        yield digits[:cap - done], rem
+        raise PeriodCapError(f"the base-{base} period exceeds the period cap of {cap} digits")
+    yield digits[:size], rem
 
 
 def base_expansion(x: Fraction, base: int) -> ExpansionRecord:
@@ -165,7 +209,8 @@ def base_expansion(x: Fraction, base: int) -> ExpansionRecord:
 
     x = 1 is reported in its infinite form 0.(n-1)(n-1)... since no digit
     string below the radix point can terminate at 1. Costs O(preperiod +
-    period) integer steps and holds no remainder table.
+    period) digits at t per big-integer step (see _digit_chunks) and holds t
+    remainders, no table of every remainder seen.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
@@ -174,8 +219,11 @@ def base_expansion(x: Fraction, base: int) -> ExpansionRecord:
     if x == 1:
         return ExpansionRecord(base, (), (base - 1,))
     m = _preperiod_length(x.denominator, base)
-    digits = [digit for digit, _ in _division(x, base, m)]
-    return ExpansionRecord(base, tuple(digits[:m]), tuple(digits[m:]))
+    digits = []
+    for chunk, _ in _digit_chunks(x, base, m):
+        digits += chunk
+    digits = tuple(digits)
+    return ExpansionRecord(base, digits[:m], digits[m:])
 
 
 # --- measures ----------------------------------------------------------------
@@ -275,8 +323,8 @@ def member_limit(x: Fraction, f: FamilySpec) -> bool:
 
     True iff some base-n expansion of x (canonical, or the alternate tail
     form when x is n-adic) uses only the kept digits of ``digit_form(f)``.
-    Digits are streamed straight out of the long division so a disallowed
-    digit rejects immediately, without materializing a possibly huge period.
+    Digits are streamed out of the long division a chunk at a time, so a
+    disallowed digit rejects at once, without materializing a possibly huge period.
     """
     form = digit_form(f)
     if form is None:
@@ -286,12 +334,12 @@ def member_limit(x: Fraction, f: FamilySpec) -> bool:
     base, allowed = form.n, set(form.digits)
     if x == 1:
         return True  # 0.(n-1)(n-1)... and n-1 is always kept
-    for digit, rem in _division(x, base, _preperiod_length(x.denominator, base)):
-        if digit not in allowed:
-            # the alternate tail form digit-1 followed by (n-1)(n-1)...
-            # exists only when this is the final digit of a terminating
-            # expansion; n-1 is always kept
-            return rem == 0 and (digit - 1) in allowed
+    for digits, rem in _digit_chunks(x, base, _preperiod_length(x.denominator, base)):
+        if not allowed.issuperset(digits):
+            # the alternate tail form digit-1 followed by (n-1)(n-1)... exists
+            # only when the first bad digit ends a terminating expansion (the
+            # one chunk ending on remainder 0); n-1 is always kept
+            return rem == 0 and allowed.issuperset(digits[:-1]) and digits[-1] - 1 in allowed
     return True  # terminated or entered a cycle with every digit kept
 
 

@@ -22,6 +22,7 @@ from itertools import islice
 from math import gcd
 
 from .analysis import (
+    ExpansionRecord,
     PeriodCapError,
     base_expansion,
     cantor_function,
@@ -243,7 +244,7 @@ def _cmd_member(args: argparse.Namespace) -> None:
         if digit_form(family) is None:
             _fail(EXIT_NO_DIGIT_FORM, "no digit characterization exists for this family")
         witness = membership_witness(x, family)
-        print("false" if witness is None else f"true\nwitness: {json.dumps(witness.to_json())}")
+        print("false" if witness is None else f"true\nwitness: {_expansion_json(witness)}")
     else:
         if args.depth is None:
             _fail(EXIT_BAD_FAMILY, "member requires --depth or --limit")
@@ -251,15 +252,28 @@ def _cmd_member(args: argparse.Namespace) -> None:
         print("true" if member_at_depth(x, family, args.depth) else "false")
 
 
+def _expansion_json(record: ExpansionRecord, alternate: ExpansionRecord | None = None) -> str:
+    """The text of json.dumps(record.to_json()), with "alternate_tail":
+    alternate.to_json() added when given. Digits are joined from a table of
+    the base's digit strings, built when it is no longer than the digits."""
+    base = record.base
+    size = len(record.preperiod) + len(record.period)
+    name = [str(d) for d in range(base)].__getitem__ if base <= size else str
+
+    def text(r: ExpansionRecord) -> str:
+        return (f'{{"base": {base}, "preperiod": [{", ".join(map(name, r.preperiod))}], '
+                f'"period": [{", ".join(map(name, r.period))}]}}')
+
+    if alternate is None:
+        return text(record)
+    return f'{text(record)[:-1]}, "alternate_tail": {text(alternate)}}}'
+
+
 def _cmd_expansion(args: argparse.Namespace) -> None:
     x = _parse_x(args.x)
     _require_at_least("--base", args.base, 2)
     record = base_expansion(x, args.base)
-    obj = record.to_json()
-    alternate = record.alternate_tail_form()
-    if alternate is not None:
-        obj["alternate_tail"] = alternate.to_json()
-    print(json.dumps(obj))
+    print(_expansion_json(record, record.alternate_tail_form()))
 
 
 def _cmd_cantor_fn(args: argparse.Namespace) -> None:

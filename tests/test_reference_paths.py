@@ -6,7 +6,10 @@ Fraction descent of ``member_at_depth``, the per-family branches that the
 Moran row replaced (``_lengths``, ``limit_measure``, ``ifs_maps``, the digit
 form of ``digit_equivalent`` and the CLI, ``similarity_dimension`` and
 ``family_to_json``), long division with a table of every
-remainder seen, the ``seen``-set ``member_limit``, the removal tail summed
+remainder seen (one digit per step), the preperiod length found one gcd
+step at a time, the ``seen``-set ``member_limit``, the
+digit-by-digit value of an expansion, the JSON that ``json.dumps`` gives for
+an expansion record, the removal tail summed
 over ``removed_by_generation`` restarted for every generation, the gaps of
 each step built family by family, the per-family integer step that built
 every stage before the step table, the ``IntervalSet`` that held every
@@ -32,14 +35,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantorlike import analysis as analysis_module
 from cantorlike.analysis import (
     ESTIMATE_SEQUENCE,
     EXACT_SIMILARITY,
     DimensionReport,
     ExpansionRecord,
+    PeriodCapError,
     _estimate_sequence,
     _log,
     base_expansion,
+    cantor_function,
     dimension_estimates,
     limit_measure,
     member_at_depth,
@@ -173,6 +179,37 @@ def ref_base_expansion(x, base):
         return ExpansionRecord(base, tuple(digits), ())
     cut = seen[rem]
     return ExpansionRecord(base, tuple(digits[:cut]), tuple(digits[cut:]))
+
+
+def ref_preperiod_length(q, base):
+    m = 0
+    while (g := math.gcd(q, base)) > 1:
+        q //= g
+        m += 1
+    return m
+
+
+def ref_expansion_value(base, pre, period):
+    """0.(pre)(period)(period)... in the given base, one digit per step."""
+    head = 0
+    for d in pre:
+        head = head * base + d
+    value = F(head, base ** len(pre))
+    if period:
+        tail = 0
+        for d in period:
+            tail = tail * base + d
+        value += F(tail, base ** len(pre) * (base ** len(period) - 1))
+    return value
+
+
+def ref_expansion_json(x, base):
+    """The ``expansion`` output line, from json.dumps of the record dicts."""
+    rec = base_expansion(x, base)
+    obj = rec.to_json()
+    if (alternate := rec.alternate_tail_form()) is not None:
+        obj["alternate_tail"] = alternate.to_json()
+    return json.dumps(obj) + "\n"
 
 
 def ref_member_limit(x, f):
@@ -879,6 +916,177 @@ TAIL_FAMILIES = (
     LambdaFamily(F(1)),
     LambdaFamily(F(3, 7)),
 )
+
+
+# (base, t): the long division steps by base^t, the largest power up to 4096.
+CHUNK_WIDTHS = ((2, 12), (3, 7), (10, 3), (4096, 1), (4097, 1), (10**9, 1))
+
+
+def chunk_ends(base, t):
+    """Digit counts around the chunk ends t*J for J = 1, 2 and the first J
+    whose t*J - 1 digits make a denominator of over 4,000 bits."""
+    big = 3
+    while base ** (t * big - 1) < 1 << 4000:
+        big += 1
+    return sorted({t * j + e for j in (1, 2, big) for e in (-1, 0, 1)})
+
+
+def minimal_expansion(base, m, length, rng):
+    """Random digits of a minimal expansion with m preperiod and ``length``
+    period digits: the period 0..0d is primitive for any nonzero d, and a
+    preperiod ending in 0 before it, or in a nonzero digit when the
+    expansion terminates, cannot be shortened."""
+    period = (0,) * (length - 1) + (rng.randrange(1, base),) if length else ()
+    pre = tuple(rng.randrange(base) for _ in range(m - 1))
+    return pre + ((0 if period else rng.randrange(1, base)),) * (m > 0), period
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 4, 6, 8, 10, 12, 18, 36, 4096, 4097, 2016, 10**9)),
+       st.lists(st.integers(0, 300), min_size=5, max_size=5), st.integers(1, 10**6))
+def test_preperiod_length_matches_gcd_steps(base, exponents, other):
+    # Powers of 2, 3, 5, 7 and 17 (4097 = 17 * 241): saturated and unsaturated
+    # primes of the base, and primes it lacks.
+    q = other * math.prod(p**e for p, e in zip((2, 3, 5, 7, 17), exponents))
+    assert analysis_module._preperiod_length(q, base) == ref_preperiod_length(q, base)
+
+
+@pytest.mark.parametrize("base, t", CHUNK_WIDTHS, ids=str)
+def test_base_expansion_at_chunk_ends(base, t):
+    rng = random.Random(base)
+    ends = chunk_ends(base, t)
+    assert ends[-1] * math.log2(base) > 4000  # the widest q is over 4,000 bits
+    for m in ends:
+        for length in ends:
+            pre, period = minimal_expansion(base, m, length, rng)
+            x = ref_expansion_value(base, pre, period)
+            rec = base_expansion(x, base)
+            assert rec == ref_base_expansion(x, base) == ExpansionRecord(base, pre, period)
+            assert rec.to_rational() == x
+
+
+@pytest.mark.parametrize("base, t", [(b, t) for b, t in CHUNK_WIDTHS if b > 2], ids=str)
+def test_member_limit_at_chunk_ends(base, t):
+    # Kept digits {0, n-1}: members of 0/(n-1) digits, and the same with one
+    # digit set to 1 or to n-2 at a chunk end, the first digit or the last.
+    f = DigitSet(base, (0, base - 1))
+    rng = random.Random(base)
+    ends = chunk_ends(base, t)[:6]
+    for m in ends:
+        for length in (0, *ends):
+            pre = tuple(rng.choice((0, base - 1)) for _ in range(m - 1)) + (base - 1,) * (m > 0)
+            period = (0,) * (length - 1) + (base - 1,) if length else ()
+            for where in {0, t - 1, t, m - 1, m + t - 1, m + length - 1} - {-1}:
+                for digit in (1, base - 2):
+                    digits = list(pre + period)
+                    if where < len(digits):
+                        digits[where] = digit
+                    x = ref_expansion_value(base, digits[:m], digits[m:])
+                    assert member_limit(x, f) == ref_member_limit(x, f), (m, length, where)
+                    witness = membership_witness(x, f)
+                    assert (witness is None) != ref_member_limit(x, f)
+                    if witness is not None:
+                        assert witness.digits_used() <= {0, base - 1}
+                        assert ref_expansion_value(base, witness.preperiod, witness.period) == x
+
+
+@pytest.mark.parametrize("base, t", CHUNK_WIDTHS, ids=str)
+def test_period_cap_at_every_chunk_width(monkeypatch, base, t):
+    # Periods of L digits with L not a multiple of t (any L when t = 1):
+    # accepted under a cap of L, refused under a cap of L - 1, for every
+    # preperiod alignment and for every reader of the digit stream.
+    for length in sorted({2, t - 1, t + 1, 2 * t + 1, 3 * t - 1} - {0, 1}):
+        assert length % t or t == 1
+        for m in (0, 1, t - 1, t + 2):
+            pre = ((base - 1,) * m)[1:] + (0,) * (m > 0)
+            period = (0,) * (length - 1) + (base - 1,)
+            x = ref_expansion_value(base, pre, period)
+            readers = [lambda: base_expansion(x, base)]
+            if base > 2:
+                f = DigitSet(base, (0, base - 1))
+                readers += [lambda: member_limit(x, f), lambda: membership_witness(x, f)]
+            if base == 3:
+                readers.append(lambda: cantor_function(x))
+            monkeypatch.setattr(analysis_module, "MAX_PERIOD_DIGITS", length)
+            assert base_expansion(x, base) == ExpansionRecord(base, pre, period)
+            for read in readers:
+                read()
+            monkeypatch.setattr(analysis_module, "MAX_PERIOD_DIGITS", length - 1)
+            for read in readers:
+                with pytest.raises(PeriodCapError, match=f"period cap of {length - 1} digits"):
+                    read()
+
+
+@pytest.mark.parametrize("t", (1, 7), ids=str)
+def test_period_cap_yields_its_digits_first(monkeypatch, t):
+    # A non-member whose first disallowed digit is digit k of a period too
+    # long for the cap: rejected when k is within the cap, refused when k is
+    # the first digit past it, wherever the cap falls in a chunk.
+    base = 3 if t == 7 else 4097
+    f = DigitSet(base, (0, base - 1))
+    length = 4 * t + 3
+    for cap in range(1, length):
+        monkeypatch.setattr(analysis_module, "MAX_PERIOD_DIGITS", cap)
+        for k in (cap, cap + 1):
+            period = [0] * (length - 1) + [base - 1]
+            period[k - 1] = 1
+            x = ref_expansion_value(base, (), period)
+            if k <= cap:
+                assert not member_limit(x, f)
+            else:
+                with pytest.raises(PeriodCapError):
+                    member_limit(x, f)
+
+
+def test_expansion_value_matches_digit_steps():
+    rng = random.Random(5)
+    for base in (2, 3, 10, 4097):
+        for length in (0, 1, 63, 64, 65, 129, 1000, 5001):
+            pre = tuple(rng.randrange(base) for _ in range(length // 3))
+            period = tuple(rng.randrange(base) for _ in range(length))
+            rec = ExpansionRecord(base, pre, period)
+            assert rec.to_rational() == ref_expansion_value(base, pre, period)
+
+
+def cli_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_module.main(list(argv)) == 0
+    return out.getvalue()
+
+
+expansion_bases = st.one_of(st.integers(2, 40), st.just(4097))
+
+
+@settings(max_examples=300, deadline=None)
+@given(expansion_bases, unit_points, st.integers(0, 8))
+def test_expansion_stdout_is_json_dumps(base, x, e):
+    # x / base^e has a preperiod (terminating when x does) unless x is 0
+    for y in (x, x / base**e):
+        assert cli_stdout("expansion", "--x", str(y), "--base", str(base)) == ref_expansion_json(y, base)
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 40, 4097, 10**9])
+def test_expansion_stdout_is_json_dumps_at_the_ends(base):
+    # 0, 1, terminating points (with an alternate tail), an empty preperiod,
+    # and a period of a few thousand digits.
+    for x in (F(0), F(1), F(1, base), F(base - 1, base**2), F(1, base**3 * 7), F(1, base + 1),
+              F(2, 3), F(1, 7919)):
+        if 0 <= x <= 1:
+            assert cli_stdout("expansion", "--x", str(x), "--base", str(base)) == ref_expansion_json(x, base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.sampled_from((DigitSet(5, (0, 1, 4)), DigitSet(3, (0, 2)), DigitSet(4097, (0, 7, 4096)))),
+    digit_sets), st.data())
+def test_member_limit_witness_is_json_dumps(f, data):
+    digits = st.lists(st.sampled_from(f.digits), max_size=12)
+    member = ExpansionRecord(f.n, tuple(data.draw(digits)), tuple(data.draw(digits))).to_rational()
+    for x in (member, F(0), F(1), F(1, f.n), F(f.n - 1, f.n**2)):
+        witness = membership_witness(x, f)
+        out = cli_stdout("member", *family_flags(f), "--x", str(x), "--limit")
+        assert out == f"true\nwitness: {json.dumps(witness.to_json())}\n"
 
 
 def generation_ends(f, generations):
