@@ -97,11 +97,14 @@ class ExpansionRecord(_Frozen):
 
         k/n^m also equals (k-1)/n^m followed by an all-(n-1) tail; nonzero
         terminating values therefore have exactly two base-n expansions.
+        Trailing zeros are dropped first; the value 0 has no second expansion.
         """
-        if not self.terminating or not self.preperiod:
+        pre, end = self.preperiod, len(self.preperiod)
+        while end and not pre[end - 1]:
+            end -= 1
+        if not (self.terminating and end):
             return None
-        lowered = self.preperiod[:-1] + (self.preperiod[-1] - 1,)
-        return ExpansionRecord(self.base, lowered, (self.base - 1,))
+        return ExpansionRecord(self.base, pre[:end - 1] + (pre[end - 1] - 1,), (self.base - 1,))
 
     def to_json(self) -> dict:
         return {"base": self.base, "preperiod": list(self.preperiod), "period": list(self.period)}
@@ -173,7 +176,9 @@ def _digit_chunks(x: Fraction, base: int, m: int) -> Iterator[tuple[tuple[int, .
     them. Past them L > t, and when the remainder after chunk J is r_{m+i},
     L = J*t - i: of the t ends J*t - i, at most one is a multiple of L. A
     period not closed within MAX_PERIOD_DIGITS digits raises PeriodCapError
-    once those digits are yielded.
+    once those digits are yielded. The period divides S = gcd(q, base^m), the
+    part of q built from the primes of the base, out of the remainder and q
+    once (r_j is a multiple of S from j = m on): same digits, smaller q.
     """
     p, q = x.numerator, x.denominator
     t, step, table = _chunk_table(base)
@@ -186,6 +191,8 @@ def _digit_chunks(x: Fraction, base: int, m: int) -> Iterator[tuple[tuple[int, .
         yield (digit,), rem
     if not rem:
         return  # terminating: no period
+    smooth = math.gcd(q, base**m)
+    rem, q = rem // smooth, q // smooth
     cap, seen, first = MAX_PERIOD_DIGITS, {}, []
     while len(first) < t and rem not in seen:
         seen[rem] = len(first)
@@ -319,40 +326,36 @@ def dimension_estimates(f: FamilySpec, kmax: int) -> DimensionReport:
 # --- membership ----------------------------------------------------------------
 
 def member_limit(x: Fraction, f: FamilySpec) -> bool:
-    """Exact limit-set membership for any family with a digit form (else TypeError).
+    """Exact limit-set membership for any family with a digit form (else
+    TypeError): whether membership_witness finds a witness."""
+    return membership_witness(x, f) is not None
 
-    True iff some base-n expansion of x (canonical, or the alternate tail
-    form when x is n-adic) uses only the kept digits of ``digit_form(f)``.
-    Digits are streamed out of the long division a chunk at a time, so a
-    disallowed digit rejects at once, without materializing a possibly huge period.
-    """
+
+def membership_witness(x: Fraction, f: FamilySpec) -> ExpansionRecord | None:
+    """The expansion of x in the kept digits of ``digit_form(f)``, or None if
+    x is not in the limit set; TypeError when f has no digit form. One long
+    division, checked a chunk at a time: a non-member is rejected in the chunk
+    of its first bad digit, which only the alternate tail form of a terminating
+    expansion (its last chunk ends on remainder 0) can mend."""
     form = digit_form(f)
     if form is None:
         raise TypeError(f"limit membership needs a family with a digit form; {f!r} has none")
     if not 0 <= x <= 1:
-        return False
-    base, allowed = form.n, set(form.digits)
-    if x == 1:
-        return True  # 0.(n-1)(n-1)... and n-1 is always kept
-    for digits, rem in _digit_chunks(x, base, _preperiod_length(x.denominator, base)):
-        if not allowed.issuperset(digits):
-            # the alternate tail form digit-1 followed by (n-1)(n-1)... exists
-            # only when the first bad digit ends a terminating expansion (the
-            # one chunk ending on remainder 0); n-1 is always kept
-            return rem == 0 and allowed.issuperset(digits[:-1]) and digits[-1] - 1 in allowed
-    return True  # terminated or entered a cycle with every digit kept
-
-
-def membership_witness(x: Fraction, f: FamilySpec) -> ExpansionRecord | None:
-    """The expansion proving membership, or None if x is not in the limit set.
-    member_limit streams the digits first, so a non-member is rejected at its
-    first bad digit, never after its whole (possibly huge) period. Raises
-    TypeError, like member_limit, when f has no digit form."""
-    if not member_limit(x, f):
         return None
-    form = digit_form(f)
-    rec = base_expansion(x, form.n)
-    return rec if rec.digits_used() <= set(form.digits) else rec.alternate_tail_form()
+    base, kept = form.n, set(form.digits)
+    if x == 1:
+        return ExpansionRecord(base, (), (base - 1,))  # n-1 is always kept
+    m = _preperiod_length(x.denominator, base)
+    digits = []
+    for chunk, rem in _digit_chunks(x, base, m):
+        digits += chunk
+        if not kept.issuperset(chunk):
+            if rem:
+                return None
+            alternate = ExpansionRecord(base, tuple(digits), ()).alternate_tail_form()
+            return alternate if alternate.digits_used() <= kept else None
+    digits = tuple(digits)
+    return ExpansionRecord(base, digits[:m], digits[m:])
 
 
 def member_at_depth(x: Fraction, f: FamilySpec, k: int) -> bool:
@@ -398,12 +401,8 @@ def cantor_function(x: Fraction) -> Fraction:
     reads the result in base 2; the eventually periodic sum is returned in
     closed form, exactly.
     """
-    witness = membership_witness(x, CANTOR_TERNARY) if 0 <= x <= 1 else None
+    witness = membership_witness(x, CANTOR_TERNARY)
     if witness is None:
         raise ValueError(f"{x} is not in the ternary Cantor set")
-    halved = ExpansionRecord(
-        2,
-        tuple(d // 2 for d in witness.preperiod),
-        tuple(d // 2 for d in witness.period),
-    )
-    return halved.to_rational()
+    halved = (tuple(d // 2 for d in part) for part in (witness.preperiod, witness.period))
+    return ExpansionRecord(2, *halved).to_rational()

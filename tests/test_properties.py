@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from cantorlike.analysis import (
+    ExpansionRecord,
     base_expansion,
     cantor_function,
     member_at_depth,
@@ -260,6 +261,28 @@ def test_base_expansion_round_trip_randomized():
         alt = rec.alternate_tail_form()
         if alt is not None:
             assert alt.to_rational() == x
+
+
+@st.composite
+def expansion_records(draw):
+    """Any record the JSON reader accepts: trailing zeros and all-zero digits
+    included, which long division never gives."""
+    base = draw(st.one_of(st.integers(2, 12), st.just(4097)))
+    digits = st.lists(st.one_of(st.just(0), st.integers(0, base - 1)), max_size=6)
+    obj = {"base": base, "preperiod": draw(digits), "period": draw(digits)}
+    return ExpansionRecord.from_json(obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expansion_records())
+def test_alternate_tail_form_is_an_expansion_of_the_same_value(rec):
+    alt = rec.alternate_tail_form()
+    if alt is None:
+        assert rec.period or rec.to_rational() == 0
+        return
+    assert all(0 <= d < rec.base for d in alt.preperiod + alt.period)
+    assert alt.to_rational() == rec.to_rational()
+    assert alt.period == (rec.base - 1,)
 
 
 def cantor_members(count: int, rng: random.Random) -> list[F]:

@@ -7,7 +7,8 @@ Moran row replaced (``_lengths``, ``limit_measure``, ``ifs_maps``, the digit
 form of ``digit_equivalent`` and the CLI, ``similarity_dimension`` and
 ``family_to_json``), long division with a table of every
 remainder seen (one digit per step), the preperiod length found one gcd
-step at a time, the ``seen``-set ``member_limit``, the
+step at a time, the ``seen``-set ``member_limit``, the two-pass
+``membership_witness`` (a membership check, then the whole expansion), the
 digit-by-digit value of an expansion, the JSON that ``json.dumps`` gives for
 an expansion record, the removal tail summed
 over ``removed_by_generation`` restarted for every generation, the gaps of
@@ -227,6 +228,18 @@ def ref_member_limit(x, f):
         if digit not in allowed:
             return rem == 0 and (digit - 1) in allowed
     return True
+
+
+def ref_membership_witness(x, f):
+    """The two-pass witness: the membership check first (here the seen-set
+    ``ref_member_limit``), then a second long division for the expansion."""
+    form = digit_form(f)
+    if form is None:
+        raise TypeError(f"limit membership needs a family with a digit form; {f!r} has none")
+    if not ref_member_limit(x, form):
+        return None
+    rec = base_expansion(x, form.n)
+    return rec if rec.digits_used() <= set(form.digits) else rec.alternate_tail_form()
 
 
 def ref_first_n_removed(f, n):
@@ -887,6 +900,63 @@ def test_limit_membership_reads_the_digit_form(f, x, data):
         assert membership_witness(y, f) == membership_witness(y, form)
 
 
+@settings(max_examples=300, deadline=None)
+@given(families, st.data())
+def test_membership_witness_matches_two_passes(f, data):
+    form = digit_form(f)
+    if form is None:
+        for call in (membership_witness, ref_membership_witness):
+            with pytest.raises(TypeError, match="has none"):
+                call(F(1, 3), f)
+        return
+    n = form.n
+    kept = st.sampled_from(form.digits)
+    pre, period = data.draw(st.lists(kept, max_size=8)), data.draw(st.lists(kept, max_size=8))
+    member = ExpansionRecord(n, tuple(pre), tuple(period)).to_rational()
+    # n-adic points: a terminating kept expansion whose last digit d is
+    # nonzero, so it has an alternate tail ending in d - 1 (kept or not),
+    # and any k/n^j.
+    last = data.draw(st.integers(1, n - 1))
+    n_adic = ExpansionRecord(n, (*pre, last), ()).to_rational()
+    j = data.draw(st.integers(0, 6))
+    points = (member, n_adic, F(data.draw(st.integers(0, n**j)), n**j), data.draw(unit_points),
+              F(0), F(1), F(-1, 3), F(3, 2), 1 + F(1, n))
+    for x in points:
+        witness = membership_witness(x, f)
+        assert witness == ref_membership_witness(x, f), x
+        assert member_limit(x, f) == (witness is not None)
+        if witness is not None:
+            assert witness.digits_used() <= set(form.digits)
+            assert witness.to_rational() == x
+
+
+@pytest.mark.parametrize("f, x", [
+    (DigitSet(3, (0, 2)), ExpansionRecord(3, (0, 2), (2, 0, 0)).to_rational()),  # member
+    (DigitSet(3, (0, 2)), F(1, 3)),                       # member by its alternate tail
+    (DigitSet(3, (0, 2)), F(1, 2)),                       # non-member
+    (DigitSet(5, (0, 1, 4)), F(2, 25)),                   # non-member, n-adic
+    (Proportional(F(1, 3)), F(1, 4)),                     # member through the digit form
+])
+def test_limit_queries_run_one_long_division(monkeypatch, f, x):
+    calls = []
+    chunks = analysis_module._digit_chunks
+
+    def counted(*args):
+        calls.append(args)
+        return chunks(*args)
+
+    monkeypatch.setattr(analysis_module, "_digit_chunks", counted)
+    for read in (membership_witness, member_limit):
+        calls.clear()
+        read(x, f)
+        assert len(calls) == 1, read
+    if digit_form(f) == DigitSet(3, (0, 2)):
+        calls.clear()
+        with contextlib.suppress(ValueError):
+            cantor_function(x)
+        assert len(calls) == 1
+
+
 def family_flags(f):
     """The --family flags of f, from its JSON: rationals as p/q, digits joined by commas."""
     wire = family_to_json(f)
@@ -949,6 +1019,29 @@ def test_preperiod_length_matches_gcd_steps(base, exponents, other):
     # primes of the base, and primes it lacks.
     q = other * math.prod(p**e for p, e in zip((2, 3, 5, 7, 17), exponents))
     assert analysis_module._preperiod_length(q, base) == ref_preperiod_length(q, base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 6, 10, 12, 4096, 4097)), st.integers(0, 2**32))
+def test_period_remainders_lie_below_the_coprime_part(base, seed):
+    # q = S * q' with S built from the primes of the base and q' > 1 prime to
+    # it: past the preperiod, the long division runs modulo q' = q / S.
+    rng = random.Random(seed)
+    coprime = rng.choice((7, 11, 13, 101, 7 * 101, 13**2, 101**2, 10007))
+    q = smooth_part(base, rng) * base * coprime
+    x = F(rng.randrange(1, q), q)
+    q = x.denominator
+    m, bound = ref_preperiod_length(q, base), q
+    while (g := math.gcd(bound, base)) > 1:
+        bound //= g
+    digits, period_chunks = 0, 0
+    for chunk, rem in analysis_module._digit_chunks(x, base, m):
+        digits += len(chunk)
+        if digits > m:
+            period_chunks += 1
+            assert 0 < rem < bound, (digits, rem, bound)
+    assert period_chunks or bound == 1
+    assert base_expansion(x, base) == ref_base_expansion(x, base)
 
 
 @pytest.mark.parametrize("base, t", CHUNK_WIDTHS, ids=str)
