@@ -19,7 +19,7 @@ from .families import (
     OpenInterval,
     Power,
     Proportional,
-    digit_equivalent,
+    digit_form,
     family_from_json,
     family_to_json,
     ifs_maps,
@@ -27,7 +27,6 @@ from .families import (
     iterate,
     level_stats,
     removed_by_generation,
-    removed_intervals,
 )
 from .analysis import (
     CANTOR_TERNARY,
@@ -45,9 +44,7 @@ from .analysis import (
 )
 from .counterexample import (
     DiscontinuityReport,
-    RemovedSequence,
     discontinuity_report,
-    removed_sequence,
     tail_measure,
     tail_table,
     total_removed_measure,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 
-from .exact import _Frozen, _json_int, _json_ints, _json_shape, format_rational
+from .exact import _Frozen, _json_int, _json_ints, _json_shape, _printable, format_rational
 from .families import (
     DepthCapError,
     DigitSet,
@@ -211,6 +211,30 @@ def _digit_chunks(x: Fraction, base: int, m: int) -> Iterator[tuple[tuple[int, .
     yield digits[:size], rem
 
 
+def _expansion(x: Fraction, base: int, kept: set[int] | None) -> ExpansionRecord | None:
+    """The base-n expansion of x in [0,1] by exact long division, in the digits
+    of ``kept`` (every digit when None), or None if x has no such expansion.
+
+    One pass of _digit_chunks, checked a chunk at a time: x is rejected in
+    the chunk of its first digit outside ``kept``, which only the alternate
+    tail form of a terminating expansion (its last chunk ends on remainder 0)
+    can mend. x = 1 is 0.(n-1)(n-1)..., and n-1 is kept by every digit set.
+    """
+    if x == 1:
+        return ExpansionRecord(base, (), (base - 1,))
+    m = _preperiod_length(x.denominator, base)
+    digits = []
+    for chunk, rem in _digit_chunks(x, base, m):
+        digits += chunk
+        if kept is not None and not kept.issuperset(chunk):
+            if rem:
+                return None
+            alternate = ExpansionRecord(base, tuple(digits), ()).alternate_tail_form()
+            return alternate if alternate.digits_used() <= kept else None
+    digits = tuple(digits)
+    return ExpansionRecord(base, digits[:m], digits[m:])
+
+
 def base_expansion(x: Fraction, base: int) -> ExpansionRecord:
     """Canonical base-n expansion of a rational in [0,1] by exact long division.
 
@@ -222,15 +246,8 @@ def base_expansion(x: Fraction, base: int) -> ExpansionRecord:
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if not 0 <= x <= 1:
-        raise ValueError(f"expansion input must lie in [0,1], got {x}")
-    if x == 1:
-        return ExpansionRecord(base, (), (base - 1,))
-    m = _preperiod_length(x.denominator, base)
-    digits = []
-    for chunk, _ in _digit_chunks(x, base, m):
-        digits += chunk
-    digits = tuple(digits)
-    return ExpansionRecord(base, digits[:m], digits[m:])
+        raise ValueError(f"expansion input must lie in [0,1], got {_printable(x)}")
+    return _expansion(x, base, None)
 
 
 # --- measures ----------------------------------------------------------------
@@ -332,30 +349,15 @@ def member_limit(x: Fraction, f: FamilySpec) -> bool:
 
 
 def membership_witness(x: Fraction, f: FamilySpec) -> ExpansionRecord | None:
-    """The expansion of x in the kept digits of ``digit_form(f)``, or None if
-    x is not in the limit set; TypeError when f has no digit form. One long
-    division, checked a chunk at a time: a non-member is rejected in the chunk
-    of its first bad digit, which only the alternate tail form of a terminating
-    expansion (its last chunk ends on remainder 0) can mend."""
+    """The expansion of x in the kept digits of ``digit_form(f)`` (see
+    _expansion), or None if x is not in the limit set; TypeError when f has
+    no digit form."""
     form = digit_form(f)
     if form is None:
         raise TypeError(f"limit membership needs a family with a digit form; {f!r} has none")
     if not 0 <= x <= 1:
         return None
-    base, kept = form.n, set(form.digits)
-    if x == 1:
-        return ExpansionRecord(base, (), (base - 1,))  # n-1 is always kept
-    m = _preperiod_length(x.denominator, base)
-    digits = []
-    for chunk, rem in _digit_chunks(x, base, m):
-        digits += chunk
-        if not kept.issuperset(chunk):
-            if rem:
-                return None
-            alternate = ExpansionRecord(base, tuple(digits), ()).alternate_tail_form()
-            return alternate if alternate.digits_used() <= kept else None
-    digits = tuple(digits)
-    return ExpansionRecord(base, digits[:m], digits[m:])
+    return _expansion(x, form.n, set(form.digits))
 
 
 def member_at_depth(x: Fraction, f: FamilySpec, k: int) -> bool:
@@ -368,7 +370,7 @@ def member_at_depth(x: Fraction, f: FamilySpec, k: int) -> bool:
     whose integers may pass MAX_WALK_BITS raises DepthCapError before its first step.
     """
     if not 0 <= x <= 1:
-        raise ValueError(f"membership query needs x in [0,1], got {x}")
+        raise ValueError(f"membership query needs x in [0,1], got {_printable(x)}")
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {k}")
     _check_walk(f, k, x.denominator)
@@ -403,6 +405,6 @@ def cantor_function(x: Fraction) -> Fraction:
     """
     witness = membership_witness(x, CANTOR_TERNARY)
     if witness is None:
-        raise ValueError(f"{x} is not in the ternary Cantor set")
+        raise ValueError(f"{_printable(x)} is not in the ternary Cantor set")
     halved = (tuple(d // 2 for d in part) for part in (witness.preperiod, witness.period))
     return ExpansionRecord(2, *halved).to_rational()

@@ -14,40 +14,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd
 
-from .families import FamilySpec, OpenInterval, _gaps, removed_by_generation
+from .families import FamilySpec, _gaps
 from .analysis import limit_measure
 from .exact import _Frozen
-
-
-class RemovedSequence(_Frozen):
-    """The removed intervals E_i through some generation, in listing order."""
-
-    __slots__ = ("source", "entries", "generation_sizes")
-
-    def __init__(self, source: FamilySpec, entries: tuple[OpenInterval, ...],
-                 generation_sizes: tuple[int, ...]) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "generation_sizes", generation_sizes)
-
-    def generation_end_indices(self) -> list[int]:
-        """Cumulative counts n at the end of each generation (1, 3, 7, ... for binary splits)."""
-        return list(accumulate(self.generation_sizes))
-
-
-def removed_sequence(f: FamilySpec, generations: int) -> RemovedSequence:
-    """All removed intervals through the given generation, generation-major order.
-
-    Bounded like ``removed_by_generation``: DepthCapError past the depth
-    cap, StageSizeError past the stage size cap."""
-    if generations < 1:
-        raise ValueError(f"need at least one generation, got {generations}")
-    by_gen = removed_by_generation(f, generations)
-    entries = tuple(g for gen in by_gen for g in gen)
-    return RemovedSequence(source=f, entries=entries, generation_sizes=tuple(len(g) for g in by_gen))
 
 
 def total_removed_measure(f: FamilySpec) -> Fraction:
@@ -105,16 +76,6 @@ def tail_measure(f: FamilySpec, n: int) -> Fraction:
         num = num * s + whole * sum(lengths) + sum(lengths[:part])
         n -= whole * len(lengths) + part
     return total_removed_measure(f) - Fraction(num, denom)
-
-
-def partial_indicator_discontinuity_count(n: int) -> int:
-    """Discontinuity count of the indicator of n disjoint open intervals.
-
-    Each removed interval contributes its two endpoints, hence 2n points;
-    this is why every partial indicator is Riemann integrable."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return 2 * n
 
 
 class DiscontinuityReport(_Frozen):

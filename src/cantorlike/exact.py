@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -47,6 +48,14 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Render a Fraction as "p/q" in lowest terms, always with a denominator."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def _printable(x: Fraction) -> str:
+    """str(x) for an error message, or its size past sys.get_int_max_str_digits()."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"a rational of over {sys.get_int_max_str_digits()} digits"
 
 
 def format_ratio(num: int, den: int) -> str:
@@ -156,9 +165,6 @@ class ClosedInterval(_Frozen):
     @property
     def is_degenerate(self) -> bool:
         return self.a == self.b
-
-    def contains(self, x: Fraction) -> bool:
-        return self.a <= x <= self.b
 
     def to_json(self) -> dict:
         return {"a": format_rational(self.a), "b": format_rational(self.b)}

@@ -35,7 +35,7 @@ from itertools import islice
 from math import gcd, lcm
 
 from .exact import (IntervalSet, _Frozen, _json_int, _json_ints, _json_rational, _json_shape, _merge,
-                    format_rational, parse_rational)
+                    _printable, format_rational, parse_rational)
 
 DEFAULT_DEPTH_CAP = 24
 """Deepest stage built; binds only for Power(2): the size cap refuses the rest past 21."""
@@ -64,7 +64,7 @@ class Proportional(_Frozen):
 
     def __init__(self, alpha: Fraction) -> None:
         if not 0 < alpha < 1:
-            raise ValueError(f"proportional removal must satisfy 0 < alpha < 1, got {alpha}")
+            raise ValueError(f"proportional removal must satisfy 0 < alpha < 1, got {_printable(alpha)}")
         object.__setattr__(self, "alpha", alpha)
 
 
@@ -99,7 +99,7 @@ class LambdaFamily(_Frozen):
 
     def __init__(self, lam: Fraction) -> None:
         if not 0 < lam <= 1:
-            raise ValueError(f"lambda family needs 0 < lambda <= 1, got {lam}")
+            raise ValueError(f"lambda family needs 0 < lambda <= 1, got {_printable(lam)}")
         object.__setattr__(self, "lam", lam)
 
 
@@ -307,11 +307,6 @@ def removed_by_generation(f: FamilySpec, k: int) -> list[list[OpenInterval]]:
     return out + [[] for _ in range(k - len(out))]  # past a Power(2) collapse
 
 
-def removed_intervals(f: FamilySpec, k: int) -> list[OpenInterval]:
-    """All removals through stage k, generation-major then left-to-right."""
-    return [g for gen in removed_by_generation(f, k) for g in gen]
-
-
 LevelStats = namedtuple("LevelStats", "count min_length max_length")
 
 
@@ -417,12 +412,6 @@ def digit_form(f: FamilySpec) -> DigitSet | None:
     if any(o % length for o in offsets):
         return None
     return DigitSet(s // length, tuple(o // length for o in offsets))
-
-
-def digit_equivalent(alpha: Fraction) -> DigitSet | None:
-    """The two-digit family matching Proportional(alpha), when one exists:
-    when n = 2/(1-alpha) is an integer, the digits {0, n-1} in base n."""
-    return digit_form(Proportional(alpha))
 
 
 # --- family kinds: JSON wire format and command-line flags -----------------

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction as F
 from itertools import islice
 
@@ -313,6 +314,17 @@ class TestMemberAtDepth:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             member_at_depth(F(3, 2), MIDDLE_THIRDS, 3)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter prints integers of any length")
+@pytest.mark.parametrize("call", [lambda x: base_expansion(x, 3),
+                                  lambda x: member_at_depth(x, MIDDLE_THIRDS, 3)],
+                         ids=["base_expansion", "member_at_depth"])
+def test_an_input_too_large_to_print_is_described_in_the_range_error(call):
+    # str() of 10^4400 raises; its error used to replace the range message.
+    with pytest.raises(ValueError, match=r"\[0,1\], got a rational of over \d+ digits$"):
+        call(F(10**4400))
 
 
 def forbidden_walk(*args, **kwargs):

@@ -489,6 +489,21 @@ class TestCaps:
                            "--kmax", "1")
         assert code in (0, 2) and not err.startswith("result too large to print: the stage-")
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("argv, code, message", [
+        (("cantor-fn", "--x", "1e-4400"), 1, "{} is not in the ternary Cantor set"),
+        (("analyze", "--family", "proportional", "--alpha", "1e4400"), 2,
+         "invalid family: proportional removal must satisfy 0 < alpha < 1, got {}"),
+        (("analyze", "--family", "lambda", "--lambda", "2e4400"), 2,
+         "invalid family: lambda family needs 0 < lambda <= 1, got {}"),
+    ], ids=["cantor-fn", "proportional", "lambda"])
+    def test_a_value_too_large_to_print_is_described_in_its_message(self, capsys, argv, code,
+                                                                     message):
+        # str() of these values raises, and its error used to replace the message.
+        shown = f"a rational of over {sys.get_int_max_str_digits()} digits"
+        assert run(capsys, *argv) == (code, "", message.format(shown) + "\n")
+
     @pytest.mark.parametrize("flags", [("--family", "power", "--n", "2", "--depth", "10000000"),
                                        ("--family", "lambda", "--lambda", "1/2", "--depth", "2000")])
     def test_printable_counts_still_answer(self, capsys, flags):

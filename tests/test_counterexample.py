@@ -4,8 +4,6 @@ import pytest
 
 from cantorlike.counterexample import (
     discontinuity_report,
-    partial_indicator_discontinuity_count,
-    removed_sequence,
     tail_measure,
     tail_table,
     tail_table_csv,
@@ -20,46 +18,44 @@ from cantorlike.families import (
     Proportional,
     StageSizeError,
     iterate,
+    removed_by_generation,
 )
 
 VOLTERRA = Power(4)
 
 
 class TestRemovedSequence:
+    # The sequence E_1, E_2, ... is removed_by_generation read generation-major.
     def test_first_generation(self):
-        seq = removed_sequence(VOLTERRA, 1)
-        assert list(seq.entries) == [OpenInterval(F(3, 8), F(5, 8))]
+        assert removed_by_generation(VOLTERRA, 1) == [[OpenInterval(F(3, 8), F(5, 8))]]
 
     def test_three_generations(self):
-        seq = removed_sequence(VOLTERRA, 3)
-        assert len(seq.entries) == 7
-        assert seq.entries[3] == OpenInterval(F(9, 128), F(11, 128))
-        assert seq.generation_sizes == (1, 2, 4)
-        assert seq.generation_end_indices() == [1, 3, 7]
+        gens = removed_by_generation(VOLTERRA, 3)
+        assert [len(gen) for gen in gens] == [1, 2, 4]
+        assert gens[2][0] == OpenInterval(F(9, 128), F(11, 128))
 
     def test_middle_thirds_power_form(self):
-        seq = removed_sequence(Power(3), 2)
-        assert list(seq.entries) == [
-            OpenInterval(F(1, 3), F(2, 3)),
-            OpenInterval(F(1, 9), F(2, 9)),
-            OpenInterval(F(7, 9), F(8, 9)),
+        assert removed_by_generation(Power(3), 2) == [
+            [OpenInterval(F(1, 3), F(2, 3))],
+            [OpenInterval(F(1, 9), F(2, 9)), OpenInterval(F(7, 9), F(8, 9))],
         ]
 
     def test_entries_disjoint_from_later_stages(self):
-        seq = removed_sequence(VOLTERRA, 4)
+        entries = [e for gen in removed_by_generation(VOLTERRA, 4) for e in gen]
         for g in (4, 5, 6):
             stage = iterate(VOLTERRA, g)
-            for e in seq.entries:
+            for e in entries:
                 assert not stage.contains_point((e.a + e.b) / 2)
 
-    def test_requires_a_generation(self):
+    def test_negative_generations_rejected(self):
         with pytest.raises(ValueError):
-            removed_sequence(VOLTERRA, 0)
+            removed_by_generation(VOLTERRA, -1)
 
     def test_depth_cap_bounds_the_generations(self):
-        assert len(removed_sequence(Power(2), 24).entries) == 3  # past the fixpoint
+        gens = removed_by_generation(Power(2), 24)
+        assert sum(len(gen) for gen in gens) == 3  # past the fixpoint
         with pytest.raises(DepthCapError):
-            removed_sequence(Power(2), 25)
+            removed_by_generation(Power(2), 25)
 
     def test_stage_size_cap_refuses_before_any_gap(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -69,7 +65,7 @@ class TestRemovedSequence:
         monkeypatch.setattr(families_module, "STAGE_SIZE_CAP", 2**10 * 26 - 1)
         monkeypatch.setattr(OpenInterval, "__init__", forbidden)
         with pytest.raises(StageSizeError):
-            removed_sequence(Proportional(F(1, 3)), 10)
+            removed_by_generation(Proportional(F(1, 3)), 10)
 
 
 class TestTailMeasure:
@@ -94,9 +90,9 @@ class TestTailMeasure:
 
     def test_prefix_plus_tail_is_total(self):
         total = total_removed_measure(VOLTERRA)
-        seq = removed_sequence(VOLTERRA, 5)
+        entries = [e for gen in removed_by_generation(VOLTERRA, 5) for e in gen]
         acc = F(0)
-        for n, entry in enumerate(seq.entries, start=1):
+        for n, entry in enumerate(entries, start=1):
             acc += entry.length
             assert acc + tail_measure(VOLTERRA, n) == total
 
@@ -123,10 +119,6 @@ class TestDiscontinuityReport:
 
     def test_lambda_one_is_integrable(self):
         assert discontinuity_report(LambdaFamily(F(1))).riemann_integrable is True
-
-    def test_partial_indicators_have_finitely_many_discontinuities(self):
-        assert partial_indicator_discontinuity_count(0) == 0
-        assert partial_indicator_discontinuity_count(7) == 14
 
 
 class TestTailTable:

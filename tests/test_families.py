@@ -12,7 +12,7 @@ from cantorlike.families import (
     OpenInterval,
     Power,
     Proportional,
-    digit_equivalent,
+    digit_form,
     family_from_json,
     family_to_json,
     ifs_maps,
@@ -20,7 +20,6 @@ from cantorlike.families import (
     iterate,
     level_stats,
     removed_by_generation,
-    removed_intervals,
 )
 
 
@@ -143,31 +142,36 @@ class TestIterateStageListings:
             iterate(MIDDLE_THIRDS, 25)
 
 
+def flat_gaps(f, k):
+    # All removals through stage k, generation-major then left-to-right.
+    return [gap for gen in removed_by_generation(f, k) for gap in gen]
+
+
 class TestRemovedIntervals:
     def test_volterra_generation_one(self):
-        assert removed_intervals(VOLTERRA, 1) == [OpenInterval(F(3, 8), F(5, 8))]
+        assert flat_gaps(VOLTERRA, 1) == [OpenInterval(F(3, 8), F(5, 8))]
 
     def test_volterra_listing_order(self):
-        assert removed_intervals(VOLTERRA, 2) == [
+        assert flat_gaps(VOLTERRA, 2) == [
             OpenInterval(F(3, 8), F(5, 8)),
             OpenInterval(F(5, 32), F(7, 32)),
             OpenInterval(F(25, 32), F(27, 32)),
         ]
-        assert removed_intervals(VOLTERRA, 3)[3] == OpenInterval(F(9, 128), F(11, 128))
+        assert flat_gaps(VOLTERRA, 3)[3] == OpenInterval(F(9, 128), F(11, 128))
 
     def test_depth_zero_removes_nothing(self):
-        assert removed_intervals(VOLTERRA, 0) == []
+        assert flat_gaps(VOLTERRA, 0) == []
 
     def test_disjoint_from_stage(self):
         stage = iterate(VOLTERRA, 4)
-        for gap in removed_intervals(VOLTERRA, 4):
+        for gap in flat_gaps(VOLTERRA, 4):
             mid = (gap.a + gap.b) / 2
             assert not stage.contains_point(mid)
 
     def test_partition_identity(self):
         for f in (MIDDLE_THIRDS, VOLTERRA, ODD_FIFTHS, LambdaFamily(F(1, 3)), Power(2)):
             for k in range(7):
-                removed = sum((g.length for g in removed_intervals(f, k)), F(0))
+                removed = sum((g.length for g in flat_gaps(f, k)), F(0))
                 assert iterate(f, k).total_length + removed == 1
 
     def test_power_two_stops_removing(self):
@@ -245,20 +249,20 @@ class TestIfs:
 
 class TestDigitEquivalent:
     def test_middle_thirds(self):
-        assert digit_equivalent(F(1, 3)) == DigitSet(3, (0, 2))
+        assert digit_form(Proportional(F(1, 3))) == DigitSet(3, (0, 2))
 
     def test_middle_half(self):
-        assert digit_equivalent(F(1, 2)) == DigitSet(4, (0, 3))
+        assert digit_form(Proportional(F(1, 2))) == DigitSet(4, (0, 3))
 
     def test_middle_three_fourths(self):
-        assert digit_equivalent(F(3, 4)) == DigitSet(8, (0, 7))
+        assert digit_form(Proportional(F(3, 4))) == DigitSet(8, (0, 7))
 
     def test_middle_fourth_has_none(self):
-        assert digit_equivalent(F(1, 4)) is None
+        assert digit_form(Proportional(F(1, 4))) is None
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            digit_equivalent(F(2))
+            digit_form(Proportional(F(2)))
 
 
 class TestFamilyJson:

@@ -19,10 +19,11 @@ from cantorlike.families import (
     LambdaFamily,
     Power,
     Proportional,
-    digit_equivalent,
+    digit_form,
     ifs_maps,
     ifs_step,
     iterate,
+    removed_by_generation,
 )
 
 SEED = 20260823
@@ -133,19 +134,17 @@ def test_symmetry_about_one_half():
 
 
 def test_partition_identity_randomized():
-    from cantorlike.families import removed_intervals
-
     rng = random.Random(SEED + 2)
     for _ in range(500):
         f = random_family(rng)
         k = random_depth(rng, f)
-        removed = sum((g.length for g in removed_intervals(f, k)), F(0))
+        removed = sum((g.length for gen in removed_by_generation(f, k) for g in gen), F(0))
         assert iterate(f, k).total_length + removed == 1
 
 
 def test_digit_proportional_stage_equality():
     for alpha in (F(1, 3), F(1, 2), F(3, 4)):
-        equivalent = digit_equivalent(alpha)
+        equivalent = digit_form(Proportional(alpha))
         assert equivalent is not None
         for k in range(9):
             assert iterate(Proportional(alpha), k) == iterate(equivalent, k)
@@ -159,7 +158,7 @@ def test_digit_proportional_membership_agreement():
         x = random_unit_rational(rng, 10**4)
         k = rng.randrange(0, 9)
         assert member_at_depth(x, Proportional(alpha), k) == member_at_depth(
-            x, digit_equivalent(alpha), k
+            x, digit_form(Proportional(alpha)), k
         )
 
 
@@ -312,9 +311,8 @@ def test_cantor_function_pinned_values():
 
 def test_cantor_function_constant_across_removed_gaps():
     # closure endpoints of each removed interval share one dyadic value
-    from cantorlike.families import removed_intervals
-
-    for gap in removed_intervals(Proportional(F(1, 3)), 6):
+    gens = removed_by_generation(Proportional(F(1, 3)), 6)
+    for gap in (gap for gen in gens for gap in gen):
         left, right = cantor_function(gap.a), cantor_function(gap.b)
         assert left == right
         assert left.denominator & (left.denominator - 1) == 0  # a dyadic rational

@@ -1,0 +1,62 @@
+"""The public names of the package: one path per result.
+
+Each name removed from the API restated a kept path: ``removed_intervals``
+and ``removed_sequence`` (with ``RemovedSequence``) flattened
+``removed_by_generation``, ``digit_equivalent(alpha)`` was
+``digit_form(Proportional(alpha))``, ``partial_indicator_discontinuity_count(n)``
+returned ``2 * n`` and ``ClosedInterval.contains`` had no caller.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cantorlike
+from cantorlike import counterexample, exact, families
+
+PUBLIC_NAMES = [
+    "CANTOR_TERNARY", "ClosedInterval", "ConstructionError", "DEFAULT_DEPTH_CAP", "DepthCapError",
+    "DigitSet", "DimensionReport", "DiscontinuityReport", "ExpansionRecord", "FamilySpec",
+    "IfsMaps", "IntervalSet", "LambdaFamily", "LevelStats", "OpenInterval", "Power",
+    "Proportional", "RenderSpec", "analysis", "base_expansion", "cantor_function",
+    "counterexample", "digit_form", "dimension_estimates", "discontinuity_report", "exact",
+    "families", "family_from_json", "family_to_json", "format_rational", "ifs_maps", "ifs_step",
+    "iterate", "level_stats", "limit_measure", "measure_at_depth", "member_at_depth",
+    "member_limit", "membership_witness", "normalize", "parse_rational", "removed_by_generation",
+    "render", "render_svg", "similarity_dimension", "tail_measure", "tail_table",
+    "total_removed_measure",
+]
+
+
+def test_public_names_are_pinned():
+    # In a fresh interpreter: a submodule imported later (cantorlike.cli by
+    # the CLI tests) would add its name to the package.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    program = "import cantorlike; print(*sorted(n for n in dir(cantorlike) if n[0] != '_'))"
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          env=env, timeout=60)
+    names = proc.stdout.split()
+    assert (proc.returncode, proc.stderr, len(names)) == (0, "", 48)
+    assert names == PUBLIC_NAMES
+
+
+def test_digit_form_is_the_families_one():
+    assert cantorlike.digit_form is families.digit_form
+
+
+@pytest.mark.parametrize("owner, name", [
+    (families, "removed_intervals"),
+    (families, "digit_equivalent"),
+    (counterexample, "removed_sequence"),
+    (counterexample, "RemovedSequence"),
+    (counterexample, "partial_indicator_discontinuity_count"),
+    (exact.ClosedInterval, "contains"),
+])
+def test_removed_names_are_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert not hasattr(cantorlike, name)

@@ -4,7 +4,7 @@ The reference functions below are the earlier implementations, kept verbatim
 in substance: the per-step Fraction recurrence of ``level_stats``, the
 Fraction descent of ``member_at_depth``, the per-family branches that the
 Moran row replaced (``_lengths``, ``limit_measure``, ``ifs_maps``, the digit
-form of ``digit_equivalent`` and the CLI, ``similarity_dimension`` and
+form of a proportional family and of the CLI, ``similarity_dimension`` and
 ``family_to_json``), long division with a table of every
 remainder seen (one digit per step), the preperiod length found one gcd
 step at a time, the ``seen``-set ``member_limit``, the two-pass
@@ -83,7 +83,6 @@ from cantorlike.families import (
     _check_stage,
     _lengths,
     _stage_halves,
-    digit_equivalent,
     digit_form,
     family_from_json,
     family_to_json,
@@ -691,8 +690,6 @@ def assert_row_paths_match_references(f, unit):
     assert limit_measure(f) == ref_limit_measure(f)
     assert outcome(ifs_maps, f) == outcome(ref_ifs_maps, f)
     assert digit_form(f) == ref_digit_form(f)
-    if isinstance(f, Proportional):
-        assert digit_equivalent(f.alpha) == ref_digit_equivalent(f.alpha)
     # DimensionReport equality compares value and every sequence float by ==.
     assert outcome(similarity_dimension, f) == outcome(ref_similarity_dimension, f)
     wire = family_to_json(f)
@@ -715,7 +712,7 @@ def test_digit_equivalent_out_of_range_rejected():
     for alpha in (F(0), F(1), F(2), F(-1, 3)):
         assert outcome(ref_digit_equivalent, alpha)[0] is ValueError
         with pytest.raises(ValueError):
-            digit_equivalent(alpha)
+            digit_form(Proportional(alpha))
 
 
 @settings(max_examples=200, deadline=None)

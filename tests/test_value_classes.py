@@ -1,4 +1,4 @@
-"""The contract of the twelve frozen value classes, and what a launch imports.
+"""The contract of the eleven frozen value classes, and what a launch imports.
 
 Every class is an immutable record compared by value: its repr lists the
 fields, equal fields mean equal and hash-equal objects of the same class,
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from cantorlike.analysis import DimensionReport, ExpansionRecord
-from cantorlike.counterexample import DiscontinuityReport, RemovedSequence
+from cantorlike.counterexample import DiscontinuityReport
 from cantorlike.exact import ClosedInterval
 from cantorlike.families import (
     DigitSet,
@@ -28,8 +28,6 @@ from cantorlike.families import (
     Proportional,
 )
 from cantorlike.render import RenderSpec
-
-GAP = OpenInterval(F(3, 8), F(5, 8))
 
 # (class, fields in order, the same fields with one value changed, repr text)
 CASES = [
@@ -55,10 +53,6 @@ CASES = [
      {"scale": F(5)},
      "DimensionReport(value=0.5, kind='exact_similarity', sequence=None, count_base=2, "
      "scale=Fraction(4, 1))"),
-    (RemovedSequence, {"source": Power(4), "entries": (GAP,), "generation_sizes": (1,)},
-     {"generation_sizes": (2,)},
-     "RemovedSequence(source=Power(n=4), entries=(OpenInterval(a=Fraction(3, 8), "
-     "b=Fraction(5, 8)),), generation_sizes=(1,))"),
     (DiscontinuityReport, {"measure": F(1, 2), "riemann_integrable": False},
      {"riemann_integrable": True},
      "DiscontinuityReport(measure=Fraction(1, 2), riemann_integrable=False)"),
