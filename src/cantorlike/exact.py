@@ -26,13 +26,15 @@ MAX_DECIMAL_EXPONENT = 100_000
 already expands to a 100,001-digit denominator."""
 
 _EXPONENT = re.compile(r"e[-+]?([0-9_]+)\s*$", re.IGNORECASE)
+_DIGIT_RUN = re.compile(r"[0-9]+")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a "p/q" (or plain integer or decimal) string into an exact Fraction.
 
     A decimal exponent over MAX_DECIMAL_EXPONENT in magnitude is refused
-    before any digit is expanded.
+    before any digit is expanded, and a run of digits longer than
+    ``sys.get_int_max_str_digits()`` is refused by name, not as malformed.
     """
     exponent = _EXPONENT.search(text)
     if exponent:
@@ -42,6 +44,12 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
+        # Fraction reads each run of digits with int(), which refuses a run
+        # over the interpreter's limit, where it has one (0 means none).
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and max(map(len, _DIGIT_RUN.findall(text.replace("_", ""))), default=0) > limit:
+            raise ValueError(f"rational {text[:40]!r} has a run of over {limit} digits, "
+                             f"the limit of sys.get_int_max_str_digits()") from exc
         raise ValueError(f"malformed rational {text!r}") from exc
 
 
@@ -243,13 +251,8 @@ class IntervalSet:
         """Map every [a,b] to [scale*a + shift, scale*b + shift]; scale > 0."""
         if scale <= 0:
             raise ValueError(f"affine scale must be positive, got {scale}")
-        # Over denom * m, m = lcm of the two denominators, x -> scale*x + shift
-        # sends the numerator a to a * mul + add.
         m = lcm(scale.denominator, shift.denominator)
-        mul = scale.numerator * (m // scale.denominator)
-        add = shift.numerator * (m // shift.denominator) * self.denom
-        mapped = [(a * mul + add, b * mul + add) for a, b in self.pairs]
-        return IntervalSet._from_pairs(self.denom * m, mapped)
+        return IntervalSet._from_pairs(self.denom * m, list(_affine_pairs(self, scale, shift, m)))
 
     def contains_point(self, x: Fraction) -> bool:
         """Membership: bisect the starts at floor(x * denom), then one
@@ -320,6 +323,15 @@ class _Intervals(Sequence):
 def normalize(intervals: Iterable[ClosedInterval]) -> IntervalSet:
     """Sort and merge arbitrary closed intervals into a canonical IntervalSet."""
     return IntervalSet(intervals)
+
+
+def _affine_pairs(s: IntervalSet, scale: Fraction, shift: Fraction, m: int) -> Iterator[tuple[int, int]]:
+    # The pairs of s under x -> scale*x + shift, over the denominator s.denom * m,
+    # where m is a multiple of both denominators: there the map sends the
+    # numerator a to a * mul + add. Lazy, and sorted when scale > 0.
+    mul = scale.numerator * (m // scale.denominator)
+    add = shift.numerator * (m // shift.denominator) * s.denom
+    return ((a * mul + add, b * mul + add) for a, b in s.pairs)
 
 
 def _merge(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:

@@ -34,8 +34,8 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
-from .exact import (IntervalSet, _Frozen, _json_int, _json_ints, _json_rational, _json_shape, _merge,
-                    _printable, format_rational, parse_rational)
+from .exact import (IntervalSet, _Frozen, _affine_pairs, _json_int, _json_ints, _json_rational, _json_shape,
+                    _merge, _printable, format_rational, parse_rational)
 
 DEFAULT_DEPTH_CAP = 24
 """Deepest stage built; binds only for Power(2): the size cap refuses the rest past 21."""
@@ -380,18 +380,23 @@ def level_stats(f: FamilySpec, k: int) -> LevelStats:
 
 
 def ifs_step(s: IntervalSet, maps: IfsMaps) -> IntervalSet:
-    """One application of the IFS: the union of the affine images of s."""
-    images = [s.affine_image(scale, shift) for scale, shift in maps.maps]
-    denom = lcm(*(img.denom for img in images))
-    pieces = []
-    for img in images:
-        m = denom // img.denom
-        pieces += [(a * m, b * m) for a, b in img.pairs]
-    pieces.sort()
-    union = list(_merge(pieces))
-    if sum(b - a for a, b in union) != sum(b - a for a, b in pieces):
+    """One application of the IFS: the union of the affine images of s.
+
+    Every image is streamed over the one denominator s.denom * L, L the lcm of
+    the maps' denominators, and the sorted images are merged as they stream,
+    so only the union is held. Images may interleave (when s leaves [0, 1]);
+    images that overlap raise ConstructionError.
+    """
+    # Imported here: no CLI command calls ifs_step, so the launch does not pay for heapq.
+    from heapq import merge
+
+    L = lcm(*(x.denominator for scale_shift in maps.maps for x in scale_shift))
+    union = list(_merge(merge(*(_affine_pairs(s, scale, shift, L) for scale, shift in maps.maps))))
+    # The images are disjoint iff the union is as long as all of them together.
+    images_length = L * sum(scale for scale, _ in maps.maps) * sum(b - a for a, b in s.pairs)
+    if sum(b - a for a, b in union) != images_length:
         raise ConstructionError("IFS images overlap; union is not disjoint")
-    return IntervalSet._from_pairs(denom, union)
+    return IntervalSet._from_pairs(s.denom * L, union)
 
 
 def ifs_maps(f: FamilySpec) -> IfsMaps:

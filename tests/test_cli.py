@@ -504,6 +504,26 @@ class TestCaps:
         shown = f"a rational of over {sys.get_int_max_str_digits()} digits"
         assert run(capsys, *argv) == (code, "", message.format(shown) + "\n")
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter reads integers of any length")
+    @pytest.mark.parametrize("text, argv, prefix", [
+        ("1" + "0" * 4400 + "/1", ("analyze", "--family", "proportional", "--alpha", "{}"),
+         "invalid family: "),
+        ("1/3" + "0" * 4400, ("member", "--family", "proportional", "--alpha", "1/3", "--x", "{}",
+                              "--depth", "3"), ""),
+        ("1" + "0" * 4400 + "/3", ("analyze", "--family-json",
+                                   '{{"family": "proportional", "alpha": "{}"}}'), "invalid family: "),
+    ], ids=["alpha", "x", "family-json"])
+    def test_a_well_formed_rational_past_the_digit_limit_is_named_not_malformed(self, capsys, text,
+                                                                              argv, prefix):
+        # Fraction(text) raises int()'s digit-limit error; it used to be
+        # reported as a malformed rational, echoing every digit.
+        argv = [arg.format(text) for arg in argv]
+        limit = sys.get_int_max_str_digits()
+        message = (f"{prefix}rational {text[:40]!r} has a run of over {limit} digits, "
+                   f"the limit of sys.get_int_max_str_digits()\n")
+        assert run(capsys, *argv) == (2, "", message)
+
     @pytest.mark.parametrize("flags", [("--family", "power", "--n", "2", "--depth", "10000000"),
                                        ("--family", "lambda", "--lambda", "1/2", "--depth", "2000")])
     def test_printable_counts_still_answer(self, capsys, flags):

@@ -1661,6 +1661,46 @@ def test_ifs_step_matches_fraction_reference(f):
             assert ifs_step(stage, m).intervals == ref_ifs_step(ref, m).intervals
 
 
+def ends(*pairs):
+    return [ClosedInterval(F(a), F(b)) for a, b in pairs]
+
+
+THIRDS = IfsMaps(((F(1, 3), F(0)), (F(1, 3), F(1, 3))))
+MIXED_DENOMINATORS = IfsMaps(((F(1, 3), F(0)), (F(1, 4), F(3, 4))))
+
+
+@pytest.mark.parametrize("maps, intervals, union", [
+    # A set outside [0, 1]: its images interleave, so concatenating them in
+    # shift order would leave the union unsorted.
+    (THIRDS, ends(("0", "1/10"), ("19/10", "2")),
+     ends(("0", "1/30"), ("1/3", "11/30"), ("19/30", "2/3"), ("29/30", "1"))),
+    (MIXED_DENOMINATORS, ends(("0", "1")), ends(("0", "1/3"), ("3/4", "1"))),
+    (MIXED_DENOMINATORS, ends(("0", "1/5"), ("2/7", "1")),
+     ends(("0", "1/15"), ("2/21", "1/3"), ("3/4", "4/5"), ("23/28", "1"))),
+], ids=["interleaved", "mixed-denominators", "mixed-denominators-two-pieces"])
+def test_ifs_step_merges_interleaved_and_mixed_denominator_images(maps, intervals, union):
+    for m in (maps, IfsMaps(maps.maps[::-1])):
+        step = ifs_step(IntervalSet(intervals), m)
+        assert step.intervals == ref_ifs_step(RefIntervalSet(intervals), m).intervals == tuple(union)
+        assert step == IntervalSet(step.intervals)  # in canonical form
+
+
+def test_ifs_step_holds_only_the_union():
+    # The images stream through one merge: the peak is the result plus the
+    # merge's heap, where building each image, a rescaled copy and a sorted
+    # list of every piece peaked at 2.3 times the result.
+    f = Proportional(F(1, 3))
+    stage, maps = iterate(f, 12), ifs_maps(f)
+    tracemalloc.start()
+    try:
+        step = ifs_step(stage, maps)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert step == iterate(f, 13)
+    assert peak <= 1.5 * size, (peak, size)
+
+
 def test_iterate_builds_no_interval_objects(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an interval object was built")
