@@ -49,6 +49,6 @@ from .counterexample import (
     tail_table,
     total_removed_measure,
 )
-from .render import RenderSpec, render_svg
+from .render import render_svg
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .analysis import (
     similarity_dimension,
 )
 from .counterexample import tail_table_rows
-from .exact import format_rational, parse_rational, rational_decimal
+from .exact import _echo, format_rational, parse_rational, rational_decimal
 from .families import (
     _FAMILY_FIELDS,
     DepthCapError,
@@ -48,7 +48,7 @@ from .families import (
     level_stats,
     moran_row,
 )
-from .render import RenderSpec, render_svg
+from .render import render_svg
 
 EXIT_BAD_FAMILY = 2
 EXIT_DEPTH_CAP = 3
@@ -90,7 +90,7 @@ def _build_family(args: argparse.Namespace) -> FamilySpec:
 
 def _require_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
-        _fail(EXIT_BAD_FAMILY, f"{flag} must be >= {low}, got {value}")
+        _fail(EXIT_BAD_FAMILY, f"{flag} must be >= {low}, got {_echo(value)}")
 
 
 def _parse_x(text: str) -> Fraction:
@@ -99,16 +99,14 @@ def _parse_x(text: str) -> Fraction:
     except ValueError as exc:
         _fail(EXIT_BAD_FAMILY, str(exc))
     if not 0 <= x <= 1:
-        _fail(EXIT_BAD_FAMILY, f"x must lie in [0,1], got {text}")
+        _fail(EXIT_BAD_FAMILY, f"x must lie in [0,1], got {_echo(text, str)}")
     return x
 
 
 def _write_svg(family: FamilySpec, args: argparse.Namespace) -> None:
     _require_at_least("--width", args.width, 1)
     _require_at_least("--row-height", args.row_height, 1)
-    spec = RenderSpec(family=family, depth=args.depth, width_px=args.width,
-                      row_height_px=args.row_height)
-    sys.stdout.write(render_svg(spec))
+    sys.stdout.write(render_svg(family, args.depth, args.width, args.row_height))
 
 
 # One stage row per pair (x, y) over denom: each ratio reduced as
@@ -188,8 +186,8 @@ def _cmd_generate(args: argparse.Namespace) -> None:
     if args.format == "svg":
         _write_svg(family, args)  # the diagram runs its own stage pass
         return
-    denom, lefts, inner, touch = _stage_halves(family, args.depth)
-    blocks = _blocks(lefts, _end_plans(denom, lefts, inner), touch)
+    denom, lefts, inner, span = _stage_halves(family, args.depth)
+    blocks = _blocks(lefts, _end_plans(denom, lefts, inner), span)
     rows = _stage_rows(_STAGE_ROWS[args.format, args.decimal].format, denom, blocks, args.decimal)
     if args.format == "json":
         _write_rows(rows, ", ", "[", "]\n")

@@ -40,7 +40,7 @@ def parse_rational(text: str) -> Fraction:
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"decimal exponent of {text[:40]!r} exceeds {MAX_DECIMAL_EXPONENT}")
+            raise ValueError(f"decimal exponent of {_echo(text)} exceeds {MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -48,14 +48,20 @@ def parse_rational(text: str) -> Fraction:
         # over the interpreter's limit, where it has one (0 means none).
         limit = getattr(sys, "get_int_max_str_digits", int)()
         if limit and max(map(len, _DIGIT_RUN.findall(text.replace("_", ""))), default=0) > limit:
-            raise ValueError(f"rational {text[:40]!r} has a run of over {limit} digits, "
+            raise ValueError(f"rational {_echo(text)} has a run of over {limit} digits, "
                              f"the limit of sys.get_int_max_str_digits()") from exc
-        raise ValueError(f"malformed rational {text!r}") from exc
+        raise ValueError(f"malformed rational {_echo(text)}") from exc
 
 
 def format_rational(x: Fraction) -> str:
     """Render a Fraction as "p/q" in lowest terms, always with a denominator."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def _echo(value: object, show=repr) -> str:
+    """show(value) for an error message, from at most the first 40 characters
+    of the input: a string is cut before it is shown, anything else after."""
+    return show(value[:40]) if type(value) is str else show(value)[:40]
 
 
 def _printable(x: Fraction) -> str:
@@ -93,22 +99,22 @@ def _json_rational(value: object, name: str) -> Fraction:
         return Fraction(value)
     if type(value) is str and _JSON_RATIONAL.fullmatch(value):
         return parse_rational(value)
-    raise ValueError(f"{name} must be an integer or a 'p/q' string, got {value!r}")
+    raise ValueError(f"{name} must be an integer or a 'p/q' string, got {_echo(value)}")
 
 
 def _json_shape(value: object, name: str, keys: tuple[str, ...] | None = None):
     # A list when keys is None, else an object holding every one of keys.
     if type(value) is not (list if keys is None else dict):
-        raise ValueError(f"{name} must be {'a list' if keys is None else 'an object'}, got {value!r}")
+        raise ValueError(f"{name} must be {'a list' if keys is None else 'an object'}, got {_echo(value)}")
     if missing := [key for key in keys or () if key not in value]:
-        raise ValueError(f"{name} has no {missing[0]!r} key: {value!r}")
+        raise ValueError(f"{name} has no {missing[0]!r} key: {_echo(value)}")
     return value
 
 
 def _json_int(value: object, name: str) -> int:
     x = _json_rational(value, name)
     if x.denominator != 1:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_echo(value)}")
     return x.numerator
 
 

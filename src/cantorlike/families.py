@@ -21,7 +21,7 @@ children, whose length over s^j is c * length_{j-1} - r * g^(j-1).
 Stages, lengths, the limit measure, IFS maps and digit forms are all read
 off the row; a family with r = 0 is self-similar.
 
-Stages are integer endpoint pairs streamed from two half-depth folds of the
+Stages are integer endpoint pairs made block by block from two half-depth folds of the
 step table; ``iterate`` wraps them in an ``IntervalSet``. A stage over either
 fixed cap, ``STAGE_SIZE_CAP`` or ``DEFAULT_DEPTH_CAP``, is refused before anything is built.
 """
@@ -35,7 +35,7 @@ from itertools import islice
 from math import gcd, lcm
 
 from .exact import (IntervalSet, _Frozen, _affine_pairs, _json_int, _json_ints, _json_rational, _json_shape,
-                    _merge, _printable, format_rational, parse_rational)
+                    _echo, _merge, _printable, format_rational, parse_rational)
 
 DEFAULT_DEPTH_CAP = 24
 """Deepest stage built; binds only for Power(2): the size cap refuses the rest past 21."""
@@ -177,8 +177,8 @@ class IfsMaps(_Frozen):
 #
 # The scales multiply to s^k, which can hold a factor that no endpoint needs
 # (the ternary stage k is folded over 6^k; its least denominator is 3^k).
-# Both halves are divided by the gcd of s^k and every endpoint before the
-# stream starts, so a stage is emitted over its least denominator. Only a
+# Both halves are divided by the gcd of s^k and every endpoint before any
+# pair is made, so a stage is emitted over its least denominator. Only a
 # merge of touching digit blocks, which drops endpoints, can leave a factor;
 # iterate's _reduced takes that out.
 
@@ -216,12 +216,12 @@ def _fold(steps: list) -> tuple[int, list, int]:
     return denom, lefts, length
 
 
-def _stage_halves(f: FamilySpec, k: int) -> tuple[int, list, list, int | None]:
-    """Stage k as ``(denom, lefts, inner, touch)`` over the least denominator
-    ``denom``: the outer left ends and the inner pairs that ``_blocks`` combines.
-    Where kept digits are adjacent, touching pairs of ``inner`` are merged and
-    ``touch`` is the span of an outer block; otherwise it is None. Raises like
-    ``stage_stream``, before any fold."""
+def _stage_halves(f: FamilySpec, k: int) -> tuple[int, list, list, int]:
+    """Stage k as ``(denom, lefts, inner, span)`` over the least denominator
+    ``denom``: the outer left ends, the inner pairs with touching ones merged,
+    and the span of an outer block, which ``_blocks`` combines. Raises
+    ValueError for k < 0, DepthCapError for k over DEFAULT_DEPTH_CAP and
+    StageSizeError for a stage over STAGE_SIZE_CAP, all before any fold."""
     _check_stage(f, k)
     steps = list(islice(_steps(f), k))
     half = len(steps) // 2
@@ -232,57 +232,39 @@ def _stage_halves(f: FamilySpec, k: int) -> tuple[int, list, list, int | None]:
     denom = d_out * d_in
     g = gcd(denom, length, d_in * gcd(*outer), *inner)
     lefts = [a * d_in // g for a in outer]
-    inner = [(p // g, (p + length) // g) for p in inner]
-    digits = moran_row(f).digits  # blocks touch only where kept digits are adjacent
-    if any(b - a == 1 for a, b in zip(digits, digits[1:])):
-        inner = list(_merge(inner))
-        return denom // g, lefts, inner, inner[-1][1] - inner[0][0]
-    return denom // g, lefts, inner, None
+    inner = list(_merge((p // g, (p + length) // g) for p in inner))
+    return denom // g, lefts, inner, inner[-1][1] - inner[0][0]
 
 
-def _blocks(lefts: list, pairs: list, touch: int | None) -> Iterator[tuple[int, int, list]]:
+def _blocks(lefts: list, pairs: list, span: int) -> Iterator[tuple[int, int, list]]:
     """``(a, b, pairs)`` per outer block, left to right: the stage's pairs are
     (a + p, b + q) for each (p, q) in ``pairs``, where p and q are the first
-    and second items of an entry. Blocks whose left ends lie ``touch`` apart
-    meet, and the last pair of one and the first of the next become one pair.
-    The first and last inner pairs differ whenever blocks meet: a merged digit
-    stage past depth 1 keeps a gap inside each block."""
-    if touch is None:
-        for a in lefts:
-            yield a, a, pairs
-        return
-    joined = [(pairs[-1][0], pairs[0][1])]
-    start = 0
+    and second items of an entry. Blocks whose left ends lie ``span`` apart
+    meet, which happens only where kept digits are adjacent, and the last
+    pair of one and the first of the next become one pair. The first and last
+    inner pairs differ whenever blocks meet: a merged digit stage past depth 1
+    keeps a gap inside each block."""
+    joined, rest = [(pairs[-1][0], pairs[0][1])], pairs[1:]
+    block = pairs  # the pairs of the next block: all, or rest after a meeting
     for a, b in zip(lefts, lefts[1:] + [None]):
-        if b is not None and b - a == touch:
-            yield a, a, pairs[start:-1]
+        if b is not None and b - a == span:
+            yield a, a, block[:-1]
             yield a, b, joined
-            start = 1
+            block = rest
         else:
-            yield a, a, pairs[start:]
-            start = 0
-
-
-def stage_stream(f: FamilySpec, k: int) -> tuple[int, Iterator[tuple[int, int]]]:
-    """Stage k as ``(denom, pairs)``, with ``pairs`` a lazy stream of the
-    disjoint closed intervals [a/denom, b/denom] left to right, touching
-    blocks merged, as integers. ``denom`` divides s^k, the product of the
-    step scales, and is the stage's least denominator unless touching digit
-    blocks merged. Memory is O(2^(k/2)) for a binary family
-    (O(m^(k/2)) for m kept digits) however far the stream is read.
-
-    Raises ValueError for k < 0, DepthCapError for k over DEFAULT_DEPTH_CAP
-    and StageSizeError for a stage over STAGE_SIZE_CAP, all before any fold.
-    """
-    denom, lefts, inner, touch = _stage_halves(f, k)
-    return denom, ((a + p, b + q) for a, b, pairs in _blocks(lefts, inner, touch)
-                   for p, q in pairs)
+            yield a, a, block
+            block = pairs
 
 
 def stage_pairs(f: FamilySpec, k: int) -> tuple[int, list]:
-    """Stage k as ``(denom, pairs)``: ``stage_stream`` with the pairs in a list."""
-    denom, pairs = stage_stream(f, k)
-    return denom, list(pairs)
+    """Stage k as ``(denom, pairs)``: the disjoint closed intervals
+    [a/denom, b/denom] left to right, touching blocks merged, as integers.
+    ``denom`` divides s^k, the product of the step scales, and is the stage's
+    least denominator unless touching digit blocks merged. Raises like
+    ``_stage_halves``, before any fold."""
+    denom, lefts, inner, span = _stage_halves(f, k)
+    return denom, [(a + p, b + q) for a, b, pairs in _blocks(lefts, inner, span)
+                   for p, q in pairs]
 
 
 def iterate(f: FamilySpec, k: int) -> IntervalSet:
@@ -294,7 +276,7 @@ def iterate(f: FamilySpec, k: int) -> IntervalSet:
 def removed_by_generation(f: FamilySpec, k: int) -> list[list[OpenInterval]]:
     """Removed open gaps, one list per generation 1..k, left-to-right within each.
 
-    Raises like ``stage_stream``, before any gap is built: generation k holds
+    Raises like ``_stage_halves``, before any gap is built: generation k holds
     about as many gaps as stage k has intervals, over the same denominator."""
     _check_stage(f, k)
     denom, lefts, out = 1, [0], []
@@ -447,7 +429,7 @@ def family_from_json(obj: object) -> FamilySpec:
     strings; floats, bools, lists, non-objects and missing fields raise ValueError."""
     kind = _json_shape(obj, "family JSON", ()).get("family")
     if type(kind) is not str or kind not in _FAMILY_FIELDS:
-        raise ValueError(f"unknown family kind: {kind!r}")
+        raise ValueError(f"unknown family kind: {_echo(kind)}")
     cls, fields = _FAMILY_FIELDS[kind]
     _json_shape(obj, "family JSON", tuple(name for name, *_ in fields))
     return cls(*(read(obj[name], name) for name, read, _, _ in fields))

@@ -7,51 +7,39 @@ pure function of the inputs, so identical calls give byte-identical SVG.
 
 from __future__ import annotations
 
-from .exact import _Frozen
 from .families import FamilySpec, _check_stage, iterate
-
-
-class RenderSpec(_Frozen):
-    __slots__ = ("family", "depth", "width_px", "row_height_px")
-
-    def __init__(self, family: FamilySpec, depth: int, width_px: int = 800,
-                 row_height_px: int = 28) -> None:
-        if width_px <= 0 or row_height_px <= 0:
-            raise ValueError("pixel dimensions must be positive")
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "width_px", width_px)
-        object.__setattr__(self, "row_height_px", row_height_px)
 
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}".rstrip("0").rstrip(".")
 
 
-def render_svg(spec: RenderSpec) -> str:
+def render_svg(family: FamilySpec, depth: int, width_px: int = 800,
+               row_height_px: int = 28) -> str:
+    """Stages 0..depth as an SVG, width_px by (depth + 1) * row_height_px.
+    Raises before any row is built: ValueError for a size under 1 px, and as
+    ``iterate`` does for a negative depth or one over a cap."""
+    if width_px <= 0 or row_height_px <= 0:
+        raise ValueError("pixel dimensions must be positive")
     # Checked once up front: the per-row iterate calls would otherwise build
     # every stage up to the cap before the first one over it fails.
-    _check_stage(spec.family, spec.depth)
-    width = spec.width_px
-    row_h = spec.row_height_px
-    bar_h = max(row_h - 6, 1)
-    height = (spec.depth + 1) * row_h
+    _check_stage(family, depth)
+    bar_h = max(row_height_px - 6, 1)
+    height = (depth + 1) * row_height_px
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height}" '
+        f'viewBox="0 0 {width_px} {height}">'
     ]
-    for stage in range(spec.depth + 1):
-        row = iterate(spec.family, stage)
+    for stage in range(depth + 1):
+        row = iterate(family, stage)
         denom, pairs = row.denom, row.pairs
         # Every block of a stage has one width, except where touching digit
         # blocks merged, so the rest of a rect is formatted once per distinct
         # b - a and only x once per rect. int / int is correctly rounded, so
-        # both equal float(Fraction) * width; max(..., 1.0) keeps points visible.
-        tails = {d: f'" y="{stage * row_h}" width="{_fmt(max(d / denom * width, 1.0))}" '
+        # both equal float(Fraction) * width_px; max(..., 1.0) keeps points visible.
+        tails = {d: f'" y="{stage * row_height_px}" width="{_fmt(max(d / denom * width_px, 1.0))}" '
                     f'height="{bar_h}" fill="#1f2430"/>' for d in {b - a for a, b in pairs}}
-        parts.append("\n".join([f'<rect x="{_fmt(a / denom * width)}{tails[b - a]}'
+        parts.append("\n".join([f'<rect x="{_fmt(a / denom * width_px)}{tails[b - a]}'
                                 for a, b in pairs]))
     parts.append("</svg>\n")
     return "\n".join(parts)

@@ -524,6 +524,32 @@ class TestCaps:
                    f"the limit of sys.get_int_max_str_digits()\n")
         assert run(capsys, *argv) == (2, "", message)
 
+    @pytest.mark.parametrize("argv, message", [
+        (("member", "--family", "proportional", "--alpha", "1/3", "--depth", "2",
+          "--x", "1/3" + "x" * 4997), "malformed rational '1/3" + "x" * 37 + "'"),
+        (("member", "--family", "proportional", "--alpha", "1/3", "--depth", "2",
+          "--x", "2" + "0" * 4000), "x must lie in [0,1], got 2" + "0" * 39),
+        (("analyze", "--family", "power", "--n", "4", "--depth", "-1" + "0" * 4000),
+         "--depth must be >= 0, got -1" + "0" * 38),
+        (("analyze", "--family-json", json.dumps([0] * 3000)),
+         "invalid family: family JSON must be an object, got [" + "0, " * 13),
+        (("analyze", "--family-json", json.dumps({"family": "power", "extra": "x" * 3000})),
+         "invalid family: family JSON has no 'n' key: {'family': 'power', 'extra': '" + "x" * 10),
+        (("analyze", "--family-json", json.dumps({"family": "power", "n": "x" * 3000})),
+         "invalid family: n must be an integer or a 'p/q' string, got '" + "x" * 40 + "'"),
+        (("analyze", "--family-json", json.dumps({"family": "power", "n": "1/" + "3" * 3000})),
+         "invalid family: n must be an integer, got '1/" + "3" * 38 + "'"),
+        (("analyze", "--family-json", json.dumps({"family": "x" * 3000})),
+         "invalid family: unknown family kind: '" + "x" * 40 + "'"),
+        (("analyze", "--family-json", json.dumps({"family": "x" * 40})),
+         "invalid family: unknown family kind: '" + "x" * 40 + "'"),
+    ], ids=["malformed-x", "x-range", "depth", "json-shape", "json-missing-key", "json-rational",
+            "json-int", "family-kind", "family-kind-of-40"])
+    def test_an_error_echoes_at_most_40_characters_of_its_input(self, capsys, argv, message):
+        # One short line however long the input; an input of 40 characters or
+        # fewer is still echoed whole.
+        assert run(capsys, *argv) == (2, "", message + "\n")
+
     @pytest.mark.parametrize("flags", [("--family", "power", "--n", "2", "--depth", "10000000"),
                                        ("--family", "lambda", "--lambda", "1/2", "--depth", "2000")])
     def test_printable_counts_still_answer(self, capsys, flags):

@@ -93,9 +93,8 @@ from cantorlike.families import (
     moran_row,
     removed_by_generation,
     stage_pairs,
-    stage_stream,
 )
-from cantorlike.render import RenderSpec, render_svg
+from cantorlike.render import render_svg
 
 
 # --- reference implementations ---------------------------------------------------
@@ -1281,12 +1280,6 @@ def test_removed_gaps_match_reference_on_random_families(f):
     assert got == ref_removed_by_generation(f, k)
 
 
-def streamed(f, k):
-    denom, pairs = stage_stream(f, k)
-    assert not isinstance(pairs, (list, tuple))  # read lazily, never held whole
-    return denom, list(pairs)
-
-
 def lowest(stage):
     """``(denom, pairs)`` divided by the gcd of denom and every endpoint."""
     denom, pairs = stage
@@ -1307,7 +1300,6 @@ def test_stage_pairs_match_refined_stages(f):
     for k in range(tree_depth(f) + 1):
         expected = lowest(ref_stage_pairs(f, k))
         assert lowest(stage_pairs(f, k)) == expected, k
-        assert lowest(streamed(f, k)) == expected, k
 
 
 def test_power_two_stage_stays_at_its_fixpoint():
@@ -1321,37 +1313,30 @@ def test_stage_pairs_match_refined_stages_on_random_families(f):
     k = tree_depth(f, 1000)
     expected = lowest(ref_stage_pairs(f, k))
     assert lowest(stage_pairs(f, k)) == expected
-    assert lowest(streamed(f, k)) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(families, st.integers(0, 6))
-def test_stage_stream_is_over_the_least_denominator(f, k):
-    # The stream's denominator divides s^k, and without touching blocks (whose
+def test_stage_pairs_are_over_the_least_denominator(f, k):
+    # The stage's denominator divides s^k, and without touching blocks (whose
     # merge drops endpoints) no factor is left for iterate to take out.
     k = min(k, tree_depth(f, 1000))
-    denom, pairs = streamed(f, k)
+    denom, pairs = stage_pairs(f, k)
     assert ref_stage_pairs(f, k)[0] % denom == 0
     if not has_touching_blocks(f):
         assert math.gcd(denom, *(x for pair in pairs for x in pair)) == 1
 
 
-@pytest.mark.parametrize("f", (Proportional(F(1, 3)), DigitSet(5, (0, 1, 4))), ids=repr)
-def test_stage_stream_holds_two_half_stages(f):
-    # Ternary stage 16 holds 2^16 pairs (about 7 MB as a list); its stream
-    # holds two folds of 2^8 left ends. The digit stage runs the merge too.
-    k = 16 if isinstance(f, Proportional) else 10
-    tracemalloc.start()
-    try:
-        denom, pairs = stage_stream(f, k)
-        count = 0
-        for count, (_, b) in enumerate(pairs, 1):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (count, b) == (len(stage_pairs(f, k)[1]), denom)
-    assert peak < 500_000, peak
+@settings(max_examples=60, deadline=None)
+@given(families, st.integers(0, 6))
+def test_outer_blocks_meet_only_where_kept_digits_are_adjacent(f, k):
+    # _blocks joins two outer blocks whose left ends lie one span apart. Each
+    # step cuts a gap of positive length between siblings, so that happens
+    # only for adjacent kept digits, and then once the outer half has a step.
+    k = min(k, tree_depth(f, 1000))
+    _, lefts, _, span = _stage_halves(f, k)
+    meet = any(b - a == span for a, b in zip(lefts, lefts[1:]))
+    assert meet == (has_touching_blocks(f) and k >= 2)
 
 
 @pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
@@ -1366,7 +1351,7 @@ def test_stage_size_cap_is_tree_count_times_denominator_bits(monkeypatch, f):
         assert lowest(stage_pairs(f, k)) == lowest(ref_stage_pairs(f, k))
         monkeypatch.setattr(families_module, "STAGE_SIZE_CAP", size - 1)
         with pytest.raises(StageSizeError):
-            stage_stream(f, k)
+            stage_pairs(f, k)
         with pytest.raises(DepthCapError):  # the CLI's exit 3
             iterate(f, k)
         monkeypatch.undo()
@@ -1399,7 +1384,7 @@ def test_stage_size_guard_reads_the_row_not_the_recurrence(monkeypatch):
     f = LambdaFamily(F(1, 10**100000))
     monkeypatch.setattr(families_module, "_lengths", forbidden)
     monkeypatch.setattr(families_module, "_steps", forbidden)
-    for build in (stage_stream, removed_by_generation, iterate):
+    for build in (stage_pairs, removed_by_generation, iterate):
         with pytest.raises(StageSizeError, match="^stage 20 exceeds the stage size cap"):
             build(f, 20)
     monkeypatch.undo()
@@ -1493,10 +1478,6 @@ class Sink:
         pass
 
 
-TERNARY_16 = ["generate", "--family", "proportional", "--alpha", "1/3", "--depth", "16",
-              "--format", "csv"]
-
-
 @pytest.mark.parametrize("f, depth", [(Proportional(F(1, 3)), 16), (DigitSet(5, (0, 1, 4)), 10)],
                          ids=repr)
 def test_generate_reduces_once_per_inner_endpoint(monkeypatch, f, depth):
@@ -1523,9 +1504,12 @@ def csv_listing_size(f, k):
                for a, b in pairs)
 
 
-def test_generate_row_writer_holds_two_half_stages(monkeypatch):
-    # As stage_stream: the rows of ternary stage 16 (2.2 MB of text) are made
-    # one at a time from the two halves and the reduction of each inner end.
+@pytest.mark.parametrize("f, depth", [(Proportional(F(1, 3)), 16), (DigitSet(5, (0, 1, 4)), 10)],
+                         ids=repr)
+def test_generate_row_writer_holds_two_half_stages(monkeypatch, f, depth):
+    # The rows of ternary stage 16 (2^16 pairs, 2.2 MB of text) are made one
+    # at a time from two folds of 2^8 left ends and the reduction of each
+    # inner end; the digit stage runs the merge of touching blocks too.
     # _write_rows, which holds one chunk of 4096 rows, is read row by row here.
     size = 0
 
@@ -1537,11 +1521,11 @@ def test_generate_row_writer_holds_two_half_stages(monkeypatch):
     monkeypatch.setattr(cli_module, "_write_rows", read_rows)
     tracemalloc.start()
     try:
-        assert cli_module.main(TERNARY_16) == 0
+        assert cli_module.main(generate_argv(f, depth, "csv", False)) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert size == csv_listing_size(Proportional(F(1, 3)), 16)
+    assert size == csv_listing_size(f, depth)
     assert peak < 500_000, peak
 
 
@@ -1573,7 +1557,7 @@ def test_generate_builds_no_interval_objects(monkeypatch, capsys, fmt, decimal):
     def forbidden(*args, **kwargs):
         raise AssertionError("generate built a stage set or an interval object")
 
-    for name in ("iterate", "stage_pairs"):  # generate reads the stream itself
+    for name in ("iterate", "stage_pairs"):  # generate reads the two halves itself
         monkeypatch.setattr(families_module, name, forbidden)
         monkeypatch.setattr(cli_module, name, forbidden, raising=False)
     monkeypatch.setattr(exact_module.ClosedInterval, "__init__", forbidden)
@@ -1584,8 +1568,14 @@ def test_generate_builds_no_interval_objects(monkeypatch, capsys, fmt, decimal):
 @pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
 def test_render_matches_per_rect_reference(f, width, row_h):
     for depth in range(tree_depth(f) + 1):
-        got = render_svg(RenderSpec(f, depth, width_px=width, row_height_px=row_h))
+        got = render_svg(f, depth, width_px=width, row_height_px=row_h)
         assert got == ref_render_svg(f, depth, width, row_h), depth
+
+
+def test_render_refuses_a_size_under_one_pixel():
+    for size in ({"width_px": 0}, {"row_height_px": 0}, {"width_px": -5}):
+        with pytest.raises(ValueError, match="^pixel dimensions must be positive$"):
+            render_svg(Power(4), 3, **size)
 
 
 # --- the integer IntervalSet against the Fraction one ------------------------------------

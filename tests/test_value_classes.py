@@ -1,4 +1,4 @@
-"""The contract of the eleven frozen value classes, and what a launch imports.
+"""The contract of the ten frozen value classes, and what a launch imports.
 
 Every class is an immutable record compared by value: its repr lists the
 fields, equal fields mean equal and hash-equal objects of the same class,
@@ -27,7 +27,6 @@ from cantorlike.families import (
     Power,
     Proportional,
 )
-from cantorlike.render import RenderSpec
 
 # (class, fields in order, the same fields with one value changed, repr text)
 CASES = [
@@ -43,9 +42,6 @@ CASES = [
      "OpenInterval(a=Fraction(1, 3), b=Fraction(2, 3))"),
     (IfsMaps, {"maps": ((F(1, 3), F(0)), (F(1, 3), F(2, 3)))}, {"maps": ((F(1, 3), F(0)),)},
      "IfsMaps(maps=((Fraction(1, 3), Fraction(0, 1)), (Fraction(1, 3), Fraction(2, 3))))"),
-    (RenderSpec, {"family": Power(4), "depth": 3, "width_px": 640, "row_height_px": 20},
-     {"width_px": 641},
-     "RenderSpec(family=Power(n=4), depth=3, width_px=640, row_height_px=20)"),
     (ExpansionRecord, {"base": 3, "preperiod": (0,), "period": (2,)}, {"period": ()},
      "ExpansionRecord(base=3, preperiod=(0,), period=(2,))"),
     (DimensionReport,
@@ -109,8 +105,6 @@ def test_positional_and_keyword_construction_agree(cls, fields, changed, text):
 
 
 def test_defaults():
-    assert RenderSpec(Power(4), 3) == RenderSpec(Power(4), 3, 800, 28)
-    assert RenderSpec(family=Power(4), depth=3, row_height_px=10).width_px == 800
     report = DimensionReport(0.5, "estimate_sequence")
     assert (report.sequence, report.count_base, report.scale) == (None, None, None)
     assert report == DimensionReport(value=0.5, kind="estimate_sequence", sequence=None)
@@ -151,8 +145,6 @@ def test_digit_set_sorts_its_digits():
 def test_validation_still_runs_on_construction():
     with pytest.raises(ValueError, match=r"interval endpoints out of order: \[1, 0\]"):
         ClosedInterval(F(1), F(0))
-    with pytest.raises(ValueError, match="pixel dimensions must be positive"):
-        RenderSpec(Power(4), 3, width_px=0)
 
 
 def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect_nor_typing():
