@@ -42,13 +42,7 @@ from .analysis import (
     membership_witness,
     similarity_dimension,
 )
-from .counterexample import (
-    DiscontinuityReport,
-    discontinuity_report,
-    tail_measure,
-    tail_table,
-    total_removed_measure,
-)
+from .counterexample import tail_measure, tail_table
 from .render import render_svg
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 
-from .exact import _Frozen, _json_int, _json_ints, _json_shape, _printable, format_rational
+from .exact import _Frozen, _echo, _json_int, _json_ints, _json_shape, format_rational
 from .families import (
     DepthCapError,
     DigitSet,
@@ -52,8 +52,8 @@ def _check_walk(f: FamilySpec, k: int, unit: int) -> None:
     row = moran_row(f)
     bits = unit.bit_length() + _live_steps(row, k) * row.s.bit_length()
     if bits > MAX_WALK_BITS:
-        raise DepthCapError(f"a walk of {k} steps may reach {bits}-bit integers, over the "
-                            f"walk cap of {MAX_WALK_BITS} bits")
+        raise DepthCapError(f"a walk of {_echo(k, str)} steps may reach {_echo(bits, str)}-bit "
+                            f"integers, over the walk cap of {MAX_WALK_BITS} bits")
 
 
 def _log(x: Fraction) -> float:
@@ -115,10 +115,10 @@ class ExpansionRecord(_Frozen):
         _json_shape(obj, "expansion", ("base", "preperiod", "period"))
         base = _json_int(obj["base"], "base")
         if base < 2:
-            raise ValueError(f"base must be >= 2, got {base}")
+            raise ValueError(f"base must be >= 2, got {_echo(base, str)}")
         pre, period = _json_ints(obj["preperiod"], "preperiod"), _json_ints(obj["period"], "period")
         if not all(0 <= d < base for d in pre + period):
-            raise ValueError(f"digits must lie in 0..{base - 1}")
+            raise ValueError(f"digits must lie in 0..{_echo(base - 1, str)}")
         return cls(base, pre, period)
 
 
@@ -207,7 +207,8 @@ def _digit_chunks(x: Fraction, base: int, m: int) -> Iterator[tuple[tuple[int, .
     size = len(digits) - (i or 0)  # the period ends in this chunk, or passes the cap
     if done + size > cap:
         yield digits[:cap - done], rem
-        raise PeriodCapError(f"the base-{base} period exceeds the period cap of {cap} digits")
+        raise PeriodCapError(f"the base-{_echo(base, str)} period exceeds the period cap of "
+                             f"{cap} digits")
     yield digits[:size], rem
 
 
@@ -244,9 +245,9 @@ def base_expansion(x: Fraction, base: int) -> ExpansionRecord:
     remainders, no table of every remainder seen.
     """
     if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
+        raise ValueError(f"base must be >= 2, got {_echo(base, str)}")
     if not 0 <= x <= 1:
-        raise ValueError(f"expansion input must lie in [0,1], got {_printable(x)}")
+        raise ValueError(f"expansion input must lie in [0,1], got {_echo(x, str)}")
     return _expansion(x, base, None)
 
 
@@ -335,7 +336,7 @@ def dimension_estimates(f: FamilySpec, kmax: int) -> DimensionReport:
     """Dilation estimates d_k = ln(count_k) / ln(1/length_k) for k = 1..kmax.
     Raises DepthCapError, before the first step, for a walk over MAX_WALK_BITS."""
     if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
+        raise ValueError(f"kmax must be >= 1, got {_echo(kmax, str)}")
     seq = _estimate_sequence(f, kmax)
     return DimensionReport(value=seq[-1][1], kind=ESTIMATE_SEQUENCE, sequence=seq)
 
@@ -370,9 +371,9 @@ def member_at_depth(x: Fraction, f: FamilySpec, k: int) -> bool:
     whose integers may pass MAX_WALK_BITS raises DepthCapError before its first step.
     """
     if not 0 <= x <= 1:
-        raise ValueError(f"membership query needs x in [0,1], got {_printable(x)}")
+        raise ValueError(f"membership query needs x in [0,1], got {_echo(x, str)}")
     if k < 0:
-        raise ValueError(f"stage index must be nonnegative, got {k}")
+        raise ValueError(f"stage index must be nonnegative, got {_echo(k, str)}")
     _check_walk(f, k, x.denominator)
     u, width = x.numerator, x.denominator
     digits = set(moran_row(f).digits)
@@ -405,6 +406,6 @@ def cantor_function(x: Fraction) -> Fraction:
     """
     witness = membership_witness(x, CANTOR_TERNARY)
     if witness is None:
-        raise ValueError(f"{_printable(x)} is not in the ternary Cantor set")
+        raise ValueError(f"{_echo(x, str)} is not in the ternary Cantor set")
     halved = (tuple(d // 2 for d in part) for part in (witness.preperiod, witness.period))
     return ExpansionRecord(2, *halved).to_rational()

@@ -61,10 +61,19 @@ def _fail(code: int, message: str) -> None:  # never returns
     raise SystemExit(code)
 
 
+def _int(text: str) -> int:
+    """The reader of every integer flag: int(text), with at most the first 40
+    characters of a bad value echoed in argparse's message."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+
+
 def _add_family_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=list(_FAMILY_FIELDS))
     p.add_argument("--alpha", help="middle proportion for --family proportional, as p/q")
-    p.add_argument("--n", type=int, help="base for --family power or digit")
+    p.add_argument("--n", type=_int, help="base for --family power or digit")
     p.add_argument("--digits", help="kept digits for --family digit, e.g. 0,2,4")
     p.add_argument("--lambda", dest="lambda", metavar="LAM",
                    help="removal scale for --family lambda, as p/q")
@@ -84,7 +93,7 @@ def _build_family(args: argparse.Namespace) -> FamilySpec:
             flags = " and ".join(f"--{name}" for name, *_ in fields)
             raise ValueError(f"--family {args.family} requires {flags}")
         return cls(*(read(text) for (*_, read), text in zip(fields, texts)))
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         _fail(EXIT_BAD_FAMILY, f"invalid family: {exc}")
 
 
@@ -207,8 +216,8 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     for what, bits in (("length", 0 if r else args.depth * ((s // gcd(c, s)).bit_length() - 1)),
                        ("count", _live_steps(row, args.depth) * (m.bit_length() - 1))):
         if limit and bits > 3.33 * limit:
-            _fail(EXIT_BAD_FAMILY, f"result too large to print: the stage-{args.depth} {what} "
-                                   f"has over {limit} digits (sys.get_int_max_str_digits())")
+            _fail(EXIT_BAD_FAMILY, f"result too large to print: the stage-{_echo(args.depth, str)} "
+                                   f"{what} has over {limit} digits (sys.get_int_max_str_digits())")
     stats = level_stats(family, args.depth)
     measure, limit_value = stats.count * stats.min_length, limit_measure(family)
     report = {
@@ -304,30 +313,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit the stage-k interval listing")
     _add_family_args(p)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int, required=True)
     p.add_argument("--format", choices=["json", "csv", "svg"], default="json")
     p.add_argument("--decimal", action="store_true", help="add 15-digit decimal columns")
-    p.add_argument("--width", type=int, default=800, help="SVG width in px")
-    p.add_argument("--row-height", type=int, default=28, help="SVG row height in px")
+    p.add_argument("--width", type=_int, default=800, help="SVG width in px")
+    p.add_argument("--row-height", type=_int, default=28, help="SVG row height in px")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("analyze", help="measures, dimensions and level stats")
     _add_family_args(p)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--kmax", type=int, default=8, help="dilation-estimate sequence length")
+    p.add_argument("--depth", type=_int, default=8)
+    p.add_argument("--kmax", type=_int, default=8, help="dilation-estimate sequence length")
     p.add_argument("--decimal", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("member", help="membership at a finite stage or in the limit set")
     _add_family_args(p)
     p.add_argument("--x", required=True, help="query point as p/q")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=_int)
     p.add_argument("--limit", action="store_true", help="decide limit-set membership (digit form)")
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("expansion", help="eventually periodic base-n expansion of a rational")
     p.add_argument("--x", required=True)
-    p.add_argument("--base", type=int, default=3)
+    p.add_argument("--base", type=_int, default=3)
     p.set_defaults(func=_cmd_expansion)
 
     p = sub.add_parser("cantor-fn", help="devil's-staircase value of a ternary-set point")
@@ -336,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="L1 tail table for the fat-Cantor counterexample")
     _add_family_args(p)
-    p.add_argument("--n-max", type=int, default=15)
+    p.add_argument("--n-max", type=_int, default=15)
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("render", help="SVG iteration diagram")
     _add_family_args(p)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--width", type=int, default=800)
-    p.add_argument("--row-height", type=int, default=28)
+    p.add_argument("--depth", type=_int, default=5)
+    p.add_argument("--width", type=_int, default=800)
+    p.add_argument("--row-height", type=_int, default=28)
     p.set_defaults(func=_cmd_render)
 
     return parser

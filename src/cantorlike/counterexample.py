@@ -3,11 +3,13 @@
 Enumerates the complement of a fat construction (headline case: the Volterra
 set, power n=4) as an ordered sequence of removed open intervals E_1, E_2, ...
 and computes the exact L1 tails sum_{i>n} |E_i|. The indicator of the full
-complement is discontinuous exactly on the limit set, so it is Riemann
-integrable iff that set has measure zero; with a fat family it does not.
+complement is discontinuous exactly on the limit set, so by the Lebesgue
+criterion it is Riemann integrable iff ``limit_measure(f) == 0``; with a fat
+family it is not.
 
-All tail values are exact Fractions obtained symbolically (total removed
-measure minus a finite prefix sum); no quadrature is involved.
+All tail values are exact Fractions obtained symbolically (the total removed
+measure ``1 - limit_measure(f)`` minus a finite prefix sum); no quadrature is
+involved.
 """
 
 from __future__ import annotations
@@ -18,12 +20,7 @@ from math import gcd
 
 from .families import FamilySpec, _gaps
 from .analysis import limit_measure
-from .exact import _Frozen
-
-
-def total_removed_measure(f: FamilySpec) -> Fraction:
-    """Measure of the full complement [0,1] minus the limit set."""
-    return 1 - limit_measure(f)
+from .exact import _echo
 
 
 def _prefix_sums(f: FamilySpec, n_max: int) -> Iterator[tuple[int, int, int]]:
@@ -64,7 +61,7 @@ def tail_measure(f: FamilySpec, n: int) -> Fraction:
     and only the last generation reached is cut short.
     """
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise ValueError(f"n must be nonnegative, got {_echo(n, str)}")
     num, denom = 0, 1
     gaps = _gaps(f)
     while n:
@@ -75,32 +72,14 @@ def tail_measure(f: FamilySpec, n: int) -> Fraction:
         whole, part = divmod(min(n, parents * len(lengths)), len(lengths))
         num = num * s + whole * sum(lengths) + sum(lengths[:part])
         n -= whole * len(lengths) + part
-    return total_removed_measure(f) - Fraction(num, denom)
-
-
-class DiscontinuityReport(_Frozen):
-    __slots__ = ("measure", "riemann_integrable")
-
-    def __init__(self, measure: Fraction, riemann_integrable: bool) -> None:
-        object.__setattr__(self, "measure", measure)
-        object.__setattr__(self, "riemann_integrable", riemann_integrable)
-
-
-def discontinuity_report(f: FamilySpec) -> DiscontinuityReport:
-    """Integrability verdict for the indicator of the limit set's complement.
-
-    Its discontinuity set is the limit set itself, so by the Lebesgue
-    criterion the indicator is Riemann integrable iff the limit measure is 0.
-    """
-    measure = limit_measure(f)
-    return DiscontinuityReport(measure=measure, riemann_integrable=measure == 0)
+    return 1 - limit_measure(f) - Fraction(num, denom)
 
 
 def tail_table(f: FamilySpec, n_max: int) -> list[tuple[int, Fraction, Fraction]]:
     """Rows (n, sum_removed, tail) for n = 0..n_max, all exact."""
     if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    total = total_removed_measure(f)
+        raise ValueError(f"n_max must be nonnegative, got {_echo(n_max, str)}")
+    total = 1 - limit_measure(f)
     rows = []
     for n, num, denom in _prefix_sums(f, n_max):
         acc = Fraction(num, denom)
@@ -115,8 +94,8 @@ def tail_table_rows(f: FamilySpec, n_max: int) -> Iterator[str]:
     equals float(Fraction). Rows are made one at a time, so a writer can emit
     them in bounded chunks."""
     if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    total = total_removed_measure(f)
+        raise ValueError(f"n_max must be nonnegative, got {_echo(n_max, str)}")
+    total = 1 - limit_measure(f)
     tp, tq = total.numerator, total.denominator
     yield "n,sum_removed,tail,tail_decimal"
     for n, num, denom in _prefix_sums(f, n_max):

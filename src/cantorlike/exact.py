@@ -60,14 +60,13 @@ def format_rational(x: Fraction) -> str:
 
 def _echo(value: object, show=repr) -> str:
     """show(value) for an error message, from at most the first 40 characters
-    of the input: a string is cut before it is shown, anything else after."""
-    return show(value[:40]) if type(value) is str else show(value)[:40]
-
-
-def _printable(x: Fraction) -> str:
-    """str(x) for an error message, or its size past sys.get_int_max_str_digits()."""
+    of the input: a string is cut before it is shown, anything else after. A
+    number with more digits than sys.get_int_max_str_digits(), which show
+    cannot print, is named by that limit."""
+    if type(value) is str:
+        return show(value[:40])
     try:
-        return str(x)
+        return show(value)[:40]
     except ValueError:
         return f"a rational of over {sys.get_int_max_str_digits()} digits"
 
@@ -168,7 +167,7 @@ class ClosedInterval(_Frozen):
 
     def __init__(self, a: Fraction, b: Fraction) -> None:
         if a > b:
-            raise ValueError(f"interval endpoints out of order: [{a}, {b}]")
+            raise ValueError(f"interval endpoints out of order: [{_echo(a, str)}, {_echo(b, str)}]")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -256,7 +255,7 @@ class IntervalSet:
     def affine_image(self, scale: Fraction, shift: Fraction = Fraction(0)) -> "IntervalSet":
         """Map every [a,b] to [scale*a + shift, scale*b + shift]; scale > 0."""
         if scale <= 0:
-            raise ValueError(f"affine scale must be positive, got {scale}")
+            raise ValueError(f"affine scale must be positive, got {_echo(scale, str)}")
         m = lcm(scale.denominator, shift.denominator)
         return IntervalSet._from_pairs(self.denom * m, list(_affine_pairs(self, scale, shift, m)))
 
@@ -371,6 +370,3 @@ def _reduced(denom: int, pairs: list) -> tuple[int, tuple]:
     for i, (a, b) in enumerate(pairs):
         pairs[i] = (a // g, b // g)
     return denom // g, tuple(pairs)
-
-
-UNIT = IntervalSet([ClosedInterval(Fraction(0), Fraction(1))])

@@ -35,7 +35,7 @@ from itertools import islice
 from math import gcd, lcm
 
 from .exact import (IntervalSet, _Frozen, _affine_pairs, _json_int, _json_ints, _json_rational, _json_shape,
-                    _echo, _merge, _printable, format_rational, parse_rational)
+                    _echo, _merge, format_rational, parse_rational)
 
 DEFAULT_DEPTH_CAP = 24
 """Deepest stage built; binds only for Power(2): the size cap refuses the rest past 21."""
@@ -64,7 +64,7 @@ class Proportional(_Frozen):
 
     def __init__(self, alpha: Fraction) -> None:
         if not 0 < alpha < 1:
-            raise ValueError(f"proportional removal must satisfy 0 < alpha < 1, got {_printable(alpha)}")
+            raise ValueError(f"proportional removal must satisfy 0 < alpha < 1, got {_echo(alpha, str)}")
         object.__setattr__(self, "alpha", alpha)
 
 
@@ -73,7 +73,7 @@ class Power(_Frozen):
 
     def __init__(self, n: int) -> None:
         if n < 2:
-            raise ValueError(f"power construction needs n >= 2, got {n}")
+            raise ValueError(f"power construction needs n >= 2, got {_echo(n, str)}")
         object.__setattr__(self, "n", n)
 
 
@@ -83,9 +83,9 @@ class DigitSet(_Frozen):
     def __init__(self, n: int, digits: tuple[int, ...]) -> None:
         d = tuple(sorted(digits))
         if n < 3:
-            raise ValueError(f"digit construction needs base n >= 3, got {n}")
+            raise ValueError(f"digit construction needs base n >= 3, got {_echo(n, str)}")
         if len(set(d)) != len(d) or not all(0 <= x < n for x in d):
-            raise ValueError(f"digits must be distinct values in 0..{n - 1}")
+            raise ValueError(f"digits must be distinct values in 0..{_echo(n - 1, str)}")
         if not (2 <= len(d) < n):
             raise ValueError("must keep at least 2 and fewer than n digits")
         if d[0] != 0 or d[-1] != n - 1:
@@ -99,7 +99,7 @@ class LambdaFamily(_Frozen):
 
     def __init__(self, lam: Fraction) -> None:
         if not 0 < lam <= 1:
-            raise ValueError(f"lambda family needs 0 < lambda <= 1, got {_printable(lam)}")
+            raise ValueError(f"lambda family needs 0 < lambda <= 1, got {_echo(lam, str)}")
         object.__setattr__(self, "lam", lam)
 
 
@@ -134,7 +134,7 @@ class OpenInterval(_Frozen):
 
     def __init__(self, a: Fraction, b: Fraction) -> None:
         if a >= b:
-            raise ValueError(f"open interval needs a < b, got ({a}, {b})")
+            raise ValueError(f"open interval needs a < b, got ({_echo(a, str)}, {_echo(b, str)})")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -152,7 +152,7 @@ class IfsMaps(_Frozen):
         images = []
         for scale, shift in maps:
             if not 0 < scale < 1:
-                raise ValueError(f"IFS scale must lie in (0,1), got {scale}")
+                raise ValueError(f"IFS scale must lie in (0,1), got {_echo(scale, str)}")
             images.append((shift, scale + shift))
         images.sort()
         for (a0, b0), (a1, b1) in zip(images, images[1:]):
@@ -195,9 +195,9 @@ def _check_stage(f: FamilySpec, k: int) -> None:
     with j = _live_steps, over STAGE_SIZE_CAP; s^j is built only if
     j * (bits of s - 1) + 1, its least bit length, leaves the size under the cap."""
     if k < 0:
-        raise ValueError(f"stage index must be nonnegative, got {k}")
+        raise ValueError(f"stage index must be nonnegative, got {_echo(k, str)}")
     if k > DEFAULT_DEPTH_CAP:
-        raise DepthCapError(f"stage {k} exceeds depth cap {DEFAULT_DEPTH_CAP}")
+        raise DepthCapError(f"stage {_echo(k, str)} exceeds depth cap {DEFAULT_DEPTH_CAP}")
     row = moran_row(f)
     steps = _live_steps(row, k)
     count = row.m**steps
@@ -350,7 +350,7 @@ def level_stats(f: FamilySpec, k: int) -> LevelStats:
     unrolled over the reduced ratios c/s and g/s, so no stage is enumerated and no step walked.
     Counts refer to the construction tree (touching digit blocks are counted separately)."""
     if k < 0:
-        raise ValueError(f"stage index must be nonnegative, got {k}")
+        raise ValueError(f"stage index must be nonnegative, got {_echo(k, str)}")
     s, m, c, r, g, _ = row = moran_row(f)
     j = _live_steps(row, k)
     length_k = Fraction(c, s) ** j

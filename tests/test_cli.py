@@ -524,31 +524,65 @@ class TestCaps:
                    f"the limit of sys.get_int_max_str_digits()\n")
         assert run(capsys, *argv) == (2, "", message)
 
-    @pytest.mark.parametrize("argv, message", [
+    @pytest.mark.parametrize("argv, code, message", [
         (("member", "--family", "proportional", "--alpha", "1/3", "--depth", "2",
-          "--x", "1/3" + "x" * 4997), "malformed rational '1/3" + "x" * 37 + "'"),
+          "--x", "1/3" + "x" * 4997), 2, "malformed rational '1/3" + "x" * 37 + "'"),
         (("member", "--family", "proportional", "--alpha", "1/3", "--depth", "2",
-          "--x", "2" + "0" * 4000), "x must lie in [0,1], got 2" + "0" * 39),
-        (("analyze", "--family", "power", "--n", "4", "--depth", "-1" + "0" * 4000),
+          "--x", "2" + "0" * 4000), 2, "x must lie in [0,1], got 2" + "0" * 39),
+        (("analyze", "--family", "power", "--n", "4", "--depth", "-1" + "0" * 4000), 2,
          "--depth must be >= 0, got -1" + "0" * 38),
-        (("analyze", "--family-json", json.dumps([0] * 3000)),
+        (("analyze", "--family-json", json.dumps([0] * 3000)), 2,
          "invalid family: family JSON must be an object, got [" + "0, " * 13),
-        (("analyze", "--family-json", json.dumps({"family": "power", "extra": "x" * 3000})),
+        (("analyze", "--family-json", json.dumps({"family": "power", "extra": "x" * 3000})), 2,
          "invalid family: family JSON has no 'n' key: {'family': 'power', 'extra': '" + "x" * 10),
-        (("analyze", "--family-json", json.dumps({"family": "power", "n": "x" * 3000})),
+        (("analyze", "--family-json", json.dumps({"family": "power", "n": "x" * 3000})), 2,
          "invalid family: n must be an integer or a 'p/q' string, got '" + "x" * 40 + "'"),
-        (("analyze", "--family-json", json.dumps({"family": "power", "n": "1/" + "3" * 3000})),
+        (("analyze", "--family-json", json.dumps({"family": "power", "n": "1/" + "3" * 3000})), 2,
          "invalid family: n must be an integer, got '1/" + "3" * 38 + "'"),
-        (("analyze", "--family-json", json.dumps({"family": "x" * 3000})),
+        (("analyze", "--family-json", json.dumps({"family": "x" * 3000})), 2,
          "invalid family: unknown family kind: '" + "x" * 40 + "'"),
-        (("analyze", "--family-json", json.dumps({"family": "x" * 40})),
+        (("analyze", "--family-json", json.dumps({"family": "x" * 40})), 2,
          "invalid family: unknown family kind: '" + "x" * 40 + "'"),
+        (("analyze", "--family", "proportional", "--alpha", "2" + "0" * 4000), 2,
+         "invalid family: proportional removal must satisfy 0 < alpha < 1, got 2" + "0" * 39),
+        (("analyze", "--family", "lambda", "--lambda", "2" + "0" * 4000), 2,
+         "invalid family: lambda family needs 0 < lambda <= 1, got 2" + "0" * 39),
+        (("analyze", "--family", "power", "--n", "-1" + "0" * 4000), 2,
+         "invalid family: power construction needs n >= 2, got -1" + "0" * 38),
+        (("analyze", "--family", "digit", "--n", "-1" + "0" * 4000, "--digits", "0,2"), 2,
+         "invalid family: digit construction needs base n >= 3, got -1" + "0" * 38),
+        (("analyze", "--family", "digit", "--n", "1" + "0" * 4000, "--digits", "0,0"), 2,
+         "invalid family: digits must be distinct values in 0.." + "9" * 40),
+        (("generate", "--family", "power", "--n", "4", "--depth", "1" + "0" * 4000), 3,
+         "stage 1" + "0" * 39 + " exceeds depth cap 24"),
+        (("render", "--family", "power", "--n", "4", "--depth", "1" + "0" * 4000), 3,
+         "stage 1" + "0" * 39 + " exceeds depth cap 24"),
+        (("member", "--family", "power", "--n", "4", "--x", "1/3", "--depth", "1" + "0" * 4000), 3,
+         "a walk of 1" + "0" * 39 + " steps may reach 4" + "0" * 39
+         + "-bit integers, over the walk cap of 16384 bits"),
+        (("analyze", "--family", "power", "--n", "4", "--kmax", "1" + "0" * 4000), 3,
+         "a walk of 1" + "0" * 39 + " steps may reach 4" + "0" * 39
+         + "-bit integers, over the walk cap of 16384 bits"),
+        pytest.param(
+            ("analyze", "--family", "lambda", "--lambda", "1/2", "--depth", "1" + "0" * 4000), 2,
+            "result too large to print: the stage-1" + "0" * 39 + " count has over "
+            f"{getattr(sys, 'get_int_max_str_digits', int)()} digits (sys.get_int_max_str_digits())",
+            marks=pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                                     reason="this interpreter prints integers of any length")),
+        (("expansion", "--x", "1/3", "--base", "x" * 5000), 2,
+         "usage: cantorlike expansion [-h] --x X [--base BASE]\n"
+         "cantorlike expansion: error: argument --base: invalid int value: '" + "x" * 40 + "'"),
+        (("analyze", "--family-json", "[" * 100_000), 2,
+         "invalid family: maximum recursion depth exceeded while decoding a JSON array "
+         "from a unicode string"),
     ], ids=["malformed-x", "x-range", "depth", "json-shape", "json-missing-key", "json-rational",
-            "json-int", "family-kind", "family-kind-of-40"])
-    def test_an_error_echoes_at_most_40_characters_of_its_input(self, capsys, argv, message):
+            "json-int", "family-kind", "family-kind-of-40", "alpha-range", "lambda-range", "power-n",
+            "digit-n", "digit-values", "generate-stage", "render-stage", "member-walk",
+            "analyze-walk", "analyze-print-guard", "int-flag", "deep-json"])
+    def test_an_error_echoes_at_most_40_characters_of_its_input(self, capsys, argv, code, message):
         # One short line however long the input; an input of 40 characters or
         # fewer is still echoed whole.
-        assert run(capsys, *argv) == (2, "", message + "\n")
+        assert run(capsys, *argv) == (code, "", message + "\n")
 
     @pytest.mark.parametrize("flags", [("--family", "power", "--n", "2", "--depth", "10000000"),
                                        ("--family", "lambda", "--lambda", "1/2", "--depth", "2000")])

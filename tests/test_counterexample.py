@@ -2,17 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantorlike.counterexample import (
-    discontinuity_report,
-    tail_measure,
-    tail_table,
-    tail_table_csv,
-    total_removed_measure,
-)
+from cantorlike.analysis import limit_measure
+from cantorlike.counterexample import tail_measure, tail_table, tail_table_csv
 from cantorlike import families as families_module
 from cantorlike.families import (
     DepthCapError,
-    LambdaFamily,
     OpenInterval,
     Power,
     Proportional,
@@ -89,7 +83,7 @@ class TestTailMeasure:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_prefix_plus_tail_is_total(self):
-        total = total_removed_measure(VOLTERRA)
+        total = 1 - limit_measure(VOLTERRA)
         entries = [e for gen in removed_by_generation(VOLTERRA, 5) for e in gen]
         acc = F(0)
         for n, entry in enumerate(entries, start=1):
@@ -104,21 +98,6 @@ class TestTailMeasure:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             tail_measure(VOLTERRA, -1)
-
-
-class TestDiscontinuityReport:
-    def test_volterra_not_integrable(self):
-        report = discontinuity_report(VOLTERRA)
-        assert report.measure == F(1, 2)
-        assert report.riemann_integrable is False
-
-    def test_thin_complement_is_integrable(self):
-        report = discontinuity_report(Power(3))
-        assert report.measure == 0
-        assert report.riemann_integrable is True
-
-    def test_lambda_one_is_integrable(self):
-        assert discontinuity_report(LambdaFamily(F(1))).riemann_integrable is True
 
 
 class TestTailTable:

@@ -58,12 +58,7 @@ from cantorlike import cli as cli_module
 from cantorlike import counterexample as counterexample_module
 from cantorlike import exact as exact_module
 from cantorlike import families as families_module
-from cantorlike.counterexample import (
-    tail_measure,
-    tail_table,
-    tail_table_csv,
-    total_removed_measure,
-)
+from cantorlike.counterexample import tail_measure, tail_table, tail_table_csv
 from cantorlike.exact import (
     ClosedInterval,
     IntervalSet,
@@ -253,11 +248,11 @@ def ref_first_n_removed(f, n):
 
 
 def ref_tail_measure(f, n):
-    return total_removed_measure(f) - sum((e.length for e in ref_first_n_removed(f, n)), F(0))
+    return 1 - limit_measure(f) - sum((e.length for e in ref_first_n_removed(f, n)), F(0))
 
 
 def ref_tail_table(f, n_max):
-    total = total_removed_measure(f)
+    total = 1 - limit_measure(f)
     entries = ref_first_n_removed(f, n_max)
     rows, acc = [], F(0)
     for n in range(n_max + 1):
@@ -1635,7 +1630,8 @@ def test_equal_sets_hash_equal_whatever_their_denominators(ivs, m, scale):
 def test_merged_endpoints_leave_the_denominator():
     s = normalize([ClosedInterval(F(0), F(1, 7)), ClosedInterval(F(1, 7), F(1))])
     assert (s.denom, s.pairs) == (1, ((0, 1),))
-    assert s == exact_module.UNIT and hash(s) == hash(exact_module.UNIT)
+    unit = IntervalSet([ClosedInterval(F(0), F(1))])
+    assert s == unit and hash(s) == hash(unit)
 
 
 SELF_SIMILAR = [f for f in FIXED_FAMILIES if isinstance(f, (Proportional, DigitSet))]

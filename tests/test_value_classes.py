@@ -1,4 +1,4 @@
-"""The contract of the ten frozen value classes, and what a launch imports.
+"""The contract of the nine frozen value classes, and what a launch imports.
 
 Every class is an immutable record compared by value: its repr lists the
 fields, equal fields mean equal and hash-equal objects of the same class,
@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from cantorlike.analysis import DimensionReport, ExpansionRecord
-from cantorlike.counterexample import DiscontinuityReport
 from cantorlike.exact import ClosedInterval
 from cantorlike.families import (
     DigitSet,
@@ -49,9 +48,6 @@ CASES = [
      {"scale": F(5)},
      "DimensionReport(value=0.5, kind='exact_similarity', sequence=None, count_base=2, "
      "scale=Fraction(4, 1))"),
-    (DiscontinuityReport, {"measure": F(1, 2), "riemann_integrable": False},
-     {"riemann_integrable": True},
-     "DiscontinuityReport(measure=Fraction(1, 2), riemann_integrable=False)"),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
