@@ -10,6 +10,7 @@ deep stages do not lose precision to overflow.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
@@ -21,8 +22,8 @@ from .families import (
     DigitSet,
     FamilySpec,
     LambdaFamily,
-    _lengths,
     _live_steps,
+    _steps,
     digit_form,
     level_stats,
     moran_row,
@@ -46,7 +47,7 @@ class PeriodCapError(DepthCapError):
 
 
 def _check_walk(f: FamilySpec, k: int, unit: int) -> None:
-    """Refuse a walk of k steps of ``_lengths(f, unit)`` before its first
+    """Refuse a walk of k steps of ``_steps(f, unit)`` before its first
     step when its integers, below unit * s^j with j = _live_steps, can reach
     unit bits + j x bits of s over MAX_WALK_BITS."""
     row = moran_row(f)
@@ -322,10 +323,10 @@ def similarity_dimension(f: FamilySpec) -> DimensionReport:
 
 def _estimate_sequence(f: FamilySpec, kmax: int) -> tuple[tuple[int, float], ...]:
     _check_walk(f, kmax, 1)
-    out = []
-    denom = 1
-    for k, (s, length, count) in enumerate(islice(_lengths(f, 1), kmax), 1):
+    out, denom, count = [], 1, 1
+    for k, (s, length, offsets) in enumerate(islice(_steps(f), kmax), 1):
         denom *= s
+        count *= len(offsets)
         if length == 0:
             raise ValueError(f"stage {k} is a finite point set; dilation estimate undefined")
         out.append((k, math.log(count) / _log(Fraction(denom, length))))
@@ -366,32 +367,22 @@ def member_at_depth(x: Fraction, f: FamilySpec, k: int) -> bool:
 
     O(k) per query: at each step only the child interval containing x is
     refined, never the whole stage. With x = p/q, the offset u of x from the
-    left end of its interval and the interval's width are integers in units of
-    1/(D_j * q), so a step is a few small-by-big products and no gcd. A walk
-    whose integers may pass MAX_WALK_BITS raises DepthCapError before its first step.
+    left end of its interval is an integer in the units 1/(D_j * q) of
+    ``_steps(f, q)``, and no gcd is taken. Where two children touch, either
+    holds x: both ends of every child survive at every depth. A walk whose
+    integers may pass MAX_WALK_BITS raises DepthCapError before its first step.
     """
     if not 0 <= x <= 1:
         raise ValueError(f"membership query needs x in [0,1], got {_echo(x, str)}")
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {_echo(k, str)}")
     _check_walk(f, k, x.denominator)
-    u, width = x.numerator, x.denominator
-    digits = set(moran_row(f).digits)
-    for s, child, _ in islice(_lengths(f, width), k):
+    u = x.numerator
+    for s, child, offsets in islice(_steps(f, x.denominator), k):
         u *= s
-        if digits:
-            d, rest = divmod(u, child)
-            if rest == 0 and d - 1 in digits:
-                d -= 1  # on a block boundary: the left block is tried first
-            elif d not in digits:
-                return False
-            u -= d * child
-        elif u > child:
-            right = width * s - child
-            if u < right:
-                return False
-            u -= right
-        width = child
+        u -= offsets[bisect_right(offsets, u) - 1]
+        if u > child:
+            return False
     return True  # past a Power(2) collapse the stage no longer changes
 
 

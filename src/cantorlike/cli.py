@@ -70,8 +70,13 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
 
 
+def _choice(text: str) -> str:
+    # No choice is 40 characters long: a longer value fails as its first 40 do.
+    return text[:40]
+
+
 def _add_family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=list(_FAMILY_FIELDS))
+    p.add_argument("--family", type=_choice, choices=list(_FAMILY_FIELDS))
     p.add_argument("--alpha", help="middle proportion for --family proportional, as p/q")
     p.add_argument("--n", type=_int, help="base for --family power or digit")
     p.add_argument("--digits", help="kept digits for --family digit, e.g. 0,2,4")
@@ -314,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit the stage-k interval listing")
     _add_family_args(p)
     p.add_argument("--depth", type=_int, required=True)
-    p.add_argument("--format", choices=["json", "csv", "svg"], default="json")
+    p.add_argument("--format", type=_choice, choices=["json", "csv", "svg"], default="json")
     p.add_argument("--decimal", action="store_true", help="add 15-digit decimal columns")
     p.add_argument("--width", type=_int, default=800, help="SVG width in px")
     p.add_argument("--row-height", type=_int, default=28, help="SVG row height in px")
@@ -359,7 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # parse_args's message, with at most 40 characters of the extras echoed
+        parser.error(f"unrecognized arguments: {_echo(' '.join(extras), str)}")
     try:
         args.func(args)
         sys.stdout.flush()

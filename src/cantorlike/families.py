@@ -163,9 +163,9 @@ class IfsMaps(_Frozen):
 
 # --- integer stage engine -------------------------------------------------
 #
-# Every stage and gap is read off one step table, _steps (beside _lengths
-# below): a parent with left end a has the children [a * s + o, a * s + o +
-# length], one per offset o of the step, over the new denominator.
+# Every stage, gap and descent is read off one step table, _steps (below): a
+# parent with left end a has the children [a * s + o, a * s + o + length],
+# one per offset o of the step, over the new denominator.
 #
 # Each interval of a level splits the same way, so a fold of the steps is
 # linear in the left end it starts from: folding steps h+1..k from a gives
@@ -292,34 +292,22 @@ def removed_by_generation(f: FamilySpec, k: int) -> list[list[OpenInterval]]:
 LevelStats = namedtuple("LevelStats", "count min_length max_length")
 
 
-def _lengths(f: FamilySpec, unit: int) -> Iterator[tuple[int, int, int]]:
-    """The length recurrence of the row (s, m, c, r, g): (s, length_j, m^j)
-    for steps j = 1, 2, ..., where length_j = c * length_{j-1} - unit * r *
-    g^(j-1), from length_0 = unit, is unit times the common child length over
-    s^j (no gcd is taken) and m^j counts the construction tree. No length is
-    negative: r = 0, or r <= c - g, or the family is Power(2), whose stage of
-    points is a fixpoint; the generator stops after the step of length 0."""
-    s, m, c, r, g, _ = moran_row(f)
-    length, removal, intervals = unit, unit * r, 1
+def _steps(f: FamilySpec, unit: int = 1) -> Iterator[tuple[int, int, list]]:
+    """The step table of the row (s, m, c, r, g, digits): (s, length_j, offsets)
+    for steps j = 1, 2, ..., with length_j = c * length_{j-1} - unit * r * g^(j-1)
+    from length_0 = unit: unit times the child length over s^j, no gcd taken.
+    Offsets are the m children's from their parent's left end: d * length_j per
+    kept digit d, else both ends of the parent, whose width is length_{j-1} * s.
+    No length is negative (r = 0, or r <= c - g, or the Power(2) collapse, whose
+    stage of points is a fixpoint); the generator stops after a length of 0."""
+    s, _, c, r, g, digits = moran_row(f)
+    parent, removal = unit, unit * r
     while True:
-        length = c * length - removal
-        intervals *= m
-        yield s, length, intervals
+        length = c * parent - removal
+        yield s, length, [d * length for d in digits] if digits else [0, parent * s - length]
         if length == 0:
             return  # all intervals are points: no further step changes the stage
-        removal *= g
-
-
-def _steps(f: FamilySpec) -> Iterator[tuple[int, int, list]]:
-    """(s, length, offsets) for steps j = 1, 2, ...: _lengths(f, 1) with the
-    children's offsets from their parent's left end. The two children of a
-    binary family sit at both ends of the parent, whose width is parent * s;
-    kept digit d sits at d * length. Ends where _lengths ends."""
-    digits = moran_row(f).digits
-    parent = 1
-    for s, length, _ in _lengths(f, 1):
-        yield s, length, [d * length for d in digits] if digits else [0, parent * s - length]
-        parent = length
+        parent, removal = length, removal * g
 
 
 def _step_gaps(length: int, offsets: list) -> list:
@@ -346,8 +334,8 @@ def _gaps(f: FamilySpec) -> Iterator[tuple[int, int, list, int]]:
 
 
 def level_stats(f: FamilySpec, k: int) -> LevelStats:
-    """Interval count m^j and extreme (equal) lengths at stage k, j = _live_steps: ``_lengths``
-    unrolled over the reduced ratios c/s and g/s, so no stage is enumerated and no step walked.
+    """Interval count m^j and extreme (equal) lengths at stage k, j = _live_steps: the lengths of
+    ``_steps`` unrolled over the reduced ratios c/s and g/s; no stage is enumerated, no step walked.
     Counts refer to the construction tree (touching digit blocks are counted separately)."""
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {_echo(k, str)}")
@@ -407,11 +395,21 @@ def digit_form(f: FamilySpec) -> DigitSet | None:
 # JSON writer, reader of the text of flag --name) per constructor argument, in
 # the order of the class's __slots__.
 
+def _flag_int(text: str) -> int:
+    # int(text), echoing at most 40 characters of a malformed value.
+    try:
+        return int(text)
+    except ValueError as exc:
+        if str(exc).startswith("invalid literal"):
+            raise ValueError(f"invalid literal for int() with base 10: {_echo(text)}") from None
+        raise  # a run of digits over sys.get_int_max_str_digits(), not echoed
+
+
 _FAMILY_FIELDS = {
     "proportional": (Proportional, (("alpha", _json_rational, format_rational, parse_rational),)),
     "power": (Power, (("n", _json_int, int, int),)),
     "digit": (DigitSet, (("n", _json_int, int, int),
-                         ("digits", _json_ints, list, lambda text: tuple(map(int, text.split(",")))))),
+                         ("digits", _json_ints, list, lambda text: tuple(map(_flag_int, text.split(",")))))),
     "lambda": (LambdaFamily, (("lambda", _json_rational, format_rational, parse_rational),)),
 }
 

@@ -29,8 +29,8 @@ from cantorlike.families import (
     LambdaFamily,
     Power,
     Proportional,
-    _lengths,
     _live_steps,
+    _steps,
     iterate,
     moran_row,
 )
@@ -294,12 +294,16 @@ class TestMemberAtDepth:
         assert member_at_depth(F(7, 32), VOLTERRA, 2)
 
     def test_matches_stage_enumeration(self):
-        families = (MIDDLE_THIRDS, VOLTERRA, ODD_FIFTHS, LambdaFamily(F(1, 2)), Power(2))
+        # The digit sets with adjacent kept digits have block boundaries j/n^k
+        # that two touching children share; either child holds them.
+        families = (MIDDLE_THIRDS, VOLTERRA, ODD_FIFTHS, LambdaFamily(F(1, 2)), Power(2),
+                    DigitSet(5, (0, 1, 4)), DigitSet(7, (0, 1, 2, 6)))
         points = [F(p, 64) for p in range(65)] + [F(1, 3), F(7, 32), F(2, 5)]
         for f in families:
+            n = moran_row(f).s
             for k in (0, 1, 2, 3, 5):
                 stage = iterate(f, k)
-                for x in points:
+                for x in points + [F(j, n**3) for j in range(n**3 + 1)]:
                     assert member_at_depth(x, f, k) == stage.contains_point(x)
 
     def test_monotone_nonincreasing_in_depth(self):
@@ -348,8 +352,8 @@ class TestWalkCap:
         bits = self.predicted(f, k, x.denominator)
         row = moran_row(f)
         assert (x.denominator * row.s ** _live_steps(row, k)).bit_length() <= bits
-        assert all(length.bit_length() <= bits
-                   for _, length, _ in islice(_lengths(f, x.denominator), k))
+        assert all(max(length, *offsets).bit_length() <= bits
+                   for _, length, offsets in islice(_steps(f, x.denominator), k))
 
     @pytest.mark.parametrize("f", FAMILIES, ids=repr)
     def test_cap_is_exact_and_refuses_before_the_first_step(self, monkeypatch, f):
@@ -362,7 +366,7 @@ class TestWalkCap:
             monkeypatch.setattr(analysis_module, "MAX_WALK_BITS", bits)
             assert walk() == expected
             monkeypatch.setattr(analysis_module, "MAX_WALK_BITS", bits - 1)
-            monkeypatch.setattr(analysis_module, "_lengths", forbidden_walk)
+            monkeypatch.setattr(analysis_module, "_steps", forbidden_walk)
             with pytest.raises(DepthCapError, match=f"may reach {bits}-bit integers"):
                 walk()
             monkeypatch.undo()

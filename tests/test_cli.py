@@ -374,6 +374,16 @@ def launch(*argv, code=""):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def usage(*command):
+    """The usage text that argparse prints for ``cantorlike *command``, wrapped
+    to the width of this terminal as the CLI's own errors are."""
+    parser = cli_module.build_parser()
+    if command:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[command[0]]
+    return parser.format_usage()
+
+
 class TestCaps:
     # Uncapped, each request below runs for seconds to hours.
 
@@ -575,10 +585,21 @@ class TestCaps:
         (("analyze", "--family-json", "[" * 100_000), 2,
          "invalid family: maximum recursion depth exceeded while decoding a JSON array "
          "from a unicode string"),
+        (("analyze", "--family", "digit", "--n", "5", "--digits", "0," + "x" * 5000), 2,
+         "invalid family: invalid literal for int() with base 10: '" + "x" * 40 + "'"),
+        (("analyze", "--family", "x" * 5000), 2,
+         usage("analyze") + "cantorlike analyze: error: argument --family: invalid choice: '"
+         + "x" * 40 + "' (choose from 'proportional', 'power', 'digit', 'lambda')"),
+        (("generate", "--family", "power", "--n", "4", "--depth", "1", "--format", "z" * 5000), 2,
+         usage("generate") + "cantorlike generate: error: argument --format: invalid choice: '"
+         + "z" * 40 + "' (choose from 'json', 'csv', 'svg')"),
+        (("analyze", "--family", "power", "--n", "4", "s" * 5000), 2,
+         usage() + "cantorlike: error: unrecognized arguments: " + "s" * 40),
     ], ids=["malformed-x", "x-range", "depth", "json-shape", "json-missing-key", "json-rational",
             "json-int", "family-kind", "family-kind-of-40", "alpha-range", "lambda-range", "power-n",
             "digit-n", "digit-values", "generate-stage", "render-stage", "member-walk",
-            "analyze-walk", "analyze-print-guard", "int-flag", "deep-json"])
+            "analyze-walk", "analyze-print-guard", "int-flag", "deep-json", "digit-literal",
+            "family-choice", "format-choice", "stray-argument"])
     def test_an_error_echoes_at_most_40_characters_of_its_input(self, capsys, argv, code, message):
         # One short line however long the input; an input of 40 characters or
         # fewer is still echoed whole.

@@ -3,9 +3,9 @@
 The reference functions below are the earlier implementations, kept verbatim
 in substance: the per-step Fraction recurrence of ``level_stats``, the
 Fraction descent of ``member_at_depth``, the per-family branches that the
-Moran row replaced (``_lengths``, ``limit_measure``, ``ifs_maps``, the digit
-form of a proportional family and of the CLI, ``similarity_dimension`` and
-``family_to_json``), long division with a table of every
+Moran row replaced (the lengths of ``_steps``, ``limit_measure``,
+``ifs_maps``, the digit form of a proportional family and of the CLI,
+``similarity_dimension`` and ``family_to_json``), long division with a table of every
 remainder seen (one digit per step), the preperiod length found one gcd
 step at a time, the ``seen``-set ``member_limit``, the two-pass
 ``membership_witness`` (a membership check, then the whole expansion), the
@@ -76,8 +76,8 @@ from cantorlike.families import (
     Proportional,
     StageSizeError,
     _check_stage,
-    _lengths,
     _stage_halves,
+    _steps,
     digit_form,
     family_from_json,
     family_to_json,
@@ -121,7 +121,7 @@ def ref_level_stats(f, k):
 def ref_level_stats_recurrence(f, k):
     # level_stats before its closed form: the O(k) walk of the length recurrence.
     denom, length, count = 1, 1, 1
-    for s, length, count in islice(_lengths(f, 1), k):
+    for s, length, count in islice(step_lengths(f, 1), k):
         denom *= s
     return (count, F(length, denom), F(length, denom))
 
@@ -678,9 +678,18 @@ def outcome(call, *args):
         return type(exc), str(exc)
 
 
+def step_lengths(f, unit):
+    # (s, length_j, m^j) off _steps(f, unit): its lengths and the running
+    # product of its offset counts, as ref_lengths yields them.
+    count = 1
+    for s, length, offsets in _steps(f, unit):
+        count *= len(offsets)
+        yield s, length, count
+
+
 def assert_row_paths_match_references(f, unit):
     for u in (1, unit):
-        assert list(islice(_lengths(f, u), 40)) == list(islice(ref_lengths(f, u), 40))
+        assert list(islice(step_lengths(f, u), 40)) == list(islice(ref_lengths(f, u), 40))
     assert limit_measure(f) == ref_limit_measure(f)
     assert outcome(ifs_maps, f) == outcome(ref_ifs_maps, f)
     assert digit_form(f) == ref_digit_form(f)
@@ -712,12 +721,12 @@ def test_digit_equivalent_out_of_range_rejected():
 @settings(max_examples=200, deadline=None)
 @given(families)
 def test_every_length_is_nonnegative(f):
-    # Why _lengths needs no check: r = 0, or r <= c - g (both terms of the
+    # Why _steps needs no check: r = 0, or r <= c - g (both terms of the
     # closed form are then nonnegative), or the Power(2) collapse (c = g).
     s, m, c, r, g, _ = moran_row(f)
     assert r == 0 or r <= c - g or c == g
-    assert all(length >= 0 for _, length, _ in islice(_lengths(f, 1), 64))
-    assert all(length >= 0 for _, length, _ in islice(_lengths(f, 7), 64))
+    assert all(length >= 0 for _, length, _ in islice(_steps(f, 1), 64))
+    assert all(length >= 0 for _, length, _ in islice(_steps(f, 7), 64))
 
 
 # --- the length recurrence -----------------------------------------------------------
@@ -747,7 +756,7 @@ def test_level_stats_closed_form_matches_the_recurrence_on_random_families(f, k)
 
 
 def test_level_stats_reads_the_row_not_the_recurrence(monkeypatch):
-    # Lambda(1e-1000) at depth 400 used to walk _lengths over integers of up
+    # Lambda(1e-1000) at depth 400 used to walk the length recurrence over integers of up
     # to 1.3 million bits for about 3 s, and depth 2000 for about a minute. For
     # Lambda p/q the row gives L_k = (1 - lam) / 2^k + lam / 3^k, whose
     # denominator is small.
@@ -755,7 +764,7 @@ def test_level_stats_reads_the_row_not_the_recurrence(monkeypatch):
         raise AssertionError("level_stats walked the length recurrence")
 
     lam = F(1, 10**1000)
-    monkeypatch.setattr(families_module, "_lengths", forbidden)
+    monkeypatch.setattr(families_module, "_steps", forbidden)
     for k in (400, 2000):
         length = (1 - lam) / 2**k + lam / 3**k
         assert level_stats(LambdaFamily(lam), k) == (2**k, length, length)
@@ -1377,7 +1386,6 @@ def test_stage_size_guard_reads_the_row_not_the_recurrence(monkeypatch):
         raise AssertionError("the guard walked the length recurrence")
 
     f = LambdaFamily(F(1, 10**100000))
-    monkeypatch.setattr(families_module, "_lengths", forbidden)
     monkeypatch.setattr(families_module, "_steps", forbidden)
     for build in (stage_pairs, removed_by_generation, iterate):
         with pytest.raises(StageSizeError, match="^stage 20 exceeds the stage size cap"):
