@@ -365,6 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The command name is the first argument that is not an option. The
+    # subparsers action takes no type= reader (one would read every later
+    # argument too), so the name is cut here as _choice cuts a choice flag:
+    # argparse's invalid-choice message then echoes at most 40 characters.
+    command = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), None)
+    if command is not None:
+        argv[command] = _choice(argv[command])
     args, extras = parser.parse_known_args(argv)
     if extras:  # parse_args's message, with at most 40 characters of the extras echoed
         parser.error(f"unrecognized arguments: {_echo(' '.join(extras), str)}")

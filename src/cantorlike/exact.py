@@ -212,7 +212,7 @@ class IntervalSet:
         ends = [(i.a, i.b) for i in intervals]
         denom = lcm(*(x.denominator for end in ends for x in end))
         pairs = sorted(tuple(x.numerator * (denom // x.denominator) for x in end) for end in ends)
-        self.denom, self.pairs = _reduced(denom, list(_merge(pairs)))
+        self.denom, self.pairs = _reduced(denom, _merge(pairs))
 
     @classmethod
     def _from_pairs(cls, denom: int, pairs: list) -> "IntervalSet":
@@ -261,17 +261,39 @@ class IntervalSet:
 
     def contains_point(self, x: Fraction) -> bool:
         """Membership: bisect the starts at floor(x * denom), then one
-        cross-multiplied check against that interval's right end."""
-        p, q = x.numerator, x.denominator
-        idx = bisect_right(self.pairs, p * self.denom // q, key=_start) - 1
-        return idx >= 0 and p * self.denom <= self.pairs[idx][1] * q
+        cross-multiplied check against that interval's right end. x must be
+        a Fraction or an int: a float or a Decimal has no numerator and
+        raises AttributeError rather than being answered."""
+        pairs, q = self.pairs, x.denominator
+        px = x.numerator * self.denom
+        idx = bisect_right(pairs, px // q, key=_start) - 1
+        return idx >= 0 and px <= pairs[idx][1] * q
 
     def covers(self, other: "IntervalSet") -> bool:
-        """True iff every interval of ``other`` lies inside one of ours."""
+        """True iff every interval of ``other`` lies inside one of ours.
+
+        One walk of ``other.pairs`` left to right, holding one of our
+        intervals at a time, both scaled to the denominator denom * other.denom.
+        A pair that starts past the held interval steps to the next one, and
+        only if that one ends before the pair starts too does a bisect of our
+        starts, from there on, find the next candidate. Nested stages cost
+        about one step per pair, and a sparse ``other`` O(m log n).
+        """
         mine, d, e = self.pairs, self.denom, other.denom
+        if not mine:
+            return not other.pairs
+        i, n = 0, len(mine)
+        lo, hi = mine[0][0] * e, mine[0][1] * e
         for a, b in other.pairs:
-            idx = bisect_right(mine, a * d // e, key=_start) - 1
-            if idx < 0 or b * d > mine[idx][1] * e:
+            a *= d
+            if a > hi:
+                i += 1
+                if i < n and a > mine[i][1] * e:
+                    i = bisect_right(mine, a // e, lo=i, key=_start) - 1
+                if i == n:
+                    return False
+                lo, hi = mine[i][0] * e, mine[i][1] * e
+            if a < lo or b * d > hi:
                 return False
         return True
 
@@ -339,21 +361,28 @@ def _affine_pairs(s: IntervalSet, scale: Fraction, shift: Fraction, m: int) -> I
     return ((a * mul + add, b * mul + add) for a, b in s.pairs)
 
 
-def _merge(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    # Integer pairs sorted by start, merged in one pass and yielded as they
-    # close: a pair that overlaps or touches the open one extends it, so the
-    # output is strictly separated. The stage engine merges its touching digit
-    # blocks here too. The inner loop reads the rest of the same iterator, so
-    # the outer one only ever takes the first pair.
-    pairs = iter(pairs)
-    for lo, hi in pairs:
-        for a, b in pairs:
-            if a > hi:
-                yield lo, hi
-                lo, hi = a, b
-            elif b > hi:
-                hi = b
-        yield lo, hi
+def _merge(pairs: list) -> list:
+    # A list of integer pairs sorted by start, merged in place in one pass and
+    # returned: a pair that overlaps or touches the open one extends it, so
+    # the result is strictly separated. Each closed pair is written over the
+    # list at or behind the one being read, a pair that nothing extends is
+    # kept as the same tuple, and the tail is cut off at the end. The stage
+    # engine merges its touching digit blocks here too.
+    if not pairs:
+        return pairs
+    w, open_ = 0, pairs[0]
+    hi = open_[1]
+    for pair in pairs:
+        a, b = pair
+        if a > hi:
+            pairs[w] = open_
+            w += 1
+            open_, hi = pair, b
+        elif b > hi:
+            open_, hi = (open_[0], b), b
+    pairs[w] = open_
+    del pairs[w + 1:]
+    return pairs
 
 
 def _reduced(denom: int, pairs: list) -> tuple[int, tuple]:

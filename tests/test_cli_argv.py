@@ -118,3 +118,16 @@ def test_every_command_line_ends_in_a_documented_exit_code(argv):
         assert err == ""
     elif "usage: " not in err:  # argparse prints its usage line before the error
         assert err.count("\n") == 1, (argv, err)
+
+
+def test_an_invalid_command_name_is_echoed_to_40_characters():
+    # argparse's subparsers message quotes the command name: a 5,000-character
+    # name gives the message of its first 40 characters, and a short one is
+    # echoed whole.
+    code, out, err = run(["x" * 5000, "--family", "power"])
+    assert (code, out) == (2, "")
+    assert err == run(["x" * 40, "--family", "power"])[2]
+    assert err == run(["xyz"])[2].replace("'xyz'", repr("x" * 40))
+    assert err.endswith("error: argument command: invalid choice: " + repr("x" * 40)
+                        + " (choose from 'generate', 'analyze', 'member', 'expansion', 'cantor-fn', "
+                        "'counterexample', 'render')\n")

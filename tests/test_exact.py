@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -142,6 +143,13 @@ class TestContainsPoint:
     def test_outside_range(self):
         assert not self.c1.contains_point(F(-1, 2))
         assert not self.c1.contains_point(F(3, 2))
+
+    @pytest.mark.parametrize("x", [0.5, Decimal("0.5")], ids=["float", "Decimal"])
+    def test_inexact_point_raises(self, x):
+        # Membership reads x.numerator and x.denominator, which a float and a
+        # Decimal lack: an inexact point fails instead of being answered.
+        with pytest.raises(AttributeError):
+            self.c1.contains_point(x)
 
 
 class TestSerialization:

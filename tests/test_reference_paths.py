@@ -1621,6 +1621,66 @@ def test_interval_set_matches_fraction_reference(ivs, others, points, scale, shi
     assert image == IntervalSet(image.intervals)  # the image is in canonical form
 
 
+def covers_as_reference(s, t):
+    """s.covers(t), after checking that the Fraction reference agrees."""
+    got = s.covers(t)
+    assert got == RefIntervalSet(s.intervals).covers(RefIntervalSet(t.intervals)), (s, t)
+    return got
+
+
+def pieces(*pairs):
+    return IntervalSet(ends(*pairs))
+
+
+def test_covers_walk_matches_reference_on_sparse_and_edge_shapes():
+    # Shapes a random list of ten intervals seldom draws. The walk holds one of
+    # our intervals, steps to the next and bisects from there only when that
+    # one ends before the pair starts too.
+    stage = iterate(Proportional(F(1, 3)), 14)
+    d = stage.denom
+    (a0, b0), (a1, b1), (a2, b2) = stage.pairs[:3]
+    last_a, last_b = stage.pairs[-1]
+    empty = IntervalSet([])
+    cases = [
+        # one interval against 16,384: the far end, a piece of it, and one
+        # that reaches back over the gap before it
+        (stage, pieces((F(last_a, d), F(last_b, d))), True),
+        (stage, pieces((F(3 * last_a + 1, 3 * d), F(3 * last_b - 1, 3 * d))), True),
+        (stage, pieces((F(last_a - 1, d), F(last_b, d))), False),
+        # a pair that straddles one of our gaps, after pairs the walk held
+        (stage, pieces((F(a0, d), F(b0, d)), (F(b1 - 1, d), F(a2 + 1, d))), False),
+        (stage, pieces((F(a0, d), F(b0, d)), (F(a1, d), F(b1, d)), (F(b1, d), F(b2, d))), False),
+        # pairs past our last interval, alone and after a covered one
+        (stage, pieces(("2", "3")), False),
+        (stage, pieces((F(a0, d), F(b0, d)), (F(last_b, d), F(last_b, d) + F(1, 10**9))), False),
+        (stage, pieces((F(last_b, d), F(last_b, d))), True),
+        (pieces(("0", "1/2")), pieces(("1/4", "1/4"), ("3/4", "1"), ("2", "3")), False),
+        # pairs before our first interval, and negative ends
+        (pieces(("0", "1")), pieces(("-1", "-1/2"), ("0", "1")), False),
+        (pieces(("-3", "-1"), ("1", "3")), pieces(("-2", "-1"), ("1", "2")), True),
+        # shared endpoints over different denominators: ours over 35, theirs
+        # over 105 and 315, ending on our 1/5, 2/5, 3/7 and 4/7
+        (pieces(("1/5", "2/5"), ("3/7", "4/7")), pieces(("1/5", "1/3"), ("3/7", "4/7")), True),
+        (pieces(("1/5", "2/5"), ("3/7", "4/7")), pieces(("2/9", "2/5"), ("4/7", "4/7")), True),
+        (pieces(("1/5", "2/5"), ("3/7", "4/7")), pieces(("2/5", "3/7")), False),
+        # an empty set on either side
+        (empty, empty, True),
+        (stage, empty, True),
+        (empty, stage, False),
+        (empty, pieces(("-1", "-1")), False),
+    ]
+    for s, t, covered in cases:
+        assert covers_as_reference(s, t) is covered, (t, covered)
+
+
+@pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
+def test_covers_walk_matches_reference_on_nested_stages(f):
+    for k in range(tree_depth(f, 1000)):
+        stage, finer = iterate(f, k), iterate(f, k + 1)
+        assert covers_as_reference(stage, finer)
+        assert covers_as_reference(finer, stage) == (stage == finer)
+
+
 @settings(max_examples=100, deadline=None)
 @given(interval_lists, st.integers(2, 10**6), scales)
 def test_equal_sets_hash_equal_whatever_their_denominators(ivs, m, scale):
@@ -1680,9 +1740,10 @@ def test_ifs_step_merges_interleaved_and_mixed_denominator_images(maps, interval
 
 
 def test_ifs_step_holds_only_the_union():
-    # The images stream through one merge: the peak is the result plus the
-    # merge's heap, where building each image, a rescaled copy and a sorted
-    # list of every piece peaked at 2.3 times the result.
+    # The images stream into one list, sorted and merged in place: the peak
+    # is the result plus that list's pointer array and the sort's buffer,
+    # where building each image, a rescaled copy and a sorted list of every
+    # piece peaked at 2.3 times the result.
     f = Proportional(F(1, 3))
     stage, maps = iterate(f, 12), ifs_maps(f)
     tracemalloc.start()
