@@ -92,7 +92,7 @@ def _build_family(args: argparse.Namespace) -> FamilySpec:
             return family_from_json(json.loads(args.family_json))
         if args.family is None:
             raise ValueError("no family given (use --family or --family-json)")
-        cls, fields = _FAMILY_FIELDS[args.family]
+        cls, _, fields = _FAMILY_FIELDS[args.family]
         texts = [getattr(args, name) for name, *_ in fields]
         if None in texts:
             flags = " and ".join(f"--{name}" for name, *_ in fields)
@@ -120,6 +120,10 @@ def _parse_x(text: str) -> Fraction:
 def _write_svg(family: FamilySpec, args: argparse.Namespace) -> None:
     _require_at_least("--width", args.width, 1)
     _require_at_least("--row-height", args.row_height, 1)
+    try:
+        float(args.width)  # as render_svg refuses it, but with the flag's name
+    except OverflowError:
+        _fail(EXIT_BAD_FAMILY, f"--width is too large for a float, got {_echo(args.width)}")
     sys.stdout.write(render_svg(family, args.depth, args.width, args.row_height))
 
 

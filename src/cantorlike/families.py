@@ -10,16 +10,10 @@ Families:
 Each family is a homogeneous Moran construction (Feng, Wen & Wu, Sci. China
 1997), read through one row of integers ``moran_row(f) = (s, m, c, r, g,
 digits)``: every step scales by s and splits each interval into m equal
-children, whose length over s^j is c * length_{j-1} - r * g^(j-1).
-
-  family              s    m         c      r   g    digits
-  Proportional(p/q)   2q   2         q - p  0   1    ()
-  Power(n)            2n   2         n      1   2    ()
-  LambdaFamily(p/q)   6q   2         3q     p   2q   ()
-  DigitSet(n, D)      n    len(D)    1      0   1    D
-
-Stages, lengths, the limit measure, IFS maps and digit forms are all read
-off the row; a family with r = 0 is self-similar.
+children, whose length over s^j is c * length_{j-1} - r * g^(j-1). A kind's
+row is a function of its constructor arguments in its entry of the family
+table, ``_FAMILY_FIELDS``. Stages, lengths, the limit measure, IFS maps and
+digit forms are all read off the row; a family with r = 0 is self-similar.
 
 Stages are integer endpoint pairs made block by block from two half-depth folds of the
 step table; ``iterate`` wraps them in an ``IntervalSet``. A stage over either
@@ -113,18 +107,9 @@ class MoranRow(namedtuple("MoranRow", "s m c r g digits", defaults=((),))):
 
 
 def moran_row(f: FamilySpec) -> MoranRow:
-    """The one row of integers that every construction and query reads."""
-    if isinstance(f, Proportional):  # children (1 - alpha)/2 of the parent
-        p, q = f.alpha.numerator, f.alpha.denominator
-        return MoranRow(2 * q, 2, q - p, 0, 1)
-    if isinstance(f, Power):  # (L - 1/n^j)/2, with 1/n^j = 2^j / (2n)^j
-        return MoranRow(2 * f.n, 2, f.n, 1, 2)
-    if isinstance(f, LambdaFamily):  # (L - lam/3^j)/2, with lam/3^j = 2p(2q)^(j-1) / (6q)^j
-        p, q = f.lam.numerator, f.lam.denominator
-        return MoranRow(6 * q, 2, 3 * q, p, 2 * q)
-    if isinstance(f, DigitSet):  # children 1/n of the parent
-        return MoranRow(f.n, len(f.digits), 1, 0, 1, f.digits)
-    raise TypeError(f"unknown family spec: {f!r}")
+    """The one row of integers that every construction and query reads: the
+    row of f's entry in the family table, ``_FAMILY_FIELDS``, at f's fields."""
+    return _FAMILY_FIELDS[_kind(f)][1](*f._fields())
 
 
 class OpenInterval(_Frozen):
@@ -391,9 +376,15 @@ def digit_form(f: FamilySpec) -> DigitSet | None:
 
 # --- family kinds: JSON wire format and command-line flags -----------------
 #
-# The one table of family kinds. kind -> (class, fields): one (name, JSON reader,
-# JSON writer, reader of the text of flag --name) per constructor argument, in
-# the order of the class's __slots__.
+# The one table of family kinds. kind -> (class, row, fields): the Moran row as
+# a function of the constructor arguments, and one (name, JSON reader, JSON
+# writer, reader of the text of flag --name) per argument, in __slots__ order.
+
+def _centred_removal_row(n: int, lam: Fraction) -> MoranRow:
+    # Children (L - lam/n^j)/2 of a parent L, with lam/n^j = 2p(2q)^(j-1) / (2nq)^j for lam = p/q.
+    p, q = lam.numerator, lam.denominator
+    return MoranRow(2 * n * q, 2, n * q, p, 2 * q)
+
 
 def _flag_int(text: str) -> int:
     # int(text), echoing at most 40 characters of a malformed value.
@@ -406,28 +397,41 @@ def _flag_int(text: str) -> int:
 
 
 _FAMILY_FIELDS = {
-    "proportional": (Proportional, (("alpha", _json_rational, format_rational, parse_rational),)),
-    "power": (Power, (("n", _json_int, int, int),)),
-    "digit": (DigitSet, (("n", _json_int, int, int),
-                         ("digits", _json_ints, list, lambda text: tuple(map(_flag_int, text.split(",")))))),
-    "lambda": (LambdaFamily, (("lambda", _json_rational, format_rational, parse_rational),)),
+    "proportional": (Proportional,  # children (1 - alpha)/2 of the parent
+                     lambda alpha: MoranRow(2 * alpha.denominator, 2, alpha.denominator - alpha.numerator, 0, 1),
+                     (("alpha", _json_rational, format_rational, parse_rational),)),
+    "power": (Power, lambda n: _centred_removal_row(n, 1), (("n", _json_int, int, int),)),
+    "digit": (DigitSet, lambda n, digits: MoranRow(n, len(digits), 1, 0, 1, digits),  # children 1/n
+              (("n", _json_int, int, int),
+               ("digits", _json_ints, list, lambda text: tuple(map(_flag_int, text.split(",")))))),
+    "lambda": (LambdaFamily, lambda lam: _centred_removal_row(3, lam),
+               (("lambda", _json_rational, format_rational, parse_rational),)),
 }
+_KINDS = {cls: kind for kind, (cls, *_) in _FAMILY_FIELDS.items()}
+
+
+def _kind(f: FamilySpec) -> str:
+    if type(f) not in _KINDS:  # by exact type: an instance of a subclass is no family
+        raise TypeError(f"unknown family spec: {f!r}")
+    return _KINDS[type(f)]
 
 
 def family_to_json(f: FamilySpec) -> dict:
-    for kind, (cls, fields) in _FAMILY_FIELDS.items():
-        if type(f) is cls:
-            return {"family": kind, **{name: write(value)
-                                       for (name, _, write, _), value in zip(fields, f._fields())}}
-    raise TypeError(f"unknown family spec: {f!r}")
+    kind = _kind(f)
+    fields = zip(_FAMILY_FIELDS[kind][2], f._fields())
+    return {"family": kind, **{name: write(value) for (name, _, write, _), value in fields}}
 
 
 def family_from_json(obj: object) -> FamilySpec:
     """The family a JSON object names. Exact values only: integers and "p/q"
-    strings; floats, bools, lists, non-objects and missing fields raise ValueError."""
+    strings; floats, bools, lists, non-objects, missing fields and keys that
+    are neither "family" nor a field of the kind raise ValueError."""
     kind = _json_shape(obj, "family JSON", ()).get("family")
     if type(kind) is not str or kind not in _FAMILY_FIELDS:
         raise ValueError(f"unknown family kind: {_echo(kind)}")
-    cls, fields = _FAMILY_FIELDS[kind]
-    _json_shape(obj, "family JSON", tuple(name for name, *_ in fields))
+    cls, _, fields = _FAMILY_FIELDS[kind]
+    names = tuple(name for name, *_ in fields)
+    _json_shape(obj, "family JSON", names)
+    if extra := [key for key in obj if key != "family" and key not in names]:
+        raise ValueError(f"family JSON has a key {_echo(extra[0])} that family {kind!r} does not read")
     return cls(*(read(obj[name], name) for name, read, _, _ in fields))

@@ -7,6 +7,7 @@ pure function of the inputs, so identical calls give byte-identical SVG.
 
 from __future__ import annotations
 
+from .exact import _echo
 from .families import FamilySpec, _check_stage, iterate
 
 
@@ -17,10 +18,15 @@ def _fmt(v: float) -> str:
 def render_svg(family: FamilySpec, depth: int, width_px: int = 800,
                row_height_px: int = 28) -> str:
     """Stages 0..depth as an SVG, width_px by (depth + 1) * row_height_px.
-    Raises before any row is built: ValueError for a size under 1 px, and as
-    ``iterate`` does for a negative depth or one over a cap."""
+    Raises before any row is built: ValueError for a size under 1 px or a
+    width too large for a float, and as ``iterate`` does for a negative depth
+    or one over a cap."""
     if width_px <= 0 or row_height_px <= 0:
         raise ValueError("pixel dimensions must be positive")
+    try:
+        float(width_px)  # every x and width is a float times width_px
+    except OverflowError:
+        raise ValueError(f"width_px is too large for a float, got {_echo(width_px)}") from None
     # Checked once up front: the per-row iterate calls would otherwise build
     # every stage up to the cap before the first one over it fails.
     _check_stage(family, depth)

@@ -73,7 +73,8 @@ families = mostly(
     ),
     st.one_of(st.just([]), family_json.map(lambda text: ["--family-json", text])),
 )
-pixels = concat(flag("--width", ints(-1, 50)), flag("--row-height", ints(-1, 30)))
+pixels = concat(flag("--width", mostly(ints(-1, 50), st.just(str(2 * 10**308)))),  # over any float
+                flag("--row-height", ints(-1, 30)))
 switch = st.booleans()
 
 COMMANDS = {

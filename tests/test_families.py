@@ -19,6 +19,7 @@ from cantorlike.families import (
     ifs_step,
     iterate,
     level_stats,
+    moran_row,
     removed_by_generation,
 )
 
@@ -34,6 +35,10 @@ def iset(*pairs):
 MIDDLE_THIRDS = Proportional(F(1, 3))
 VOLTERRA = Power(4)
 ODD_FIFTHS = DigitSet(5, (0, 2, 4))
+
+
+class PowerSubclass(Power):
+    pass
 
 
 class TestFamilyValidation:
@@ -65,6 +70,22 @@ class TestFamilyValidation:
         with pytest.raises(ValueError):
             LambdaFamily(F(3, 2))
         LambdaFamily(F(1))
+
+    @pytest.mark.parametrize("reader", [moran_row, family_to_json, digit_form])
+    @pytest.mark.parametrize("spec", [object(), PowerSubclass(4)], ids=["object", "Power subclass"])
+    def test_non_family_inputs_raise_type_error(self, reader, spec):
+        # The family table is read by exact type: an instance of a subclass of
+        # a family class is no family either.
+        with pytest.raises(TypeError, match="^unknown family spec: "):
+            reader(spec)
+
+    def test_rows_of_the_family_table(self):
+        # (s, m, c, r, g, digits); Power(n) and LambdaFamily(p/q) are the centred
+        # removal (2nq, 2, nq, p, 2q) at p/q = 1 and at n = 3.
+        assert moran_row(Proportional(F(2, 7))) == (14, 2, 5, 0, 1, ())
+        assert moran_row(Power(5)) == (10, 2, 5, 1, 2, ())
+        assert moran_row(LambdaFamily(F(3, 4))) == (24, 2, 12, 3, 8, ())
+        assert moran_row(ODD_FIFTHS) == (5, 3, 1, 0, 1, (0, 2, 4))
 
 
 class TestIterateStageListings:
@@ -312,6 +333,9 @@ class TestFamilyJson:
             {"family": "proportional"},
             {"family": "lambda", "alpha": "1/2"},
             {"family": "digit", "n": 5},
+            {"family": "power", "n": 4, "alpha": 0.5},  # a key the kind does not have
+            {"family": "proportional", "alpha": "1/3", "n": 4},  # a key another kind uses
+            {"family": "lambda", "lambda": "1/2", "Lambda": "1/2"},
         ],
         ids=repr,
     )

@@ -1579,6 +1579,9 @@ def test_render_refuses_a_size_under_one_pixel():
     for size in ({"width_px": 0}, {"row_height_px": 0}, {"width_px": -5}):
         with pytest.raises(ValueError, match="^pixel dimensions must be positive$"):
             render_svg(Power(4), 3, **size)
+    # A width past the largest float is refused too, and before any row is built.
+    with pytest.raises(ValueError, match=r"^width_px is too large for a float, got 2000"):
+        render_svg(Power(4), 30, width_px=2 * 10**308)
 
 
 # --- the integer IntervalSet against the Fraction one ------------------------------------
