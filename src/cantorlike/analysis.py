@@ -21,7 +21,6 @@ from .families import (
     DepthCapError,
     DigitSet,
     FamilySpec,
-    LambdaFamily,
     _live_steps,
     _steps,
     digit_form,
@@ -303,34 +302,23 @@ class DimensionReport(_Frozen):
 
 def similarity_dimension(f: FamilySpec) -> DimensionReport:
     """Dimension from the one-step dilation argument: log m / log(s/c), exact
-    for a self-similar family (r = 0: m maps of ratio c/s). Power (n >= 3)
-    and Lambda families are not proportional across steps; for them the step-1
-    dilation value is an estimate only (dimension_estimates has the sequence).
+    for a self-similar family (r = 0: m maps of ratio c/s). A row with r != 0
+    (Power n >= 3, Lambda) is not proportional across steps; for it the step-1
+    dilation value log m / log(1/L_1), L_1 = (c - r)/s, is an estimate only
+    (dimension_estimates has the sequence).
     """
-    row = moran_row(f)
-    if not row.r:
-        scale = Fraction(row.s, row.c)
-        return DimensionReport(value=math.log(row.m) / _log(scale),
-                               kind=EXACT_SIMILARITY, count_base=row.m, scale=scale)
-    if row.c == row.g:
+    s, m, c, r, g, _ = moran_row(f)
+    if not r:
+        scale = Fraction(s, c)
+        return DimensionReport(value=math.log(m) / _log(scale),
+                               kind=EXACT_SIMILARITY, count_base=m, scale=scale)
+    if c == g:
         raise ValueError("power n=2 collapses to finitely many points; no dimension")
-    # Lambda keeps its own float, which differs from _estimate_sequence(f, 1)
-    # in the last bit for most lambda; Lambda(1) and Power(3) share one row.
-    d1 = (((1, math.log(2) / (math.log(6) - _log(3 - f.lam))),)
-          if isinstance(f, LambdaFamily) else _estimate_sequence(f, 1))
-    return DimensionReport(value=d1[0][1], kind=ESTIMATE_SEQUENCE, sequence=d1)
-
-
-def _estimate_sequence(f: FamilySpec, kmax: int) -> tuple[tuple[int, float], ...]:
-    _check_walk(f, kmax, 1)
-    out, denom, count = [], 1, 1
-    for k, (s, length, offsets) in enumerate(islice(_steps(f), kmax), 1):
-        denom *= s
-        count *= len(offsets)
-        if length == 0:
-            raise ValueError(f"stage {k} is a finite point set; dilation estimate undefined")
-        out.append((k, math.log(count) / _log(Fraction(denom, length))))
-    return tuple(out)
+    # 1/L_1 = s/(c - r) read as (2s/g) / (2(c - r)/g): for the centred removal
+    # (n, lam) the two terms are 2n and n - lam, so Lambda keeps the float it
+    # has always printed, log 2 / (log 6 - log(3 - lam)).
+    d1 = math.log(m) / (_log(Fraction(2 * s, g)) - _log(Fraction(2 * (c - r), g)))
+    return DimensionReport(value=d1, kind=ESTIMATE_SEQUENCE, sequence=((1, d1),))
 
 
 def dimension_estimates(f: FamilySpec, kmax: int) -> DimensionReport:
@@ -338,8 +326,15 @@ def dimension_estimates(f: FamilySpec, kmax: int) -> DimensionReport:
     Raises DepthCapError, before the first step, for a walk over MAX_WALK_BITS."""
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {_echo(kmax, str)}")
-    seq = _estimate_sequence(f, kmax)
-    return DimensionReport(value=seq[-1][1], kind=ESTIMATE_SEQUENCE, sequence=seq)
+    _check_walk(f, kmax, 1)
+    seq, denom, count = [], 1, 1
+    for k, (s, length, offsets) in enumerate(islice(_steps(f), kmax), 1):
+        denom *= s
+        count *= len(offsets)
+        if length == 0:
+            raise ValueError(f"stage {k} is a finite point set; dilation estimate undefined")
+        seq.append((k, math.log(count) / _log(Fraction(denom, length))))
+    return DimensionReport(value=seq[-1][1], kind=ESTIMATE_SEQUENCE, sequence=tuple(seq))
 
 
 # --- membership ----------------------------------------------------------------

@@ -85,11 +85,22 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family-json", help="full family spec as JSON (overrides shorthand flags)")
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.loads keeps the last value of a repeated key; a family document is
+    # refused instead, at any depth.
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"family JSON repeats the key {_echo(key)}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _build_family(args: argparse.Namespace) -> FamilySpec:
     """The family of --family-json, else of --family and one flag per field of its kind."""
     try:
         if args.family_json:
-            return family_from_json(json.loads(args.family_json))
+            return family_from_json(json.loads(args.family_json, object_pairs_hook=_unique_keys))
         if args.family is None:
             raise ValueError("no family given (use --family or --family-json)")
         cls, _, fields = _FAMILY_FIELDS[args.family]

@@ -12,7 +12,6 @@ cover and affine image work on those integers; ``ClosedInterval`` and
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from bisect import bisect_right
@@ -301,16 +300,9 @@ class IntervalSet:
         denom = self.denom
         return [{"a": format_ratio(a, denom), "b": format_ratio(b, denom)} for a, b in self.pairs]
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
     @classmethod
     def from_json(cls, obj: list[dict]) -> "IntervalSet":
         return cls(ClosedInterval.from_json(item) for item in _json_shape(obj, "interval set"))
-
-    @classmethod
-    def loads(cls, text: str) -> "IntervalSet":
-        return cls.from_json(json.loads(text))
 
 
 class _Intervals(Sequence):

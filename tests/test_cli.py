@@ -51,7 +51,7 @@ class TestGenerate:
 
     def test_json_round_trips_to_interval_set(self, capsys):
         _, out, _ = run(capsys, "generate", "--family", "power", "--n", "4", "--depth", "3")
-        assert IntervalSet.loads(out) == iterate(__import__("cantorlike").Power(4), 3)
+        assert IntervalSet.from_json(json.loads(out)) == iterate(__import__("cantorlike").Power(4), 3)
 
     def test_csv_depth_zero(self, capsys):
         code, out, _ = run(capsys, "generate", "--family", "power", "--n", "4",
@@ -117,6 +117,9 @@ class TestGenerate:
             '{"family":"power","n":4.7}',
             '{"family":"power","n":true}',
             '{"family":"digit","n":5,"digits":"014"}',
+            '{"family":"power","n":4,"n":5}',
+            '{"family":"digit","n":4,"family":"power"}',
+            '{"family":"power","n":4,"n":4}',
         ],
     )
     def test_inexact_family_json_exits_2(self, capsys, spec):

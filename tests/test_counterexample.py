@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from cantorlike.analysis import limit_measure
-from cantorlike.counterexample import tail_measure, tail_table, tail_table_csv
+from cantorlike.counterexample import tail_measure, tail_table, tail_table_csv, tail_table_rows
 from cantorlike import families as families_module
 from cantorlike.families import (
     DepthCapError,
@@ -98,6 +98,11 @@ class TestTailMeasure:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             tail_measure(VOLTERRA, -1)
+        with pytest.raises(ValueError, match="^n_max must be nonnegative, got -1$"):
+            tail_table(VOLTERRA, -1)
+        rows = tail_table_rows(VOLTERRA, -1)  # a generator: it refuses on its first row
+        with pytest.raises(ValueError, match="^n_max must be nonnegative, got -1$"):
+            next(rows)
 
 
 class TestTailTable:

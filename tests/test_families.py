@@ -195,6 +195,11 @@ class TestRemovedIntervals:
                 removed = sum((g.length for g in flat_gaps(f, k)), F(0))
                 assert iterate(f, k).total_length + removed == 1
 
+    @pytest.mark.parametrize("a, b", [("1/2", "1/2"), ("5/8", "3/8")])
+    def test_empty_or_reversed_gap_rejected(self, a, b):
+        with pytest.raises(ValueError, match="^open interval needs a < b"):
+            OpenInterval(F(a), F(b))
+
     def test_power_two_stops_removing(self):
         gens = removed_by_generation(Power(2), 5)
         assert [len(g) for g in gens] == [1, 2, 0, 0, 0]
@@ -252,6 +257,9 @@ class TestIfs:
     def test_overlapping_images_rejected(self):
         with pytest.raises(ValueError):
             IfsMaps(((F(1, 2), F(0)), (F(1, 2), F(1, 4))))
+        for scale in (F(0), F(1), F(-1, 2), F(3, 2)):  # no contraction: a scale outside (0, 1)
+            with pytest.raises(ValueError, match="^IFS scale must lie in"):
+                IfsMaps(((scale, F(0)),))
 
     def test_overlapping_step_rejected(self):
         maps = IfsMaps(((F(2, 5), F(0)), (F(2, 5), F(3, 5))))

@@ -66,6 +66,8 @@ def test_digit_form_is_the_families_one():
     (counterexample, "discontinuity_report"),
     (counterexample, "DiscontinuityReport"),
     (exact, "UNIT"),
+    (exact.IntervalSet, "dumps"),
+    (exact.IntervalSet, "loads"),
 ])
 def test_removed_names_are_gone(owner, name):
     assert not hasattr(owner, name)

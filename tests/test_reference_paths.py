@@ -43,7 +43,6 @@ from cantorlike.analysis import (
     DimensionReport,
     ExpansionRecord,
     PeriodCapError,
-    _estimate_sequence,
     _log,
     base_expansion,
     cantor_function,
@@ -426,9 +425,6 @@ class RefIntervalSet:
     def to_json(self) -> list[dict]:
         return [i.to_json() for i in self.intervals]
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
 
 def ref_merge(ordered: Sequence[ClosedInterval]) -> list[ClosedInterval]:
     out: list[ClosedInterval] = []
@@ -591,13 +587,13 @@ def ref_similarity_dimension(f):
             value=math.log(len(f.digits)) / math.log(f.n),
             kind=EXACT_SIMILARITY, count_base=len(f.digits), scale=F(f.n),
         )
-    if isinstance(f, Power):
-        if f.n == 2:
+    if isinstance(f, (Power, LambdaFamily)):
+        # One centred removal (n, lam): 2 children of 1/2 - lam/(2n), so the
+        # step-1 value is log 2 / log(2n / (n - lam)).
+        n, lam = (f.n, 1) if isinstance(f, Power) else (3, f.lam)
+        if n == 2:
             raise ValueError("power n=2 collapses to finitely many points; no dimension")
-        d1 = _estimate_sequence(f, 1)
-        return DimensionReport(value=d1[0][1], kind=ESTIMATE_SEQUENCE, sequence=d1)
-    if isinstance(f, LambdaFamily):
-        value = math.log(2) / (math.log(6) - _log(3 - f.lam))
+        value = math.log(2) / (_log(F(2 * n)) - _log(n - lam))
         return DimensionReport(value=value, kind=ESTIMATE_SEQUENCE, sequence=((1, value),))
     raise TypeError(f"unknown family spec: {f!r}")
 
@@ -1609,9 +1605,11 @@ def test_interval_set_matches_fraction_reference(ivs, others, points, scale, shi
     new, ref = IntervalSet(ivs), RefIntervalSet(ivs)
     assert new.intervals == ref.intervals and tuple(new) == ref.intervals
     assert new.intervals[1::2] == ref.intervals[1::2] and new.intervals[-1:] == ref.intervals[-1:]
+    assert hash(new.intervals) == hash(ref.intervals) and repr(new.intervals) == repr(ref.intervals)
+    assert (new == "x") is False
     assert len(new) == len(new.intervals) == len(ref)
     assert new.total_length == ref.total_length
-    assert new.to_json() == ref.to_json() and new.dumps() == ref.dumps()
+    assert new.to_json() == ref.to_json()
     assert repr(new) == repr(ref)
     for x in probe_points(ivs + others, points):
         assert new.contains_point(x) == ref.contains_point(x), x
