@@ -32,17 +32,13 @@ CANTOR_TERNARY = DigitSet(3, (0, 2))
 
 MAX_PERIOD_DIGITS = 1_000_000
 """Longest period, in digits, that a long division follows before it gives
-up with PeriodCapError: the period of 1/p can be p - 1 digits long."""
+up with DepthCapError: the period of 1/p can be p - 1 digits long."""
 
 
 MAX_WALK_BITS = 1 << 14
 """Largest integer, in bits, that a walk of the length recurrence may reach
 (``member_at_depth`` and the dimension estimates): member at depth 2000 on
 Lambda(1/2), at a point over 2 * 12^2000, is predicted at 15,172 bits."""
-
-
-class PeriodCapError(DepthCapError):
-    """An expansion's period is longer than MAX_PERIOD_DIGITS."""
 
 
 def _check_walk(f: FamilySpec, k: int, unit: int) -> None:
@@ -175,7 +171,7 @@ def _digit_chunks(x: Fraction, base: int, m: int) -> Iterator[tuple[tuple[int, .
     found one digit at a time, so a period of at most t digits ends among
     them. Past them L > t, and when the remainder after chunk J is r_{m+i},
     L = J*t - i: of the t ends J*t - i, at most one is a multiple of L. A
-    period not closed within MAX_PERIOD_DIGITS digits raises PeriodCapError
+    period not closed within MAX_PERIOD_DIGITS digits raises DepthCapError
     once those digits are yielded. The period divides S = gcd(q, base^m), the
     part of q built from the primes of the base, out of the remainder and q
     once (r_j is a multiple of S from j = m on): same digits, smaller q.
@@ -207,8 +203,8 @@ def _digit_chunks(x: Fraction, base: int, m: int) -> Iterator[tuple[tuple[int, .
     size = len(digits) - (i or 0)  # the period ends in this chunk, or passes the cap
     if done + size > cap:
         yield digits[:cap - done], rem
-        raise PeriodCapError(f"the base-{_echo(base, str)} period exceeds the period cap of "
-                             f"{cap} digits")
+        raise DepthCapError(f"the base-{_echo(base, str)} period exceeds the period cap of "
+                            f"{cap} digits")
     yield digits[:size], rem
 
 

@@ -23,7 +23,6 @@ from math import gcd
 
 from .analysis import (
     ExpansionRecord,
-    PeriodCapError,
     base_expansion,
     cantor_function,
     dimension_estimates,
@@ -307,7 +306,7 @@ def _cmd_cantor_fn(args: argparse.Namespace) -> None:
     x = _parse_x(args.x)
     try:
         value = cantor_function(x)
-    except PeriodCapError:
+    except DepthCapError:
         raise  # exit 3 in main, not "not in the set"
     except ValueError as exc:
         _fail(1, str(exc))
@@ -399,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         # point stdout at devnull so the flush at exit finds no broken pipe.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise SystemExit(EXIT_BROKEN_PIPE)
-    except DepthCapError as exc:  # a depth, stage size or period cap, before any output
+    except DepthCapError as exc:  # a depth, stage size, period or walk cap, before any output
         _fail(EXIT_DEPTH_CAP, str(exc))
     except ValueError as exc:
         # Python refuses to print an integer of more digits than

@@ -33,21 +33,18 @@ def _prefix_sums(f: FamilySpec, n_max: int) -> Iterator[tuple[int, int, int]]:
     """
     n, num, denom = 0, 0, 1
     yield n, num, denom
-    gaps = _gaps(f)
-    while n < n_max:
-        step = next(gaps, None)
-        if step is None:
-            break  # construction reached a fixpoint; no further removals exist
-        denom, s, lengths, parents = step
+    if n_max <= 0:
+        return
+    for denom, s, lengths, parents in _gaps(f):
         num *= s
         for _ in range(parents):
             for length in lengths:
-                if n == n_max:
-                    return
                 n += 1
                 num += length
                 yield n, num, denom
-    for n in range(n + 1, n_max + 1):
+                if n == n_max:
+                    return
+    for n in range(n + 1, n_max + 1):  # a fixpoint: no further removals exist
         yield n, num, denom
 
 

@@ -45,12 +45,8 @@ class ConstructionError(ValueError):
 
 
 class DepthCapError(ValueError):
-    """A request exceeds one of the enumeration caps: depth, stage size or
-    period length."""
-
-
-class StageSizeError(DepthCapError):
-    """The predicted stage size exceeds STAGE_SIZE_CAP."""
+    """A request exceeds one of the enumeration caps: depth, stage size,
+    period length or walk bits. Its message names the cap."""
 
 
 class Proportional(_Frozen):
@@ -188,8 +184,8 @@ def _check_stage(f: FamilySpec, k: int) -> None:
     count = row.m**steps
     if (count * (steps * (row.s.bit_length() - 1) + 1) > STAGE_SIZE_CAP
             or count * (row.s**steps).bit_length() > STAGE_SIZE_CAP):
-        raise StageSizeError(f"stage {k} exceeds the stage size cap of {STAGE_SIZE_CAP} "
-                             "(intervals x denominator bits)")
+        raise DepthCapError(f"stage {k} exceeds the stage size cap of {STAGE_SIZE_CAP} "
+                            "(intervals x denominator bits)")
 
 
 def _fold(steps: list) -> tuple[int, list, int]:
@@ -205,8 +201,8 @@ def _stage_halves(f: FamilySpec, k: int) -> tuple[int, list, list, int]:
     """Stage k as ``(denom, lefts, inner, span)`` over the least denominator
     ``denom``: the outer left ends, the inner pairs with touching ones merged,
     and the span of an outer block, which ``_blocks`` combines. Raises
-    ValueError for k < 0, DepthCapError for k over DEFAULT_DEPTH_CAP and
-    StageSizeError for a stage over STAGE_SIZE_CAP, all before any fold."""
+    ValueError for k < 0 and DepthCapError for k over DEFAULT_DEPTH_CAP or a
+    stage over STAGE_SIZE_CAP, all before any fold."""
     _check_stage(f, k)
     steps = list(islice(_steps(f), k))
     half = len(steps) // 2

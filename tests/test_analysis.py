@@ -12,7 +12,6 @@ from cantorlike.analysis import (
     ESTIMATE_SEQUENCE,
     EXACT_SIMILARITY,
     ExpansionRecord,
-    PeriodCapError,
     base_expansion,
     cantor_function,
     dimension_estimates,
@@ -251,7 +250,7 @@ class TestBaseExpansion:
                      lambda: member_limit(member, CANTOR_TERNARY),
                      lambda: membership_witness(member, CANTOR_TERNARY),
                      lambda: cantor_function(member)):
-            with pytest.raises(PeriodCapError, match="period cap of 5 digits"):
+            with pytest.raises(DepthCapError, match="period cap of 5 digits"):
                 call()
         assert base_expansion(F(1, 8), 10).preperiod == (1, 2, 5)  # no period: no cap
         assert not member_limit(F(1, 2), CANTOR_TERNARY)  # rejected at its first digit

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -536,6 +537,18 @@ class TestCaps:
         message = (f"{prefix}rational {text[:40]!r} has a run of over {limit} digits, "
                    f"the limit of sys.get_int_max_str_digits()\n")
         assert run(capsys, *argv) == (2, "", message)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter reads integers of any length")
+    def test_a_digits_entry_past_the_digit_limit_exits_2_unechoed(self, capsys):
+        # families._flag_int re-raises int()'s own digit-limit error, so the
+        # wording is the interpreter's: its shape is checked, not its text.
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "analyze", "--family", "digit", "--n", "5",
+                             "--digits", "0,1" + "1" * (limit + 99) + ",4")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("invalid family: ")
+        assert str(limit) in err and not re.search(r"\d{41}", err)
 
     @pytest.mark.parametrize("argv, code, message", [
         (("member", "--family", "proportional", "--alpha", "1/3", "--depth", "2",

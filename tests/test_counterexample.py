@@ -10,7 +10,6 @@ from cantorlike.families import (
     OpenInterval,
     Power,
     Proportional,
-    StageSizeError,
     iterate,
     removed_by_generation,
 )
@@ -58,7 +57,7 @@ class TestRemovedSequence:
         # ternary generation 10: 2^10 intervals over 6^10 (26 bits)
         monkeypatch.setattr(families_module, "STAGE_SIZE_CAP", 2**10 * 26 - 1)
         monkeypatch.setattr(OpenInterval, "__init__", forbidden)
-        with pytest.raises(StageSizeError):
+        with pytest.raises(DepthCapError, match="exceeds the stage size cap"):
             removed_by_generation(Proportional(F(1, 3)), 10)
 
 

@@ -66,6 +66,7 @@ class TestNormalize:
     def test_sorts_stage_one(self):
         s = normalize([ci("2/3", "1"), ci("0", "1/3")])
         assert s.intervals == (ci("0", "1/3"), ci("2/3", "1"))
+        assert s.intervals != [ci("0", "1/3"), ci("2/3", "1")]  # a view equals tuples only
 
     def test_empty_input(self):
         assert len(normalize([])) == 0

@@ -9,7 +9,10 @@ returned ``2 * n``, ``ClosedInterval.contains`` had no caller,
 carried ``render_svg``'s arguments, ``total_removed_measure(f)`` was
 ``1 - limit_measure(f)``, ``discontinuity_report(f)`` (with
 ``DiscontinuityReport``) paired ``limit_measure(f)`` with ``== 0``, and
-``exact.UNIT`` had no caller.
+``exact.UNIT`` had no caller. ``families.StageSizeError`` and
+``analysis.PeriodCapError`` were subclasses of ``DepthCapError`` that no
+caller told apart from it: every cap raises ``DepthCapError``, whose
+message names the cap.
 """
 
 import os
@@ -20,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import cantorlike
-from cantorlike import counterexample, exact, families, render
+from cantorlike import analysis, counterexample, exact, families, render
 
 PUBLIC_NAMES = [
     "CANTOR_TERNARY", "ClosedInterval", "ConstructionError", "DEFAULT_DEPTH_CAP", "DepthCapError",
@@ -68,6 +71,8 @@ def test_digit_form_is_the_families_one():
     (exact, "UNIT"),
     (exact.IntervalSet, "dumps"),
     (exact.IntervalSet, "loads"),
+    (families, "StageSizeError"),
+    (analysis, "PeriodCapError"),
 ])
 def test_removed_names_are_gone(owner, name):
     assert not hasattr(owner, name)

@@ -42,7 +42,6 @@ from cantorlike.analysis import (
     EXACT_SIMILARITY,
     DimensionReport,
     ExpansionRecord,
-    PeriodCapError,
     _log,
     base_expansion,
     cantor_function,
@@ -73,7 +72,6 @@ from cantorlike.families import (
     LambdaFamily,
     Power,
     Proportional,
-    StageSizeError,
     _check_stage,
     _stage_halves,
     _steps,
@@ -1102,7 +1100,7 @@ def test_period_cap_at_every_chunk_width(monkeypatch, base, t):
                 read()
             monkeypatch.setattr(analysis_module, "MAX_PERIOD_DIGITS", length - 1)
             for read in readers:
-                with pytest.raises(PeriodCapError, match=f"period cap of {length - 1} digits"):
+                with pytest.raises(DepthCapError, match=f"period cap of {length - 1} digits"):
                     read()
 
 
@@ -1123,7 +1121,7 @@ def test_period_cap_yields_its_digits_first(monkeypatch, t):
             if k <= cap:
                 assert not member_limit(x, f)
             else:
-                with pytest.raises(PeriodCapError):
+                with pytest.raises(DepthCapError, match=f"period cap of {cap} digits"):
                     member_limit(x, f)
 
 
@@ -1350,7 +1348,7 @@ def test_stage_size_cap_is_tree_count_times_denominator_bits(monkeypatch, f):
         monkeypatch.setattr(families_module, "STAGE_SIZE_CAP", size)
         assert lowest(stage_pairs(f, k)) == lowest(ref_stage_pairs(f, k))
         monkeypatch.setattr(families_module, "STAGE_SIZE_CAP", size - 1)
-        with pytest.raises(StageSizeError):
+        with pytest.raises(DepthCapError, match="exceeds the stage size cap"):
             stage_pairs(f, k)
         with pytest.raises(DepthCapError):  # the CLI's exit 3
             iterate(f, k)
@@ -1369,7 +1367,7 @@ def test_only_power_two_reaches_the_depth_cap(f):
         if f == Power(2):
             _check_stage(f, 22)
         else:
-            with pytest.raises(StageSizeError):
+            with pytest.raises(DepthCapError, match="exceeds the stage size cap"):
                 _check_stage(f, 22)
 
 
@@ -1384,7 +1382,7 @@ def test_stage_size_guard_reads_the_row_not_the_recurrence(monkeypatch):
     f = LambdaFamily(F(1, 10**100000))
     monkeypatch.setattr(families_module, "_steps", forbidden)
     for build in (stage_pairs, removed_by_generation, iterate):
-        with pytest.raises(StageSizeError, match="^stage 20 exceeds the stage size cap"):
+        with pytest.raises(DepthCapError, match="^stage 20 exceeds the stage size cap"):
             build(f, 20)
     monkeypatch.undo()
     # The Power(2) tree count stops growing at its collapse: depth 24 stays admitted.
