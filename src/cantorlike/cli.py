@@ -16,10 +16,12 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
-from itertools import islice
+from functools import cache
+from itertools import chain, islice, repeat, starmap
 from math import gcd
+from operator import add, floordiv, itemgetter, truediv
 
 from .analysis import (
     ExpansionRecord,
@@ -137,29 +139,27 @@ def _write_svg(family: FamilySpec, args: argparse.Namespace) -> None:
     sys.stdout.write(render_svg(family, args.depth, args.width, args.row_height))
 
 
-# One stage row per pair (x, y) over denom: each ratio reduced as
-# format_rational prints it, then with --decimal the cells x / denom and
-# y / denom (integer true division is correctly rounded, so each equals
-# rational_decimal of the Fraction). The JSON rows are the text json.dumps
-# gives for the same dicts, with its ", " and ": " separators.
-_STAGE_ROWS = {
-    ("csv", False): "{}/{},{}/{}",
-    ("csv", True): "{}/{},{}/{},{:.15g},{:.15g}",
-    ("json", False): '{{"a": "{}/{}", "b": "{}/{}"}}',
-    ("json", True): '{{"a": "{}/{}", "b": "{}/{}", "a_decimal": "{:.15g}", "b_decimal": "{:.15g}"}}',
+# A stage row: its ends in the cells {} that _end_plans writes, then with
+# --decimal x / denom (integer true division rounds correctly, as does
+# rational_decimal). JSON rows are the text json.dumps gives for the dicts.
+_ROWS = {
+    ("csv", False): "{},{}",
+    ("csv", True): "{},{},%.15g,%.15g",
+    ("json", False): '{{"a": "{}", "b": "{}"}}',
+    ("json", True): '{{"a": "{}", "b": "{}", "a_decimal": "%.15g", "b_decimal": "%.15g"}}',
 }
 _CHUNK_ROWS = 4096
 
 
-def _write_rows(rows: Iterable[str], sep: str, head: str = "", tail: str = "\n") -> None:
-    """Write head + sep.join(rows) + tail to stdout a chunk of _CHUNK_ROWS
-    rows at a time, the separator between chunks apart, so one chunk's rows
-    and text are held at most and no row is written alone."""
+def _write_rows(rows: Iterable[str], sep: str, head: str = "", tail: str = "\n", per: int = 1) -> None:
+    """Write head + sep.join(rows) + tail to stdout a chunk of about _CHUNK_ROWS
+    rows (of items of ``per`` rows each) at a time, the separator between chunks
+    apart, so one chunk's items and text are held at most and no row goes alone."""
     write = sys.stdout.write
     rows = iter(rows)
     write(head)
     lead = ""
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
+    while chunk := list(islice(rows, max(1, _CHUNK_ROWS // per))):
         write(lead)
         write(sep.join(chunk))
         lead = sep
@@ -168,16 +168,16 @@ def _write_rows(rows: Iterable[str], sep: str, head: str = "", tail: str = "\n")
 
 
 # Each endpoint of a stage is x = a + p over denom, a an outer left end and p
-# an inner endpoint (merged pairs too: see _blocks), and m = gcd(denom, *lefts)
+# an inner endpoint (joined pairs too: see _blocks), and m = gcd(denom, *lefts)
 # divides every a. With h = gcd(p, m), h divides x and denom, and x/h = p/h
 # (mod m/h) with gcd(p/h, m/h) = 1, so x/h shares no prime with m/h. Hence
 # gcd(x, denom) = h for every a whenever each prime of denom/h divides m/h:
 # that is checked once per h, by stripping from denom/h what it shares with
-# m/h until 1 is left or nothing is shared. Otherwise (as for p = 0) the end
-# keeps h = 0, one gcd per row.
-def _end_plans(denom: int, lefts: list, inner: list) -> list:
-    """Each inner pair (p, q) as ((p, h, d), (q, h', d')): for every a in
-    lefts, (a + p)/denom reduces to ((a + p) // h)/d, d = str(denom // h)."""
+# m/h until 1 is left or nothing is shared. Then the end's cell, made before
+# any output, is "%d/" + str(denom // h); else (as for p = 0) it is "%d/%d".
+def _end_plans(denom: int, lefts: list, inner: list, row: str, sep: str, decimal: bool):
+    """block(a, i, j): the text of the block (a, i, j) of _blocks, one % of
+    the template of its rows on columns made by map, no Python code per row."""
     m = gcd(denom, *lefts)
     known = {}
 
@@ -188,24 +188,36 @@ def _end_plans(denom: int, lefts: list, inner: list) -> list:
             while (t := gcd(rest, shared)) > 1:
                 rest //= t
                 shared = t * t  # exponents double: O(log) steps per h
-            known[h] = (h, str(denom // h)) if rest == 1 else (0, 0)
-        return (p, *known[h])
+            known[h] = (h, f"%d/{denom // h}") if rest == 1 else (0, "%d/%d")
+        return known[h]
 
-    return [(plan(p), plan(q)) for p, q in inner]
+    ends = list(chain.from_iterable(inner))
+    hs, cells = zip(*map(plan, ends))
 
+    @cache  # one layout per block shape: all pairs, and the cuts where blocks meet
+    def layout(i: int, j: int) -> tuple:
+        # The columns: the ends reduced, planned ones (h > 0) first, then the
+        # f denominators of the others, then the decimals; take orders them.
+        h, it = hs[2 * i:2 * j], iter(cells[2 * i:2 * j])
+        n, f = len(h), h.count(0)
+        order = sorted(range(n), key=lambda k: not h[k])
+        at = {k: r for r, k in enumerate(order)}
+        cols = [(at[k],) if h[k] else (at[k], at[k] + f) for k in range(n)]
+        take = itemgetter(*chain.from_iterable(cols[k] + cols[k + 1] + (n + f + at[k], n + f + at[k + 1])
+                                               [:2 * decimal] for k in range(0, n, 2)))
+        return (sep.join(map(row.format, it, it)), [ends[2 * i + k] for k in order],
+                [h[k] for k in order[:n - f]], take)
 
-def _stage_rows(row, denom: int, blocks: Iterable[tuple], decimal: bool) -> Iterator[str]:
-    for a, b, plans in blocks:
-        for (p, hp, dp), (q, hq, dq) in plans:
-            x, y = a + p, b + q
-            if not hp:
-                hp = gcd(x, denom)
-                dp = denom // hp
-            if not hq:
-                hq = gcd(y, denom)
-                dq = denom // hq
-            yield (row(x // hp, dp, y // hq, dq, x / denom, y / denom) if decimal
-                   else row(x // hp, dp, y // hq, dq))
+    def block(a: int, i: int, j: int) -> str:
+        template, p, h, take = layout(i, j)
+        x = list(map(add, repeat(a), p))
+        g = list(map(gcd, x[len(h):], repeat(denom)))
+        columns = [*map(floordiv, x, h + g), *map(floordiv, repeat(denom), g)]
+        if decimal:
+            columns += map(truediv, x, repeat(denom))
+        return template % take(columns)
+
+    return block
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:
@@ -215,12 +227,9 @@ def _cmd_generate(args: argparse.Namespace) -> None:
         _write_svg(family, args)  # the diagram runs its own stage pass
         return
     denom, lefts, inner, span = _stage_halves(family, args.depth)
-    blocks = _blocks(lefts, _end_plans(denom, lefts, inner), span)
-    rows = _stage_rows(_STAGE_ROWS[args.format, args.decimal].format, denom, blocks, args.decimal)
-    if args.format == "json":
-        _write_rows(rows, ", ", "[", "]\n")
-    else:
-        _write_rows(rows, "\n")
+    sep, head, tail = (", ", "[", "]\n") if args.format == "json" else ("\n", "", "\n")
+    block = _end_plans(denom, lefts, inner, _ROWS[args.format, args.decimal], sep, args.decimal)
+    _write_rows(starmap(block, _blocks(lefts, len(inner) - 1, span)), sep, head, tail, len(inner))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
@@ -349,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="membership at a finite stage or in the limit set")
     _add_family_args(p)
     p.add_argument("--x", required=True, help="query point as p/q")
-    p.add_argument("--depth", type=_int)
-    p.add_argument("--limit", action="store_true", help="decide limit-set membership (digit form)")
+    depth_or_limit = p.add_mutually_exclusive_group()
+    depth_or_limit.add_argument("--depth", type=_int)
+    depth_or_limit.add_argument("--limit", action="store_true", help="decide limit-set membership (digit form)")
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("expansion", help="eventually periodic base-n expansion of a rational")

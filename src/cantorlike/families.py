@@ -199,10 +199,11 @@ def _fold(steps: list) -> tuple[int, list, int]:
 
 def _stage_halves(f: FamilySpec, k: int) -> tuple[int, list, list, int]:
     """Stage k as ``(denom, lefts, inner, span)`` over the least denominator
-    ``denom``: the outer left ends, the inner pairs with touching ones merged,
-    and the span of an outer block, which ``_blocks`` combines. Raises
-    ValueError for k < 0 and DepthCapError for k over DEFAULT_DEPTH_CAP or a
-    stage over STAGE_SIZE_CAP, all before any fold."""
+    ``denom``: the outer left ends, the inner pairs with touching ones merged
+    and then the pair that joins two meeting blocks, and the span of an outer
+    block, which ``_blocks`` combines. Raises ValueError for k < 0 and
+    DepthCapError for k over DEFAULT_DEPTH_CAP or a stage over STAGE_SIZE_CAP,
+    all before any fold."""
     _check_stage(f, k)
     steps = list(islice(_steps(f), k))
     half = len(steps) // 2
@@ -214,27 +215,26 @@ def _stage_halves(f: FamilySpec, k: int) -> tuple[int, list, list, int]:
     g = gcd(denom, length, d_in * gcd(*outer), *inner)
     lefts = [a * d_in // g for a in outer]
     inner = _merge([(p // g, (p + length) // g) for p in inner])
-    return denom // g, lefts, inner, inner[-1][1] - inner[0][0]
+    span = inner[-1][1] - inner[0][0]
+    return denom // g, lefts, inner + [(inner[-1][0], inner[0][1] + span)], span
 
 
-def _blocks(lefts: list, pairs: list, span: int) -> Iterator[tuple[int, int, list]]:
-    """``(a, b, pairs)`` per outer block, left to right: the stage's pairs are
-    (a + p, b + q) for each (p, q) in ``pairs``, where p and q are the first
-    and second items of an entry. Blocks whose left ends lie ``span`` apart
-    meet, which happens only where kept digits are adjacent, and the last
-    pair of one and the first of the next become one pair. The first and last
-    inner pairs differ whenever blocks meet: a merged digit stage past depth 1
-    keeps a gap inside each block."""
-    joined, rest = [(pairs[-1][0], pairs[0][1])], pairs[1:]
-    block = pairs  # the pairs of the next block: all, or rest after a meeting
+def _blocks(lefts: list, n: int, span: int) -> Iterator[tuple[int, int, int]]:
+    """``(a, i, j)`` per outer block, left to right: the stage's pairs are
+    (a + p, a + q) for (p, q) in ``inner[i:j]`` of ``_stage_halves``, whose
+    n merged pairs come first. Blocks whose left ends lie ``span`` apart meet
+    (only where kept digits are adjacent), and the last pair of one and the
+    first of the next become ``inner[n]``, from the first's left end. The
+    first and last inner pairs differ whenever blocks meet: a merged digit
+    stage past depth 1 keeps a gap inside each block."""
+    i = 0  # the first pair of the next block: 0, or 1 after a meeting
     for a, b in zip(lefts, lefts[1:] + [None]):
-        if b is not None and b - a == span:
-            yield a, a, block[:-1]
-            yield a, b, joined
-            block = rest
-        else:
-            yield a, a, block
-            block = pairs
+        meet = int(b == a + span)
+        if i < n - meet:  # a block between two meetings may keep no pair
+            yield a, i, n - meet
+        if meet:
+            yield a, n, n + 1
+        i = meet
 
 
 def stage_pairs(f: FamilySpec, k: int) -> tuple[int, list]:
@@ -244,8 +244,8 @@ def stage_pairs(f: FamilySpec, k: int) -> tuple[int, list]:
     least denominator unless touching digit blocks merged. Raises like
     ``_stage_halves``, before any fold."""
     denom, lefts, inner, span = _stage_halves(f, k)
-    return denom, [(a + p, b + q) for a, b, pairs in _blocks(lefts, inner, span)
-                   for p, q in pairs]
+    return denom, [(a + p, a + q) for a, i, j in _blocks(lefts, len(inner) - 1, span)
+                   for p, q in inner[i:j]]
 
 
 def iterate(f: FamilySpec, k: int) -> IntervalSet:

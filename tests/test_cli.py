@@ -154,6 +154,17 @@ class TestGenerate:
         assert len(rows) == 2**13
         assert 3 <= len(log.writes) < 10  # 8192 rows in chunks of 4096, not one write per row
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("flags", [("--format", "csv"), ("--format", "json", "--decimal")])
+    def test_stage_too_large_to_print_exits_2_before_any_output(self, capsys, flags):
+        # The stage-1 denominators of lambda 1e-4400 have over 4300 digits:
+        # the row template is refused before the JSON writer's "[".
+        code, out, err = run(capsys, "generate", "--family", "lambda", "--lambda", "1e-4400",
+                             "--depth", "1", *flags)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("result too large to print: ")
+
 
 class TestAnalyze:
     def test_volterra_report(self, capsys):
@@ -239,6 +250,15 @@ class TestMember:
                            "--alpha", "1/3", "--limit")
         assert code == 0
         assert out.strip().splitlines()[0] == "true"
+
+    @pytest.mark.parametrize("flags", [("--limit", "--depth", "5"), ("--depth", "5", "--limit")])
+    def test_depth_with_limit_exits_2(self, capsys, flags):
+        # --limit decides the limit set, so a --depth beside it went unanswered.
+        code, out, err = run(capsys, "member", "--family", "digit", "--n", "3", "--digits", "0,2",
+                             "--x", "1/4", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ") and err.count("error: ") == 1
+        assert " not allowed with argument --" in err.splitlines()[-1]
 
     def test_limit_without_digit_form_exits_4(self, capsys):
         code, _, err = run(capsys, "member", "--x", "1/4", "--family", "power",

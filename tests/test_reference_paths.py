@@ -1397,10 +1397,13 @@ GENERATE_CASES = (
     (Power(2), 5),                             # past the four-point fixpoint
     (DigitSet(5, (0, 1, 4)), 4),               # touching blocks 0 and 1
     (DigitSet(7, (0, 1, 2, 6)), 3),            # a run of three touching blocks
+    (DigitSet(5, (0, 1, 2, 4)), 2),            # the middle block of a run of three keeps no pair
+    (DigitSet(5, (0, 1, 4)), 9),               # 9842 rows: write chunks end inside joined blocks
     (DigitSet(3, (0, 2)), 5),
     (LambdaFamily(F(1)), 5),
     (LambdaFamily(F(1, 2)), 6),
     (LambdaFamily(F(7, 1_000_003)), 4),
+    (LambdaFamily(F(1, 5)), 13),               # 8192 rows, and no end's gcd is fixed across blocks
     (Power(4), 0),
     (DigitSet(5, (0, 1, 4)), 0),
 )
@@ -1505,24 +1508,18 @@ def csv_listing_size(f, k):
                          ids=repr)
 def test_generate_row_writer_holds_two_half_stages(monkeypatch, f, depth):
     # The rows of ternary stage 16 (2^16 pairs, 2.2 MB of text) are made one
-    # at a time from two folds of 2^8 left ends and the reduction of each
-    # inner end; the digit stage runs the merge of touching blocks too.
-    # _write_rows, which holds one chunk of 4096 rows, is read row by row here.
-    size = 0
-
-    def read_rows(rows, sep, head="", tail="\n"):
-        nonlocal size
-        for row in rows:
-            size += len(row) + len(sep)
-
-    monkeypatch.setattr(cli_module, "_write_rows", read_rows)
+    # outer block at a time from two folds of 2^8 left ends and the reduction
+    # of each inner end; the digit stage runs the merge of touching blocks too.
+    # The real writer holds one chunk of about 4096 rows; the stdout here
+    # keeps only a count.
+    monkeypatch.setattr(sys, "stdout", Sink())
     tracemalloc.start()
     try:
         assert cli_module.main(generate_argv(f, depth, "csv", False)) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert size == csv_listing_size(f, depth)
+    assert sys.stdout.size == csv_listing_size(f, depth)
     assert peak < 500_000, peak
 
 
