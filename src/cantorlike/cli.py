@@ -136,7 +136,7 @@ def _write_svg(family: FamilySpec, args: argparse.Namespace) -> None:
         float(args.width)  # as render_svg refuses it, but with the flag's name
     except OverflowError:
         _fail(EXIT_BAD_FAMILY, f"--width is too large for a float, got {_echo(args.width)}")
-    sys.stdout.write(render_svg(family, args.depth, args.width, args.row_height))
+    render_svg(family, args.depth, args.width, args.row_height, sys.stdout.write)
 
 
 # A stage row: its ends in the cells {} that _end_plans writes, then with
@@ -154,16 +154,18 @@ _CHUNK_ROWS = 4096
 def _write_rows(rows: Iterable[str], sep: str, head: str = "", tail: str = "\n", per: int = 1) -> None:
     """Write head + sep.join(rows) + tail to stdout a chunk of about _CHUNK_ROWS
     rows (of items of ``per`` rows each) at a time, the separator between chunks
-    apart, so one chunk's items and text are held at most and no row goes alone."""
+    apart, so one chunk's items and text are held at most and no row goes alone.
+    The first chunk is made before the head goes out, so a first chunk too
+    large to print fails with nothing written."""
     write = sys.stdout.write
-    rows = iter(rows)
+    rows, size = iter(rows), max(1, _CHUNK_ROWS // per)
+    chunk = list(islice(rows, size))
     write(head)
-    lead = ""
-    while chunk := list(islice(rows, max(1, _CHUNK_ROWS // per))):
-        write(lead)
+    while chunk:
         write(sep.join(chunk))
-        lead = sep
         del chunk  # the rows go before the next chunk is read
+        if chunk := list(islice(rows, size)):
+            write(sep)
     write(tail)
 
 

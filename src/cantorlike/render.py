@@ -7,8 +7,12 @@ pure function of the inputs, so identical calls give byte-identical SVG.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .exact import _echo
 from .families import FamilySpec, _check_stage, iterate
+
+_SLICE_RECTS = 4096  # rect lines per write at most, as the CLI's row chunks
 
 
 def _fmt(v: float) -> str:
@@ -16,11 +20,13 @@ def _fmt(v: float) -> str:
 
 
 def render_svg(family: FamilySpec, depth: int, width_px: int = 800,
-               row_height_px: int = 28) -> str:
+               row_height_px: int = 28, write: Callable[[str], object] | None = None) -> str | None:
     """Stages 0..depth as an SVG, width_px by (depth + 1) * row_height_px.
-    Raises before any row is built: ValueError for a size under 1 px or a
-    width too large for a float, and as ``iterate`` does for a negative depth
-    or one over a cap."""
+    With ``write``, the header, each row in slices of at most _SLICE_RECTS
+    rect lines, and the closing tag go to it as they are made, and None is
+    returned; without, the slices are joined and returned. Raises before
+    any row is built: ValueError for a size under 1 px or a width too large
+    for a float, and as ``iterate`` does for a negative depth or one over a cap."""
     if width_px <= 0 or row_height_px <= 0:
         raise ValueError("pixel dimensions must be positive")
     try:
@@ -30,12 +36,12 @@ def render_svg(family: FamilySpec, depth: int, width_px: int = 800,
     # Checked once up front: the per-row iterate calls would otherwise build
     # every stage up to the cap before the first one over it fails.
     _check_stage(family, depth)
+    parts = []
+    emit = parts.append if write is None else write
     bar_h = max(row_height_px - 6, 1)
     height = (depth + 1) * row_height_px
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height}" '
-        f'viewBox="0 0 {width_px} {height}">'
-    ]
+    emit(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height}" '
+         f'viewBox="0 0 {width_px} {height}">\n')
     for stage in range(depth + 1):
         row = iterate(family, stage)
         denom, pairs = row.denom, row.pairs
@@ -44,8 +50,9 @@ def render_svg(family: FamilySpec, depth: int, width_px: int = 800,
         # b - a and only x once per rect. int / int is correctly rounded, so
         # both equal float(Fraction) * width_px; max(..., 1.0) keeps points visible.
         tails = {d: f'" y="{stage * row_height_px}" width="{_fmt(max(d / denom * width_px, 1.0))}" '
-                    f'height="{bar_h}" fill="#1f2430"/>' for d in {b - a for a, b in pairs}}
-        parts.append("\n".join([f'<rect x="{_fmt(a / denom * width_px)}{tails[b - a]}'
-                                for a, b in pairs]))
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+                    f'height="{bar_h}" fill="#1f2430"/>\n' for d in {b - a for a, b in pairs}}
+        for i in range(0, len(pairs), _SLICE_RECTS):
+            emit("".join([f'<rect x="{_fmt(a / denom * width_px)}{tails[b - a]}'
+                          for a, b in pairs[i:i + _SLICE_RECTS]]))
+    emit("</svg>\n")
+    return "".join(parts) if write is None else None

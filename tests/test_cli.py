@@ -16,6 +16,7 @@ from cantorlike.counterexample import tail_table_csv
 from cantorlike.exact import IntervalSet
 from cantorlike.families import (_FAMILY_FIELDS, DigitSet, LambdaFamily, Power, Proportional,
                                   family_to_json, iterate, moran_row)
+from cantorlike.render import render_svg
 from fractions import Fraction as F
 
 
@@ -156,12 +157,15 @@ class TestGenerate:
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="this interpreter prints integers of any length")
-    @pytest.mark.parametrize("flags", [("--format", "csv"), ("--format", "json", "--decimal")])
+    @pytest.mark.parametrize("flags", [("--depth", "1", "--format", "csv"),
+                                       ("--depth", "1", "--format", "json", "--decimal"),
+                                       ("--depth", "3", "--format", "json")])
     def test_stage_too_large_to_print_exits_2_before_any_output(self, capsys, flags):
-        # The stage-1 denominators of lambda 1e-4400 have over 4300 digits:
-        # the row template is refused before the JSON writer's "[".
+        # The stage denominators of lambda 1e-4400 have over 4300 digits: the
+        # row template (depth 1) or the first block's rows (depth 3) are
+        # refused before the JSON writer's "[".
         code, out, err = run(capsys, "generate", "--family", "lambda", "--lambda", "1e-4400",
-                             "--depth", "1", *flags)
+                             *flags)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("result too large to print: ")
 
@@ -354,6 +358,14 @@ class TestCounterexample:
 
 
 class TestRender:
+    def test_svg_goes_out_in_bounded_slices(self, monkeypatch):
+        log = WriteLog()
+        monkeypatch.setattr(sys, "stdout", log)
+        assert main(["render", "--family", "power", "--n", "4", "--depth", "14"]) == 0
+        assert "".join(log.writes) == render_svg(Power(4), 14)
+        assert max(text.count("<rect") for text in log.writes) <= 4096
+        assert len(log.writes) >= 8  # 32,767 rects, not one write for the document
+
     def test_deterministic_and_sized(self, capsys):
         args = ("render", "--family", "power", "--n", "4", "--depth", "3",
                 "--width", "400", "--row-height", "20")
@@ -674,7 +686,12 @@ class TestFamilyFlags:
 
 
 class TestClosedStdout:
-    def test_broken_pipe_exits_141_without_stderr(self):
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--family", "power", "--n", "4", "--depth", "16", "--format", "csv"),
+        ("render", "--family", "power", "--n", "4", "--depth", "14"),
+        ("counterexample", "--n-max", "30000"),
+    ], ids=["generate", "render", "counterexample"])
+    def test_broken_pipe_exits_141_without_stderr(self, argv):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the child writes a byte
         src = Path(__file__).resolve().parents[1] / "src"
@@ -682,8 +699,7 @@ class TestClosedStdout:
             filter(None, (str(src), os.environ.get("PYTHONPATH")))))
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "cantorlike.cli", "generate", "--family", "power",
-                 "--n", "4", "--depth", "16", "--format", "csv"],
+                [sys.executable, "-m", "cantorlike.cli", *argv],
                 stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
         finally:
             os.close(write_end)
