@@ -170,7 +170,7 @@ def _write_rows(rows: Iterable[str], sep: str, head: str = "", tail: str = "\n",
 
 
 # Each endpoint of a stage is x = a + p over denom, a an outer left end and p
-# an inner endpoint (joined pairs too: see _blocks), and m = gcd(denom, *lefts)
+# an inner end (joined ones too: see _blocks), and m = gcd(denom, *lefts)
 # divides every a. With h = gcd(p, m), h divides x and denom, and x/h = p/h
 # (mod m/h) with gcd(p/h, m/h) = 1, so x/h shares no prime with m/h. Hence
 # gcd(x, denom) = h for every a whenever each prime of denom/h divides m/h:
@@ -193,10 +193,9 @@ def _end_plans(denom: int, lefts: list, inner: list, row: str, sep: str, decimal
             known[h] = (h, f"%d/{denom // h}") if rest == 1 else (0, "%d/%d")
         return known[h]
 
-    ends = list(chain.from_iterable(inner))
-    hs, cells = zip(*map(plan, ends))
+    hs, cells = zip(*map(plan, inner))
 
-    @cache  # one layout per block shape: all pairs, and the cuts where blocks meet
+    @cache  # one layout per block shape: all intervals, and the cuts where blocks meet
     def layout(i: int, j: int) -> tuple:
         # The columns: the ends reduced, planned ones (h > 0) first, then the
         # f denominators of the others, then the decimals; take orders them.
@@ -207,7 +206,7 @@ def _end_plans(denom: int, lefts: list, inner: list, row: str, sep: str, decimal
         cols = [(at[k],) if h[k] else (at[k], at[k] + f) for k in range(n)]
         take = itemgetter(*chain.from_iterable(cols[k] + cols[k + 1] + (n + f + at[k], n + f + at[k + 1])
                                                [:2 * decimal] for k in range(0, n, 2)))
-        return (sep.join(map(row.format, it, it)), [ends[2 * i + k] for k in order],
+        return (sep.join(map(row.format, it, it)), [inner[2 * i + k] for k in order],
                 [h[k] for k in order[:n - f]], take)
 
     def block(a: int, i: int, j: int) -> str:
@@ -231,7 +230,7 @@ def _cmd_generate(args: argparse.Namespace) -> None:
     denom, lefts, inner, span = _stage_halves(family, args.depth)
     sep, head, tail = (", ", "[", "]\n") if args.format == "json" else ("\n", "", "\n")
     block = _end_plans(denom, lefts, inner, _ROWS[args.format, args.decimal], sep, args.decimal)
-    _write_rows(starmap(block, _blocks(lefts, len(inner) - 1, span)), sep, head, tail, len(inner))
+    _write_rows(starmap(block, _blocks(lefts, len(inner) // 2 - 1, span)), sep, head, tail, len(inner) // 2)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:

@@ -3,7 +3,7 @@
 Everything in this module is immutable and exact, and no floating point ever
 enters. Scalars are ``fractions.Fraction`` values. ``IntervalSet`` is the
 workhorse container: a sorted, pairwise-disjoint union of closed intervals
-inside (usually) [0,1], held as integer endpoint pairs over one common
+inside (usually) [0,1], held as one flat tuple of integer ends over one common
 denominator, the shape the stage engine produces. Its measure, membership,
 cover and affine image work on those integers; ``ClosedInterval`` and
 ``Fraction`` objects are built only when the intervals are read out
@@ -17,8 +17,9 @@ import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import itemgetter
+from operator import mul
 
 MAX_DECIMAL_EXPONENT = 100_000
 """Largest decimal exponent magnitude parse_rational accepts: "1e-100000"
@@ -187,9 +188,6 @@ class ClosedInterval(_Frozen):
         return cls(_json_rational(obj["a"], "a"), _json_rational(obj["b"], "b"))
 
 
-_start = itemgetter(0)
-
-
 def _closed(a: int, b: int, denom: int) -> ClosedInterval:
     return ClosedInterval(Fraction(a, denom), Fraction(b, denom))
 
@@ -197,29 +195,28 @@ def _closed(a: int, b: int, denom: int) -> ClosedInterval:
 class IntervalSet:
     """A finite union of closed intervals, stored sorted and disjoint.
 
-    The set is the intervals [a/denom, b/denom] for (a, b) in ``pairs``, a
-    tuple of integer pairs left to right. Consecutive pairs satisfy b < a'
-    strictly (``normalize`` merges anything overlapping or touching), and
-    ``denom`` is the least common denominator of the endpoints, so equal
-    sets have equal ``(denom, pairs)`` whatever denominators they were built
-    from; equality and hashing compare that form.
+    The set is the intervals [a/denom, b/denom] for the consecutive ends
+    a, b of ``ends``, one flat tuple of integers a0, b0, a1, b1, ... left to
+    right. Each b < a' strictly (``normalize`` merges anything overlapping
+    or touching), and ``denom`` is the least common denominator of the ends,
+    so equal sets have equal ``(denom, ends)`` whatever denominators they
+    were built from; equality and hashing compare that form.
     """
 
-    __slots__ = ("denom", "pairs")
+    __slots__ = ("denom", "ends")
 
     def __init__(self, intervals: Iterable[ClosedInterval]):
-        ends = [(i.a, i.b) for i in intervals]
-        denom = lcm(*(x.denominator for end in ends for x in end))
-        pairs = sorted(tuple(x.numerator * (denom // x.denominator) for x in end) for end in ends)
-        self.denom, self.pairs = _reduced(denom, _merge(pairs))
+        pairs = [(i.a, i.b) for i in intervals]
+        denom = lcm(*(x.denominator for pair in pairs for x in pair))
+        pairs = sorted(tuple(x.numerator * (denom // x.denominator) for x in pair) for pair in pairs)
+        self.denom, self.ends = _reduced(denom, _merge(list(chain.from_iterable(pairs))))
 
     @classmethod
-    def _from_pairs(cls, denom: int, pairs: list) -> "IntervalSet":
-        # Trusted constructor for a list of integer pairs that are already
-        # sorted and strictly separated; skips the sort and the merge. The
-        # list is the caller's no longer: it is reduced in place.
+    def _from_ends(cls, denom: int, ends: list) -> "IntervalSet":
+        # Trusted: the ends are sorted and strictly separated, so no sort or
+        # merge. The list is the caller's no longer: it is reduced in place.
         self = object.__new__(cls)
-        self.denom, self.pairs = _reduced(denom, pairs)
+        self.denom, self.ends = _reduced(denom, ends)
         return self
 
     @property
@@ -228,20 +225,20 @@ class IntervalSet:
         return _Intervals(self)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.ends) // 2
 
     def __iter__(self) -> Iterator[ClosedInterval]:
-        denom = self.denom
-        for a, b in self.pairs:
+        denom, it = self.denom, iter(self.ends)
+        for a, b in zip(it, it):
             yield _closed(a, b, denom)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self.denom == other.denom and self.pairs == other.pairs
+        return self.denom == other.denom and self.ends == other.ends
 
     def __hash__(self) -> int:
-        return hash((self.denom, self.pairs))
+        return hash((self.denom, self.ends))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"[{i.a}, {i.b}]" for i in self)
@@ -249,56 +246,55 @@ class IntervalSet:
 
     @property
     def total_length(self) -> Fraction:
-        return Fraction(sum(b - a for a, b in self.pairs), self.denom)
+        return Fraction(sum(self.ends[1::2]) - sum(self.ends[::2]), self.denom)
 
     def affine_image(self, scale: Fraction, shift: Fraction = Fraction(0)) -> "IntervalSet":
         """Map every [a,b] to [scale*a + shift, scale*b + shift]; scale > 0."""
         if scale <= 0:
             raise ValueError(f"affine scale must be positive, got {_echo(scale, str)}")
         m = lcm(scale.denominator, shift.denominator)
-        return IntervalSet._from_pairs(self.denom * m, list(_affine_pairs(self, scale, shift, m)))
+        return IntervalSet._from_ends(self.denom * m, list(_affine_ends(self, scale, shift, m)))
 
     def contains_point(self, x: Fraction) -> bool:
-        """Membership: bisect the starts at floor(x * denom), then one
-        cross-multiplied check against that interval's right end. x must be
-        a Fraction or an int: a float or a Decimal has no numerator and
-        raises AttributeError rather than being answered."""
-        pairs, q = self.pairs, x.denominator
+        """Membership: i ends lie at or below floor(x * denom), so x lies
+        inside an interval when i is odd, and otherwise only when it is the
+        end i - 1 itself (one cross-multiplied check). x must be a Fraction or
+        an int: a float or a Decimal has no numerator and raises
+        AttributeError rather than being answered."""
+        ends, q = self.ends, x.denominator
         px = x.numerator * self.denom
-        idx = bisect_right(pairs, px // q, key=_start) - 1
-        return idx >= 0 and px <= pairs[idx][1] * q
+        i = bisect_right(ends, px // q)
+        return i % 2 == 1 or i > 0 and px == ends[i - 1] * q
 
     def covers(self, other: "IntervalSet") -> bool:
         """True iff every interval of ``other`` lies inside one of ours.
 
-        One walk of ``other.pairs`` left to right, holding one of our
-        intervals at a time, both scaled to the denominator denom * other.denom.
-        A pair that starts past the held interval steps to the next one, and
-        only if that one ends before the pair starts too does a bisect of our
-        starts, from there on, find the next candidate. Nested stages cost
-        about one step per pair, and a sparse ``other`` O(m log n).
-        """
-        mine, d, e = self.pairs, self.denom, other.denom
-        if not mine:
-            return not other.pairs
-        i, n = 0, len(mine)
-        lo, hi = mine[0][0] * e, mine[0][1] * e
-        for a, b in other.pairs:
-            a *= d
+        One walk of ``other``'s intervals left to right, holding one of ours
+        at a time, both over the lcm of the denominators. An interval that
+        starts past the held one steps to the next, and only if that one ends
+        before it starts too does a bisect of our ends find the next one.
+        Nested stages cost about one step per interval, a sparse ``other``
+        O(m log n)."""
+        mine, theirs = _common(self, other), _common(other, self)
+        if not mine or not theirs or theirs[0] < mine[0]:
+            return not theirs
+        i, n, hi, it = 0, len(mine), mine[1], iter(theirs)
+        for a, b in zip(it, it):
             if a > hi:
-                i += 1
-                if i < n and a > mine[i][1] * e:
-                    i = bisect_right(mine, a // e, lo=i, key=_start) - 1
-                if i == n:
+                i += 2
+                if i < n and a > mine[i + 1]:
+                    j = bisect_right(mine, a, i)
+                    i = j - 2 + j % 2  # the last of our starts at or below a
+                if i == n or a < mine[i]:
                     return False
-                lo, hi = mine[i][0] * e, mine[i][1] * e
-            if a < lo or b * d > hi:
+                hi = mine[i + 1]
+            if b > hi:
                 return False
         return True
 
     def to_json(self) -> list[dict]:
-        denom = self.denom
-        return [{"a": format_ratio(a, denom), "b": format_ratio(b, denom)} for a, b in self.pairs]
+        denom, it = self.denom, iter(self.ends)
+        return [{"a": format_ratio(a, denom), "b": format_ratio(b, denom)} for a, b in zip(it, it)]
 
     @classmethod
     def from_json(cls, obj: list[dict]) -> "IntervalSet":
@@ -316,13 +312,13 @@ class _Intervals(Sequence):
         self._set = s
 
     def __len__(self) -> int:
-        return len(self._set.pairs)
+        return len(self._set)
 
     def __getitem__(self, index):
-        denom, pairs = self._set.denom, self._set.pairs
         if isinstance(index, slice):
-            return tuple(_closed(a, b, denom) for a, b in pairs[index])
-        return _closed(*pairs[index], denom)
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        i, ends = 2 * range(len(self))[index], self._set.ends
+        return _closed(ends[i], ends[i + 1], self._set.denom)
 
     def __iter__(self) -> Iterator[ClosedInterval]:
         return iter(self._set)
@@ -344,50 +340,51 @@ def normalize(intervals: Iterable[ClosedInterval]) -> IntervalSet:
     return IntervalSet(intervals)
 
 
-def _affine_pairs(s: IntervalSet, scale: Fraction, shift: Fraction, m: int) -> Iterator[tuple[int, int]]:
-    # The pairs of s under x -> scale*x + shift, over the denominator s.denom * m,
+def _common(s: IntervalSet, other: IntervalSet):
+    # The ends of s over the lcm of the two denominators.
+    m = other.denom // gcd(s.denom, other.denom)
+    return s.ends if m == 1 else list(map(mul, s.ends, repeat(m)))
+
+
+def _affine_ends(s: IntervalSet, scale: Fraction, shift: Fraction, m: int) -> Iterator[int]:
+    # The ends of s under x -> scale*x + shift, over the denominator s.denom * m,
     # where m is a multiple of both denominators: there the map sends the
-    # numerator a to a * mul + add. Lazy, and sorted when scale > 0.
-    mul = scale.numerator * (m // scale.denominator)
-    add = shift.numerator * (m // shift.denominator) * s.denom
-    return ((a * mul + add, b * mul + add) for a, b in s.pairs)
+    # numerator x to x * times + plus. Lazy, and sorted when scale > 0.
+    times = scale.numerator * (m // scale.denominator)
+    plus = shift.numerator * (m // shift.denominator) * s.denom
+    return (x * times + plus for x in s.ends)
 
 
-def _merge(pairs: list) -> list:
-    # A list of integer pairs sorted by start, merged in place in one pass and
-    # returned: a pair that overlaps or touches the open one extends it, so
-    # the result is strictly separated. Each closed pair is written over the
-    # list at or behind the one being read, a pair that nothing extends is
-    # kept as the same tuple, and the tail is cut off at the end. The stage
-    # engine merges its touching digit blocks here too.
-    if not pairs:
-        return pairs
-    w, open_ = 0, pairs[0]
-    hi = open_[1]
-    for pair in pairs:
-        a, b = pair
+def _merge(ends: list) -> list:
+    # Flat ends a0, b0, a1, b1, ... sorted by start, merged in place in one
+    # pass and returned: an interval that overlaps or touches the open one
+    # extends it, so the result is strictly separated. Each closed interval
+    # is written behind the one being read, and the tail is cut off at the
+    # end. The stage engine merges its touching digit blocks here too.
+    if not ends:
+        return ends
+    w, hi, it = 0, ends[1], iter(ends)
+    for a, b in zip(it, it):
         if a > hi:
-            pairs[w] = open_
-            w += 1
-            open_, hi = pair, b
+            ends[w + 1] = hi
+            w += 2
+            ends[w], hi = a, b
         elif b > hi:
-            open_, hi = (open_[0], b), b
-    pairs[w] = open_
-    del pairs[w + 1:]
-    return pairs
+            hi = b
+    ends[w + 1] = hi
+    del ends[w + 2:]
+    return ends
 
 
-def _reduced(denom: int, pairs: list) -> tuple[int, tuple]:
-    # The canonical form: denom and every endpoint divided by their gcd, which
-    # leaves the least common denominator. The scan stops at the first pair
-    # that brings the gcd to 1. Otherwise the list is divided in place, so
-    # each old pair is freed as its quotient is made and the peak stays at
-    # one copy of the stage.
+def _reduced(denom: int, ends: list) -> tuple[int, tuple]:
+    # The canonical form: denom and every end divided by their gcd, the least
+    # common denominator. The scan stops at the first end that brings the gcd
+    # to 1; else the list is divided in place, so the peak stays at one copy.
     g = denom
-    for a, b in pairs:
-        g = gcd(g, a, b)
+    for x in ends:
+        g = gcd(g, x)
         if g == 1:
-            return denom, tuple(pairs)
-    for i, (a, b) in enumerate(pairs):
-        pairs[i] = (a // g, b // g)
-    return denom // g, tuple(pairs)
+            return denom, tuple(ends)
+    for i, x in enumerate(ends):
+        ends[i] = x // g
+    return denom // g, tuple(ends)

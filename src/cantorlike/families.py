@@ -15,8 +15,8 @@ row is a function of its constructor arguments in its entry of the family
 table, ``_FAMILY_FIELDS``. Stages, lengths, the limit measure, IFS maps and
 digit forms are all read off the row; a family with r = 0 is self-similar.
 
-Stages are integer endpoint pairs made block by block from two half-depth folds of the
-step table; ``iterate`` wraps them in an ``IntervalSet``. A stage over either
+Stages are flat lists of integer ends made block by block from two half-depth folds of
+the step table; ``iterate`` wraps them in an ``IntervalSet``. A stage over either
 fixed cap, ``STAGE_SIZE_CAP`` or ``DEFAULT_DEPTH_CAP``, is refused before anything is built.
 """
 
@@ -25,10 +25,11 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import gcd, lcm
+from operator import add, gt, itemgetter
 
-from .exact import (IntervalSet, _Frozen, _affine_pairs, _json_int, _json_ints, _json_rational, _json_shape,
+from .exact import (IntervalSet, _Frozen, _affine_ends, _json_int, _json_ints, _json_rational, _json_shape,
                     _echo, _merge, format_rational, parse_rational)
 
 DEFAULT_DEPTH_CAP = 24
@@ -152,14 +153,14 @@ class IfsMaps(_Frozen):
 # linear in the left end it starts from: folding steps h+1..k from a gives
 # a * d_in + p for each p that the same steps give from 0, with d_in their
 # product of scales. So stage k is the outer fold of steps 1..h and the inner
-# fold of steps h+1..k, each from [0], combined pair by pair as they are read;
+# fold of steps h+1..k, each from [0], combined block by block as they are read;
 # with h = k // 2 each half holds about the square root of the stage's tree
 # count (2^(k/2) for a binary family) in left ends.
 #
 # The scales multiply to s^k, which can hold a factor that no endpoint needs
 # (the ternary stage k is folded over 6^k; its least denominator is 3^k).
 # Both halves are divided by the gcd of s^k and every endpoint before any
-# pair is made, so a stage is emitted over its least denominator. Only a
+# block is made, so a stage is emitted over its least denominator. Only a
 # merge of touching digit blocks, which drops endpoints, can leave a factor;
 # iterate's _reduced takes that out.
 
@@ -199,11 +200,11 @@ def _fold(steps: list) -> tuple[int, list, int]:
 
 def _stage_halves(f: FamilySpec, k: int) -> tuple[int, list, list, int]:
     """Stage k as ``(denom, lefts, inner, span)`` over the least denominator
-    ``denom``: the outer left ends, the inner pairs with touching ones merged
-    and then the pair that joins two meeting blocks, and the span of an outer
-    block, which ``_blocks`` combines. Raises ValueError for k < 0 and
-    DepthCapError for k over DEFAULT_DEPTH_CAP or a stage over STAGE_SIZE_CAP,
-    all before any fold."""
+    ``denom``: the outer left ends, the flat inner ends with touching
+    intervals merged and then the two ends that join two meeting blocks, and
+    the span of an outer block, which ``_blocks`` combines. Raises ValueError
+    for k < 0 and DepthCapError for k over DEFAULT_DEPTH_CAP or a stage over
+    STAGE_SIZE_CAP, all before any fold."""
     _check_stage(f, k)
     steps = list(islice(_steps(f), k))
     half = len(steps) // 2
@@ -214,44 +215,44 @@ def _stage_halves(f: FamilySpec, k: int) -> tuple[int, list, list, int]:
     denom = d_out * d_in
     g = gcd(denom, length, d_in * gcd(*outer), *inner)
     lefts = [a * d_in // g for a in outer]
-    inner = _merge([(p // g, (p + length) // g) for p in inner])
-    span = inner[-1][1] - inner[0][0]
-    return denom // g, lefts, inner + [(inner[-1][0], inner[0][1] + span)], span
+    inner = _merge([x // g for p in inner for x in (p, p + length)])
+    span = inner[-1] - inner[0]
+    return denom // g, lefts, inner + [inner[-2], inner[1] + span], span
 
 
 def _blocks(lefts: list, n: int, span: int) -> Iterator[tuple[int, int, int]]:
-    """``(a, i, j)`` per outer block, left to right: the stage's pairs are
-    (a + p, a + q) for (p, q) in ``inner[i:j]`` of ``_stage_halves``, whose
-    n merged pairs come first. Blocks whose left ends lie ``span`` apart meet
-    (only where kept digits are adjacent), and the last pair of one and the
-    first of the next become ``inner[n]``, from the first's left end. The
-    first and last inner pairs differ whenever blocks meet: a merged digit
-    stage past depth 1 keeps a gap inside each block."""
-    i = 0  # the first pair of the next block: 0, or 1 after a meeting
+    """``(a, i, j)`` per outer block, left to right: its ends are a + x for
+    x in ``inner[2 * i:2 * j]`` of ``_stage_halves``, whose n merged
+    intervals come first. Blocks whose left ends lie ``span`` apart meet
+    (only where kept digits are adjacent), and the last interval of one and
+    the first of the next become interval n of ``inner``, from the first's
+    left end. The first and last inner intervals differ whenever blocks
+    meet: a merged digit stage past depth 1 keeps a gap inside each block."""
+    i = 0  # the first interval of the next block: 0, or 1 after a meeting
     for a, b in zip(lefts, lefts[1:] + [None]):
         meet = int(b == a + span)
-        if i < n - meet:  # a block between two meetings may keep no pair
+        if i < n - meet:  # a block between two meetings may keep no interval
             yield a, i, n - meet
         if meet:
             yield a, n, n + 1
         i = meet
 
 
-def stage_pairs(f: FamilySpec, k: int) -> tuple[int, list]:
-    """Stage k as ``(denom, pairs)``: the disjoint closed intervals
-    [a/denom, b/denom] left to right, touching blocks merged, as integers.
-    ``denom`` divides s^k, the product of the step scales, and is the stage's
-    least denominator unless touching digit blocks merged. Raises like
-    ``_stage_halves``, before any fold."""
+def stage_ends(f: FamilySpec, k: int) -> tuple[int, list]:
+    """Stage k as ``(denom, ends)``: the disjoint closed intervals
+    [a/denom, b/denom] left to right, touching blocks merged, as one flat
+    list a0, b0, a1, b1, ... of integers. ``denom`` divides s^k, the product
+    of the step scales, and is the stage's least denominator unless touching
+    digit blocks merged. Raises like ``_stage_halves``, before any fold."""
     denom, lefts, inner, span = _stage_halves(f, k)
-    return denom, [(a + p, a + q) for a, i, j in _blocks(lefts, len(inner) - 1, span)
-                   for p, q in inner[i:j]]
+    return denom, list(chain.from_iterable(map(add, repeat(a), inner[2 * i:2 * j])
+                                           for a, i, j in _blocks(lefts, len(inner) // 2 - 1, span)))
 
 
 def iterate(f: FamilySpec, k: int) -> IntervalSet:
     """The stage-k set of the construction, as an exact IntervalSet over the
-    integer pairs of ``stage_pairs``; no interval or Fraction object is built."""
-    return IntervalSet._from_pairs(*stage_pairs(f, k))
+    integer ends of ``stage_ends``; no interval or Fraction object is built."""
+    return IntervalSet._from_ends(*stage_ends(f, k))
 
 
 def removed_by_generation(f: FamilySpec, k: int) -> list[list[OpenInterval]]:
@@ -334,20 +335,22 @@ def ifs_step(s: IntervalSet, maps: IfsMaps) -> IntervalSet:
     """One application of the IFS: the union of the affine images of s.
 
     Every image is streamed over the one denominator s.denom * L, L the lcm of
-    the maps' denominators, into one list, which is sorted and then merged in
-    place: each image is sorted already, so the sort reads it as one run and
-    only merges the runs, and the peak is one list the size of the union.
-    Images may interleave (when s leaves [0, 1]); images that overlap raise
-    ConstructionError.
-    """
+    the maps' denominators, into one flat list of ends in the order of the
+    maps' shifts, which is merged in place: the peak is one list the size of
+    the union. It is sorted unless the last start of one image lies past the
+    first start of the next (the images interleave, as when s leaves [0, 1]),
+    and only then are its intervals sorted. Overlapping images raise
+    ConstructionError."""
     L = lcm(*(x.denominator for scale_shift in maps.maps for x in scale_shift))
-    images = (_affine_pairs(s, scale, shift, L) for scale, shift in maps.maps)
-    union = _merge(sorted(chain.from_iterable(images)))
+    n, by_shift = len(s.ends), sorted(maps.maps, key=itemgetter(1))
+    union = list(chain.from_iterable(_affine_ends(s, scale, shift, L) for scale, shift in by_shift))
+    if n and any(map(gt, union[n - 2::n], union[n::n])):
+        union = list(chain.from_iterable(sorted(zip(union[::2], union[1::2]))))
+    union = IntervalSet._from_ends(s.denom * L, _merge(union))
     # The images are disjoint iff the union is as long as all of them together.
-    images_length = L * sum(scale for scale, _ in maps.maps) * sum(b - a for a, b in s.pairs)
-    if sum(b - a for a, b in union) != images_length:
+    if union.total_length != sum(scale for scale, _ in by_shift) * s.total_length:
         raise ConstructionError("IFS images overlap; union is not disjoint")
-    return IntervalSet._from_pairs(s.denom * L, union)
+    return union
 
 
 def ifs_maps(f: FamilySpec) -> IfsMaps:

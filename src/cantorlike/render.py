@@ -44,15 +44,16 @@ def render_svg(family: FamilySpec, depth: int, width_px: int = 800,
          f'viewBox="0 0 {width_px} {height}">\n')
     for stage in range(depth + 1):
         row = iterate(family, stage)
-        denom, pairs = row.denom, row.pairs
+        denom, ends = row.denom, row.ends
         # Every block of a stage has one width, except where touching digit
         # blocks merged, so the rest of a rect is formatted once per distinct
         # b - a and only x once per rect. int / int is correctly rounded, so
         # both equal float(Fraction) * width_px; max(..., 1.0) keeps points visible.
         tails = {d: f'" y="{stage * row_height_px}" width="{_fmt(max(d / denom * width_px, 1.0))}" '
-                    f'height="{bar_h}" fill="#1f2430"/>\n' for d in {b - a for a, b in pairs}}
-        for i in range(0, len(pairs), _SLICE_RECTS):
-            emit("".join([f'<rect x="{_fmt(a / denom * width_px)}{tails[b - a]}'
-                          for a, b in pairs[i:i + _SLICE_RECTS]]))
+                    f'height="{bar_h}" fill="#1f2430"/>\n'
+                 for d in {b - a for a, b in zip(ends[::2], ends[1::2])}}
+        for i in range(0, len(ends), 2 * _SLICE_RECTS):
+            it = iter(ends[i:i + 2 * _SLICE_RECTS])
+            emit("".join([f'<rect x="{_fmt(a / denom * width_px)}{tails[b - a]}' for a, b in zip(it, it)]))
     emit("</svg>\n")
     return "".join(parts) if write is None else None

@@ -108,10 +108,20 @@ def test_affine_image_scales_length(intervals, scale, shift):
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
-@given(st.lists(interval_strategy(), max_size=12), unit_rationals)
+@given(st.lists(st.one_of(interval_strategy(), unit_rationals.map(lambda x: ClosedInterval(x, x))),
+                max_size=12),
+       unit_rationals)
 def test_contains_point_matches_linear_scan(intervals, x):
+    # A random unit rational almost never lands on an end of the set, and an
+    # end is where the parity rule's exact check decides (a right end, and
+    # both ends of a point interval). So every end is queried too, with the
+    # points a third of a unit of the set's denominator either side of it.
     s = normalize(intervals)
-    assert s.contains_point(x) == any(i.a <= x <= i.b for i in s.intervals)
+    ivs = tuple(s.intervals)
+    ends = [F(e, s.denom) for e in s.ends]
+    near = F(1, 3 * s.denom)
+    for y in [x, *ends, *(e + d for e in ends for d in (-near, near))]:
+        assert s.contains_point(y) == any(i.a <= y <= i.b for i in ivs), y
 
 
 # --- stage invariants --------------------------------------------------------

@@ -12,7 +12,9 @@ carried ``render_svg``'s arguments, ``total_removed_measure(f)`` was
 ``exact.UNIT`` had no caller. ``families.StageSizeError`` and
 ``analysis.PeriodCapError`` were subclasses of ``DepthCapError`` that no
 caller told apart from it: every cap raises ``DepthCapError``, whose
-message names the cap.
+message names the cap. ``IntervalSet.pairs`` is ``tuple(zip(it, it))`` over
+``it = iter(s.ends)``, and ``stage_pairs`` became ``stage_ends``, which gives
+the same ends in one flat list.
 """
 
 import os
@@ -73,6 +75,8 @@ def test_digit_form_is_the_families_one():
     (exact.IntervalSet, "loads"),
     (families, "StageSizeError"),
     (analysis, "PeriodCapError"),
+    (exact.IntervalSet, "pairs"),
+    (families, "stage_pairs"),
 ])
 def test_removed_names_are_gone(owner, name):
     assert not hasattr(owner, name)

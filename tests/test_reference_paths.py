@@ -84,7 +84,7 @@ from cantorlike.families import (
     level_stats,
     moran_row,
     removed_by_generation,
-    stage_pairs,
+    stage_ends,
 )
 from cantorlike.render import render_svg
 
@@ -350,6 +350,12 @@ def ref_stage_pairs(f, k):
         else:
             merged.append((a, b))
     return denom, merged
+
+
+def ref_stage_ends(f, k):
+    """``ref_stage_pairs`` with its pairs flattened into one list of ends."""
+    denom, pairs = ref_stage_pairs(f, k)
+    return denom, [x for pair in pairs for x in pair]
 
 
 class RefIntervalSet:
@@ -1234,7 +1240,7 @@ def count_steps(monkeypatch):
         raise AssertionError("a stage was built")
 
     monkeypatch.setattr(families_module, "_steps", counted)
-    for name in ("stage_pairs", "iterate", "removed_by_generation"):
+    for name in ("stage_ends", "iterate", "removed_by_generation"):
         for module in (families_module, counterexample_module):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     return calls
@@ -1279,10 +1285,10 @@ def test_removed_gaps_match_reference_on_random_families(f):
 
 
 def lowest(stage):
-    """``(denom, pairs)`` divided by the gcd of denom and every endpoint."""
-    denom, pairs = stage
-    g = math.gcd(denom, *(x for pair in pairs for x in pair))
-    return denom // g, [(a // g, b // g) for a, b in pairs]
+    """``(denom, ends)`` divided by the gcd of denom and every end."""
+    denom, ends = stage
+    g = math.gcd(denom, *ends)
+    return denom // g, [x // g for x in ends]
 
 
 def has_touching_blocks(f):
@@ -1290,39 +1296,40 @@ def has_touching_blocks(f):
 
 
 @pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
-def test_stage_pairs_match_refined_stages(f):
+def test_stage_ends_match_refined_stages(f):
     # Depths 0..6 cover both halves of the fold: the empty outer half at k = 1,
     # odd and even k, the Power(2) collapse and touching digit blocks. The
     # reference stays over s^k; the engine emits a smaller denominator, so
     # both sides are compared in lowest terms.
     for k in range(tree_depth(f) + 1):
-        expected = lowest(ref_stage_pairs(f, k))
-        assert lowest(stage_pairs(f, k)) == expected, k
+        expected = lowest(ref_stage_ends(f, k))
+        assert lowest(stage_ends(f, k)) == expected, k
 
 
 def test_power_two_stage_stays_at_its_fixpoint():
-    four_points = (4, [(0, 0), (1, 1), (3, 3), (4, 4)])
-    assert stage_pairs(Power(2), 5) == lowest(ref_stage_pairs(Power(2), 5)) == four_points
+    four_points = (4, [0, 0, 1, 1, 3, 3, 4, 4])
+    assert stage_ends(Power(2), 5) == lowest(ref_stage_ends(Power(2), 5)) == four_points
 
 
 @settings(max_examples=40, deadline=None)
 @given(families)
-def test_stage_pairs_match_refined_stages_on_random_families(f):
+def test_stage_ends_match_refined_stages_on_random_families(f):
     k = tree_depth(f, 1000)
-    expected = lowest(ref_stage_pairs(f, k))
-    assert lowest(stage_pairs(f, k)) == expected
+    expected = lowest(ref_stage_ends(f, k))
+    assert lowest(stage_ends(f, k)) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(families, st.integers(0, 6))
-def test_stage_pairs_are_over_the_least_denominator(f, k):
+def test_stage_ends_are_over_the_least_denominator(f, k):
     # The stage's denominator divides s^k, and without touching blocks (whose
-    # merge drops endpoints) no factor is left for iterate to take out.
+    # merge drops endpoints) no factor is left for iterate to take out. The
+    # engine's own ends are read here, before iterate's _reduced.
     k = min(k, tree_depth(f, 1000))
-    denom, pairs = stage_pairs(f, k)
+    denom, ends = stage_ends(f, k)
     assert ref_stage_pairs(f, k)[0] % denom == 0
     if not has_touching_blocks(f):
-        assert math.gcd(denom, *(x for pair in pairs for x in pair)) == 1
+        assert math.gcd(denom, *ends) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -1346,10 +1353,10 @@ def test_stage_size_cap_is_tree_count_times_denominator_bits(monkeypatch, f):
         # the denominator the stage is emitted over.
         size = level_stats(f, k).count * ref_stage_pairs(f, k)[0].bit_length()
         monkeypatch.setattr(families_module, "STAGE_SIZE_CAP", size)
-        assert lowest(stage_pairs(f, k)) == lowest(ref_stage_pairs(f, k))
+        assert lowest(stage_ends(f, k)) == lowest(ref_stage_ends(f, k))
         monkeypatch.setattr(families_module, "STAGE_SIZE_CAP", size - 1)
         with pytest.raises(DepthCapError, match="exceeds the stage size cap"):
-            stage_pairs(f, k)
+            stage_ends(f, k)
         with pytest.raises(DepthCapError):  # the CLI's exit 3
             iterate(f, k)
         monkeypatch.undo()
@@ -1381,12 +1388,12 @@ def test_stage_size_guard_reads_the_row_not_the_recurrence(monkeypatch):
 
     f = LambdaFamily(F(1, 10**100000))
     monkeypatch.setattr(families_module, "_steps", forbidden)
-    for build in (stage_pairs, removed_by_generation, iterate):
+    for build in (stage_ends, removed_by_generation, iterate):
         with pytest.raises(DepthCapError, match="^stage 20 exceeds the stage size cap"):
             build(f, 20)
     monkeypatch.undo()
     # The Power(2) tree count stops growing at its collapse: depth 24 stays admitted.
-    assert stage_pairs(Power(2), 24) == (4, [(0, 0), (1, 1), (3, 3), (4, 4)])
+    assert stage_ends(Power(2), 24) == (4, [0, 0, 1, 1, 3, 3, 4, 4])
 
 
 GENERATE_CASES = (
@@ -1499,9 +1506,9 @@ def test_generate_reduces_once_per_inner_endpoint(monkeypatch, f, depth):
 
 def csv_listing_size(f, k):
     """The length of the CSV listing of stage k, from Fractions."""
-    denom, pairs = stage_pairs(f, k)
+    denom, ends = stage_ends(f, k)
     return sum(len(f"{format_rational(F(a, denom))},{format_rational(F(b, denom))}\n")
-               for a, b in pairs)
+               for a, b in zip(ends[::2], ends[1::2]))
 
 
 @pytest.mark.parametrize("f, depth", [(Proportional(F(1, 3)), 16), (DigitSet(5, (0, 1, 4)), 10)],
@@ -1551,7 +1558,7 @@ def test_generate_builds_no_interval_objects(monkeypatch, capsys, fmt, decimal):
     def forbidden(*args, **kwargs):
         raise AssertionError("generate built a stage set or an interval object")
 
-    for name in ("iterate", "stage_pairs"):  # generate reads the two halves itself
+    for name in ("iterate", "stage_ends"):  # generate reads the two halves itself
         monkeypatch.setattr(families_module, name, forbidden)
         monkeypatch.setattr(cli_module, name, forbidden, raising=False)
     monkeypatch.setattr(exact_module.ClosedInterval, "__init__", forbidden)
@@ -1634,8 +1641,8 @@ def test_covers_walk_matches_reference_on_sparse_and_edge_shapes():
     # one ends before the pair starts too.
     stage = iterate(Proportional(F(1, 3)), 14)
     d = stage.denom
-    (a0, b0), (a1, b1), (a2, b2) = stage.pairs[:3]
-    last_a, last_b = stage.pairs[-1]
+    a0, b0, a1, b1, a2, b2 = stage.ends[:6]
+    last_a, last_b = stage.ends[-2:]
     empty = IntervalSet([])
     cases = [
         # one interval against 16,384: the far end, a piece of it, and one
@@ -1646,6 +1653,10 @@ def test_covers_walk_matches_reference_on_sparse_and_edge_shapes():
         # a pair that straddles one of our gaps, after pairs the walk held
         (stage, pieces((F(a0, d), F(b0, d)), (F(b1 - 1, d), F(a2 + 1, d))), False),
         (stage, pieces((F(a0, d), F(b0, d)), (F(a1, d), F(b1, d)), (F(b1, d), F(b2, d))), False),
+        # a pair that starts in the gap before the next interval and ends in
+        # it, so the walk steps there without a bisect
+        (pieces(("0", "1"), ("3", "4")), pieces(("2", "7/2")), False),
+        (pieces(("0", "1"), ("3", "4")), pieces(("1/2", "1"), ("2", "7/2")), False),
         # pairs past our last interval, alone and after a covered one
         (stage, pieces(("2", "3")), False),
         (stage, pieces((F(a0, d), F(b0, d)), (F(last_b, d), F(last_b, d) + F(1, 10**9))), False),
@@ -1682,18 +1693,18 @@ def test_covers_walk_matches_reference_on_nested_stages(f):
 def test_equal_sets_hash_equal_whatever_their_denominators(ivs, m, scale):
     s = IntervalSet(ivs)
     same = [
-        IntervalSet._from_pairs(s.denom * m, [(a * m, b * m) for a, b in s.pairs]),
+        IntervalSet._from_ends(s.denom * m, [x * m for x in s.ends]),
         s.affine_image(scale).affine_image(1 / scale),
         normalize(list(ivs) + [ClosedInterval(i.a, (i.a + i.b) / 2) for i in ivs]),
         IntervalSet(reversed(list(s.intervals))),
     ]
     for t in same:
-        assert t == s and hash(t) == hash(s) and (t.denom, t.pairs) == (s.denom, s.pairs)
+        assert t == s and hash(t) == hash(s) and (t.denom, t.ends) == (s.denom, s.ends)
 
 
 def test_merged_endpoints_leave_the_denominator():
     s = normalize([ClosedInterval(F(0), F(1, 7)), ClosedInterval(F(1, 7), F(1))])
-    assert (s.denom, s.pairs) == (1, ((0, 1),))
+    assert (s.denom, s.ends) == (1, (0, 1))
     unit = IntervalSet([ClosedInterval(F(0), F(1))])
     assert s == unit and hash(s) == hash(unit)
 
@@ -1750,6 +1761,20 @@ def test_ifs_step_holds_only_the_union():
         tracemalloc.stop()
     assert step == iterate(f, 13)
     assert peak <= 1.5 * size, (peak, size)
+
+
+def test_stage_holds_at_most_96_bytes_per_interval():
+    # A stage holds one flat tuple of ends: two ints and two tuple slots per
+    # interval, about 80 bytes. A tuple of integer pairs held 127: the pair's
+    # own tuple and the outer slot on top of the two ints.
+    tracemalloc.start()
+    try:
+        stage = iterate(Proportional(F(1, 3)), 14)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(stage) == 2**14
+    assert size <= 96 * len(stage), size / len(stage)
 
 
 def test_iterate_builds_no_interval_objects(monkeypatch):
