@@ -40,7 +40,6 @@ from .families import (
     DepthCapError,
     FamilySpec,
     Power,
-    _blocks,
     _live_steps,
     _stage_halves,
     digit_form,
@@ -169,18 +168,18 @@ def _write_rows(rows: Iterable[str], sep: str, head: str = "", tail: str = "\n",
     write(tail)
 
 
-# Each endpoint of a stage is x = a + p over denom, a an outer left end and p
-# an inner end (joined ones too: see _blocks), and m = gcd(denom, *lefts)
+# Each endpoint of a stage is x = a + p over denom, a the left end of a block
+# of _stage_halves and p an inner end, and m = gcd(denom, *(each block's a))
 # divides every a. With h = gcd(p, m), h divides x and denom, and x/h = p/h
 # (mod m/h) with gcd(p/h, m/h) = 1, so x/h shares no prime with m/h. Hence
 # gcd(x, denom) = h for every a whenever each prime of denom/h divides m/h:
 # that is checked once per h, by stripping from denom/h what it shares with
 # m/h until 1 is left or nothing is shared. Then the end's cell, made before
 # any output, is "%d/" + str(denom // h); else (as for p = 0) it is "%d/%d".
-def _end_plans(denom: int, lefts: list, inner: list, row: str, sep: str, decimal: bool):
-    """block(a, i, j): the text of the block (a, i, j) of _blocks, one % of
-    the template of its rows on columns made by map, no Python code per row."""
-    m = gcd(denom, *lefts)
+def _end_plans(denom: int, inner: list, blocks: list, row: str, sep: str, decimal: bool):
+    """block(a, i, j): the text of the block (a, i, j) of _stage_halves, one %
+    of the template of its rows on columns made by map, no Python code per row."""
+    m = gcd(denom, *(a for a, _, _ in blocks))
     known = {}
 
     def plan(p: int) -> tuple:
@@ -227,10 +226,10 @@ def _cmd_generate(args: argparse.Namespace) -> None:
     if args.format == "svg":
         _write_svg(family, args)  # the diagram runs its own stage pass
         return
-    denom, lefts, inner, span = _stage_halves(family, args.depth)
+    denom, inner, blocks = _stage_halves(family, args.depth)
     sep, head, tail = (", ", "[", "]\n") if args.format == "json" else ("\n", "", "\n")
-    block = _end_plans(denom, lefts, inner, _ROWS[args.format, args.decimal], sep, args.decimal)
-    _write_rows(starmap(block, _blocks(lefts, len(inner) // 2 - 1, span)), sep, head, tail, len(inner) // 2)
+    block = _end_plans(denom, inner, blocks, _ROWS[args.format, args.decimal], sep, args.decimal)
+    _write_rows(starmap(block, blocks), sep, head, tail, len(inner) // 2)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:

@@ -60,15 +60,12 @@ def tail_measure(f: FamilySpec, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {_echo(n, str)}")
     num, denom = 0, 1
-    gaps = _gaps(f)
-    while n:
-        step = next(gaps, None)
-        if step is None:
-            break  # construction reached a fixpoint; no further removals exist
-        denom, s, lengths, parents = step
+    for denom, s, lengths, parents in _gaps(f) if n else ():  # n = 0 draws no step
         whole, part = divmod(min(n, parents * len(lengths)), len(lengths))
         num = num * s + whole * sum(lengths) + sum(lengths[:part])
         n -= whole * len(lengths) + part
+        if not n:
+            break  # the next generation is not drawn
     return 1 - limit_measure(f) - Fraction(num, denom)
 
 

@@ -15,14 +15,15 @@ row is a function of its constructor arguments in its entry of the family
 table, ``_FAMILY_FIELDS``. Stages, lengths, the limit measure, IFS maps and
 digit forms are all read off the row; a family with r = 0 is self-similar.
 
-Stages are flat lists of integer ends made block by block from two half-depth folds of
-the step table; ``iterate`` wraps them in an ``IntervalSet``. A stage over either
-fixed cap, ``STAGE_SIZE_CAP`` or ``DEFAULT_DEPTH_CAP``, is refused before anything is built.
+The levels of the construction tree come from one fold of the step table, ``_fold``:
+removed gaps are cut from each level, and a stage is the flat integer ends of the blocks
+``_stage_halves`` lists off two half-depth folds, wrapped by ``iterate`` in an ``IntervalSet``.
+A stage over ``STAGE_SIZE_CAP`` or ``DEFAULT_DEPTH_CAP`` is refused before anything is built.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -189,53 +190,48 @@ def _check_stage(f: FamilySpec, k: int) -> None:
                             "(intervals x denominator bits)")
 
 
-def _fold(steps: list) -> tuple[int, list, int]:
-    # Steps applied to [0]: (denominator, left ends, child length).
+def _fold(steps: list) -> Iterator[tuple[int, list, int]]:
+    # Levels 0..len(steps) of the tree from [0]: (denominator, left ends, child length).
     denom, length, lefts = 1, 1, [0]
+    yield denom, lefts, length
     for s, length, offsets in steps:
         denom *= s
         lefts = [a * s + o for a in lefts for o in offsets]
-    return denom, lefts, length
+        yield denom, lefts, length
 
 
-def _stage_halves(f: FamilySpec, k: int) -> tuple[int, list, list, int]:
-    """Stage k as ``(denom, lefts, inner, span)`` over the least denominator
-    ``denom``: the outer left ends, the flat inner ends with touching
-    intervals merged and then the two ends that join two meeting blocks, and
-    the span of an outer block, which ``_blocks`` combines. Raises ValueError
-    for k < 0 and DepthCapError for k over DEFAULT_DEPTH_CAP or a stage over
-    STAGE_SIZE_CAP, all before any fold."""
+def _stage_halves(f: FamilySpec, k: int) -> tuple[int, list, list]:
+    """Stage k as ``(denom, inner, blocks)`` over the least denominator
+    ``denom``. ``blocks`` holds ``(a, i, j)`` per outer block, left to right:
+    its ends are a + x for x in ``inner[2 * i:2 * j]``, whose n merged inner
+    intervals come first. Blocks whose left ends lie a block's span apart
+    meet (only where kept digits are adjacent): the last interval of one and
+    the first of the next become interval n of ``inner``, the block (a, n,
+    n + 1) from the first's left end. The first and last inner intervals
+    differ whenever blocks meet: a merged digit stage past depth 1 keeps a
+    gap inside each block. Raises ValueError for k < 0 and DepthCapError for
+    k over DEFAULT_DEPTH_CAP or a stage over STAGE_SIZE_CAP, all before any fold."""
     _check_stage(f, k)
     steps = list(islice(_steps(f), k))
     half = len(steps) // 2
-    d_out, outer, _ = _fold(steps[:half])
-    d_in, inner, length = _fold(steps[half:])
+    d_out, outer, _ = deque(_fold(steps[:half]), maxlen=1)[0]
+    d_in, inner, length = deque(_fold(steps[half:]), maxlen=1)[0]
     # Both folds contain 0, so the endpoints include every a * d_in, every p
     # and length: g is the gcd of the denominator and every endpoint.
     denom = d_out * d_in
     g = gcd(denom, length, d_in * gcd(*outer), *inner)
     lefts = [a * d_in // g for a in outer]
     inner = _merge([x // g for p in inner for x in (p, p + length)])
-    span = inner[-1] - inner[0]
-    return denom // g, lefts, inner + [inner[-2], inner[1] + span], span
-
-
-def _blocks(lefts: list, n: int, span: int) -> Iterator[tuple[int, int, int]]:
-    """``(a, i, j)`` per outer block, left to right: its ends are a + x for
-    x in ``inner[2 * i:2 * j]`` of ``_stage_halves``, whose n merged
-    intervals come first. Blocks whose left ends lie ``span`` apart meet
-    (only where kept digits are adjacent), and the last interval of one and
-    the first of the next become interval n of ``inner``, from the first's
-    left end. The first and last inner intervals differ whenever blocks
-    meet: a merged digit stage past depth 1 keeps a gap inside each block."""
-    i = 0  # the first interval of the next block: 0, or 1 after a meeting
+    n, span = len(inner) // 2, inner[-1] - inner[0]
+    blocks, i = [], 0  # i: the first interval of the next block, 0 or 1 after a meeting
     for a, b in zip(lefts, lefts[1:] + [None]):
         meet = int(b == a + span)
         if i < n - meet:  # a block between two meetings may keep no interval
-            yield a, i, n - meet
+            blocks.append((a, i, n - meet))
         if meet:
-            yield a, n, n + 1
+            blocks.append((a, n, n + 1))
         i = meet
+    return denom // g, inner + [inner[-2], inner[1] + span], blocks
 
 
 def stage_ends(f: FamilySpec, k: int) -> tuple[int, list]:
@@ -244,9 +240,8 @@ def stage_ends(f: FamilySpec, k: int) -> tuple[int, list]:
     list a0, b0, a1, b1, ... of integers. ``denom`` divides s^k, the product
     of the step scales, and is the stage's least denominator unless touching
     digit blocks merged. Raises like ``_stage_halves``, before any fold."""
-    denom, lefts, inner, span = _stage_halves(f, k)
-    return denom, list(chain.from_iterable(map(add, repeat(a), inner[2 * i:2 * j])
-                                           for a, i, j in _blocks(lefts, len(inner) // 2 - 1, span)))
+    denom, inner, blocks = _stage_halves(f, k)
+    return denom, list(chain.from_iterable(map(add, repeat(a), inner[2 * i:2 * j]) for a, i, j in blocks))
 
 
 def iterate(f: FamilySpec, k: int) -> IntervalSet:
@@ -261,13 +256,11 @@ def removed_by_generation(f: FamilySpec, k: int) -> list[list[OpenInterval]]:
     Raises like ``_stage_halves``, before any gap is built: generation k holds
     about as many gaps as stage k has intervals, over the same denominator."""
     _check_stage(f, k)
-    denom, lefts, out = 1, [0], []
-    for s, length, offsets in islice(_steps(f), k):
-        denom *= s
-        gaps = _step_gaps(length, offsets)
+    out, steps = [], list(islice(_steps(f), k))
+    for (s, length, offsets), (denom, lefts, _) in zip(steps, _fold(steps)):  # levels 0..k-1
+        denom, gaps = denom * s, _step_gaps(length, offsets)
         out.append([OpenInterval(Fraction(a * s + g0, denom), Fraction(a * s + g1, denom))
                     for a in lefts for g0, g1 in gaps])
-        lefts = [a * s + o for a in lefts for o in offsets]
     return out + [[] for _ in range(k - len(out))]  # past a Power(2) collapse
 
 

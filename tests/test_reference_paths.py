@@ -33,7 +33,7 @@ from itertools import count, islice
 from typing import Iterable, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorlike import analysis as analysis_module
@@ -1259,6 +1259,9 @@ def test_tail_measure_sums_whole_generations(monkeypatch):
     calls.clear()
     assert tail_measure(Power(2), 10**18) == 0
     assert len(calls) == 2  # two generations, then the step table ends
+    calls.clear()
+    assert tail_measure(Power(4), 0) == F(1, 2)
+    assert calls == []
 
 
 # --- stage listings and gaps straight from the integer stages ---------------------------
@@ -1334,13 +1337,19 @@ def test_stage_ends_are_over_the_least_denominator(f, k):
 
 @settings(max_examples=60, deadline=None)
 @given(families, st.integers(0, 6))
+@example(DigitSet(5, (0, 1, 2, 4)), 2)  # the middle block of a run of three keeps no interval
+@example(DigitSet(7, (0, 1, 2, 6)), 3)
 def test_outer_blocks_meet_only_where_kept_digits_are_adjacent(f, k):
-    # _blocks joins two outer blocks whose left ends lie one span apart. Each
+    # _stage_halves joins two outer blocks whose left ends lie one span apart
+    # with a block (a, n, n + 1), n the count of merged inner intervals. Each
     # step cuts a gap of positive length between siblings, so that happens
     # only for adjacent kept digits, and then once the outer half has a step.
+    # No block is empty, even between two joins.
     k = min(k, tree_depth(f, 1000))
-    _, lefts, _, span = _stage_halves(f, k)
-    meet = any(b - a == span for a, b in zip(lefts, lefts[1:]))
+    _, inner, blocks = _stage_halves(f, k)
+    n = len(inner) // 2 - 1
+    assert all(i < j for _, i, j in blocks)
+    meet = any((i, j) == (n, n + 1) for _, i, j in blocks)
     assert meet == (has_touching_blocks(f) and k >= 2)
 
 
@@ -1454,8 +1463,8 @@ def test_generate_matches_iterate_listing_on_random_families(f, depth):
 
 
 def keeps_a_prime_the_outer_ends_lack(f, k):
-    denom, lefts, _, _ = _stage_halves(f, k)
-    m = math.gcd(denom, *lefts)
+    denom, _, blocks = _stage_halves(f, k)
+    m = math.gcd(denom, *(a for a, _, _ in blocks))
     return denom // math.gcd(denom, m ** denom.bit_length()) > 1
 
 
@@ -1747,10 +1756,11 @@ def test_ifs_step_merges_interleaved_and_mixed_denominator_images(maps, interval
 
 
 def test_ifs_step_holds_only_the_union():
-    # The images stream into one list, sorted and merged in place: the peak
-    # is the result plus that list's pointer array and the sort's buffer,
-    # where building each image, a rescaled copy and a sorted list of every
-    # piece peaked at 2.3 times the result.
+    # The images stream into one list in the order of the maps' shifts and
+    # are merged in place; no seam of the ternary images is out of order, so
+    # nothing is sorted. The peak is the result plus that list's pointer
+    # array, where building each image, a rescaled copy and a sorted list of
+    # every piece peaked at 2.3 times the result.
     f = Proportional(F(1, 3))
     stage, maps = iterate(f, 12), ifs_maps(f)
     tracemalloc.start()
