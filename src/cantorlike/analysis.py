@@ -21,6 +21,7 @@ from .families import (
     DepthCapError,
     DigitSet,
     FamilySpec,
+    _closed_form,
     _live_steps,
     _steps,
     digit_form,
@@ -73,13 +74,6 @@ class ExpansionRecord(_Frozen):
         object.__setattr__(self, "preperiod", preperiod)
         object.__setattr__(self, "period", period)
 
-    @property
-    def terminating(self) -> bool:
-        return not self.period
-
-    def digits_used(self) -> set[int]:
-        return set(self.preperiod) | set(self.period)
-
     def to_rational(self) -> Fraction:
         """Exact value of the represented expansion."""
         b, m = self.base, len(self.preperiod)
@@ -98,7 +92,7 @@ class ExpansionRecord(_Frozen):
         pre, end = self.preperiod, len(self.preperiod)
         while end and not pre[end - 1]:
             end -= 1
-        if not (self.terminating and end):
+        if self.period or not end:
             return None
         return ExpansionRecord(self.base, pre[:end - 1] + (pre[end - 1] - 1,), (self.base - 1,))
 
@@ -227,7 +221,7 @@ def _expansion(x: Fraction, base: int, kept: set[int] | None) -> ExpansionRecord
             if rem:
                 return None
             alternate = ExpansionRecord(base, tuple(digits), ()).alternate_tail_form()
-            return alternate if alternate.digits_used() <= kept else None
+            return alternate if kept.issuperset(alternate.preperiod + alternate.period) else None
     digits = tuple(digits)
     return ExpansionRecord(base, digits[:m], digits[m:])
 
@@ -256,13 +250,11 @@ def measure_at_depth(f: FamilySpec, k: int) -> Fraction:
 
 
 def limit_measure(f: FamilySpec) -> Fraction:
-    """Lebesgue measure of the limit set, the limit of m^j L_j with the closed
-    form L_j = (1 - r/(c-g)) (c/s)^j + (r/(c-g)) (g/s)^j (and m*g < s): 0 when
-    m*c < s or for the Power(2) collapse (then c = g), else 1 - r/(c-g)."""
-    s, m, c, r, g, _ = moran_row(f)
-    if m * c < s or c == g:
-        return Fraction(0)
-    return 1 - Fraction(r, c - g)
+    """Lebesgue measure of the limit set, the limit of m^j L_j for L_j = A alpha^j + B beta^j
+    (``_closed_form``; m beta < 1): A when m alpha = 1 (A = 0 for the Power(2) collapse), else 0."""
+    row = moran_row(f)
+    a, alpha, _, _ = _closed_form(row)
+    return a if row.m * alpha == 1 else Fraction(0)
 
 
 # --- dimensions ---------------------------------------------------------------
@@ -297,23 +289,21 @@ class DimensionReport(_Frozen):
 
 
 def similarity_dimension(f: FamilySpec) -> DimensionReport:
-    """Dimension from the one-step dilation argument: log m / log(s/c), exact
-    for a self-similar family (r = 0: m maps of ratio c/s). A row with r != 0
-    (Power n >= 3, Lambda) is not proportional across steps; for it the step-1
-    dilation value log m / log(1/L_1), L_1 = (c - r)/s, is an estimate only
-    (dimension_estimates has the sequence).
-    """
-    s, m, c, r, g, _ = moran_row(f)
-    if not r:
-        scale = Fraction(s, c)
-        return DimensionReport(value=math.log(m) / _log(scale),
-                               kind=EXACT_SIMILARITY, count_base=m, scale=scale)
-    if c == g:
+    """Dimension from the one-step dilation argument: log m / log(1/alpha), exact
+    for a self-similar family (B = 0 in ``_closed_form``: m maps of ratio alpha).
+    A row with B != 0 (Power n >= 3, Lambda) is not proportional across steps; for
+    it the step-1 dilation value log m / log(1/L_1) is an estimate only
+    (dimension_estimates has the sequence)."""
+    row = moran_row(f)
+    a, alpha, b, beta = _closed_form(row)
+    if b is None:
         raise ValueError("power n=2 collapses to finitely many points; no dimension")
-    # 1/L_1 = s/(c - r) read as (2s/g) / (2(c - r)/g): for the centred removal
-    # (n, lam) the two terms are 2n and n - lam, so Lambda keeps the float it
-    # has always printed, log 2 / (log 6 - log(3 - lam)).
-    d1 = math.log(m) / (_log(Fraction(2 * s, g)) - _log(Fraction(2 * (c - r), g)))
+    if not b:
+        return DimensionReport(value=math.log(row.m) / _log(1 / alpha),
+                               kind=EXACT_SIMILARITY, count_base=row.m, scale=1 / alpha)
+    # 1/L_1 read as (2/beta) / (2 L_1/beta), L_1 = A alpha + B beta: for the centred removal (n, lam)
+    # the terms are 2n and n - lam, so Lambda keeps its float, log 2 / (log 6 - log(3 - lam)).
+    d1 = math.log(row.m) / (_log(2 / beta) - _log(2 * (a * alpha + b * beta) / beta))
     return DimensionReport(value=d1, kind=ESTIMATE_SEQUENCE, sequence=((1, d1),))
 
 

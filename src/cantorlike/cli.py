@@ -40,6 +40,7 @@ from .families import (
     DepthCapError,
     FamilySpec,
     Power,
+    _length_bits,
     _live_steps,
     _stage_halves,
     digit_form,
@@ -236,13 +237,12 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     family = _build_family(args)
     _require_at_least("--depth", args.depth, 0)
     _require_at_least("--kmax", args.kmax, 1)
-    row = s, m, c, r, _, _ = moran_row(family)
+    row = moran_row(family)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # With r = 0 the stage length is over (s / gcd(c, s))^k, and every count is
-    # m^j, j = _live_steps: each at least 2^bits for the bits below, and past
-    # 2^(3.33 limit) > 10^limit it cannot be printed.
-    for what, bits in (("length", 0 if r else args.depth * ((s // gcd(c, s)).bit_length() - 1)),
-                       ("count", _live_steps(row, args.depth) * (m.bit_length() - 1))):
+    # The stage length's denominator and the count m^j, j = _live_steps, are each at least 2^bits
+    # for the bits below (_length_bits), and past 2^(3.33 limit) > 10^limit cannot be printed.
+    for what, bits in (("length", _length_bits(row, args.depth)),
+                       ("count", _live_steps(row, args.depth) * (row.m.bit_length() - 1))):
         if limit and bits > 3.33 * limit:
             _fail(EXIT_BAD_FAMILY, f"result too large to print: the stage-{_echo(args.depth, str)} "
                                    f"{what} has over {limit} digits (sys.get_int_max_str_digits())")

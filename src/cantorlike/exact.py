@@ -175,10 +175,6 @@ class ClosedInterval(_Frozen):
     def length(self) -> Fraction:
         return self.b - self.a
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.a == self.b
-
     def to_json(self) -> dict:
         return {"a": format_rational(self.a), "b": format_rational(self.b)}
 

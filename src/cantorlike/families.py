@@ -12,8 +12,8 @@ Each family is a homogeneous Moran construction (Feng, Wen & Wu, Sci. China
 digits)``: every step scales by s and splits each interval into m equal
 children, whose length over s^j is c * length_{j-1} - r * g^(j-1). A kind's
 row is a function of its constructor arguments in its entry of the family
-table, ``_FAMILY_FIELDS``. Stages, lengths, the limit measure, IFS maps and
-digit forms are all read off the row; a family with r = 0 is self-similar.
+table, ``_FAMILY_FIELDS``. Stages, IFS maps and digit forms are read off the row, lengths
+and the limit measure off its closed form, ``_closed_form``; r = 0 makes it self-similar.
 
 The levels of the construction tree come from one fold of the step table, ``_fold``:
 removed gaps are cut from each level, and a stage is the flat integer ends of the blocks
@@ -308,20 +308,40 @@ def _gaps(f: FamilySpec) -> Iterator[tuple[int, int, list, int]]:
         parents *= len(offsets)
 
 
+def _closed_form(row: MoranRow) -> tuple:
+    """(A, alpha, B, beta), reduced Fractions such that the stage-j child length (``_steps``'
+    length_j over s^j) is L_j = A alpha^j + B beta^j: alpha = c/s, beta = g/s, B = r/(c - g) and
+    A = 1 - B, or B = 0 when r = 0. The Power(2) collapse (r != 0, c = g) has B = None and A = 0."""
+    s, _, c, r, g, _ = row
+    if r and c == g:
+        return Fraction(0), Fraction(c, s), None, Fraction(g, s)
+    b = Fraction(r, c - g) if r else Fraction(0)
+    return 1 - b, Fraction(c, s), b, Fraction(g, s)
+
+
+def _length_bits(row: MoranRow, k: int) -> int:
+    """A floor on log2 of the denominator of L_k = alpha^k (A + B (u/v)^k), u/v = beta/alpha in lowest
+    terms (``_closed_form``): k (bits of v - 1 - bits of num alpha) - bits of num B - bits of den A, as a
+    fixed factor or term moves a denominator by a bounded factor: 1. den(B (u/v)^k) >= v^k / num B, u and
+    v sharing no prime; 2. den(x + A) >= den(x) / den A; 3. den(alpha^k y) >= den(y) / num(alpha)^k."""
+    a, alpha, b, beta = _closed_form(row)
+    if not b:  # the collapse (B = None): 0; r = 0 (B = 0): L_k = alpha^k
+        return 0 if b is None else k * (alpha.denominator.bit_length() - 1)
+    return (k * ((beta / alpha).denominator.bit_length() - 1 - alpha.numerator.bit_length())
+            - b.numerator.bit_length() - a.denominator.bit_length())
+
+
 def level_stats(f: FamilySpec, k: int) -> LevelStats:
-    """Interval count m^j and extreme (equal) lengths at stage k, j = _live_steps: the lengths of
-    ``_steps`` unrolled over the reduced ratios c/s and g/s; no stage is enumerated, no step walked.
-    Counts refer to the construction tree (touching digit blocks are counted separately)."""
+    """Interval count m^j and extreme (equal) lengths at stage k, j = _live_steps, from ``_closed_form``;
+    no stage is enumerated, no step walked. Counts are the tree's (touching digit blocks count apart)."""
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {_echo(k, str)}")
-    s, m, c, r, g, _ = row = moran_row(f)
+    row = moran_row(f)
+    a, alpha, b, beta = _closed_form(row)
     j = _live_steps(row, k)
-    length_k = Fraction(c, s) ** j
-    if r and c == g:  # the Power(2) collapse: (c/s)^j (c - j r) / c
-        length_k *= Fraction(c - j * r, c)
-    elif r:  # (1 - w) (c/s)^j + w (g/s)^j, with w = r / (c - g)
-        length_k += Fraction(r, c - g) * (Fraction(g, s) ** j - length_k)
-    return LevelStats(m**j, length_k, length_k)
+    length_k = (alpha**j * Fraction(row.c - j * row.r, row.c) if b is None  # the Power(2) collapse
+                else a * alpha**j + b * beta**j if b else alpha**j)
+    return LevelStats(row.m**j, length_k, length_k)
 
 
 def ifs_step(s: IntervalSet, maps: IfsMaps) -> IntervalSet:

@@ -172,7 +172,7 @@ class TestBaseExpansion:
     def test_zero(self):
         rec = base_expansion(F(0), 3)
         assert rec == ExpansionRecord(3, (), ())
-        assert rec.terminating
+        assert rec.period == ()
 
     def test_one_uses_infinite_form(self):
         assert base_expansion(F(1), 3) == ExpansionRecord(3, (), (2,))

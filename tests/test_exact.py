@@ -55,7 +55,7 @@ class TestClosedInterval:
 
     def test_degenerate_point_allowed(self):
         p = ci("1/4", "1/4")
-        assert p.is_degenerate
+        assert p.a == p.b
         assert p.length == 0
 
     def test_length_exact(self):

@@ -123,7 +123,7 @@ class TestIterateStageListings:
     def test_power_two_collapses_to_four_points(self):
         stage = iterate(Power(2), 2)
         assert stage == iset(("0", "0"), ("1/4", "1/4"), ("3/4", "3/4"), ("1", "1"))
-        assert all(i.is_degenerate for i in stage)
+        assert all(i.a == i.b for i in stage)
 
     def test_power_two_fixpoint_after_collapse(self):
         assert iterate(Power(2), 7) == iterate(Power(2), 2)

@@ -232,7 +232,7 @@ def test_membership_witness_exists_exactly_for_members(f, data):
     witness = membership_witness(x, f)
     assert (witness is None) == (not member_limit(x, f))
     if witness is not None:
-        assert witness.base == f.n and witness.digits_used() <= set(f.digits)
+        assert witness.base == f.n and set(witness.preperiod + witness.period) <= set(f.digits)
         assert witness.to_rational() == x
 
 

@@ -14,7 +14,9 @@ carried ``render_svg``'s arguments, ``total_removed_measure(f)`` was
 caller told apart from it: every cap raises ``DepthCapError``, whose
 message names the cap. ``IntervalSet.pairs`` is ``tuple(zip(it, it))`` over
 ``it = iter(s.ends)``, and ``stage_pairs`` became ``stage_ends``, which gives
-the same ends in one flat list.
+the same ends in one flat list. ``ClosedInterval.is_degenerate`` was
+``iv.a == iv.b``, ``ExpansionRecord.terminating`` was ``not r.period`` and
+``ExpansionRecord.digits_used()`` was ``set(r.preperiod) | set(r.period)``.
 """
 
 import os
@@ -77,6 +79,9 @@ def test_digit_form_is_the_families_one():
     (analysis, "PeriodCapError"),
     (exact.IntervalSet, "pairs"),
     (families, "stage_pairs"),
+    (exact.ClosedInterval, "is_degenerate"),
+    (analysis.ExpansionRecord, "terminating"),
+    (analysis.ExpansionRecord, "digits_used"),
 ])
 def test_removed_names_are_gone(owner, name):
     assert not hasattr(owner, name)

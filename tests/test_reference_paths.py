@@ -73,6 +73,8 @@ from cantorlike.families import (
     Power,
     Proportional,
     _check_stage,
+    _closed_form,
+    _length_bits,
     _stage_halves,
     _steps,
     digit_form,
@@ -229,7 +231,7 @@ def ref_membership_witness(x, f):
     if not ref_member_limit(x, form):
         return None
     rec = base_expansion(x, form.n)
-    return rec if rec.digits_used() <= set(form.digits) else rec.alternate_tail_form()
+    return rec if set(rec.preperiod + rec.period) <= set(form.digits) else rec.alternate_tail_form()
 
 
 def ref_first_n_removed(f, n):
@@ -770,6 +772,54 @@ def test_level_stats_reads_the_row_not_the_recurrence(monkeypatch):
         assert level_stats(LambdaFamily(lam), k) == (2**k, length, length)
 
 
+@settings(max_examples=100, deadline=None)
+@given(families)
+def test_closed_form_gives_the_recurrences_lengths(f):
+    s, _, c, r, g, _ = row = moran_row(f)
+    a, alpha, b, beta = _closed_form(row)
+    assert (alpha, beta) == (F(c, s), F(g, s))
+    assert (b is None) == (f == Power(2))
+    lengths = [ref_level_stats_recurrence(f, j)[1] for j in range(41)]
+    if b is None:  # L_j = alpha^j (c - j r) / c, 0 from step c // r on, and no measure left
+        assert a == 0 and lengths == [alpha**j * F(c - j * r, c) if j <= c // r else 0 for j in range(41)]
+    else:
+        assert b == (F(r, c - g) if r else 0) and a == 1 - b
+        assert lengths == [a * alpha**j + b * beta**j for j in range(41)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(families, st.integers(0, 60))
+def test_length_floor_is_at_most_the_length_bits(f, k):
+    assert _length_bits(moran_row(f), k) <= level_stats(f, k).min_length.denominator.bit_length()
+
+
+@pytest.mark.parametrize("f", [Power(10**30), Power(2**61 - 1), LambdaFamily(F(1, 10**1000))], ids=repr)
+def test_length_floor_is_at_most_the_length_bits_on_large_rows(f):
+    for k in [*range(61), 200, 1000]:
+        floor, bits = _length_bits(moran_row(f), k), level_stats(f, k).min_length.denominator.bit_length()
+        assert floor <= bits
+        if isinstance(f, Power) and k >= 60:  # and not vacuous: within a tenth of it
+            assert floor >= 0.9 * bits
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter prints integers of any length")
+def test_length_floor_refuses_an_r_row_before_its_length_is_computed(capsys, monkeypatch):
+    # r != 0: Power(10^1000) at depth 14000 spent 28-32 s in level_stats before the
+    # interpreter's own exit 2; its count, 2^14000, has fewer than 4300 digits.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("analyze computed a length it cannot print")
+
+    monkeypatch.setattr(cli_module, "level_stats", forbidden)
+    with pytest.raises(SystemExit) as exc:
+        cli_module.main(["analyze", "--family", "power", "--n", str(10**1000), "--depth", "14000",
+                         "--kmax", "1"])
+    limit = sys.get_int_max_str_digits()
+    assert (exc.value.code, capsys.readouterr()) == (2, ("", (
+        f"result too large to print: the stage-14000 length has over {limit} digits "
+        "(sys.get_int_max_str_digits())\n")))
+
+
 def test_power_two_fixpoint_keeps_four_points():
     assert level_stats(Power(2), 64) == (4, 0, 0)
     assert member_at_depth(F(1, 4), Power(2), 64)
@@ -926,7 +976,7 @@ def test_membership_witness_matches_two_passes(f, data):
         assert witness == ref_membership_witness(x, f), x
         assert member_limit(x, f) == (witness is not None)
         if witness is not None:
-            assert witness.digits_used() <= set(form.digits)
+            assert set(witness.preperiod + witness.period) <= set(form.digits)
             assert witness.to_rational() == x
 
 
@@ -1079,7 +1129,7 @@ def test_member_limit_at_chunk_ends(base, t):
                     witness = membership_witness(x, f)
                     assert (witness is None) != ref_member_limit(x, f)
                     if witness is not None:
-                        assert witness.digits_used() <= {0, base - 1}
+                        assert set(witness.preperiod + witness.period) <= {0, base - 1}
                         assert ref_expansion_value(base, witness.preperiod, witness.period) == x
 
 
