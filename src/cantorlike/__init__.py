@@ -4,7 +4,6 @@ from .exact import (
     ClosedInterval,
     IntervalSet,
     format_rational,
-    normalize,
     parse_rational,
 )
 from .families import (

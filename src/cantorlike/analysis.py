@@ -35,6 +35,11 @@ MAX_PERIOD_DIGITS = 1_000_000
 """Longest period, in digits, that a long division follows before it gives
 up with DepthCapError: the period of 1/p can be p - 1 digits long."""
 
+MAX_PERIOD_WORK = 1 << 32
+"""Largest period, in digits times bits of q' (q with the primes of the base
+divided out), that a long division follows before it gives up with
+DepthCapError: each digit divides a remainder of about that many bits."""
+
 
 MAX_WALK_BITS = 1 << 14
 """Largest integer, in bits, that a walk of the length recurrence may reach
@@ -165,10 +170,12 @@ def _digit_chunks(x: Fraction, base: int, m: int) -> Iterator[tuple[tuple[int, .
     found one digit at a time, so a period of at most t digits ends among
     them. Past them L > t, and when the remainder after chunk J is r_{m+i},
     L = J*t - i: of the t ends J*t - i, at most one is a multiple of L. A
-    period not closed within MAX_PERIOD_DIGITS digits raises DepthCapError
-    once those digits are yielded. The period divides S = gcd(q, base^m), the
-    part of q built from the primes of the base, out of the remainder and q
-    once (r_j is a multiple of S from j = m on): same digits, smaller q.
+    period not closed within MAX_PERIOD_DIGITS digits, or within
+    MAX_PERIOD_WORK // (bits of q') digits when that is fewer, raises
+    DepthCapError once those digits are yielded. The period divides
+    S = gcd(q, base^m), the part of q built from the primes of the base, out
+    of the remainder and q once (r_j is a multiple of S from j = m on): same
+    digits, smaller q, here q'.
     """
     p, q = x.numerator, x.denominator
     t, step, table = _chunk_table(base)
@@ -183,7 +190,7 @@ def _digit_chunks(x: Fraction, base: int, m: int) -> Iterator[tuple[tuple[int, .
         return  # terminating: no period
     smooth = math.gcd(q, base**m)
     rem, q = rem // smooth, q // smooth
-    cap, seen, first = MAX_PERIOD_DIGITS, {}, []
+    cap, seen, first = min(MAX_PERIOD_DIGITS, MAX_PERIOD_WORK // q.bit_length()), {}, []
     while len(first) < t and rem not in seen:
         seen[rem] = len(first)
         digit, rem = divmod(rem * base, q)
@@ -197,8 +204,12 @@ def _digit_chunks(x: Fraction, base: int, m: int) -> Iterator[tuple[tuple[int, .
     size = len(digits) - (i or 0)  # the period ends in this chunk, or passes the cap
     if done + size > cap:
         yield digits[:cap - done], rem
-        raise DepthCapError(f"the base-{_echo(base, str)} period exceeds the period cap of "
-                            f"{cap} digits")
+        if cap == MAX_PERIOD_DIGITS:
+            raise DepthCapError(f"the base-{_echo(base, str)} period exceeds the period cap of "
+                                f"{cap} digits")
+        raise DepthCapError(f"the base-{_echo(base, str)} period exceeds the period work cap of "
+                            f"{MAX_PERIOD_WORK} (digits x denominator bits): over {cap} digits "
+                            f"of a {q.bit_length()}-bit denominator")
     yield digits[:size], rem
 
 
@@ -244,9 +255,9 @@ def base_expansion(x: Fraction, base: int) -> ExpansionRecord:
 # --- measures ----------------------------------------------------------------
 
 def measure_at_depth(f: FamilySpec, k: int) -> Fraction:
-    """Exact total length of the stage-k set, in O(k) from the recurrence."""
+    """Exact total length of the stage-k set: its count times its one length (``level_stats``)."""
     stats = level_stats(f, k)
-    return stats.count * stats.min_length
+    return stats.count * stats.length
 
 
 def limit_measure(f: FamilySpec) -> Fraction:

@@ -29,6 +29,7 @@ from .analysis import (
     cantor_function,
     dimension_estimates,
     limit_measure,
+    measure_at_depth,
     member_at_depth,
     membership_witness,
     similarity_dimension,
@@ -247,7 +248,7 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
             _fail(EXIT_BAD_FAMILY, f"result too large to print: the stage-{_echo(args.depth, str)} "
                                    f"{what} has over {limit} digits (sys.get_int_max_str_digits())")
     stats = level_stats(family, args.depth)
-    measure, limit_value = stats.count * stats.min_length, limit_measure(family)
+    measure, limit_value = measure_at_depth(family, args.depth), limit_measure(family)
     report = {
         "family": family_to_json(family),
         "depth": args.depth,
@@ -255,8 +256,8 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
         "limit_measure": format_rational(limit_value),
         "level_stats": {
             "count": stats.count,
-            "min_length": format_rational(stats.min_length),
-            "max_length": format_rational(stats.max_length),
+            "min_length": format_rational(stats.length),
+            "max_length": format_rational(stats.length),
         },
     }
     try:

@@ -7,7 +7,7 @@ inside (usually) [0,1], held as one flat tuple of integer ends over one common
 denominator, the shape the stage engine produces. Its measure, membership,
 cover and affine image work on those integers; ``ClosedInterval`` and
 ``Fraction`` objects are built only when the intervals are read out
-(``intervals``, iteration, ``repr``).
+(iteration, ``repr``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
@@ -184,19 +184,16 @@ class ClosedInterval(_Frozen):
         return cls(_json_rational(obj["a"], "a"), _json_rational(obj["b"], "b"))
 
 
-def _closed(a: int, b: int, denom: int) -> ClosedInterval:
-    return ClosedInterval(Fraction(a, denom), Fraction(b, denom))
-
-
 class IntervalSet:
     """A finite union of closed intervals, stored sorted and disjoint.
 
     The set is the intervals [a/denom, b/denom] for the consecutive ends
     a, b of ``ends``, one flat tuple of integers a0, b0, a1, b1, ... left to
-    right. Each b < a' strictly (``normalize`` merges anything overlapping
-    or touching), and ``denom`` is the least common denominator of the ends,
-    so equal sets have equal ``(denom, ends)`` whatever denominators they
-    were built from; equality and hashing compare that form.
+    right. Each b < a' strictly (the constructor sorts the intervals and
+    merges anything overlapping or touching), and ``denom`` is the least
+    common denominator of the ends, so equal sets have equal ``(denom,
+    ends)`` whatever denominators they were built from; equality and hashing
+    compare that form.
     """
 
     __slots__ = ("denom", "ends")
@@ -215,18 +212,13 @@ class IntervalSet:
         self.denom, self.ends = _reduced(denom, ends)
         return self
 
-    @property
-    def intervals(self) -> "Sequence[ClosedInterval]":
-        """The intervals as ClosedInterval objects, each built when it is read."""
-        return _Intervals(self)
-
     def __len__(self) -> int:
         return len(self.ends) // 2
 
     def __iter__(self) -> Iterator[ClosedInterval]:
         denom, it = self.denom, iter(self.ends)
         for a, b in zip(it, it):
-            yield _closed(a, b, denom)
+            yield ClosedInterval(Fraction(a, denom), Fraction(b, denom))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
@@ -295,45 +287,6 @@ class IntervalSet:
     @classmethod
     def from_json(cls, obj: list[dict]) -> "IntervalSet":
         return cls(ClosedInterval.from_json(item) for item in _json_shape(obj, "interval set"))
-
-
-class _Intervals(Sequence):
-    """The intervals of an IntervalSet as a read-only sequence of
-    ClosedInterval, built on access; it compares equal to the tuple of the
-    same intervals."""
-
-    __slots__ = ("_set",)
-
-    def __init__(self, s: IntervalSet):
-        self._set = s
-
-    def __len__(self) -> int:
-        return len(self._set)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        i, ends = 2 * range(len(self))[index], self._set.ends
-        return _closed(ends[i], ends[i + 1], self._set.denom)
-
-    def __iter__(self) -> Iterator[ClosedInterval]:
-        return iter(self._set)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _Intervals)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-def normalize(intervals: Iterable[ClosedInterval]) -> IntervalSet:
-    """Sort and merge arbitrary closed intervals into a canonical IntervalSet."""
-    return IntervalSet(intervals)
 
 
 def _common(s: IntervalSet, other: IntervalSet):

@@ -264,7 +264,7 @@ def removed_by_generation(f: FamilySpec, k: int) -> list[list[OpenInterval]]:
     return out + [[] for _ in range(k - len(out))]  # past a Power(2) collapse
 
 
-LevelStats = namedtuple("LevelStats", "count min_length max_length")
+LevelStats = namedtuple("LevelStats", "count length")
 
 
 def _steps(f: FamilySpec, unit: int = 1) -> Iterator[tuple[int, int, list]]:
@@ -332,16 +332,16 @@ def _length_bits(row: MoranRow, k: int) -> int:
 
 
 def level_stats(f: FamilySpec, k: int) -> LevelStats:
-    """Interval count m^j and extreme (equal) lengths at stage k, j = _live_steps, from ``_closed_form``;
+    """Interval count m^j and the one interval length L_j at stage k, j = _live_steps, from ``_closed_form``;
     no stage is enumerated, no step walked. Counts are the tree's (touching digit blocks count apart)."""
     if k < 0:
         raise ValueError(f"stage index must be nonnegative, got {_echo(k, str)}")
     row = moran_row(f)
     a, alpha, b, beta = _closed_form(row)
     j = _live_steps(row, k)
-    length_k = (alpha**j * Fraction(row.c - j * row.r, row.c) if b is None  # the Power(2) collapse
-                else a * alpha**j + b * beta**j if b else alpha**j)
-    return LevelStats(row.m**j, length_k, length_k)
+    length = (alpha**j * Fraction(row.c - j * row.r, row.c) if b is None  # the Power(2) collapse
+              else a * alpha**j + b * beta**j if b else alpha**j)
+    return LevelStats(row.m**j, length)
 
 
 def ifs_step(s: IntervalSet, maps: IfsMaps) -> IntervalSet:

@@ -255,6 +255,35 @@ class TestBaseExpansion:
         assert base_expansion(F(1, 8), 10).preperiod == (1, 2, 5)  # no period: no cap
         assert not member_limit(F(1, 2), CANTOR_TERNARY)  # rejected at its first digit
 
+    def test_period_work_cap_counts_digits_times_the_bits_of_q_prime(self, monkeypatch):
+        # q' is q with the base's primes divided out: 7 (3 bits) for both 1/7
+        # and 1/14 in base 10, whose periods of 6 digits cost 18; 2/(3^6 - 1)
+        # = 1/364 keeps its 9-bit q' = 364 in base 3 and costs 54.
+        member = F(2, 3**6 - 1)
+        monkeypatch.setattr(analysis_module, "MAX_PERIOD_WORK", 18)
+        assert base_expansion(F(1, 7), 10).period == (1, 4, 2, 8, 5, 7)
+        assert base_expansion(F(1, 14), 10).period == (7, 1, 4, 2, 8, 5)
+        monkeypatch.setattr(analysis_module, "MAX_PERIOD_WORK", 17)
+        for x in (F(1, 7), F(1, 14)):
+            with pytest.raises(DepthCapError, match=r"^the base-10 period exceeds the period work cap "
+                                                    r"of 17 \(digits x denominator bits\): over 5 "
+                                                    r"digits of a 3-bit denominator$"):
+                base_expansion(x, 10)
+        monkeypatch.setattr(analysis_module, "MAX_PERIOD_WORK", 54)
+        assert cantor_function(member) == F(1, 2**6 - 1)
+        monkeypatch.setattr(analysis_module, "MAX_PERIOD_WORK", 53)
+        for call in (lambda: member_limit(member, CANTOR_TERNARY),
+                     lambda: membership_witness(member, CANTOR_TERNARY),
+                     lambda: cantor_function(member)):
+            with pytest.raises(DepthCapError, match="period work cap of 53 "):
+                call()
+        # Where the digit cap binds, also together with the work cap, its line is the one raised.
+        monkeypatch.setattr(analysis_module, "MAX_PERIOD_DIGITS", 5)
+        for work in (15, 17):
+            monkeypatch.setattr(analysis_module, "MAX_PERIOD_WORK", work)
+            with pytest.raises(DepthCapError, match="^the base-10 period exceeds the period cap of 5 digits$"):
+                base_expansion(F(1, 7), 10)
+
 
 class TestMemberLimit:
     def test_quarter_is_in_ternary_set(self):

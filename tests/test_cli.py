@@ -199,6 +199,14 @@ class TestAnalyze:
         assert report["measure_at_depth"] == "0/1"
         assert "dimension_note" in report
 
+    def test_power_two_collapse_report_golden(self, capsys):
+        # The whole report, which has no floats: four points of length 0 from stage 2 on.
+        assert run(capsys, "analyze", "--family", "power", "--n", "2", "--depth", "3") == (0, (
+            '{"family": {"family": "power", "n": 2}, "depth": 3, "measure_at_depth": "0/1", '
+            '"limit_measure": "0/1", "level_stats": {"count": 4, "min_length": "0/1", '
+            '"max_length": "0/1"}, "dimension_note": "power n=2 collapses to finitely many points; '
+            'no dimension"}\n'), "")
+
     @pytest.mark.parametrize("flags", [("--depth", "-1"), ("--kmax", "0"), ("--kmax", "-3")])
     def test_out_of_range_argument_exits_2(self, capsys, flags):
         code, out, err = run(capsys, "analyze", "--family", "power", "--n", "4", *flags)
@@ -438,6 +446,15 @@ class TestCaps:
         assert (code, out) == (3, "")
         assert err == "stage 20 exceeds the stage size cap of 134217728 (intervals x denominator bits)\n"
 
+    def test_period_over_the_work_cap_exits_3(self):
+        # 10^100000 has 332,193 bits and no factor 3, so the work cap allows
+        # 2^32 // 332193 = 12,929 digits of its ternary period; before that cap
+        # the launch ran 10.3 s to the 10^6-digit cap.
+        code, out, err = launch("expansion", "--x", "1e-100000", "--base", "3")
+        assert (code, out, err) == (3, "", "the base-3 period exceeds the period work cap of 4294967296 "
+                                           "(digits x denominator bits): over 12929 digits of a "
+                                           "332193-bit denominator\n")
+
     def test_period_over_the_cap_exits_3(self):
         # The ternary period of 1/1000000007 is 500000003 digits long.
         code, out, err = launch("expansion", "--x", "1/1000000007", "--base", "3")
@@ -476,6 +493,7 @@ class TestCaps:
             raise AssertionError("analyze computed a length it cannot print")
 
         monkeypatch.setattr(cli_module, "level_stats", forbidden)
+        monkeypatch.setattr(cli_module, "measure_at_depth", forbidden)
         code, out, err = run(capsys, "analyze", "--family", "proportional", "--alpha", "1e-1000",
                              "--depth", "2000")
         assert (code, out) == (2, "")
@@ -512,6 +530,7 @@ class TestCaps:
             raise AssertionError("analyze computed a count it cannot print")
 
         monkeypatch.setattr(cli_module, "level_stats", forbidden)
+        monkeypatch.setattr(cli_module, "measure_at_depth", forbidden)
         code, out, err = run(capsys, "analyze", "--family-json", json.dumps(family_to_json(family)),
                              "--depth", "10000000")
         assert (code, out) == (2, "")

@@ -8,7 +8,6 @@ from cantorlike.exact import (
     ClosedInterval,
     IntervalSet,
     format_rational,
-    normalize,
     parse_rational,
     rational_decimal,
 )
@@ -64,63 +63,64 @@ class TestClosedInterval:
 
 class TestNormalize:
     def test_sorts_stage_one(self):
-        s = normalize([ci("2/3", "1"), ci("0", "1/3")])
-        assert s.intervals == (ci("0", "1/3"), ci("2/3", "1"))
-        assert s.intervals != [ci("0", "1/3"), ci("2/3", "1")]  # a view equals tuples only
+        s = IntervalSet([ci("2/3", "1"), ci("0", "1/3")])
+        assert tuple(s) == (ci("0", "1/3"), ci("2/3", "1"))
+        assert (s.denom, s.ends) == (3, (0, 1, 2, 3))
 
     def test_empty_input(self):
-        assert len(normalize([])) == 0
-        assert normalize([]).total_length == 0
+        assert len(IntervalSet([])) == 0
+        assert IntervalSet([]).total_length == 0
 
     def test_touching_intervals_merge(self):
-        s = normalize([ci("0", "1/2"), ci("1/2", "1")])
-        assert s.intervals == (ci("0", "1"),)
+        s = IntervalSet([ci("0", "1/2"), ci("1/2", "1")])
+        assert tuple(s) == (ci("0", "1"),)
+        assert (s.denom, s.ends) == (1, (0, 1))
 
     def test_overlapping_intervals_merge(self):
-        s = normalize([ci("0", "2/3"), ci("1/3", "1")])
-        assert s.intervals == (ci("0", "1"),)
+        s = IntervalSet([ci("0", "2/3"), ci("1/3", "1")])
+        assert tuple(s) == (ci("0", "1"),)
 
     def test_idempotent(self):
-        s = normalize([ci("0", "1/3"), ci("1/3", "1/2"), ci("3/4", "1")])
-        assert normalize(s.intervals) == s
+        s = IntervalSet([ci("0", "1/3"), ci("1/3", "1/2"), ci("3/4", "1")])
+        assert IntervalSet(tuple(s)) == s
 
     def test_degenerate_point_swallowed_by_cover(self):
-        s = normalize([ci("1/4", "1/4"), ci("0", "1/2")])
-        assert s.intervals == (ci("0", "1/2"),)
+        s = IntervalSet([ci("1/4", "1/4"), ci("0", "1/2")])
+        assert tuple(s) == (ci("0", "1/2"),)
 
 
 class TestTotalLength:
     def test_stage_two_middle_thirds(self):
-        c2 = normalize([ci("0", "1/9"), ci("2/9", "1/3"), ci("2/3", "7/9"), ci("8/9", "1")])
+        c2 = IntervalSet([ci("0", "1/9"), ci("2/9", "1/3"), ci("2/3", "7/9"), ci("8/9", "1")])
         assert c2.total_length == F(4, 9)
 
     def test_unit_interval(self):
-        assert normalize([ci("0", "1")]).total_length == 1
+        assert IntervalSet([ci("0", "1")]).total_length == 1
 
     def test_fat_stage_two(self):
-        svc2 = normalize([ci("0", "5/32"), ci("7/32", "3/8"), ci("5/8", "25/32"), ci("27/32", "1")])
+        svc2 = IntervalSet([ci("0", "5/32"), ci("7/32", "3/8"), ci("5/8", "25/32"), ci("27/32", "1")])
         assert svc2.total_length == F(5, 8)
 
 
 class TestAffineImage:
     def test_dilate_stage_one_by_three(self):
-        c1 = normalize([ci("0", "1/3"), ci("2/3", "1")])
-        assert c1.affine_image(F(3)) == normalize([ci("0", "1"), ci("2", "3")])
+        c1 = IntervalSet([ci("0", "1/3"), ci("2/3", "1")])
+        assert c1.affine_image(F(3)) == IntervalSet([ci("0", "1"), ci("2", "3")])
 
     def test_dilate_middle_half_stage_by_four(self):
-        s = normalize([ci("0", "1/4"), ci("3/4", "1")])
-        assert s.affine_image(F(4)) == normalize([ci("0", "1"), ci("3", "4")])
+        s = IntervalSet([ci("0", "1/4"), ci("3/4", "1")])
+        assert s.affine_image(F(4)) == IntervalSet([ci("0", "1"), ci("3", "4")])
 
     def test_identity(self):
-        s = normalize([ci("0", "1/3"), ci("2/3", "1")])
+        s = IntervalSet([ci("0", "1/3"), ci("2/3", "1")])
         assert s.affine_image(F(1), F(0)) == s
 
     def test_scales_length(self):
-        s = normalize([ci("0", "1/3"), ci("2/3", "1")])
+        s = IntervalSet([ci("0", "1/3"), ci("2/3", "1")])
         assert s.affine_image(F(5, 7), F(1, 13)).total_length == F(5, 7) * s.total_length
 
     def test_rejects_nonpositive_scale(self):
-        s = normalize([ci("0", "1")])
+        s = IntervalSet([ci("0", "1")])
         with pytest.raises(ValueError):
             s.affine_image(F(0))
         with pytest.raises(ValueError):
@@ -129,7 +129,7 @@ class TestAffineImage:
 
 class TestContainsPoint:
     def setup_method(self):
-        self.c1 = normalize([ci("0", "1/3"), ci("2/3", "1")])
+        self.c1 = IntervalSet([ci("0", "1/3"), ci("2/3", "1")])
 
     def test_endpoint_is_member(self):
         assert self.c1.contains_point(F(1, 3))
@@ -138,7 +138,7 @@ class TestContainsPoint:
         assert not self.c1.contains_point(F(1, 2))
 
     def test_svc4_interior_point(self):
-        svc2 = normalize([ci("0", "5/32"), ci("7/32", "3/8"), ci("5/8", "25/32"), ci("27/32", "1")])
+        svc2 = IntervalSet([ci("0", "5/32"), ci("7/32", "3/8"), ci("5/8", "25/32"), ci("27/32", "1")])
         assert svc2.contains_point(F(7, 32))
 
     def test_outside_range(self):
@@ -155,15 +155,15 @@ class TestContainsPoint:
 
 class TestSerialization:
     def test_json_round_trip(self):
-        s = normalize([ci("0", "1/3"), ci("2/3", "1")])
+        s = IntervalSet([ci("0", "1/3"), ci("2/3", "1")])
         assert IntervalSet.from_json(json.loads(json.dumps(s.to_json()))) == s
 
     def test_wire_format(self):
-        s = normalize([ci("0", "1/3")])
+        s = IntervalSet([ci("0", "1/3")])
         assert s.to_json() == [{"a": "0/1", "b": "1/3"}]
 
     def test_integer_and_rational_string_endpoints_accepted(self):
-        expected = normalize([ci("0", "1/3"), ci("2/3", "1")])
+        expected = IntervalSet([ci("0", "1/3"), ci("2/3", "1")])
         assert IntervalSet.from_json([{"a": 0, "b": "2/6"}, {"a": "2/3", "b": 1}]) == expected
 
     @pytest.mark.parametrize("end", [0.5, 1.0, True, None, [1], "0.5", "1e-1", " 1/2 ", "1/0"],

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantorlike.exact import ClosedInterval, normalize
+from cantorlike.exact import ClosedInterval, IntervalSet
 from cantorlike.families import (
     ConstructionError,
     DepthCapError,
@@ -29,7 +29,7 @@ def ci(a, b):
 
 
 def iset(*pairs):
-    return normalize([ci(a, b) for a, b in pairs])
+    return IntervalSet([ci(a, b) for a, b in pairs])
 
 
 MIDDLE_THIRDS = Proportional(F(1, 3))
@@ -207,20 +207,20 @@ class TestRemovedIntervals:
 
 class TestLevelStats:
     def test_middle_thirds_stage_three(self):
-        assert level_stats(MIDDLE_THIRDS, 3) == (8, F(1, 27), F(1, 27))
+        assert level_stats(MIDDLE_THIRDS, 3) == (8, F(1, 27))
 
     def test_odd_fifths_counts_are_three_to_the_k(self):
         # the construction splits each interval into |digits| children, so
         # counts are 3^k here (3 at stage one, 9 at stage two, ...)
-        assert level_stats(ODD_FIFTHS, 2) == (9, F(1, 25), F(1, 25))
+        assert level_stats(ODD_FIFTHS, 2) == (9, F(1, 25))
 
     def test_volterra_stage_three(self):
-        assert level_stats(VOLTERRA, 3) == (8, F(9, 128), F(9, 128))
+        assert level_stats(VOLTERRA, 3) == (8, F(9, 128))
 
     def test_volterra_closed_form_lengths(self):
         for k in range(1, 16):
             stats = level_stats(VOLTERRA, k)
-            assert stats.max_length == F(2**k + 1, 2 * 4**k)
+            assert stats.length == F(2**k + 1, 2 * 4**k)
 
     def test_matches_enumeration(self):
         for f in (MIDDLE_THIRDS, VOLTERRA, ODD_FIFTHS, LambdaFamily(F(2, 3)), Power(2)):
@@ -230,9 +230,7 @@ class TestLevelStats:
                 if isinstance(f, DigitSet):
                     continue  # tree count, not merged count, by contract
                 assert stats.count == len(stage)
-                lengths = [i.length for i in stage]
-                assert stats.min_length == min(lengths)
-                assert stats.max_length == max(lengths)
+                assert {i.length for i in stage} == {stats.length}  # one length per stage
 
 
 class TestIfs:
@@ -249,7 +247,7 @@ class TestIfs:
         )
 
     def test_empty_set_maps_to_empty(self):
-        assert ifs_step(normalize([]), ifs_maps(MIDDLE_THIRDS)) == normalize([])
+        assert ifs_step(IntervalSet([]), ifs_maps(MIDDLE_THIRDS)) == IntervalSet([])
 
     def test_digit_family_maps(self):
         assert ifs_step(iset(("0", "1")), ifs_maps(ODD_FIFTHS)) == iterate(ODD_FIFTHS, 1)

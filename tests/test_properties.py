@@ -14,7 +14,7 @@ from cantorlike.analysis import (
     member_limit,
     membership_witness,
 )
-from cantorlike.exact import ClosedInterval, normalize
+from cantorlike.exact import ClosedInterval, IntervalSet
 from cantorlike.families import (
     DigitSet,
     LambdaFamily,
@@ -94,8 +94,8 @@ def test_rational_add_sub_round_trip(a, b):
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(st.lists(interval_strategy(), max_size=12))
 def test_normalize_idempotent(intervals):
-    once = normalize(intervals)
-    assert normalize(once.intervals) == once
+    once = IntervalSet(intervals)
+    assert IntervalSet(tuple(once)) == once
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
@@ -103,7 +103,7 @@ def test_normalize_idempotent(intervals):
        fractions("1/100", 50, 100),
        rationals)
 def test_affine_image_scales_length(intervals, scale, shift):
-    s = normalize(intervals)
+    s = IntervalSet(intervals)
     assert s.affine_image(scale, shift).total_length == scale * s.total_length
 
 
@@ -116,8 +116,8 @@ def test_contains_point_matches_linear_scan(intervals, x):
     # end is where the parity rule's exact check decides (a right end, and
     # both ends of a point interval). So every end is queried too, with the
     # points a third of a unit of the set's denominator either side of it.
-    s = normalize(intervals)
-    ivs = tuple(s.intervals)
+    s = IntervalSet(intervals)
+    ivs = tuple(s)
     ends = [F(e, s.denom) for e in s.ends]
     near = F(1, 3 * s.denom)
     for y in [x, *ends, *(e + d for e in ends for d in (-near, near))]:

@@ -47,6 +47,7 @@ from cantorlike.analysis import (
     cantor_function,
     dimension_estimates,
     limit_measure,
+    measure_at_depth,
     member_at_depth,
     member_limit,
     membership_witness,
@@ -61,7 +62,6 @@ from cantorlike.exact import (
     ClosedInterval,
     IntervalSet,
     format_rational,
-    normalize,
     rational_decimal,
 )
 from cantorlike.families import (
@@ -96,10 +96,10 @@ from cantorlike.render import render_svg
 def ref_level_stats(f, k):
     if isinstance(f, Proportional):
         ratio = (1 - f.alpha) / 2
-        return (2**k, ratio**k, ratio**k)
+        return (2**k, ratio**k)
     if isinstance(f, DigitSet):
         length = F(1, f.n**k)
-        return (len(f.digits) ** k, length, length)
+        return (len(f.digits) ** k, length)
     if isinstance(f, Power):
         length, count = F(1), 1
         for j in range(1, k + 1):
@@ -110,11 +110,11 @@ def ref_level_stats(f, k):
                 raise ConstructionError(f"power removal 1/{f.n}^{j} exceeds interval length")
             length = (length - removal) / 2
             count *= 2
-        return (count, length, length)
+        return (count, length)
     length = F(1)
     for j in range(1, k + 1):
         length = (length - f.lam / F(3**j)) / 2
-    return (2**k, length, length)
+    return (2**k, length)
 
 
 def ref_level_stats_recurrence(f, k):
@@ -122,7 +122,7 @@ def ref_level_stats_recurrence(f, k):
     denom, length, count = 1, 1, 1
     for s, length, count in islice(step_lengths(f, 1), k):
         denom *= s
-    return (count, F(length, denom), F(length, denom))
+    return (count, F(length, denom))
 
 
 def ref_member_at_depth(x, f, k):
@@ -363,7 +363,7 @@ def ref_stage_ends(f, k):
 class RefIntervalSet:
     """A finite union of closed intervals, stored sorted and disjoint.
 
-    Consecutive intervals satisfy I.b < J.a strictly; ``normalize`` merges
+    Consecutive intervals satisfy I.b < J.a strictly; the constructor merges
     anything overlapping or touching, so equality of sets is equality of
     the underlying tuples.
     """
@@ -769,7 +769,7 @@ def test_level_stats_reads_the_row_not_the_recurrence(monkeypatch):
     monkeypatch.setattr(families_module, "_steps", forbidden)
     for k in (400, 2000):
         length = (1 - lam) / 2**k + lam / 3**k
-        assert level_stats(LambdaFamily(lam), k) == (2**k, length, length)
+        assert level_stats(LambdaFamily(lam), k) == (2**k, length)
 
 
 @settings(max_examples=100, deadline=None)
@@ -790,13 +790,13 @@ def test_closed_form_gives_the_recurrences_lengths(f):
 @settings(max_examples=100, deadline=None)
 @given(families, st.integers(0, 60))
 def test_length_floor_is_at_most_the_length_bits(f, k):
-    assert _length_bits(moran_row(f), k) <= level_stats(f, k).min_length.denominator.bit_length()
+    assert _length_bits(moran_row(f), k) <= level_stats(f, k).length.denominator.bit_length()
 
 
 @pytest.mark.parametrize("f", [Power(10**30), Power(2**61 - 1), LambdaFamily(F(1, 10**1000))], ids=repr)
 def test_length_floor_is_at_most_the_length_bits_on_large_rows(f):
     for k in [*range(61), 200, 1000]:
-        floor, bits = _length_bits(moran_row(f), k), level_stats(f, k).min_length.denominator.bit_length()
+        floor, bits = _length_bits(moran_row(f), k), level_stats(f, k).length.denominator.bit_length()
         assert floor <= bits
         if isinstance(f, Power) and k >= 60:  # and not vacuous: within a tenth of it
             assert floor >= 0.9 * bits
@@ -811,6 +811,7 @@ def test_length_floor_refuses_an_r_row_before_its_length_is_computed(capsys, mon
         raise AssertionError("analyze computed a length it cannot print")
 
     monkeypatch.setattr(cli_module, "level_stats", forbidden)
+    monkeypatch.setattr(cli_module, "measure_at_depth", forbidden)
     with pytest.raises(SystemExit) as exc:
         cli_module.main(["analyze", "--family", "power", "--n", str(10**1000), "--depth", "14000",
                          "--kmax", "1"])
@@ -820,8 +821,26 @@ def test_length_floor_refuses_an_r_row_before_its_length_is_computed(capsys, mon
         "(sys.get_int_max_str_digits())\n")))
 
 
+@pytest.mark.parametrize("f", FIXED_FAMILIES, ids=repr)
+def test_analyze_prints_the_one_stage_length_under_both_length_keys(capsys, f):
+    # A stage of a homogeneous Moran row has one interval length, which analyze
+    # prints as both min_length and max_length, in the report's key order.
+    spec = json.dumps(family_to_json(f))
+    dimension = ["dimension_note"] if f == Power(2) else ["similarity_dimension", "dimension_estimates"]
+    for k in (0, 1, 2, 7):
+        assert cli_module.main(["analyze", "--family-json", spec, "--depth", str(k), "--kmax", "1"]) == 0
+        report, stats = json.loads(capsys.readouterr().out), level_stats(f, k)
+        assert list(report) == ["family", "depth", "measure_at_depth", "limit_measure", "level_stats",
+                                *dimension]
+        length = format_rational(stats.length)
+        assert list(report["level_stats"].items()) == [("count", stats.count), ("min_length", length),
+                                                       ("max_length", length)]
+        assert measure_at_depth(f, k) == stats.count * stats.length
+        assert report["measure_at_depth"] == format_rational(stats.count * stats.length)
+
+
 def test_power_two_fixpoint_keeps_four_points():
-    assert level_stats(Power(2), 64) == (4, 0, 0)
+    assert level_stats(Power(2), 64) == (4, 0)
     assert member_at_depth(F(1, 4), Power(2), 64)
     assert not member_at_depth(F(1, 8), Power(2), 64)
 
@@ -833,7 +852,7 @@ def test_power_two_fixpoint_keeps_four_points():
 def test_estimate_sequence_floats_match_per_k_formula(f, kmax):
     expected = []
     for k in range(1, kmax + 1):
-        count, _, length = ref_level_stats(f, k)
+        count, length = ref_level_stats(f, k)
         expected.append((k, math.log(count) / _log(1 / length)))
     assert dimension_estimates(f, kmax).sequence == tuple(expected)
 
@@ -1664,11 +1683,10 @@ def probe_points(ivs, extra):
 @given(interval_lists, interval_lists, st.lists(endpoints, max_size=5), scales, endpoints)
 def test_interval_set_matches_fraction_reference(ivs, others, points, scale, shift):
     new, ref = IntervalSet(ivs), RefIntervalSet(ivs)
-    assert new.intervals == ref.intervals and tuple(new) == ref.intervals
-    assert new.intervals[1::2] == ref.intervals[1::2] and new.intervals[-1:] == ref.intervals[-1:]
-    assert hash(new.intervals) == hash(ref.intervals) and repr(new.intervals) == repr(ref.intervals)
+    assert tuple(new) == ref.intervals
+    assert [F(x, new.denom) for x in new.ends] == [x for i in ref.intervals for x in (i.a, i.b)]
     assert (new == "x") is False
-    assert len(new) == len(new.intervals) == len(ref)
+    assert len(new) == len(ref)
     assert new.total_length == ref.total_length
     assert new.to_json() == ref.to_json()
     assert repr(new) == repr(ref)
@@ -1676,17 +1694,17 @@ def test_interval_set_matches_fraction_reference(ivs, others, points, scale, shi
         assert new.contains_point(x) == ref.contains_point(x), x
     other_new, other_ref = IntervalSet(others), RefIntervalSet(others)
     for a, b in ((new, other_new), (other_new, new), (new, new)):
-        assert a.covers(b) == RefIntervalSet(a.intervals).covers(RefIntervalSet(b.intervals))
+        assert a.covers(b) == RefIntervalSet(a).covers(RefIntervalSet(b))
     assert (new == other_new) == (ref == other_ref)
     image = new.affine_image(scale, shift)
-    assert image.intervals == ref.affine_image(scale, shift).intervals
-    assert image == IntervalSet(image.intervals)  # the image is in canonical form
+    assert tuple(image) == ref.affine_image(scale, shift).intervals
+    assert image == IntervalSet(image)  # the image is in canonical form
 
 
 def covers_as_reference(s, t):
     """s.covers(t), after checking that the Fraction reference agrees."""
     got = s.covers(t)
-    assert got == RefIntervalSet(s.intervals).covers(RefIntervalSet(t.intervals)), (s, t)
+    assert got == RefIntervalSet(s).covers(RefIntervalSet(t)), (s, t)
     return got
 
 
@@ -1754,15 +1772,15 @@ def test_equal_sets_hash_equal_whatever_their_denominators(ivs, m, scale):
     same = [
         IntervalSet._from_ends(s.denom * m, [x * m for x in s.ends]),
         s.affine_image(scale).affine_image(1 / scale),
-        normalize(list(ivs) + [ClosedInterval(i.a, (i.a + i.b) / 2) for i in ivs]),
-        IntervalSet(reversed(list(s.intervals))),
+        IntervalSet(list(ivs) + [ClosedInterval(i.a, (i.a + i.b) / 2) for i in ivs]),
+        IntervalSet(reversed(list(s))),
     ]
     for t in same:
         assert t == s and hash(t) == hash(s) and (t.denom, t.ends) == (s.denom, s.ends)
 
 
 def test_merged_endpoints_leave_the_denominator():
-    s = normalize([ClosedInterval(F(0), F(1, 7)), ClosedInterval(F(1, 7), F(1))])
+    s = IntervalSet([ClosedInterval(F(0), F(1, 7)), ClosedInterval(F(1, 7), F(1))])
     assert (s.denom, s.ends) == (1, (0, 1))
     unit = IntervalSet([ClosedInterval(F(0), F(1))])
     assert s == unit and hash(s) == hash(unit)
@@ -1776,9 +1794,9 @@ def test_ifs_step_matches_fraction_reference(f):
     maps = ifs_maps(f)
     for k in range(tree_depth(f, 1000) + 1):
         stage, ref = iterate(f, k), ref_iterate(f, k)
-        assert stage.intervals == ref.intervals
+        assert tuple(stage) == ref.intervals
         for m in (maps, IfsMaps(maps.maps[::-1])):  # the images in either order
-            assert ifs_step(stage, m).intervals == ref_ifs_step(ref, m).intervals
+            assert tuple(ifs_step(stage, m)) == ref_ifs_step(ref, m).intervals
 
 
 def ends(*pairs):
@@ -1801,8 +1819,8 @@ MIXED_DENOMINATORS = IfsMaps(((F(1, 3), F(0)), (F(1, 4), F(3, 4))))
 def test_ifs_step_merges_interleaved_and_mixed_denominator_images(maps, intervals, union):
     for m in (maps, IfsMaps(maps.maps[::-1])):
         step = ifs_step(IntervalSet(intervals), m)
-        assert step.intervals == ref_ifs_step(RefIntervalSet(intervals), m).intervals == tuple(union)
-        assert step == IntervalSet(step.intervals)  # in canonical form
+        assert tuple(step) == ref_ifs_step(RefIntervalSet(intervals), m).intervals == tuple(union)
+        assert step == IntervalSet(step)  # in canonical form
 
 
 def test_ifs_step_holds_only_the_union():
