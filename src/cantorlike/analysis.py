@@ -166,16 +166,22 @@ def _digit_chunks(x: Fraction, base: int, m: int) -> Iterator[tuple[tuple[int, .
     A step multiplies the remainder by base^t (see _chunk_table) and reads
     the t digits of the quotient from a table. Remainder r_j = p * base^j
     mod q is periodic from j = m with the minimal period L (0 when the
-    expansion terminates), so r_{m+a} = r_{m+b} iff L divides a - b. The first t remainders r_m .. r_{m+t-1} are kept,
-    found one digit at a time, so a period of at most t digits ends among
-    them. Past them L > t, and when the remainder after chunk J is r_{m+i},
-    L = J*t - i: of the t ends J*t - i, at most one is a multiple of L. A
-    period not closed within MAX_PERIOD_DIGITS digits, or within
-    MAX_PERIOD_WORK // (bits of q') digits when that is fewer, raises
-    DepthCapError once those digits are yielded. The period divides
-    S = gcd(q, base^m), the part of q built from the primes of the base, out
-    of the remainder and q once (r_j is a multiple of S from j = m on): same
-    digits, smaller q, here q'.
+    expansion terminates), so r_{m+a} = r_{m+b} iff L divides a - b. The
+    period divides S = gcd(q, base^m), the part of q built from the primes
+    of the base, out of the remainder and q once (r_j is a multiple of S
+    from j = m on): same digits, smaller q, here q'.
+
+    The first t remainders r_m .. r_{m+t-1} are kept, found one digit at a
+    time, so a period of at most t digits ends among them. Past them L > t.
+    The z zeros that follow (a small point's leading zeros), z the largest
+    with r * base^z < q', take one multiplication by base^z and join the
+    window's chunk; z < L, as the period holds a nonzero digit. From there
+    every chunk is t digits, and when the remainder after the chunk that
+    ends at digit e of the period is r_{m+i}, L = e - i: of any t
+    consecutive ends, at most one is a multiple of L. A period not closed
+    within MAX_PERIOD_DIGITS digits, or within MAX_PERIOD_WORK // (bits of
+    q') digits besides the z zeros when that is fewer, raises DepthCapError
+    once those digits are yielded.
     """
     p, q = x.numerator, x.denominator
     t, step, table = _chunk_table(base)
@@ -190,25 +196,36 @@ def _digit_chunks(x: Fraction, base: int, m: int) -> Iterator[tuple[tuple[int, .
         return  # terminating: no period
     smooth = math.gcd(q, base**m)
     rem, q = rem // smooth, q // smooth
-    cap, seen, first = min(MAX_PERIOD_DIGITS, MAX_PERIOD_WORK // q.bit_length()), {}, []
+    seen, first = {}, []
     while len(first) < t and rem not in seen:
         seen[rem] = len(first)
         digit, rem = divmod(rem * base, q)
         first.append(digit)
-    digits, done = tuple(first), 0
-    while (i := seen.get(rem)) is None and done + t <= cap:
+    digits, z = tuple(first), 0
+    if rem not in seen:
+        # A lower bound on z from the bit lengths, then at most a few steps up.
+        z = max(0, int((q.bit_length() - rem.bit_length() - 1) / math.log2(base)) - 1)
+        rem *= base**z
+        while rem * base < q:
+            rem *= base
+            z += 1
+        digits += (0,) * z
+    work = MAX_PERIOD_WORK // q.bit_length()
+    cap, done = min(MAX_PERIOD_DIGITS, work + z), len(digits)  # done: the digits through this chunk
+    while (i := seen.get(rem)) is None and done <= cap:
         yield digits, rem
-        done += t
         chunk, rem = divmod(rem * step, q)
         digits = table[chunk] if table else (chunk,)
-    size = len(digits) - (i or 0)  # the period ends in this chunk, or passes the cap
+        done += t
+    done -= len(digits)  # the period ends in this chunk, or passes the cap
+    size = len(digits) - (i or 0)
     if done + size > cap:
         yield digits[:cap - done], rem
         if cap == MAX_PERIOD_DIGITS:
             raise DepthCapError(f"the base-{_echo(base, str)} period exceeds the period cap of "
                                 f"{cap} digits")
         raise DepthCapError(f"the base-{_echo(base, str)} period exceeds the period work cap of "
-                            f"{MAX_PERIOD_WORK} (digits x denominator bits): over {cap} digits "
+                            f"{MAX_PERIOD_WORK} (digits x denominator bits): over {work} digits "
                             f"of a {q.bit_length()}-bit denominator")
     yield digits[:size], rem
 

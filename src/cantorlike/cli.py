@@ -35,7 +35,7 @@ from .analysis import (
     similarity_dimension,
 )
 from .counterexample import tail_table_rows
-from .exact import _echo, format_rational, parse_rational, rational_decimal
+from .exact import _echo, _over_digit_limit, format_rational, parse_rational, rational_decimal
 from .families import (
     _FAMILY_FIELDS,
     DepthCapError,
@@ -65,10 +65,14 @@ def _fail(code: int, message: str) -> None:  # never returns
 
 def _int(text: str) -> int:
     """The reader of every integer flag: int(text), with at most the first 40
-    characters of a bad value echoed in argparse's message."""
+    characters of a bad value echoed in argparse's message, and a run of
+    digits over sys.get_int_max_str_digits() refused by that name."""
     try:
         return int(text)
     except ValueError:
+        if limit := _over_digit_limit(text):
+            raise argparse.ArgumentTypeError(f"int value {_echo(text)} has a run of over {limit} "
+                                             f"digits, the limit of sys.get_int_max_str_digits()") from None
         raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
 
 
@@ -128,16 +132,6 @@ def _parse_x(text: str) -> Fraction:
     if not 0 <= x <= 1:
         _fail(EXIT_BAD_FAMILY, f"x must lie in [0,1], got {_echo(text, str)}")
     return x
-
-
-def _write_svg(family: FamilySpec, args: argparse.Namespace) -> None:
-    _require_at_least("--width", args.width, 1)
-    _require_at_least("--row-height", args.row_height, 1)
-    try:
-        float(args.width)  # as render_svg refuses it, but with the flag's name
-    except OverflowError:
-        _fail(EXIT_BAD_FAMILY, f"--width is too large for a float, got {_echo(args.width)}")
-    render_svg(family, args.depth, args.width, args.row_height, sys.stdout.write)
 
 
 # A stage row: its ends in the cells {} that _end_plans writes, then with
@@ -225,8 +219,14 @@ def _end_plans(denom: int, inner: list, blocks: list, row: str, sep: str, decima
 def _cmd_generate(args: argparse.Namespace) -> None:
     family = _build_family(args)
     _require_at_least("--depth", args.depth, 0)
-    if args.format == "svg":
-        _write_svg(family, args)  # the diagram runs its own stage pass
+    if args.format == "svg":  # render, too: the diagram runs its own stage pass
+        _require_at_least("--width", args.width, 1)
+        _require_at_least("--row-height", args.row_height, 1)
+        try:
+            float(args.width)  # as render_svg refuses it, but with the flag's name
+        except OverflowError:
+            _fail(EXIT_BAD_FAMILY, f"--width is too large for a float, got {_echo(args.width)}")
+        render_svg(family, args.depth, args.width, args.row_height, sys.stdout.write)
         return
     denom, inner, blocks = _stage_halves(family, args.depth)
     sep, head, tail = (", ", "[", "]\n") if args.format == "json" else ("\n", "", "\n")
@@ -240,14 +240,22 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     _require_at_least("--kmax", args.kmax, 1)
     row = moran_row(family)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+    def refuse(what: str) -> None:  # never returns
+        _fail(EXIT_BAD_FAMILY, f"result too large to print: the stage-{_echo(args.depth, str)} "
+                               f"{what} has over {limit} digits (sys.get_int_max_str_digits())")
+
     # The stage length's denominator and the count m^j, j = _live_steps, are each at least 2^bits
     # for the bits below (_length_bits), and past 2^(3.33 limit) > 10^limit cannot be printed.
     for what, bits in (("length", _length_bits(row, args.depth)),
                        ("count", _live_steps(row, args.depth) * (row.m.bit_length() - 1))):
         if limit and bits > 3.33 * limit:
-            _fail(EXIT_BAD_FAMILY, f"result too large to print: the stage-{_echo(args.depth, str)} "
-                                   f"{what} has over {limit} digits (sys.get_int_max_str_digits())")
+            refuse(what)
+    # What passes is cheap to build and is held to 10^limit exactly. The length's denominator
+    # is the largest integer printed: m^j L_j, the measure, is at most 1, so it is at least m^j.
     stats = level_stats(family, args.depth)
+    if limit and stats.length.denominator >= 10**limit:
+        refuse("length")
     measure, limit_value = measure_at_depth(family, args.depth), limit_measure(family)
     report = {
         "family": family_to_json(family),
@@ -329,12 +337,6 @@ def _cmd_counterexample(args: argparse.Namespace) -> None:
     _write_rows(tail_table_rows(family, args.n_max), "\n")
 
 
-def _cmd_render(args: argparse.Namespace) -> None:
-    family = _build_family(args)
-    _require_at_least("--depth", args.depth, 0)
-    _write_svg(family, args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cantorlike",
                                      description="Exact Cantor-like set construction and analysis")
@@ -383,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_int, default=5)
     p.add_argument("--width", type=_int, default=800)
     p.add_argument("--row-height", type=_int, default=28)
-    p.set_defaults(func=_cmd_render)
+    p.set_defaults(func=_cmd_generate, format="svg")
 
     return parser
 

@@ -44,13 +44,19 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        # Fraction reads each run of digits with int(), which refuses a run
-        # over the interpreter's limit, where it has one (0 means none).
-        limit = getattr(sys, "get_int_max_str_digits", int)()
-        if limit and max(map(len, _DIGIT_RUN.findall(text.replace("_", ""))), default=0) > limit:
+        if limit := _over_digit_limit(text):
             raise ValueError(f"rational {_echo(text)} has a run of over {limit} digits, "
                              f"the limit of sys.get_int_max_str_digits()") from exc
         raise ValueError(f"malformed rational {_echo(text)}") from exc
+
+
+def _over_digit_limit(text: str) -> int:
+    """sys.get_int_max_str_digits() (0 for no limit) when text holds a run of
+    more digits than it, which int() refuses, else 0. Underscores do not count."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and max(map(len, _DIGIT_RUN.findall(text.replace("_", ""))), default=0) > limit:
+        return limit
+    return 0
 
 
 def format_rational(x: Fraction) -> str:
@@ -184,7 +190,7 @@ class ClosedInterval(_Frozen):
         return cls(_json_rational(obj["a"], "a"), _json_rational(obj["b"], "b"))
 
 
-class IntervalSet:
+class IntervalSet(_Frozen):
     """A finite union of closed intervals, stored sorted and disjoint.
 
     The set is the intervals [a/denom, b/denom] for the consecutive ends
@@ -193,7 +199,7 @@ class IntervalSet:
     merges anything overlapping or touching), and ``denom`` is the least
     common denominator of the ends, so equal sets have equal ``(denom,
     ends)`` whatever denominators they were built from; equality and hashing
-    compare that form.
+    (``_Frozen``'s) compare that form.
     """
 
     __slots__ = ("denom", "ends")
@@ -202,14 +208,18 @@ class IntervalSet:
         pairs = [(i.a, i.b) for i in intervals]
         denom = lcm(*(x.denominator for pair in pairs for x in pair))
         pairs = sorted(tuple(x.numerator * (denom // x.denominator) for x in pair) for pair in pairs)
-        self.denom, self.ends = _reduced(denom, _merge(list(chain.from_iterable(pairs))))
+        denom, ends = _reduced(denom, _merge(list(chain.from_iterable(pairs))))
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "ends", ends)
 
     @classmethod
     def _from_ends(cls, denom: int, ends: list) -> "IntervalSet":
         # Trusted: the ends are sorted and strictly separated, so no sort or
         # merge. The list is the caller's no longer: it is reduced in place.
         self = object.__new__(cls)
-        self.denom, self.ends = _reduced(denom, ends)
+        denom, ends = _reduced(denom, ends)
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "ends", ends)
         return self
 
     def __len__(self) -> int:
@@ -220,17 +230,13 @@ class IntervalSet:
         for a, b in zip(it, it):
             yield ClosedInterval(Fraction(a, denom), Fraction(b, denom))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntervalSet):
-            return NotImplemented
-        return self.denom == other.denom and self.ends == other.ends
-
-    def __hash__(self) -> int:
-        return hash((self.denom, self.ends))
-
     def __repr__(self) -> str:
         parts = ", ".join(f"[{i.a}, {i.b}]" for i in self)
         return f"IntervalSet({parts})"
+
+    def __reduce__(self) -> tuple:
+        # The constructor takes intervals, not the fields: rebuild from the ends.
+        return IntervalSet._from_ends, (self.denom, list(self.ends))
 
     @property
     def total_length(self) -> Fraction:

@@ -277,12 +277,34 @@ class TestBaseExpansion:
                      lambda: cantor_function(member)):
             with pytest.raises(DepthCapError, match="period work cap of 53 "):
                 call()
+        # The zeros that follow the window are free of the work cap, not of the digit cap:
+        # 1/(3^40 - 1) is 39 zeros and a 1 over a 64-bit q'. The window's 7 digits and
+        # the 1 are charged, the other 32 zeros are not.
+        x = F(1, 3**40 - 1)
+        monkeypatch.setattr(analysis_module, "MAX_PERIOD_WORK", 64 * 8)
+        assert base_expansion(x, 3).period == (0,) * 39 + (1,)
+        monkeypatch.setattr(analysis_module, "MAX_PERIOD_WORK", 64 * 8 - 1)
+        with pytest.raises(DepthCapError, match=r"^the base-3 period exceeds the period work cap of 511 "
+                                                r"\(digits x denominator bits\): over 7 digits of a "
+                                                r"64-bit denominator$"):
+            base_expansion(x, 3)
+        monkeypatch.setattr(analysis_module, "MAX_PERIOD_WORK", 64 * 8)
+        monkeypatch.setattr(analysis_module, "MAX_PERIOD_DIGITS", 39)
+        with pytest.raises(DepthCapError, match="^the base-3 period exceeds the period cap of 39 digits$"):
+            base_expansion(x, 3)
         # Where the digit cap binds, also together with the work cap, its line is the one raised.
         monkeypatch.setattr(analysis_module, "MAX_PERIOD_DIGITS", 5)
         for work in (15, 17):
             monkeypatch.setattr(analysis_module, "MAX_PERIOD_WORK", work)
             with pytest.raises(DepthCapError, match="^the base-10 period exceeds the period cap of 5 digits$"):
                 base_expansion(F(1, 7), 10)
+
+
+    def test_a_period_that_ends_among_the_zeros_after_the_window(self):
+        # Base 10 reads t = 3 digits a step. 7000/99999 repeats 07000: its
+        # window is 070, and the zeros after it run on into the next period.
+        assert base_expansion(F(7000, 99999), 10) == ExpansionRecord(10, (), (0, 7, 0, 0, 0))
+        assert base_expansion(F(7, 99999), 10) == ExpansionRecord(10, (), (0, 0, 0, 0, 7))
 
 
 class TestMemberLimit:

@@ -455,6 +455,14 @@ class TestCaps:
                                            "(digits x denominator bits): over 12929 digits of a "
                                            "332193-bit denominator\n")
 
+    def test_a_points_leading_zeros_are_free_of_the_period_work_cap(self):
+        # 1e-26000's first nonzero ternary digit is its 54,494th, past the
+        # 49,726 digits that the work cap allows its 86,371-bit q': charged
+        # for its zeros, it exited 3 before reading that digit, a 1.
+        assert 3**54_493 < 10**26_000 <= 3**54_494 < 2 * 10**26_000
+        code, out, err = launch("cantor-fn", "--x", "1e-26000")
+        assert (code, out) == (1, "") and err.endswith(" is not in the ternary Cantor set\n")
+
     def test_period_over_the_cap_exits_3(self):
         # The ternary period of 1/1000000007 is 500000003 digits long.
         code, out, err = launch("expansion", "--x", "1/1000000007", "--base", "3")
@@ -503,19 +511,21 @@ class TestCaps:
                         reason="this interpreter prints integers of any length")
     @pytest.mark.parametrize("alpha", ["1/3", "1/2", "7/1000003", "999999/1000003"])
     def test_length_guard_refuses_only_what_cannot_be_printed(self, capsys, alpha):
-        # The first depth the guard refuses has a stage length whose
-        # denominator has more digits than Python converts; the depth before
-        # it is left to the conversion itself.
+        # The stage-k length is (c/s)^k, whose denominator is t^k. The first
+        # depth refused is the first whose t^k has more digits than Python
+        # converts, and the depth before it is printed.
         row = moran_row(Proportional(F(alpha)))
-        t = row.s // math.gcd(row.c, row.s)
-        k = int(3.33 * sys.get_int_max_str_digits() / (t.bit_length() - 1)) + 1
-        assert t**k >= 10 ** sys.get_int_max_str_digits()
-        code, _, err = run(capsys, "analyze", "--family", "proportional", "--alpha", alpha,
-                           "--depth", str(k), "--kmax", "1")
-        assert code == 2 and err.startswith(f"result too large to print: the stage-{k} length")
-        code, _, err = run(capsys, "analyze", "--family", "proportional", "--alpha", alpha,
-                           "--depth", str(k - 1), "--kmax", "1")
-        assert code in (0, 2) and not err.startswith("result too large to print: the stage-")
+        t, limit = row.s // math.gcd(row.c, row.s), sys.get_int_max_str_digits()
+        k = math.ceil(limit / math.log10(t))
+        assert t ** (k - 1) < 10**limit <= t**k
+        code, out, err = run(capsys, "analyze", "--family", "proportional", "--alpha", alpha,
+                             "--depth", str(k), "--kmax", "1")
+        assert (code, out, err) == (2, "", f"result too large to print: the stage-{k} length has "
+                                           f"over {limit} digits (sys.get_int_max_str_digits())\n")
+        code, out, err = run(capsys, "analyze", "--family", "proportional", "--alpha", alpha,
+                             "--depth", str(k - 1), "--kmax", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["level_stats"]["min_length"].endswith(f"/{t ** (k - 1)}")
 
     # The count m^j of a Power or Lambda row (m = 2) is printed at any depth;
     # unguarded, Power(4) at depth 10^6 spent 11 s in level_stats before the
@@ -542,17 +552,33 @@ class TestCaps:
     @pytest.mark.parametrize("family", [Power(3), Power(4), LambdaFamily(F(1, 2)),
                                         LambdaFamily(F(1))], ids=repr)
     def test_count_guard_refuses_only_what_cannot_be_printed(self, capsys, family):
-        # The first depth the guard refuses has a count m^k with more digits
-        # than Python converts; the depth before it is left to the conversion.
+        # The first depth the count guard refuses has a count m^k with more
+        # digits than Python converts. The depth before it passes the guard,
+        # and is refused by the exact check of the stage length, whose
+        # denominator is at least the count (m^k L_k, the measure, is at most 1).
         m, limit = moran_row(family).m, sys.get_int_max_str_digits()
         k = int(3.33 * limit / (m.bit_length() - 1)) + 1
         assert m**k >= 10**limit
         spec = json.dumps(family_to_json(family))
-        code, _, err = run(capsys, "analyze", "--family-json", spec, "--depth", str(k), "--kmax", "1")
-        assert code == 2 and err.startswith(f"result too large to print: the stage-{k} count")
-        code, _, err = run(capsys, "analyze", "--family-json", spec, "--depth", str(k - 1),
-                           "--kmax", "1")
-        assert code in (0, 2) and not err.startswith("result too large to print: the stage-")
+        for depth, what in ((k, "count"), (k - 1, "length")):
+            code, out, err = run(capsys, "analyze", "--family-json", spec, "--depth", str(depth),
+                                 "--kmax", "1")
+            assert (code, out, err) == (2, "", f"result too large to print: the stage-{depth} {what} "
+                                               f"has over {limit} digits (sys.get_int_max_str_digits())\n")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("argv", [
+        ("--family", "lambda", "--lambda", "1/2", "--depth", "9000"),
+        ("--family", "power", "--n", "4", "--depth", "8000")], ids=["lambda", "power"])
+    def test_a_length_past_the_bit_guard_and_too_long_to_print_gets_the_guards_line(self, capsys,
+                                                                                   argv):
+        # _length_bits is a floor: these lengths pass it, and the interpreter's
+        # "Exceeds the limit" error used to be the message.
+        code, out, err = run(capsys, "analyze", *argv, "--kmax", "1")
+        limit = sys.get_int_max_str_digits()
+        assert (code, out, err) == (2, "", f"result too large to print: the stage-{argv[-1]} length "
+                                           f"has over {limit} digits (sys.get_int_max_str_digits())\n")
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="this interpreter prints integers of any length")
@@ -588,6 +614,26 @@ class TestCaps:
         message = (f"{prefix}rational {text[:40]!r} has a run of over {limit} digits, "
                    f"the limit of sys.get_int_max_str_digits()\n")
         assert run(capsys, *argv) == (2, "", message)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter reads integers of any length")
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--family", "power", "--n", "{}"),
+        ("generate", "--family", "power", "--n", "4", "--depth", "{}"),
+        ("expansion", "--x", "1/3", "--base", "{}")], ids=["n", "depth", "base"])
+    def test_an_integer_flag_past_the_digit_limit_is_named_not_malformed(self, capsys, argv):
+        # int() raises its digit-limit error, which used to be reported as an
+        # invalid int value.
+        limit = sys.get_int_max_str_digits()
+        text = "1" * (limit + 700)
+        code, out, err = run(capsys, *(arg.format(text) for arg in argv))
+        assert (code, out) == (2, "")
+        flag = argv[-2]
+        assert err.splitlines()[-1] == (
+            f"cantorlike {argv[0]}: error: argument {flag}: int value {text[:40]!r} has a run of "
+            f"over {limit} digits, the limit of sys.get_int_max_str_digits()")
+        code, out, err = run(capsys, *(arg.format("1" * limit + "x") for arg in argv))
+        assert err.splitlines()[-1].endswith(f"argument {flag}: invalid int value: {'1' * 40!r}")
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="this interpreter reads integers of any length")

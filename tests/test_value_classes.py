@@ -1,9 +1,10 @@
-"""The contract of the nine frozen value classes, and what a launch imports.
+"""The contract of the frozen value classes, and what a launch imports.
 
 Every class is an immutable record compared by value: its repr lists the
 fields, equal fields mean equal and hash-equal objects of the same class,
 fields cannot be assigned or deleted, construction takes the fields
-positionally or by keyword, and copies and pickles round-trip.
+positionally or by keyword, and copies and pickles round-trip. IntervalSet
+is built from intervals, not from its fields, and is checked apart.
 """
 
 import copy
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from cantorlike.analysis import DimensionReport, ExpansionRecord
-from cantorlike.exact import ClosedInterval
+from cantorlike.exact import ClosedInterval, IntervalSet
 from cantorlike.families import (
     DigitSet,
     IfsMaps,
@@ -25,6 +26,8 @@ from cantorlike.families import (
     OpenInterval,
     Power,
     Proportional,
+    ifs_step,
+    iterate,
 )
 
 # (class, fields in order, the same fields with one value changed, repr text)
@@ -128,6 +131,49 @@ def test_copies_and_pickles_round_trip(cls, fields, changed, text):
                     for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
         assert type(clone) is cls and clone == obj and hash(clone) == hash(obj)
         assert repr(clone) == text
+
+
+def interval_sets():
+    # A stage, the empty set and a single point.
+    return [iterate(Power(4), 3), IntervalSet([]), IntervalSet([ClosedInterval(F(1, 3), F(1, 3))])]
+
+
+def test_interval_set_fields_cannot_be_assigned_or_deleted():
+    for s in interval_sets():
+        fields = (s.denom, s.ends)
+        for name in ("denom", "ends"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(s, name)
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        assert (s.denom, s.ends) == fields
+
+
+def test_interval_set_copies_and_pickles_round_trip():
+    for s in interval_sets():
+        for clone in (copy.copy(s), copy.deepcopy(s),
+                      *(pickle.loads(pickle.dumps(s, protocol))
+                        for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert type(clone) is IntervalSet and clone == s and hash(clone) == hash(s)
+            assert (clone.denom, clone.ends) == (s.denom, s.ends) and repr(clone) == repr(s)
+
+
+def test_equal_interval_sets_compare_and_hash_equal_however_built():
+    # The ternary stage 2, from intervals given out of order over other
+    # denominators, from the stage engine and from one IFS step of stage 1.
+    by_list = IntervalSet([ClosedInterval(F(6, 9), F(7, 9)), ClosedInterval(F(0), F(2, 18)),
+                           ClosedInterval(F(8, 9), F(1)), ClosedInterval(F(2, 9), F(3, 9))])
+    by_iterate = iterate(Proportional(F(1, 3)), 2)
+    by_step = ifs_step(iterate(Proportional(F(1, 3)), 1),
+                       IfsMaps(((F(1, 3), F(0)), (F(1, 3), F(2, 3)))))
+    assert by_list == by_iterate == by_step
+    assert hash(by_list) == hash(by_iterate) == hash(by_step) == hash((9, (0, 1, 2, 3, 6, 7, 8, 9)))
+    for s in (*interval_sets(), by_list):
+        assert hash(s) == hash((s.denom, s.ends))
+    assert by_list != iterate(Proportional(F(1, 3)), 3) and by_list != (9, by_list.ends)
+    assert len({by_list, by_iterate, by_step, IntervalSet([])}) == 2
 
 
 def test_digit_set_sorts_its_digits():
