@@ -35,7 +35,7 @@ from .analysis import (
     similarity_dimension,
 )
 from .counterexample import tail_table_rows
-from .exact import _echo, _over_digit_limit, format_rational, parse_rational, rational_decimal
+from .exact import _digit_limit, _echo, _over_limit, _read_int, format_rational, parse_rational, rational_decimal
 from .families import (
     _FAMILY_FIELDS,
     DepthCapError,
@@ -63,17 +63,17 @@ def _fail(code: int, message: str) -> None:  # never returns
     raise SystemExit(code)
 
 
+def _too_large(what: str) -> None:  # never returns
+    _fail(EXIT_BAD_FAMILY, f"result too large to print: {what} over {_digit_limit()} digits "
+                           f"(sys.get_int_max_str_digits())")
+
+
 def _int(text: str) -> int:
-    """The reader of every integer flag: int(text), with at most the first 40
-    characters of a bad value echoed in argparse's message, and a run of
-    digits over sys.get_int_max_str_digits() refused by that name."""
+    # exact._read_int, its refusal in argparse's message.
     try:
-        return int(text)
-    except ValueError:
-        if limit := _over_digit_limit(text):
-            raise argparse.ArgumentTypeError(f"int value {_echo(text)} has a run of over {limit} "
-                                             f"digits, the limit of sys.get_int_max_str_digits()") from None
-        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+        return _read_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _choice(text: str) -> str:
@@ -102,19 +102,25 @@ def _unique_keys(pairs: list) -> dict:
     return dict(pairs)
 
 
-def _build_family(args: argparse.Namespace) -> FamilySpec:
-    """The family of --family-json, else of --family and one flag per field of its kind."""
+def _build_family(args: argparse.Namespace, default: FamilySpec | None = None) -> FamilySpec:
+    """The family of --family-json, else of --family and its field flags, else default if no flag is given."""
     try:
         if args.family_json:
-            return family_from_json(json.loads(args.family_json, object_pairs_hook=_unique_keys))
+            return family_from_json(json.loads(args.family_json, object_pairs_hook=_unique_keys,
+                                               parse_int=_read_int))
+        flags = {name: getattr(args, name) for _, _, fields in _FAMILY_FIELDS.values() for name, *_ in fields}
+        given = [name for name, text in flags.items() if text is not None]
         if args.family is None:
+            if default is not None and not given:
+                return default
             raise ValueError("no family given (use --family or --family-json)")
         cls, _, fields = _FAMILY_FIELDS[args.family]
-        texts = [getattr(args, name) for name, *_ in fields]
-        if None in texts:
-            flags = " and ".join(f"--{name}" for name, *_ in fields)
-            raise ValueError(f"--family {args.family} requires {flags}")
-        return cls(*(read(text) for (*_, read), text in zip(fields, texts)))
+        names = [name for name, *_ in fields]
+        if not set(names) <= set(given):
+            raise ValueError(f"--family {args.family} requires {' and '.join(f'--{name}' for name in names)}")
+        if extra := [name for name in given if name not in names]:
+            raise ValueError(f"family flags have a flag --{extra[0]} that family {args.family!r} does not read")
+        return cls(*(read(flags[name]) for name, *_, read in fields))
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         _fail(EXIT_BAD_FAMILY, f"invalid family: {exc}")
 
@@ -239,23 +245,18 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     _require_at_least("--depth", args.depth, 0)
     _require_at_least("--kmax", args.kmax, 1)
     row = moran_row(family)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-    def refuse(what: str) -> None:  # never returns
-        _fail(EXIT_BAD_FAMILY, f"result too large to print: the stage-{_echo(args.depth, str)} "
-                               f"{what} has over {limit} digits (sys.get_int_max_str_digits())")
-
+    limit, stage = _digit_limit(), f"the stage-{_echo(args.depth, str)}"
     # The stage length's denominator and the count m^j, j = _live_steps, are each at least 2^bits
     # for the bits below (_length_bits), and past 2^(3.33 limit) > 10^limit cannot be printed.
     for what, bits in (("length", _length_bits(row, args.depth)),
                        ("count", _live_steps(row, args.depth) * (row.m.bit_length() - 1))):
         if limit and bits > 3.33 * limit:
-            refuse(what)
+            _too_large(f"{stage} {what} has")
     # What passes is cheap to build and is held to 10^limit exactly. The length's denominator
     # is the largest integer printed: m^j L_j, the measure, is at most 1, so it is at least m^j.
     stats = level_stats(family, args.depth)
     if limit and stats.length.denominator >= 10**limit:
-        refuse("length")
+        _too_large(f"{stage} length has")
     measure, limit_value = measure_at_depth(family, args.depth), limit_measure(family)
     report = {
         "family": family_to_json(family),
@@ -332,7 +333,7 @@ def _cmd_cantor_fn(args: argparse.Namespace) -> None:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> None:
-    family = _build_family(args) if (args.family or args.family_json) else Power(4)
+    family = _build_family(args, Power(4))
     _require_at_least("--n-max", args.n_max, 0)
     _write_rows(tail_table_rows(family, args.n_max), "\n")
 
@@ -414,12 +415,10 @@ def main(argv: list[str] | None = None) -> int:
     except DepthCapError as exc:  # a depth, stage size, period or walk cap, before any output
         _fail(EXIT_DEPTH_CAP, str(exc))
     except ValueError as exc:
-        # Python refuses to print an integer of more digits than
-        # sys.get_int_max_str_digits() (4300 by default): an exact result too
-        # large to print is a request out of range, not a crash.
-        if "integer string conversion" not in str(exc):
+        # An exact result of over _digit_limit() digits is a request out of range, not a crash.
+        if not _over_limit(exc):
             raise
-        _fail(EXIT_BAD_FAMILY, f"result too large to print: {exc}")
+        _too_large("an integer has")
     return 0
 
 

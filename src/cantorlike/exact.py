@@ -26,37 +26,46 @@ MAX_DECIMAL_EXPONENT = 100_000
 already expands to a 100,001-digit denominator."""
 
 _EXPONENT = re.compile(r"e[-+]?([0-9_]+)\s*$", re.IGNORECASE)
-_DIGIT_RUN = re.compile(r"[0-9]+")
+
+
+def _digit_limit() -> int:
+    """sys.get_int_max_str_digits(), or 0 (no limit) where the interpreter has none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _over_limit(exc: ValueError) -> bool:
+    """Whether exc is the interpreter's refusal of an integer of over _digit_limit() digits,
+    which has no type of its own: its message always holds "integer string conversion"."""
+    return "integer string conversion" in str(exc)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" (or plain integer or decimal) string into an exact Fraction.
-
-    A decimal exponent over MAX_DECIMAL_EXPONENT in magnitude is refused
-    before any digit is expanded, and a run of digits longer than
-    ``sys.get_int_max_str_digits()`` is refused by name, not as malformed.
-    """
+    """Parse a "p/q" (or plain integer or decimal) string into an exact Fraction,
+    or refuse it as malformed or by the digit limit (_read). A decimal exponent
+    over MAX_DECIMAL_EXPONENT in magnitude is refused before any digit is expanded."""
     exponent = _EXPONENT.search(text)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"decimal exponent of {_echo(text)} exceeds {MAX_DECIMAL_EXPONENT}")
+    return _read(Fraction, text, "rational", "malformed rational")
+
+
+def _read_int(text: str) -> int:
+    """The reader of every integer flag, --digits entry and JSON number: int(text), refused as by _read."""
+    return _read(int, text, "int value", "invalid int value:")
+
+
+def _read(parse, text: str, what: str, bad: str):
+    # parse(text), or one line for text it refuses, which echoes at most 40
+    # characters: named by the limit when a run of digits over it is why, else bad.
     try:
-        return Fraction(text.strip())
+        return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        if limit := _over_digit_limit(text):
-            raise ValueError(f"rational {_echo(text)} has a run of over {limit} digits, "
+        if _over_limit(exc):
+            raise ValueError(f"{what} {_echo(text)} has a run of over {_digit_limit()} digits, "
                              f"the limit of sys.get_int_max_str_digits()") from exc
-        raise ValueError(f"malformed rational {_echo(text)}") from exc
-
-
-def _over_digit_limit(text: str) -> int:
-    """sys.get_int_max_str_digits() (0 for no limit) when text holds a run of
-    more digits than it, which int() refuses, else 0. Underscores do not count."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and max(map(len, _DIGIT_RUN.findall(text.replace("_", ""))), default=0) > limit:
-        return limit
-    return 0
+        raise ValueError(f"{bad} {_echo(text)}") from exc
 
 
 def format_rational(x: Fraction) -> str:
@@ -67,14 +76,15 @@ def format_rational(x: Fraction) -> str:
 def _echo(value: object, show=repr) -> str:
     """show(value) for an error message, from at most the first 40 characters
     of the input: a string is cut before it is shown, anything else after. A
-    number with more digits than sys.get_int_max_str_digits(), which show
-    cannot print, is named by that limit."""
+    number of over _digit_limit() digits, which show cannot print, is named by it."""
     if type(value) is str:
         return show(value[:40])
     try:
         return show(value)[:40]
-    except ValueError:
-        return f"a rational of over {sys.get_int_max_str_digits()} digits"
+    except ValueError as exc:
+        if not _over_limit(exc):
+            raise
+        return f"a rational of over {_digit_limit()} digits"
 
 
 def format_ratio(num: int, den: int) -> str:

@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import add, gt, itemgetter
 
 from .exact import (IntervalSet, _Frozen, _affine_ends, _json_int, _json_ints, _json_rational, _json_shape,
-                    _echo, _merge, format_rational, parse_rational)
+                    _echo, _merge, _read_int, format_rational, parse_rational)
 
 DEFAULT_DEPTH_CAP = 24
 """Deepest stage built; binds only for Power(2): the size cap refuses the rest past 21."""
@@ -398,16 +398,6 @@ def _centred_removal_row(n: int, lam: Fraction) -> MoranRow:
     return MoranRow(2 * n * q, 2, n * q, p, 2 * q)
 
 
-def _flag_int(text: str) -> int:
-    # int(text), echoing at most 40 characters of a malformed value.
-    try:
-        return int(text)
-    except ValueError as exc:
-        if str(exc).startswith("invalid literal"):
-            raise ValueError(f"invalid literal for int() with base 10: {_echo(text)}") from None
-        raise  # a run of digits over sys.get_int_max_str_digits(), not echoed
-
-
 _FAMILY_FIELDS = {
     "proportional": (Proportional,  # children (1 - alpha)/2 of the parent
                      lambda alpha: MoranRow(2 * alpha.denominator, 2, alpha.denominator - alpha.numerator, 0, 1),
@@ -415,7 +405,7 @@ _FAMILY_FIELDS = {
     "power": (Power, lambda n: _centred_removal_row(n, 1), (("n", _json_int, int, int),)),
     "digit": (DigitSet, lambda n, digits: MoranRow(n, len(digits), 1, 0, 1, digits),  # children 1/n
               (("n", _json_int, int, int),
-               ("digits", _json_ints, list, lambda text: tuple(map(_flag_int, text.split(",")))))),
+               ("digits", _json_ints, list, lambda text: tuple(map(_read_int, text.split(",")))))),
     "lambda": (LambdaFamily, lambda lam: _centred_removal_row(3, lam),
                (("lambda", _json_rational, format_rational, parse_rational),)),
 }

@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 from fractions import Fraction as F
 from itertools import islice
 
@@ -22,6 +21,7 @@ from cantorlike.analysis import (
     membership_witness,
     similarity_dimension,
 )
+from cantorlike.exact import _digit_limit
 from cantorlike.families import (
     DepthCapError,
     DigitSet,
@@ -370,7 +370,7 @@ class TestMemberAtDepth:
             member_at_depth(F(3, 2), MIDDLE_THIRDS, 3)
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+@pytest.mark.skipif(not _digit_limit(),
                     reason="this interpreter prints integers of any length")
 @pytest.mark.parametrize("call", [lambda x: base_expansion(x, 3),
                                   lambda x: member_at_depth(x, MIDDLE_THIRDS, 3)],

@@ -13,7 +13,7 @@ import pytest
 from cantorlike import cli as cli_module
 from cantorlike.cli import main
 from cantorlike.counterexample import tail_table_csv
-from cantorlike.exact import IntervalSet
+from cantorlike.exact import IntervalSet, _digit_limit
 from cantorlike.families import (_FAMILY_FIELDS, DigitSet, LambdaFamily, Power, Proportional,
                                   family_to_json, iterate, moran_row)
 from cantorlike.render import render_svg
@@ -155,7 +155,7 @@ class TestGenerate:
         assert len(rows) == 2**13
         assert 3 <= len(log.writes) < 10  # 8192 rows in chunks of 4096, not one write per row
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    @pytest.mark.skipif(not _digit_limit(),
                         reason="this interpreter prints integers of any length")
     @pytest.mark.parametrize("flags", [("--depth", "1", "--format", "csv"),
                                        ("--depth", "1", "--format", "json", "--decimal"),
@@ -167,7 +167,8 @@ class TestGenerate:
         code, out, err = run(capsys, "generate", "--family", "lambda", "--lambda", "1e-4400",
                              *flags)
         assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and err.startswith("result too large to print: ")
+        assert err == (f"result too large to print: an integer has over {_digit_limit()} digits "
+                       "(sys.get_int_max_str_digits())\n")
 
 
 class TestAnalyze:
@@ -214,14 +215,15 @@ class TestAnalyze:
         assert out == ""
         assert err.count("\n") == 1 and f"{flags[0]} must be >=" in err
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    @pytest.mark.skipif(not _digit_limit(),
                         reason="this interpreter prints integers of any length")
-    @pytest.mark.parametrize("flags", [("--family", "power", "--n", "4", "--depth", "8000"),
-                                       ("--family", "lambda", "--lambda", "1e-4400")])
-    def test_result_too_large_to_print_exits_2(self, capsys, flags):
+    @pytest.mark.parametrize("flags, depth", [(("--family", "power", "--n", "4", "--depth", "8000"), 8000),
+                                              (("--family", "lambda", "--lambda", "1e-4400"), 8)])
+    def test_result_too_large_to_print_exits_2(self, capsys, flags, depth):
         code, out, err = run(capsys, "analyze", *flags)
         assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and err.startswith("result too large to print: ")
+        assert err == (f"result too large to print: the stage-{depth} length has over {_digit_limit()} "
+                       "digits (sys.get_int_max_str_digits())\n")
 
     def test_depth_2000_still_answers(self, capsys):
         code, out, _ = run(capsys, "analyze", "--family", "power", "--n", "4",
@@ -492,7 +494,7 @@ class TestCaps:
         assert err == (f"a walk of {steps} steps may reach {bits}-bit integers, "
                        "over the walk cap of 16384 bits\n")
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    @pytest.mark.skipif(not _digit_limit(),
                         reason="this interpreter prints integers of any length")
     def test_stage_length_too_large_to_print_exits_2_before_it_is_computed(self, capsys,
                                                                           monkeypatch):
@@ -505,9 +507,10 @@ class TestCaps:
         code, out, err = run(capsys, "analyze", "--family", "proportional", "--alpha", "1e-1000",
                              "--depth", "2000")
         assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and err.startswith("result too large to print: ")
+        assert err == (f"result too large to print: the stage-2000 length has over {_digit_limit()} "
+                       "digits (sys.get_int_max_str_digits())\n")
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    @pytest.mark.skipif(not _digit_limit(),
                         reason="this interpreter prints integers of any length")
     @pytest.mark.parametrize("alpha", ["1/3", "1/2", "7/1000003", "999999/1000003"])
     def test_length_guard_refuses_only_what_cannot_be_printed(self, capsys, alpha):
@@ -530,7 +533,7 @@ class TestCaps:
     # The count m^j of a Power or Lambda row (m = 2) is printed at any depth;
     # unguarded, Power(4) at depth 10^6 spent 11 s in level_stats before the
     # same exit 2.
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    @pytest.mark.skipif(not _digit_limit(),
                         reason="this interpreter prints integers of any length")
     @pytest.mark.parametrize("family, what", [(Power(4), "count"), (LambdaFamily(F(1, 2)), "count"),
                                               (DigitSet(5, (0, 1, 4)), "length")], ids=repr)
@@ -547,7 +550,7 @@ class TestCaps:
         assert err == (f"result too large to print: the stage-10000000 {what} has over "
                        f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())\n")
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    @pytest.mark.skipif(not _digit_limit(),
                         reason="this interpreter prints integers of any length")
     @pytest.mark.parametrize("family", [Power(3), Power(4), LambdaFamily(F(1, 2)),
                                         LambdaFamily(F(1))], ids=repr)
@@ -566,7 +569,7 @@ class TestCaps:
             assert (code, out, err) == (2, "", f"result too large to print: the stage-{depth} {what} "
                                                f"has over {limit} digits (sys.get_int_max_str_digits())\n")
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    @pytest.mark.skipif(not _digit_limit(),
                         reason="this interpreter prints integers of any length")
     @pytest.mark.parametrize("argv", [
         ("--family", "lambda", "--lambda", "1/2", "--depth", "9000"),
@@ -580,7 +583,7 @@ class TestCaps:
         assert (code, out, err) == (2, "", f"result too large to print: the stage-{argv[-1]} length "
                                            f"has over {limit} digits (sys.get_int_max_str_digits())\n")
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    @pytest.mark.skipif(not _digit_limit(),
                         reason="this interpreter prints integers of any length")
     @pytest.mark.parametrize("argv, code, message", [
         (("cantor-fn", "--x", "1e-4400"), 1, "{} is not in the ternary Cantor set"),
@@ -595,7 +598,7 @@ class TestCaps:
         shown = f"a rational of over {sys.get_int_max_str_digits()} digits"
         assert run(capsys, *argv) == (code, "", message.format(shown) + "\n")
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    @pytest.mark.skipif(not _digit_limit(),
                         reason="this interpreter reads integers of any length")
     @pytest.mark.parametrize("text, argv, prefix", [
         ("1" + "0" * 4400 + "/1", ("analyze", "--family", "proportional", "--alpha", "{}"),
@@ -615,37 +618,42 @@ class TestCaps:
                    f"the limit of sys.get_int_max_str_digits()\n")
         assert run(capsys, *argv) == (2, "", message)
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    @pytest.mark.skipif(not _digit_limit(),
                         reason="this interpreter reads integers of any length")
-    @pytest.mark.parametrize("argv", [
-        ("analyze", "--family", "power", "--n", "{}"),
-        ("generate", "--family", "power", "--n", "4", "--depth", "{}"),
-        ("expansion", "--x", "1/3", "--base", "{}")], ids=["n", "depth", "base"])
-    def test_an_integer_flag_past_the_digit_limit_is_named_not_malformed(self, capsys, argv):
-        # int() raises its digit-limit error, which used to be reported as an
-        # invalid int value.
-        limit = sys.get_int_max_str_digits()
-        text = "1" * (limit + 700)
-        code, out, err = run(capsys, *(arg.format(text) for arg in argv))
+    @pytest.mark.parametrize("argv, line", [
+        (("analyze", "--family", "power", "--n", "{}"), "cantorlike analyze: error: argument --n: {}"),
+        (("generate", "--family", "power", "--n", "4", "--depth", "{}"),
+         "cantorlike generate: error: argument --depth: {}"),
+        (("analyze", "--family", "power", "--n", "4", "--kmax", "{}"),
+         "cantorlike analyze: error: argument --kmax: {}"),
+        (("expansion", "--x", "1/3", "--base", "{}"), "cantorlike expansion: error: argument --base: {}"),
+        (("counterexample", "--n-max", "{}"), "cantorlike counterexample: error: argument --n-max: {}"),
+        (("generate", "--family", "power", "--n", "4", "--depth", "1", "--format", "svg", "--width", "{}"),
+         "cantorlike generate: error: argument --width: {}"),
+        (("render", "--family", "power", "--n", "4", "--row-height", "{}"),
+         "cantorlike render: error: argument --row-height: {}"),
+        (("analyze", "--family", "digit", "--n", "5", "--digits", "0,{},4"), "invalid family: {}"),
+        (("analyze", "--family-json", '{{"family": "power", "n": {}}}'), "invalid family: {}"),
+    ], ids=["n", "depth", "kmax", "base", "n-max", "width", "row-height", "digits", "family-json"])
+    def test_an_integer_reader_names_the_digit_limit_or_calls_its_input_invalid(self, capsys, argv,
+                                                                                line):
+        # int() raises its digit-limit error, which a flag used to report as an
+        # invalid int value and a --digits entry or JSON number in the
+        # interpreter's own words. exact._read_int reads all of them.
+        limit = _digit_limit()
+        over, bad = "1" * (limit + 700), "1" * limit + "x"
+        code, out, err = run(capsys, *(arg.format(over) for arg in argv))
         assert (code, out) == (2, "")
-        flag = argv[-2]
-        assert err.splitlines()[-1] == (
-            f"cantorlike {argv[0]}: error: argument {flag}: int value {text[:40]!r} has a run of "
-            f"over {limit} digits, the limit of sys.get_int_max_str_digits()")
-        code, out, err = run(capsys, *(arg.format("1" * limit + "x") for arg in argv))
-        assert err.splitlines()[-1].endswith(f"argument {flag}: invalid int value: {'1' * 40!r}")
-
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                        reason="this interpreter reads integers of any length")
-    def test_a_digits_entry_past_the_digit_limit_exits_2_unechoed(self, capsys):
-        # families._flag_int re-raises int()'s own digit-limit error, so the
-        # wording is the interpreter's: its shape is checked, not its text.
-        limit = sys.get_int_max_str_digits()
-        code, out, err = run(capsys, "analyze", "--family", "digit", "--n", "5",
-                             "--digits", "0,1" + "1" * (limit + 99) + ",4")
+        assert err.splitlines()[-1] == line.format(
+            f"int value {over[:40]!r} has a run of over {limit} digits, the limit of "
+            "sys.get_int_max_str_digits()")
+        code, out, err = run(capsys, *(arg.format(bad) for arg in argv))
         assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and err.startswith("invalid family: ")
-        assert str(limit) in err and not re.search(r"\d{41}", err)
+        if "--family-json" in argv:  # a JSON number is whole digits: the decoder refuses the rest
+            assert err == (f"invalid family: Expecting ',' delimiter: line 1 column {limit + 26} "
+                           f"(char {limit + 25})\n")
+        else:
+            assert err.splitlines()[-1] == line.format(f"invalid int value: {bad[:40]!r}")
 
     @pytest.mark.parametrize("argv, code, message", [
         (("member", "--family", "proportional", "--alpha", "1/3", "--depth", "2",
@@ -690,7 +698,7 @@ class TestCaps:
             ("analyze", "--family", "lambda", "--lambda", "1/2", "--depth", "1" + "0" * 4000), 2,
             "result too large to print: the stage-1" + "0" * 39 + " count has over "
             f"{getattr(sys, 'get_int_max_str_digits', int)()} digits (sys.get_int_max_str_digits())",
-            marks=pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+            marks=pytest.mark.skipif(not _digit_limit(),
                                      reason="this interpreter prints integers of any length")),
         (("expansion", "--x", "1/3", "--base", "x" * 5000), 2,
          "usage: cantorlike expansion [-h] --x X [--base BASE]\n"
@@ -699,7 +707,7 @@ class TestCaps:
          "invalid family: maximum recursion depth exceeded while decoding a JSON array "
          "from a unicode string"),
         (("analyze", "--family", "digit", "--n", "5", "--digits", "0," + "x" * 5000), 2,
-         "invalid family: invalid literal for int() with base 10: '" + "x" * 40 + "'"),
+         "invalid family: invalid int value: '" + "x" * 40 + "'"),
         (("analyze", "--family", "x" * 5000), 2,
          usage("analyze") + "cantorlike analyze: error: argument --family: invalid choice: '"
          + "x" * 40 + "' (choose from 'proportional', 'power', 'digit', 'lambda')"),
@@ -742,12 +750,35 @@ class TestFamilyFlags:
         (("--family", "digit", "--n", "5"), "--family digit requires --n and --digits"),
         (("--family", "digit", "--digits", "0,4"), "--family digit requires --n and --digits"),
         (("--family", "lambda"), "--family lambda requires --lambda"),
-        (("--family", "digit", "--n", "5", "--digits", "0,x"),
-         "invalid literal for int() with base 10: 'x'"),
+        (("--family", "digit", "--n", "5", "--digits", "0,x"), "invalid int value: 'x'"),
     ])
     def test_family_flag_errors_exit_2(self, capsys, flags, message):
         code, out, err = run(capsys, "generate", *flags, "--depth", "1")
         assert (code, out, err) == (2, "", f"invalid family: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("generate", "--family", "power", "--n", "4", "--alpha", "1/3", "--depth", "1"),
+         "family flags have a flag --alpha that family 'power' does not read"),
+        (("analyze", "--family", "proportional", "--alpha", "1/3", "--n", "4", "--lambda", "1/2"),
+         "family flags have a flag --n that family 'proportional' does not read"),
+        (("member", "--family", "lambda", "--lambda", "1/2", "--digits", "0,2", "--x", "0",
+          "--depth", "1"), "family flags have a flag --digits that family 'lambda' does not read"),
+        (("render", "--family", "digit", "--n", "5", "--digits", "0,4", "--lambda", "1/2"),
+         "family flags have a flag --lambda that family 'digit' does not read"),
+        (("counterexample", "--n", "5", "--n-max", "3"), "no family given (use --family or --family-json)"),
+        (("counterexample", "--n", "5"), "no family given (use --family or --family-json)"),
+    ], ids=["power-alpha", "proportional-n", "lambda-digits", "digit-lambda", "counterexample-n",
+            "counterexample-n-alone"])
+    def test_a_family_flag_the_kind_does_not_read_exits_2(self, capsys, argv, message):
+        # These flags used to be ignored: counterexample --n 5 printed Power(4)'s table.
+        assert run(capsys, *argv) == (2, "", f"invalid family: {message}\n")
+
+    def test_family_json_overrides_the_flags_and_counterexample_defaults_to_power_4(self, capsys):
+        flags = ("--family", "power", "--n", "4", "--depth", "2")
+        assert (run(capsys, "generate", "--family-json", '{"family": "power", "n": 4}', "--alpha", "1/3",
+                    "--n", "9", "--depth", "2") == run(capsys, "generate", *flags))
+        assert (run(capsys, "counterexample", "--n-max", "15")
+                == run(capsys, "counterexample", "--family", "power", "--n", "4", "--n-max", "15"))
 
 
 class TestClosedStdout:

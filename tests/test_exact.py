@@ -7,6 +7,9 @@ import pytest
 from cantorlike.exact import (
     ClosedInterval,
     IntervalSet,
+    _digit_limit,
+    _echo,
+    _read_int,
     format_rational,
     parse_rational,
     rational_decimal,
@@ -41,6 +44,31 @@ class TestRationalStrings:
         for text in ("1e-100001", "1e100001", "2.5e-" + "9" * 5000):
             with pytest.raises(ValueError, match="exceeds 100000"):
                 parse_rational(text)
+
+    def test_the_readers_keep_the_text_int_and_fraction_accept(self):
+        # One int() or Fraction() call each: whitespace and underscores as they allow.
+        assert [_read_int(text) for text in (" -7\n", "1_000", "+3")] == [-7, 1000, 3]
+        assert parse_rational(" 1/3\n") == F(1, 3)
+        with pytest.raises(ValueError, match=r"^malformed rational 'x1111"):
+            parse_rational("x" + "1" * 5000)  # int() calls it malformed too, whatever its length
+
+    @pytest.mark.skipif(not _digit_limit(), reason="this interpreter reads integers of any length")
+    @pytest.mark.parametrize("read, what", [(_read_int, "int value"), (parse_rational, "rational")])
+    def test_a_run_over_the_digit_limit_is_named_by_it(self, read, what):
+        text = "-" + "1" * (_digit_limit() + 1)
+        with pytest.raises(ValueError) as info:
+            read(text)
+        assert str(info.value) == (f"{what} {text[:40]!r} has a run of over {_digit_limit()} digits, "
+                                   "the limit of sys.get_int_max_str_digits()")
+        assert read(text[:-1]) == -int("1" * _digit_limit())
+
+    def test_echo_names_only_the_digit_limit_refusal(self):
+        class Unprintable:
+            def __repr__(self):
+                raise ValueError("not the digit limit")
+
+        with pytest.raises(ValueError, match="^not the digit limit$"):
+            _echo(Unprintable())
 
     def test_decimal_rendering(self):
         assert rational_decimal(F(1, 2)) == "0.5"

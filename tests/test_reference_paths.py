@@ -61,6 +61,7 @@ from cantorlike.counterexample import tail_measure, tail_table, tail_table_csv
 from cantorlike.exact import (
     ClosedInterval,
     IntervalSet,
+    _digit_limit,
     format_rational,
     rational_decimal,
 )
@@ -802,7 +803,7 @@ def test_length_floor_is_at_most_the_length_bits_on_large_rows(f):
             assert floor >= 0.9 * bits
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+@pytest.mark.skipif(not _digit_limit(),
                     reason="this interpreter prints integers of any length")
 def test_length_floor_refuses_an_r_row_before_its_length_is_computed(capsys, monkeypatch):
     # r != 0: Power(10^1000) at depth 14000 spent 28-32 s in level_stats before the
