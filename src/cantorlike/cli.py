@@ -13,6 +13,7 @@ goes to stderr).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -121,7 +122,9 @@ def _build_family(args: argparse.Namespace, default: FamilySpec | None = None) -
         if extra := [name for name in given if name not in names]:
             raise ValueError(f"family flags have a flag --{extra[0]} that family {args.family!r} does not read")
         return cls(*(read(flags[name]) for name, *_, read in fields))
-    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+    except (json.JSONDecodeError, RecursionError):  # not JSON, or nested past what can be read
+        _fail(EXIT_BAD_FAMILY, f"invalid family: malformed family JSON {_echo(args.family_json)}")
+    except ValueError as exc:
         _fail(EXIT_BAD_FAMILY, f"invalid family: {exc}")
 
 
@@ -422,5 +425,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> int:
+    """main() on sys.argv, for a process that ends with the command: both
+    launchers call it. gc.freeze() then moves every tracked object to the
+    permanent generation, which the teardown collections skip; atexit
+    handlers, the flushes, the exit code and any traceback stay as they are.
+    main() never touches the collector, so in-process callers keep theirs."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import os
@@ -408,15 +409,19 @@ class TestRender:
         assert (code, out, err) == (3, "", "stage 30 exceeds depth cap 24\n")
 
 
+def src_env(**extra):
+    """os.environ with this checkout's src/ first on PYTHONPATH, and ``extra``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))), **extra)
+
+
 def launch(*argv, code=""):
     """Run the CLI as a subprocess, after ``code`` in the same interpreter;
     return its exit code, stdout and stderr."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
     program = f"{code}\nimport sys\nfrom cantorlike.cli import main\nsys.exit(main(sys.argv[1:]))"
     proc = subprocess.run([sys.executable, "-c", program, *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=src_env(), timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -649,9 +654,8 @@ class TestCaps:
             "sys.get_int_max_str_digits()")
         code, out, err = run(capsys, *(arg.format(bad) for arg in argv))
         assert (code, out) == (2, "")
-        if "--family-json" in argv:  # a JSON number is whole digits: the decoder refuses the rest
-            assert err == (f"invalid family: Expecting ',' delimiter: line 1 column {limit + 26} "
-                           f"(char {limit + 25})\n")
+        if "--family-json" in argv:  # a JSON number is whole digits: the document is malformed
+            assert err == f"invalid family: malformed family JSON {argv[-1].format(bad)[:40]!r}\n"
         else:
             assert err.splitlines()[-1] == line.format(f"invalid int value: {bad[:40]!r}")
 
@@ -704,8 +708,13 @@ class TestCaps:
          "usage: cantorlike expansion [-h] --x X [--base BASE]\n"
          "cantorlike expansion: error: argument --base: invalid int value: '" + "x" * 40 + "'"),
         (("analyze", "--family-json", "[" * 100_000), 2,
-         "invalid family: maximum recursion depth exceeded while decoding a JSON array "
-         "from a unicode string"),
+         "invalid family: malformed family JSON '" + "[" * 40 + "'"),
+        (("analyze", "--family-json", '{"a": ' * 100_000), 2,
+         "invalid family: malformed family JSON '" + '{"a": ' * 6 + "{\"a\"'"),
+        # Read or echoed, a field this deep meets the recursion limit.
+        (("analyze", "--family-json", '{"family": "power", "n": ' + "[" * 990 + "]" * 990 + "}"), 2,
+         "invalid family: malformed family JSON '{\"family\": \"power\", \"n\": " + "[" * 15 + "'"),
+        (("analyze", "--family-json", "{"), 2, "invalid family: malformed family JSON '{'"),
         (("analyze", "--family", "digit", "--n", "5", "--digits", "0," + "x" * 5000), 2,
          "invalid family: invalid int value: '" + "x" * 40 + "'"),
         (("analyze", "--family", "x" * 5000), 2,
@@ -719,7 +728,8 @@ class TestCaps:
     ], ids=["malformed-x", "x-range", "depth", "json-shape", "json-missing-key", "json-rational",
             "json-int", "family-kind", "family-kind-of-40", "alpha-range", "lambda-range", "power-n",
             "digit-n", "digit-values", "generate-stage", "render-stage", "member-walk",
-            "analyze-walk", "analyze-print-guard", "int-flag", "deep-json", "digit-literal",
+            "analyze-walk", "analyze-print-guard", "int-flag", "deep-json", "deep-json-object",
+            "deep-json-field", "unclosed-json", "digit-literal",
             "family-choice", "format-choice", "stray-argument"])
     def test_an_error_echoes_at_most_40_characters_of_its_input(self, capsys, argv, code, message):
         # One short line however long the input; an input of 40 characters or
@@ -790,13 +800,63 @@ class TestClosedStdout:
     def test_broken_pipe_exits_141_without_stderr(self, argv):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the child writes a byte
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "cantorlike.cli", *argv],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+                stdout=write_end, stderr=subprocess.PIPE, env=src_env(), timeout=120)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+class TestProcessEntry:
+    """cli.run() is the entry of both launchers: main() on sys.argv, then
+    gc.freeze() so that the interpreter's teardown collections skip what the
+    command left alive. main() itself never touches the collector."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("--help",), 0),
+        (("generate", "--family", "proportional", "--alpha", "1/3", "--depth", "3", "--format", "csv"), 0),
+        (("cantor-fn", "--x", "1/2"), 1),
+        (("analyze", "--family", "x"), 2),
+        (("member", "--family", "power", "--n", "4", "--x", "2", "--depth", "1"), 2),
+        (("generate", "--family", "power", "--n", "4", "--depth", "30"), 3),
+        (("member", "--family", "power", "--n", "4", "--x", "1/3", "--limit"), 4),
+    ], ids=["help", "generate", "cantor-fn", "argparse-error", "fail", "depth-cap", "no-digit-form"])
+    def test_the_module_launcher_gives_mains_outcome_byte_for_byte(self, capsys, monkeypatch, argv,
+                                                                  code):
+        # Exit 141 goes through the module launcher in TestClosedStdout. argparse
+        # wraps usage and help to COLUMNS, so both sides read the same width.
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = run(capsys, *argv)
+        assert expected[0] == code
+        proc = subprocess.run([sys.executable, "-m", "cantorlike.cli", *argv], capture_output=True,
+                              env=src_env(COLUMNS="80"), timeout=60)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
+
+    @pytest.mark.parametrize("argv", [("expansion", "--x", "1/4"), ("analyze", "--family", "x"),
+                                      ("cantor-fn", "--x", "1/2")])
+    def test_main_in_process_leaves_the_collector_unfrozen(self, capsys, argv):
+        before = gc.get_freeze_count()
+        run(capsys, *argv)
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("launcher", [
+        "from cantorlike import cli\nraise SystemExit(cli.run())",
+        "import runpy\nrunpy.run_module('cantorlike.cli', run_name='__main__', alter_sys=True)",
+    ], ids=["run", "module-main"])
+    @pytest.mark.parametrize("argv, code, out", [
+        (("expansion", "--x", "1/4", "--base", "3"), 0, '{"base": 3, "preperiod": [], "period": [0, 2]}\n'),
+        (("cantor-fn", "--x", "1/2"), 1, ""),
+    ], ids=["exit-0", "exit-1"])
+    def test_the_atexit_handlers_run_after_the_freeze(self, launcher, argv, code, out):
+        # Teardown still runs them, which is why the entry does not end the
+        # process with os._exit. runpy runs the module's __main__ block as -m does.
+        program = ("import atexit, gc, sys\n"
+                   "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0,"
+                   " file=sys.stderr))\n"
+                   f"{launcher}\n")
+        proc = subprocess.run([sys.executable, "-c", program, *argv], capture_output=True, text=True,
+                              env=src_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert proc.stderr.splitlines()[-1] == "frozen at exit: True"
