@@ -427,8 +427,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> int:
     """main() on sys.argv, for a process that ends with the command: both
-    launchers call it. gc.freeze() then moves every tracked object to the
-    permanent generation, which the teardown collections skip; atexit
+    launchers call it. Freezing the collector then moves every tracked object
+    to the permanent generation, which the teardown collections skip; atexit
     handlers, the flushes, the exit code and any traceback stay as they are.
     main() never touches the collector, so in-process callers keep theirs."""
     try:

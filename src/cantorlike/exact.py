@@ -75,12 +75,15 @@ def format_rational(x: Fraction) -> str:
 
 def _echo(value: object, show=repr) -> str:
     """show(value) for an error message, from at most the first 40 characters
-    of the input: a string is cut before it is shown, anything else after. A
-    number of over _digit_limit() digits, which show cannot print, is named by it."""
+    of the input: a string is cut before it is shown, anything else after.
+    What show cannot print, a number of over _digit_limit() digits or a value
+    nested too deep, is named instead."""
     if type(value) is str:
         return show(value[:40])
     try:
         return show(value)[:40]
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deep to show"
     except ValueError as exc:
         if not _over_limit(exc):
             raise

@@ -349,6 +349,16 @@ class TestFamilyJson:
         with pytest.raises(ValueError):
             family_from_json(obj)
 
+    def test_a_field_nested_too_deep_to_show_is_named_by_its_type(self):
+        # repr meets the recursion limit at this depth on every interpreter;
+        # the refusal is still the one ValueError line.
+        deep = []
+        for _ in range(100_000):
+            deep = [deep]
+        with pytest.raises(ValueError, match=r"^n must be an integer or a 'p/q' string, "
+                                             r"got a list nested too deep to show$"):
+            family_from_json({"family": "power", "n": deep})
+
     def test_integers_and_rational_strings_accepted(self):
         assert family_from_json({"family": "power", "n": "4"}) == VOLTERRA
         assert family_from_json({"family": "lambda", "lambda": 1}) == LambdaFamily(F(1))
