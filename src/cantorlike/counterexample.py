@@ -18,24 +18,47 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 
-from .families import FamilySpec, _gaps
+from .families import DepthCapError, FamilySpec, _gaps
 from .analysis import limit_measure
-from .exact import _echo
+from .exact import _digit_limit, _echo
+
+TAIL_TABLE_CAP = 1 << 27
+"""Largest tail table, rows x bits of its widest cell, that tail_table and
+tail_table_rows admit: the budget STAGE_SIZE_CAP gives a stage, so a table is
+about as large as the largest stage listing. Power(4) and Lambda(1/2) to n = 30000
+are about 2^20.4 and 2^20.7; to n = 10^6 about 2^25.9 and 2^26.1."""
 
 
-def _prefix_sums(f: FamilySpec, n_max: int) -> Iterator[tuple[int, int, int]]:
+def _generations(f: FamilySpec, n_max: int, tq: int) -> list[tuple[int, int, list, int]]:
+    """The generations of _gaps that rows 1..n_max reach, each drawn once: O(generations).
+    tq times a generation's denominator bounds every cell up to it (sums and tails are at
+    most 1, tails over tq), and DepthCapError is raised as soon as rows x its bits pass
+    TAIL_TABLE_CAP."""
+    gens, n = [], 0
+    for gen in _gaps(f) if n_max > 0 else ():
+        if (n_max + 1) * (tq * gen[0]).bit_length() > TAIL_TABLE_CAP:
+            raise DepthCapError(f"the tail table to n = {_echo(n_max, str)} exceeds the table size cap of "
+                                f"{TAIL_TABLE_CAP} (rows x cell bits)")
+        gens.append(gen)
+        n += gen[3] * len(gen[2])
+        if n >= n_max:
+            break
+    return gens
+
+
+def _prefix_sums(gens: list, n_max: int) -> Iterator[tuple[int, int, int]]:
     """(n, num, denom) with sum_{i <= n} |E_i| = num/denom, for n = 0..n_max.
 
-    One pass over the gap generator: the sum is kept as an integer numerator
-    over the denominator of the current generation and rescaled by the step
-    scale when the next generation starts. Generations are only refined while
-    rows still need them; past the last removal the sums simply stay put.
+    One pass over the generations of _generations: the sum is kept as an
+    integer numerator over the denominator of the current generation and
+    rescaled by the step scale when the next generation starts. Past the last
+    removal the sums simply stay put.
     """
     n, num, denom = 0, 0, 1
     yield n, num, denom
     if n_max <= 0:
         return
-    for denom, s, lengths, parents in _gaps(f):
+    for denom, s, lengths, parents in gens:
         num *= s
         for _ in range(parents):
             for length in lengths:
@@ -75,7 +98,7 @@ def tail_table(f: FamilySpec, n_max: int) -> list[tuple[int, Fraction, Fraction]
         raise ValueError(f"n_max must be nonnegative, got {_echo(n_max, str)}")
     total = 1 - limit_measure(f)
     rows = []
-    for n, num, denom in _prefix_sums(f, n_max):
+    for n, num, denom in _prefix_sums(_generations(f, n_max, total.denominator), n_max):
         acc = Fraction(num, denom)
         rows.append((n, acc, total - acc))
     return rows
@@ -86,13 +109,26 @@ def tail_table_rows(f: FamilySpec, n_max: int) -> Iterator[str]:
     from integers: each p/q cell is reduced by one gcd, and the decimal column
     is the integer true division num / den, which is correctly rounded and so
     equals float(Fraction). Rows are made one at a time, so a writer can emit
-    them in bounded chunks."""
+    them in bounded chunks.
+
+    Before the header, the generations that rows 1..n_max reach are read
+    (_generations): a table over TAIL_TABLE_CAP raises DepthCapError, and one
+    whose cell bound passes the digit limit has its reduced denominators
+    checked, so a cell that cannot be printed raises the interpreter's
+    ValueError before any row goes out."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {_echo(n_max, str)}")
     total = 1 - limit_measure(f)
     tp, tq = total.numerator, total.denominator
+    gens = _generations(f, n_max, tq)
+    if (limit := _digit_limit()) and tq * (gens[-1][0] if gens else 1) >= (top := 10**limit):
+        for n, num, denom in _prefix_sums(gens, n_max):
+            if (tail_den := tq * denom) >= top:  # else no cell of the row can pass the limit
+                for den in (denom // gcd(num, denom), tail_den // gcd(tp * denom - tq * num, tail_den)):
+                    if den >= top:
+                        str(den)  # the refusal that writing the row would meet
     yield "n,sum_removed,tail,tail_decimal"
-    for n, num, denom in _prefix_sums(f, n_max):
+    for n, num, denom in _prefix_sums(gens, n_max):
         tail_num, tail_den = tp * denom - tq * num, tq * denom
         yield (f"{n},{num // (g := gcd(num, denom))}/{denom // g},"
                f"{tail_num // (h := gcd(tail_num, tail_den))}/{tail_den // h},"

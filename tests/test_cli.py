@@ -446,6 +446,29 @@ class TestCaps:
         assert (code, out) == (3, "")
         assert err == "stage 16 exceeds the stage size cap of 134217728 (intervals x denominator bits)\n"
 
+    def test_a_tail_table_over_the_size_cap_exits_3_before_any_row(self, capsys, monkeypatch):
+        # Uncapped, the table streamed rows until it was killed (1,024,000 rows in 3 s).
+        def refuse(text):
+            raise AssertionError(f"counterexample wrote {text[:40]!r} before its refusal")
+
+        monkeypatch.setattr(sys, "stdout", argparse.Namespace(write=refuse, flush=lambda: None))
+        code, _, err = run(capsys, "counterexample", "--n-max", "1000000000000")
+        assert (code, err) == (3, "the tail table to n = 1000000000000 exceeds the table size cap of "
+                                  "134217728 (rows x cell bits)\n")
+
+    @pytest.mark.skipif(not _digit_limit(),
+                        reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("n", [10**320, 10**340], ids=["1e320", "1e340"])
+    def test_a_tail_table_too_large_to_print_exits_2_before_any_row(self, capsys, n):
+        # Generation 13 of Power(10^320) is the first with cells over 4300 digits:
+        # the table used to write its first 4,096-row chunk (rows 0..4094 and the
+        # header) before the exit. With 10^340 the first chunk already failed.
+        code, out, err = run(capsys, "counterexample", "--family", "power", "--n", str(n),
+                             "--n-max", "5000")
+        assert (code, out) == (2, "")
+        assert err == (f"result too large to print: an integer has over {_digit_limit()} digits "
+                       "(sys.get_int_max_str_digits())\n")
+
     def test_stage_at_the_parse_limit_exits_3(self, capsys):
         # Refused off the Moran row, before any step of the length recurrence.
         code, out, err = run(capsys, "generate", "--family", "lambda", "--lambda", "1e-100000",

@@ -3,8 +3,10 @@
 The exit codes are those of README: 0 success, 1 (cantor-fn only) a point
 outside the set, 2 a bad family, rational or argument (including argparse's
 usage errors), 3 a depth over the cap, 4 no digit characterization. A failing
-command writes to stderr and never a traceback; a command that succeeds
-writes nothing there. Depths and sizes stay small so every example is quick.
+command writes nothing to stdout and one line to stderr (after argparse's
+usage for a malformed command line), never a traceback; a command that
+succeeds writes nothing to stderr. Depths and sizes stay small so every
+example is quick.
 """
 
 import contextlib
@@ -111,9 +113,10 @@ def run(argv):
 @settings(max_examples=600, deadline=None)
 @given(argvs)
 def test_every_command_line_ends_in_a_documented_exit_code(argv):
-    code, _, err = run(argv)
+    code, out, err = run(argv)
     assert code in (0, 1, 2, 3, 4), (argv, code, err)
     assert code != 1 or argv[0] == "cantor-fn", (argv, err)
+    assert code == 0 or out == "", (argv, code, out[:80])
     assert "Traceback" not in err
     if code == 0:
         assert err == ""

@@ -111,6 +111,17 @@ class TestTailTable:
         assert rows[1] == (1, F(1, 4), F(1, 4))
         assert rows[3] == (3, F(3, 8), F(1, 8))
 
+    def test_the_size_cap_counts_rows_times_the_widest_cell_bound(self):
+        # Rows 0..n_max of Power(4) to n = 2,064,887 reach generation 21, whose
+        # cells are bounded by tq * D_21 = 2 * 8^21: 2,064,888 rows of 65 bits is
+        # under 2^27, and one more row is over it.
+        assert next(tail_table_rows(VOLTERRA, 2064887)) == "n,sum_removed,tail,tail_decimal"
+        with pytest.raises(DepthCapError, match="^the tail table to n = 2064888 exceeds the table size cap "
+                                                r"of 134217728 \(rows x cell bits\)$"):
+            next(tail_table_rows(VOLTERRA, 2064888))
+        with pytest.raises(DepthCapError, match="exceeds the table size cap"):
+            tail_table(VOLTERRA, 10**12)  # the list form holds its rows: it used to run out of memory
+
     def test_csv_shape(self):
         text = tail_table_csv(VOLTERRA, 2)
         lines = text.strip().splitlines()

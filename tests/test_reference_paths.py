@@ -1320,6 +1320,14 @@ def test_tail_table_csv_draws_one_step_per_generation(monkeypatch):
     calls = count_steps(monkeypatch)
     tail_table_csv(Power(4), 2**12)
     assert len(calls) == 13  # generations 1..12 remove 2^12 - 1 gaps
+    calls.clear()
+    with pytest.raises(DepthCapError, match="exceeds the table size cap"):
+        next(counterexample_module.tail_table_rows(Power(4), 2064888))
+    assert len(calls) == 21  # the generation row 2,064,888 reaches, before any row
+    calls.clear()
+    with pytest.raises(DepthCapError, match="exceeds the table size cap"):
+        next(counterexample_module.tail_table_rows(Power(4), 10**12))
+    assert len(calls) == 1  # 10^12 rows pass the cap at the first generation's bound
 
 
 def test_tail_measure_sums_whole_generations(monkeypatch):
