@@ -1,4 +1,11 @@
-"""Exact construction and analysis of Cantor-like set families."""
+"""Exact construction and analysis of Cantor-like set families.
+
+``analysis``, ``counterexample`` and ``render`` are registered in
+``sys.modules`` and as attributes of the package at import, but each is
+compiled and run only when code first reads one of its attributes, so a
+command that does not use one does not pay for it. Their public names
+resolve through the module ``__getattr__`` below.
+"""
 
 from .exact import (
     ClosedInterval,
@@ -27,21 +34,42 @@ from .families import (
     level_stats,
     removed_by_generation,
 )
-from .analysis import (
-    CANTOR_TERNARY,
-    DimensionReport,
-    ExpansionRecord,
-    base_expansion,
-    cantor_function,
-    dimension_estimates,
-    limit_measure,
-    measure_at_depth,
-    member_at_depth,
-    member_limit,
-    membership_witness,
-    similarity_dimension,
-)
-from .counterexample import tail_measure, tail_table
-from .render import render_svg
+
+_LAZY_NAMES = {
+    "analysis": ("CANTOR_TERNARY", "DimensionReport", "ExpansionRecord", "base_expansion", "cantor_function",
+                 "dimension_estimates", "limit_measure", "measure_at_depth", "member_at_depth", "member_limit",
+                 "membership_witness", "similarity_dimension"),
+    "counterexample": ("tail_measure", "tail_table"),
+    "render": ("render_svg",),
+}
+
+
+def _lazy(name: str):
+    """The submodule ``name``, registered to load on first attribute read.
+    Its file lies next to this one, so no finder is asked for it."""
+    import sys
+    from importlib.util import LazyLoader, module_from_spec, spec_from_file_location
+
+    spec = spec_from_file_location(f"{__name__}.{name}", f"{__path__[0]}/{name}.py")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+analysis, counterexample, render = map(_lazy, _LAZY_NAMES)
+_OWNER = {name: module for module, names in _LAZY_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        return getattr(globals()[_OWNER[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return [*globals(), *_OWNER]
+
 
 __version__ = "0.1.0"
+__all__ = sorted([*(name for name in globals() if name[0] != "_"), *_OWNER])

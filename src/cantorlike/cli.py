@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from collections.abc import Iterable
@@ -24,18 +23,7 @@ from itertools import chain, islice, repeat, starmap
 from math import gcd
 from operator import add, floordiv, itemgetter, truediv
 
-from .analysis import (
-    ExpansionRecord,
-    base_expansion,
-    cantor_function,
-    dimension_estimates,
-    limit_measure,
-    measure_at_depth,
-    member_at_depth,
-    membership_witness,
-    similarity_dimension,
-)
-from .counterexample import tail_table_rows
+from . import analysis, counterexample, render
 from .exact import _digit_limit, _echo, _over_limit, _read_int, format_rational, parse_rational, rational_decimal
 from .families import (
     _FAMILY_FIELDS,
@@ -51,7 +39,6 @@ from .families import (
     level_stats,
     moran_row,
 )
-from .render import render_svg
 
 EXIT_BAD_FAMILY = 2
 EXIT_DEPTH_CAP = 3
@@ -107,8 +94,13 @@ def _build_family(args: argparse.Namespace, default: FamilySpec | None = None) -
     """The family of --family-json, else of --family and its field flags, else default if no flag is given."""
     try:
         if args.family_json:
-            return family_from_json(json.loads(args.family_json, object_pairs_hook=_unique_keys,
-                                               parse_int=_read_int))
+            import json
+
+            try:
+                return family_from_json(json.loads(args.family_json, object_pairs_hook=_unique_keys,
+                                                   parse_int=_read_int))
+            except (json.JSONDecodeError, RecursionError):  # not JSON, or nested past what can be read
+                _fail(EXIT_BAD_FAMILY, f"invalid family: malformed family JSON {_echo(args.family_json)}")
         flags = {name: getattr(args, name) for _, _, fields in _FAMILY_FIELDS.values() for name, *_ in fields}
         given = [name for name, text in flags.items() if text is not None]
         if args.family is None:
@@ -122,8 +114,6 @@ def _build_family(args: argparse.Namespace, default: FamilySpec | None = None) -
         if extra := [name for name in given if name not in names]:
             raise ValueError(f"family flags have a flag --{extra[0]} that family {args.family!r} does not read")
         return cls(*(read(flags[name]) for name, *_, read in fields))
-    except (json.JSONDecodeError, RecursionError):  # not JSON, or nested past what can be read
-        _fail(EXIT_BAD_FAMILY, f"invalid family: malformed family JSON {_echo(args.family_json)}")
     except ValueError as exc:
         _fail(EXIT_BAD_FAMILY, f"invalid family: {exc}")
 
@@ -235,7 +225,7 @@ def _cmd_generate(args: argparse.Namespace) -> None:
             float(args.width)  # as render_svg refuses it, but with the flag's name
         except OverflowError:
             _fail(EXIT_BAD_FAMILY, f"--width is too large for a float, got {_echo(args.width)}")
-        render_svg(family, args.depth, args.width, args.row_height, sys.stdout.write)
+        render.render_svg(family, args.depth, args.width, args.row_height, sys.stdout.write)
         return
     denom, inner, blocks = _stage_halves(family, args.depth)
     sep, head, tail = (", ", "[", "]\n") if args.format == "json" else ("\n", "", "\n")
@@ -244,6 +234,8 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
+    import json
+
     family = _build_family(args)
     _require_at_least("--depth", args.depth, 0)
     _require_at_least("--kmax", args.kmax, 1)
@@ -260,7 +252,7 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     stats = level_stats(family, args.depth)
     if limit and stats.length.denominator >= 10**limit:
         _too_large(f"{stage} length has")
-    measure, limit_value = measure_at_depth(family, args.depth), limit_measure(family)
+    measure, limit_value = analysis.measure_at_depth(family, args.depth), analysis.limit_measure(family)
     report = {
         "family": family_to_json(family),
         "depth": args.depth,
@@ -273,8 +265,8 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
         },
     }
     try:
-        report["similarity_dimension"] = similarity_dimension(family).to_json()
-        report["dimension_estimates"] = dimension_estimates(family, args.kmax).to_json()
+        report["similarity_dimension"] = analysis.similarity_dimension(family).to_json()
+        report["dimension_estimates"] = analysis.dimension_estimates(family, args.kmax).to_json()
     except DepthCapError:
         raise  # exit 3 in main, not a dimension note
     except ValueError as exc:
@@ -291,16 +283,16 @@ def _cmd_member(args: argparse.Namespace) -> None:
     if args.limit:
         if digit_form(family) is None:
             _fail(EXIT_NO_DIGIT_FORM, "no digit characterization exists for this family")
-        witness = membership_witness(x, family)
+        witness = analysis.membership_witness(x, family)
         print("false" if witness is None else f"true\nwitness: {_expansion_json(witness)}")
     else:
         if args.depth is None:
             _fail(EXIT_BAD_FAMILY, "member requires --depth or --limit")
         _require_at_least("--depth", args.depth, 0)
-        print("true" if member_at_depth(x, family, args.depth) else "false")
+        print("true" if analysis.member_at_depth(x, family, args.depth) else "false")
 
 
-def _expansion_json(record: ExpansionRecord, alternate: ExpansionRecord | None = None) -> str:
+def _expansion_json(record: analysis.ExpansionRecord, alternate: analysis.ExpansionRecord | None = None) -> str:
     """The text of json.dumps(record.to_json()), with "alternate_tail":
     alternate.to_json() added when given. Digits are joined from a table of
     the base's digit strings, built when it is no longer than the digits."""
@@ -308,7 +300,7 @@ def _expansion_json(record: ExpansionRecord, alternate: ExpansionRecord | None =
     size = len(record.preperiod) + len(record.period)
     name = [str(d) for d in range(base)].__getitem__ if base <= size else str
 
-    def text(r: ExpansionRecord) -> str:
+    def text(r: analysis.ExpansionRecord) -> str:
         return (f'{{"base": {base}, "preperiod": [{", ".join(map(name, r.preperiod))}], '
                 f'"period": [{", ".join(map(name, r.period))}]}}')
 
@@ -320,14 +312,14 @@ def _expansion_json(record: ExpansionRecord, alternate: ExpansionRecord | None =
 def _cmd_expansion(args: argparse.Namespace) -> None:
     x = _parse_x(args.x)
     _require_at_least("--base", args.base, 2)
-    record = base_expansion(x, args.base)
+    record = analysis.base_expansion(x, args.base)
     print(_expansion_json(record, record.alternate_tail_form()))
 
 
 def _cmd_cantor_fn(args: argparse.Namespace) -> None:
     x = _parse_x(args.x)
     try:
-        value = cantor_function(x)
+        value = analysis.cantor_function(x)
     except DepthCapError:
         raise  # exit 3 in main, not "not in the set"
     except ValueError as exc:
@@ -338,7 +330,7 @@ def _cmd_cantor_fn(args: argparse.Namespace) -> None:
 def _cmd_counterexample(args: argparse.Namespace) -> None:
     family = _build_family(args, Power(4))
     _require_at_least("--n-max", args.n_max, 0)
-    _write_rows(tail_table_rows(family, args.n_max), "\n")
+    _write_rows(counterexample.tail_table_rows(family, args.n_max), "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,24 +26,33 @@ TAIL_TABLE_CAP = 1 << 27
 """Largest tail table, rows x bits of its widest cell, that tail_table and
 tail_table_rows admit: the budget STAGE_SIZE_CAP gives a stage, so a table is
 about as large as the largest stage listing. Power(4) and Lambda(1/2) to n = 30000
-are about 2^20.4 and 2^20.7; to n = 10^6 about 2^25.9 and 2^26.1."""
+are about 2^19.8 and 2^19.5; to n = 10^6 about 2^25.3 and 2^25.0."""
 
 
-def _generations(f: FamilySpec, n_max: int, tq: int) -> list[tuple[int, int, list, int]]:
-    """The generations of _gaps that rows 1..n_max reach, each drawn once: O(generations).
-    tq times a generation's denominator bounds every cell up to it (sums and tails are at
-    most 1, tails over tq), and DepthCapError is raised as soon as rows x its bits pass
-    TAIL_TABLE_CAP."""
-    gens, n = [], 0
+def _generations(f: FamilySpec, n_max: int, total: Fraction) -> tuple[list[tuple[int, int, list, int]], int]:
+    """The generations of _gaps that rows 1..n_max reach, each drawn once (O(generations)),
+    and the bits of the widest cell of rows 0..n_max at most. A row of generation j sums N,
+    the numerator before it, and some of its lengths over D_j, so g = gcd(D_j, N, *lengths)
+    divides every sum's numerator and gcd(tp D_j - tq N, tq g), tp/tq = total, every tail's:
+    D_j / g and tq D_j over that gcd bound every cell of the generation (sums and tails are at
+    most 1). DepthCapError is raised as soon as rows x the bits of a bound pass TAIL_TABLE_CAP."""
+    tp, tq = total.numerator, total.denominator
+    gens, n, num, widest = [], 0, 0, tq.bit_length()  # row 0's tail is tp/tq
     for gen in _gaps(f) if n_max > 0 else ():
-        if (n_max + 1) * (tq * gen[0]).bit_length() > TAIL_TABLE_CAP:
+        denom, s, lengths, parents = gen
+        num *= s
+        g = gcd(denom, num, *lengths)
+        bits = max((denom // g).bit_length(), (tq * denom // gcd(tp * denom - tq * num, tq * g)).bit_length())
+        if (n_max + 1) * bits > TAIL_TABLE_CAP:
             raise DepthCapError(f"the tail table to n = {_echo(n_max, str)} exceeds the table size cap of "
                                 f"{TAIL_TABLE_CAP} (rows x cell bits)")
+        widest = max(widest, bits)
         gens.append(gen)
-        n += gen[3] * len(gen[2])
+        num += parents * sum(lengths)
+        n += parents * len(lengths)
         if n >= n_max:
             break
-    return gens
+    return gens, widest
 
 
 def _prefix_sums(gens: list, n_max: int) -> Iterator[tuple[int, int, int]]:
@@ -98,7 +107,8 @@ def tail_table(f: FamilySpec, n_max: int) -> list[tuple[int, Fraction, Fraction]
         raise ValueError(f"n_max must be nonnegative, got {_echo(n_max, str)}")
     total = 1 - limit_measure(f)
     rows = []
-    for n, num, denom in _prefix_sums(_generations(f, n_max, total.denominator), n_max):
+    gens, _ = _generations(f, n_max, total)
+    for n, num, denom in _prefix_sums(gens, n_max):
         acc = Fraction(num, denom)
         rows.append((n, acc, total - acc))
     return rows
@@ -120,8 +130,8 @@ def tail_table_rows(f: FamilySpec, n_max: int) -> Iterator[str]:
         raise ValueError(f"n_max must be nonnegative, got {_echo(n_max, str)}")
     total = 1 - limit_measure(f)
     tp, tq = total.numerator, total.denominator
-    gens = _generations(f, n_max, tq)
-    if (limit := _digit_limit()) and tq * (gens[-1][0] if gens else 1) >= (top := 10**limit):
+    gens, bits = _generations(f, n_max, total)
+    if (limit := _digit_limit()) and bits >= (top := 10**limit).bit_length():  # else every cell is under top
         for n, num, denom in _prefix_sums(gens, n_max):
             if (tail_den := tq * denom) >= top:  # else no cell of the row can pass the limit
                 for den in (denom // gcd(num, denom), tail_den // gcd(tp * denom - tq * num, tail_den)):

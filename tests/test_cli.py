@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import json
 import math
 import os
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from cantorlike import analysis as analysis_module
 from cantorlike import cli as cli_module
 from cantorlike.cli import main
-from cantorlike.counterexample import tail_table_csv
+from cantorlike.counterexample import tail_table_csv, tail_table_rows
 from cantorlike.exact import IntervalSet, _digit_limit
 from cantorlike.families import (_FAMILY_FIELDS, DigitSet, LambdaFamily, Power, Proportional,
                                   family_to_json, iterate, moran_row)
@@ -425,6 +427,13 @@ def launch(*argv, code=""):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# The counterexample tables of the benchmark's removal-tails workload, with
+# their recorded exit code and stdout sha256.
+RECORDED_TAILS = {key: value for key, value in json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()).items()
+    if key.startswith("cli counterexample ")}
+
+
 def usage(*command):
     """The usage text that argparse prints for ``cantorlike *command``, wrapped
     to the width of this terminal as the CLI's own errors are."""
@@ -455,6 +464,31 @@ class TestCaps:
         code, _, err = run(capsys, "counterexample", "--n-max", "1000000000000")
         assert (code, err) == (3, "the tail table to n = 1000000000000 exceeds the table size cap of "
                                   "134217728 (rows x cell bits)\n")
+
+    def test_a_tail_table_is_charged_its_reduced_cells(self, capsys):
+        # The gcds cancel 10^100 factors from each generation's denominator: the
+        # rows x cell bits of this table are under the cap, whose unreduced bound
+        # tq * D_j refused it.
+        code, out, err = run(capsys, "counterexample", "--family", "lambda", "--lambda", "1e-100",
+                             "--n-max", "25068")
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 25070
+        # Lambda(1e-4000) to n = 1000: a 146,191-bit bound a row, against 13,304
+        # bits for the widest cell printed. Its header comes at once (no cell can
+        # pass the digit limit); a table far past the cap is still refused first.
+        assert next(tail_table_rows(LambdaFamily(F(1, 10**4000)), 1000)) == "n,sum_removed,tail,tail_decimal"
+        code, out, err = run(capsys, "counterexample", "--family", "lambda", "--lambda", "1e-4000",
+                             "--n-max", "1000000000000")
+        assert (code, out, err) == (3, "", "the tail table to n = 1000000000000 exceeds the table size cap "
+                                           "of 134217728 (rows x cell bits)\n")
+
+    @pytest.mark.parametrize("argv", [key.split()[1:] for key in RECORDED_TAILS],
+                             ids=[key.split()[3] for key in RECORDED_TAILS])
+    def test_the_benchmark_tail_tables_keep_their_recorded_bytes(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        recorded = RECORDED_TAILS[" ".join(("cli", *argv))]
+        assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == recorded
+        assert err == ""
 
     @pytest.mark.skipif(not _digit_limit(),
                         reason="this interpreter prints integers of any length")
@@ -531,7 +565,7 @@ class TestCaps:
             raise AssertionError("analyze computed a length it cannot print")
 
         monkeypatch.setattr(cli_module, "level_stats", forbidden)
-        monkeypatch.setattr(cli_module, "measure_at_depth", forbidden)
+        monkeypatch.setattr(analysis_module, "measure_at_depth", forbidden)
         code, out, err = run(capsys, "analyze", "--family", "proportional", "--alpha", "1e-1000",
                              "--depth", "2000")
         assert (code, out) == (2, "")
@@ -571,7 +605,7 @@ class TestCaps:
             raise AssertionError("analyze computed a count it cannot print")
 
         monkeypatch.setattr(cli_module, "level_stats", forbidden)
-        monkeypatch.setattr(cli_module, "measure_at_depth", forbidden)
+        monkeypatch.setattr(analysis_module, "measure_at_depth", forbidden)
         code, out, err = run(capsys, "analyze", "--family-json", json.dumps(family_to_json(family)),
                              "--depth", "10000000")
         assert (code, out) == (2, "")
@@ -880,3 +914,27 @@ class TestProcessEntry:
                               env=src_env(), timeout=60)
         assert (proc.returncode, proc.stdout) == (code, out)
         assert proc.stderr.splitlines()[-1] == "frozen at exit: True"
+
+    @pytest.mark.parametrize("argv, code, executed", [
+        (("--help",), 0, "[] json False"),
+        (("generate", "--family", "power", "--n", "4", "--depth", "3", "--format", "csv"), 0, "[] json False"),
+        (("generate", "--family", "power", "--n", "4", "--depth", "3", "--format", "json"), 0, "[] json False"),
+        (("member", "--family", "power", "--n", "4", "--x", "1/3", "--depth", "5"), 0,
+         "['analysis'] json False"),
+        (("render", "--family", "power", "--n", "4", "--depth", "2"), 0, "['render'] json False"),
+        (("counterexample", "--n-max", "3"), 0, "['analysis', 'counterexample'] json False"),
+        (("analyze", "--family", "power", "--n", "4", "--depth", "2"), 0, "['analysis'] json True"),
+    ], ids=["help", "generate-csv", "generate-json", "member-depth", "render", "counterexample", "analyze"])
+    def test_a_launch_executes_only_the_modules_its_command_reads(self, argv, code, executed):
+        # analysis, counterexample and render are registered at import but run on
+        # first use: until then sys.modules holds the lazy module type, not ModuleType.
+        program = ("import atexit, sys, types\n"
+                   "def executed():\n"
+                   "    names = [name for name in ('analysis', 'counterexample', 'render')\n"
+                   "             if type(sys.modules[f'cantorlike.{name}']) is types.ModuleType]\n"
+                   "    print(names, 'json', 'json' in sys.modules, file=sys.stderr)\n"
+                   "atexit.register(executed)\n"
+                   "import runpy\nrunpy.run_module('cantorlike.cli', run_name='__main__', alter_sys=True)\n")
+        proc = subprocess.run([sys.executable, "-c", program, *argv], capture_output=True, text=True,
+                              env=src_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (code, executed + "\n")

@@ -112,13 +112,13 @@ class TestTailTable:
         assert rows[3] == (3, F(3, 8), F(1, 8))
 
     def test_the_size_cap_counts_rows_times_the_widest_cell_bound(self):
-        # Rows 0..n_max of Power(4) to n = 2,064,887 reach generation 21, whose
-        # cells are bounded by tq * D_21 = 2 * 8^21: 2,064,888 rows of 65 bits is
-        # under 2^27, and one more row is over it.
-        assert next(tail_table_rows(VOLTERRA, 2064887)) == "n,sum_removed,tail,tail_decimal"
-        with pytest.raises(DepthCapError, match="^the tail table to n = 2064888 exceeds the table size cap "
+        # Rows 0..n_max of Power(4) to n = 2,982,615 reach generation 22, whose
+        # reduced cells are at most 45 bits (D_22 has 67): 2,982,616 rows of 45 bits
+        # is under 2^27, and one more row is over it.
+        assert next(tail_table_rows(VOLTERRA, 2982615)) == "n,sum_removed,tail,tail_decimal"
+        with pytest.raises(DepthCapError, match="^the tail table to n = 2982616 exceeds the table size cap "
                                                 r"of 134217728 \(rows x cell bits\)$"):
-            next(tail_table_rows(VOLTERRA, 2064888))
+            next(tail_table_rows(VOLTERRA, 2982616))
         with pytest.raises(DepthCapError, match="exceeds the table size cap"):
             tail_table(VOLTERRA, 10**12)  # the list form holds its rows: it used to run out of memory
 

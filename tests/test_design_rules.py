@@ -4,10 +4,12 @@ The rules record the package's structure: exact arithmetic with no private
 ``Fraction`` state and no collector toggles, no family dispatch, one family
 table, one integer reader and one digit-limit rule, the collector touched
 only by ``cli.run``, one walk of the Moran row, one closed form, one way to
-read a set, one value base, one fold and one cap type. Each module of ``src/``
-is read once, as text and as a syntax tree. A rule that bans a pattern
-matches it line by line, as ``grep -n`` does; a rule that allows a pattern in
-one def or class finds the def or class a line lies in from the tree.
+read a set, one value base, one fold, one cap type, and a CLI that reads
+``analysis``, ``counterexample``, ``render`` and ``json`` only when its command
+runs. Each module of ``src/`` is read once, as text and as a syntax tree. A
+rule that bans a pattern matches it line by line, as ``grep -n`` does; a rule
+that allows a pattern in one def or class finds the def or class a line lies
+in from the tree.
 
 ``test_each_rule_fails_on_its_recorded_break`` keeps, for every rule, the
 break it was written against: the edit is made to the source in memory, and
@@ -170,10 +172,31 @@ def every_cap_raises_depth_cap_error(modules):
     return grep(modules, r"StageSizeError|PeriodCapError|class \w+\(DepthCapError\)")
 
 
+def cli_reads_lazy_modules_and_json_on_use(modules):
+    """cli.py binds no name from analysis, counterexample or render at module
+    level, and imports json only inside a def. The package loads those three
+    modules on first use, so a launch compiles only what its command reads; a
+    module-level import or attribute read of one would load it at every launch."""
+    lazy = {"analysis", "counterexample", "render"}
+    lines = set()
+    for m in modules:
+        if m.name != "cli.py":
+            continue
+        scopes = m.scopes()
+        for node in ast.walk(m.tree):
+            if any(s.startswith("def ") for s in scopes.get(getattr(node, "lineno", 0), ())):
+                continue
+            if (type(node) is ast.ImportFrom and (node.module or "").rsplit(".", 1)[-1] in lazy | {"json"}
+                    or type(node) is ast.Import and any(a.name.split(".")[0] == "json" for a in node.names)
+                    or type(node) is ast.Attribute and type(node.value) is ast.Name and node.value.id in lazy):
+                lines.add((m, node.lineno))
+    return [m.hit(n) for m, n in lines]
+
+
 RULES = [no_private_fraction_state_or_hidden_identity, no_family_dispatch, cli_reads_kinds_from_the_family_table,
          integer_flags_are_read_by_cli_int, one_digit_limit_rule, gc_only_in_cli_run, one_walk_of_the_moran_row,
          closed_form_only_in_families, one_way_to_read_a_set, one_value_base_and_one_svg_path,
-         one_fold_and_one_block_list, every_cap_raises_depth_cap_error]
+         one_fold_and_one_block_list, every_cap_raises_depth_cap_error, cli_reads_lazy_modules_and_json_on_use]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -227,6 +250,9 @@ BREAKS = [
      "    _check_stage(f, k)\n    lefts = [a * s + o for a in lefts for o in offsets]\n"),
     (every_cap_raises_depth_cap_error, FAMILIES, None, "class StageSizeError(DepthCapError): pass"),
     (every_cap_raises_depth_cap_error, ANALYSIS, None, "class X(DepthCapError): pass\n_cap = PeriodCapError"),
+    (cli_reads_lazy_modules_and_json_on_use, CLI, None, "from .analysis import member_at_depth"),
+    (cli_reads_lazy_modules_and_json_on_use, CLI, None, "import json"),
+    (cli_reads_lazy_modules_and_json_on_use, CLI, None, "_svg = render.render_svg"),
 ]
 
 

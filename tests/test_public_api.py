@@ -26,14 +26,17 @@ as every stage-k interval of a homogeneous Moran row has the one length
 """
 
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import cantorlike
 from cantorlike import analysis, counterexample, exact, families, render
+from cantorlike.families import Power
 
 PUBLIC_NAMES = [
     "CANTOR_TERNARY", "ClosedInterval", "ConstructionError", "DEFAULT_DEPTH_CAP", "DepthCapError",
@@ -60,6 +63,63 @@ def test_public_names_are_pinned():
     names = proc.stdout.split()
     assert (proc.returncode, proc.stderr, len(names)) == (0, "", 43)
     assert names == PUBLIC_NAMES
+
+
+# The names of analysis, counterexample and render: the package loads those
+# modules on first use, so it resolves these through its __getattr__.
+LAZY_NAMES = {
+    analysis: ["CANTOR_TERNARY", "DimensionReport", "ExpansionRecord", "base_expansion", "cantor_function",
+               "dimension_estimates", "limit_measure", "measure_at_depth", "member_at_depth", "member_limit",
+               "membership_witness", "similarity_dimension"],
+    counterexample: ["tail_measure", "tail_table"],
+    render: ["render_svg"],
+}
+
+
+def fresh_python(program: str, stdin: bytes = b"") -> bytes:
+    """The stdout of ``program`` run in a new interpreter with this checkout's src/ on its path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", program], input=stdin, capture_output=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    return proc.stdout
+
+
+def test_star_import_binds_the_pinned_names():
+    namespace = {}
+    exec("from cantorlike import *", namespace)
+    assert sorted(name for name in namespace if name[0] != "_") == PUBLIC_NAMES
+
+
+def test_star_import_without_all_binds_only_the_eager_names():
+    # What __all__ adds are the 15 names of the modules loaded on first use.
+    program = ("import cantorlike\ndel cantorlike.__all__\nnamespace = {}\n"
+               "exec('from cantorlike import *', namespace)\n"
+               "print(*sorted(name for name in namespace if name[0] != '_'))")
+    names = fresh_python(program).decode().split()
+    lazy = [name for names in LAZY_NAMES.values() for name in names]
+    assert names == [name for name in PUBLIC_NAMES if name not in lazy]
+    assert (len(names), len(lazy)) == (28, 15)
+
+
+def test_a_name_loaded_on_first_use_is_its_modules_object():
+    assert cantorlike.render_svg is cantorlike.render.render_svg
+    for module, names in LAZY_NAMES.items():
+        assert getattr(cantorlike, module.__name__.rsplit(".", 1)[1]) is sys.modules[module.__name__] is module
+        for name in names:
+            assert getattr(cantorlike, name) is getattr(module, name)
+
+
+def test_reports_pickle_round_trip_through_a_fresh_interpreter():
+    # The new interpreter reads the classes off cantorlike.analysis, which its
+    # import of the package registers without running.
+    values = (cantorlike.dimension_estimates(Power(4), 3), cantorlike.base_expansion(F(1, 7), 3))
+    program = ("import pickle, sys\nvalues = pickle.loads(sys.stdin.buffer.read())\n"
+               "sys.stdout.buffer.write(pickle.dumps(values, {}))")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(fresh_python(program.format(protocol), pickle.dumps(values, protocol))) == values
 
 
 def test_digit_form_is_the_families_one():

@@ -812,7 +812,7 @@ def test_length_floor_refuses_an_r_row_before_its_length_is_computed(capsys, mon
         raise AssertionError("analyze computed a length it cannot print")
 
     monkeypatch.setattr(cli_module, "level_stats", forbidden)
-    monkeypatch.setattr(cli_module, "measure_at_depth", forbidden)
+    monkeypatch.setattr(analysis_module, "measure_at_depth", forbidden)
     with pytest.raises(SystemExit) as exc:
         cli_module.main(["analyze", "--family", "power", "--n", str(10**1000), "--depth", "14000",
                          "--kmax", "1"])
@@ -1322,8 +1322,8 @@ def test_tail_table_csv_draws_one_step_per_generation(monkeypatch):
     assert len(calls) == 13  # generations 1..12 remove 2^12 - 1 gaps
     calls.clear()
     with pytest.raises(DepthCapError, match="exceeds the table size cap"):
-        next(counterexample_module.tail_table_rows(Power(4), 2064888))
-    assert len(calls) == 21  # the generation row 2,064,888 reaches, before any row
+        next(counterexample_module.tail_table_rows(Power(4), 2982616))
+    assert len(calls) == 22  # the generation row 2,982,616 reaches, before any row
     calls.clear()
     with pytest.raises(DepthCapError, match="exceeds the table size cap"):
         next(counterexample_module.tail_table_rows(Power(4), 10**12))
