@@ -1,7 +1,5 @@
-"""Measures, dimensions, digit expansions, limit-set membership, staircase map.
+"""Dimensions, digit expansions, limit-set membership, staircase map.
 
-Measures are exact Fractions read off each family's Moran row (the length
-recurrence and its closed form).
 Dimension values are floats (53-bit doubles) derived from exact interval
 counts and lengths; logarithms of huge integers are taken term-by-term so
 deep stages do not lose precision to overflow.
@@ -25,7 +23,6 @@ from .families import (
     _live_steps,
     _steps,
     digit_form,
-    level_stats,
     moran_row,
 )
 
@@ -267,22 +264,6 @@ def base_expansion(x: Fraction, base: int) -> ExpansionRecord:
     if not 0 <= x <= 1:
         raise ValueError(f"expansion input must lie in [0,1], got {_echo(x, str)}")
     return _expansion(x, base, None)
-
-
-# --- measures ----------------------------------------------------------------
-
-def measure_at_depth(f: FamilySpec, k: int) -> Fraction:
-    """Exact total length of the stage-k set: its count times its one length (``level_stats``)."""
-    stats = level_stats(f, k)
-    return stats.count * stats.length
-
-
-def limit_measure(f: FamilySpec) -> Fraction:
-    """Lebesgue measure of the limit set, the limit of m^j L_j for L_j = A alpha^j + B beta^j
-    (``_closed_form``; m beta < 1): A when m alpha = 1 (A = 0 for the Power(2) collapse), else 0."""
-    row = moran_row(f)
-    a, alpha, _, _ = _closed_form(row)
-    return a if row.m * alpha == 1 else Fraction(0)
 
 
 # --- dimensions ---------------------------------------------------------------

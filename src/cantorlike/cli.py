@@ -37,6 +37,8 @@ from .families import (
     family_from_json,
     family_to_json,
     level_stats,
+    limit_measure,
+    measure_at_depth,
     moran_row,
 )
 
@@ -252,7 +254,7 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     stats = level_stats(family, args.depth)
     if limit and stats.length.denominator >= 10**limit:
         _too_large(f"{stage} length has")
-    measure, limit_value = analysis.measure_at_depth(family, args.depth), analysis.limit_measure(family)
+    measure, limit_value = measure_at_depth(family, args.depth), limit_measure(family)
     report = {
         "family": family_to_json(family),
         "depth": args.depth,

@@ -18,8 +18,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 
-from .families import DepthCapError, FamilySpec, _gaps
-from .analysis import limit_measure
+from .families import DepthCapError, FamilySpec, _gaps, limit_measure
 from .exact import _digit_limit, _echo
 
 TAIL_TABLE_CAP = 1 << 27
@@ -29,25 +28,26 @@ about as large as the largest stage listing. Power(4) and Lambda(1/2) to n = 300
 are about 2^19.8 and 2^19.5; to n = 10^6 about 2^25.3 and 2^25.0."""
 
 
-def _generations(f: FamilySpec, n_max: int, total: Fraction) -> tuple[list[tuple[int, int, list, int]], int]:
+def _generations(f: FamilySpec, n_max: int, total: Fraction) -> tuple[list[tuple[int, list, int, int]], int]:
     """The generations of _gaps that rows 1..n_max reach, each drawn once (O(generations)),
     and the bits of the widest cell of rows 0..n_max at most. A row of generation j sums N,
     the numerator before it, and some of its lengths over D_j, so g = gcd(D_j, N, *lengths)
-    divides every sum's numerator and gcd(tp D_j - tq N, tq g), tp/tq = total, every tail's:
-    D_j / g and tq D_j over that gcd bound every cell of the generation (sums and tails are at
-    most 1). DepthCapError is raised as soon as rows x the bits of a bound pass TAIL_TABLE_CAP."""
+    divides every sum's numerator: each generation is kept divided by g, as (D_j / g, its
+    lengths / g, N / g, parents), and d = D_j / g and tq d / gcd(tp d - tq N / g, tq), tp/tq =
+    total, bound every cell of the generation (sums and tails are at most 1). DepthCapError is
+    raised as soon as rows x the bits of a bound pass TAIL_TABLE_CAP."""
     tp, tq = total.numerator, total.denominator
     gens, n, num, widest = [], 0, 0, tq.bit_length()  # row 0's tail is tp/tq
-    for gen in _gaps(f) if n_max > 0 else ():
-        denom, s, lengths, parents = gen
+    for denom, s, lengths, parents in _gaps(f) if n_max > 0 else ():
         num *= s
         g = gcd(denom, num, *lengths)
-        bits = max((denom // g).bit_length(), (tq * denom // gcd(tp * denom - tq * num, tq * g)).bit_length())
+        d, start = denom // g, num // g
+        bits = max(d.bit_length(), (tq * d // gcd(tp * d - tq * start, tq)).bit_length())
         if (n_max + 1) * bits > TAIL_TABLE_CAP:
             raise DepthCapError(f"the tail table to n = {_echo(n_max, str)} exceeds the table size cap of "
                                 f"{TAIL_TABLE_CAP} (rows x cell bits)")
         widest = max(widest, bits)
-        gens.append(gen)
+        gens.append((d, [x // g for x in lengths], start, parents))
         num += parents * sum(lengths)
         n += parents * len(lengths)
         if n >= n_max:
@@ -59,16 +59,15 @@ def _prefix_sums(gens: list, n_max: int) -> Iterator[tuple[int, int, int]]:
     """(n, num, denom) with sum_{i <= n} |E_i| = num/denom, for n = 0..n_max.
 
     One pass over the generations of _generations: the sum is kept as an
-    integer numerator over the denominator of the current generation and
-    rescaled by the step scale when the next generation starts. Past the last
-    removal the sums simply stay put.
+    integer numerator over the reduced denominator of the current generation,
+    from the numerator that generation starts at. Past the last removal the
+    sums simply stay put.
     """
     n, num, denom = 0, 0, 1
     yield n, num, denom
     if n_max <= 0:
         return
-    for denom, s, lengths, parents in gens:
-        num *= s
+    for denom, lengths, num, parents in gens:
         for _ in range(parents):
             for length in lengths:
                 n += 1

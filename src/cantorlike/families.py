@@ -12,8 +12,8 @@ Each family is a homogeneous Moran construction (Feng, Wen & Wu, Sci. China
 digits)``: every step scales by s and splits each interval into m equal
 children, whose length over s^j is c * length_{j-1} - r * g^(j-1). A kind's
 row is a function of its constructor arguments in its entry of the family
-table, ``_FAMILY_FIELDS``. Stages, IFS maps and digit forms are read off the row, lengths
-and the limit measure off its closed form, ``_closed_form``; r = 0 makes it self-similar.
+table, ``_FAMILY_FIELDS``. Stages, IFS maps and digit forms are read off the row, lengths and
+measures off its closed form, ``_closed_form``; r = 0 or r = c - g makes it self-similar.
 
 The levels of the construction tree come from one fold of the step table, ``_fold``:
 removed gaps are cut from each level, and a stage is the flat integer ends of the blocks
@@ -344,6 +344,20 @@ def level_stats(f: FamilySpec, k: int) -> LevelStats:
     return LevelStats(row.m**j, length)
 
 
+def measure_at_depth(f: FamilySpec, k: int) -> Fraction:
+    """Exact total length of the stage-k set: its count times its one length (``level_stats``)."""
+    stats = level_stats(f, k)
+    return stats.count * stats.length
+
+
+def limit_measure(f: FamilySpec) -> Fraction:
+    """Lebesgue measure of the limit set, the limit of m^j L_j for L_j = A alpha^j + B beta^j
+    (``_closed_form``; m beta < 1): A when m alpha = 1 (A = 0 for the Power(2) collapse), else 0."""
+    row = moran_row(f)
+    a, alpha, _, _ = _closed_form(row)
+    return a if row.m * alpha == 1 else Fraction(0)
+
+
 def ifs_step(s: IntervalSet, maps: IfsMaps) -> IntervalSet:
     """One application of the IFS: the union of the affine images of s.
 
@@ -366,10 +380,14 @@ def ifs_step(s: IntervalSet, maps: IfsMaps) -> IntervalSet:
     return union
 
 
+def _self_similar(row: MoranRow) -> bool:
+    # Every step repeats step 1 at one ratio: r = 0 or r = c - g, B = 0 or A = 0 in _closed_form.
+    return row.r in (0, row.c - row.g)
+
+
 def ifs_maps(f: FamilySpec) -> IfsMaps:
-    """The contraction system of a self-similar family (r = 0: every step
-    repeats step 1): x -> (length * x + o) / s per child offset o of step 1."""
-    if moran_row(f).r:
+    """The contraction system of a self-similar family: x -> (length * x + o) / s per child offset o of step 1."""
+    if not _self_similar(moran_row(f)):
         raise ValueError(f"{type(f).__name__} families are not self-similar; no IFS form")
     s, length, offsets = next(_steps(f))
     return IfsMaps(tuple((Fraction(length, s), Fraction(o, s)) for o in offsets))
@@ -378,7 +396,7 @@ def ifs_maps(f: FamilySpec) -> IfsMaps:
 def digit_form(f: FamilySpec) -> DigitSet | None:
     """The digit family with the stages of f, when f is self-similar and its
     step-1 child length divides every child offset (so s, the last child's end)."""
-    if moran_row(f).r:
+    if not _self_similar(moran_row(f)):
         return None
     s, length, offsets = next(_steps(f))
     if any(o % length for o in offsets):

@@ -10,14 +10,10 @@ from fractions import Fraction as F
 import pytest
 
 import test_properties as props
-from cantorlike.analysis import (
-    dimension_estimates,
-    limit_measure,
-    measure_at_depth,
-    similarity_dimension,
-)
+from cantorlike.analysis import dimension_estimates, similarity_dimension
 from cantorlike.exact import ClosedInterval, IntervalSet
-from cantorlike.families import DigitSet, LambdaFamily, Power, Proportional, iterate
+from cantorlike.families import (DigitSet, LambdaFamily, Power, Proportional, iterate, limit_measure,
+                                 measure_at_depth)
 from cantorlike.counterexample import tail_measure
 
 MIDDLE_THIRDS = Proportional(F(1, 3))

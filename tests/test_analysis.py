@@ -14,8 +14,6 @@ from cantorlike.analysis import (
     base_expansion,
     cantor_function,
     dimension_estimates,
-    limit_measure,
-    measure_at_depth,
     member_at_depth,
     member_limit,
     membership_witness,
@@ -31,6 +29,8 @@ from cantorlike.families import (
     _live_steps,
     _steps,
     iterate,
+    limit_measure,
+    measure_at_depth,
     moran_row,
 )
 

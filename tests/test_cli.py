@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from cantorlike import analysis as analysis_module
 from cantorlike import cli as cli_module
 from cantorlike.cli import main
 from cantorlike.counterexample import tail_table_csv, tail_table_rows
@@ -283,6 +282,14 @@ class TestMember:
         assert code == 4
         assert "digit" in err
 
+    @pytest.mark.parametrize("flags", [("power", "--n", "3"), ("lambda", "--lambda", "1")],
+                             ids=["power-3", "lambda-1"])
+    def test_limit_reads_the_ternary_digit_form_of_middle_thirds_removals(self, capsys, flags):
+        # Power(3) and Lambda(1) remove the middle third of every interval; they
+        # exited 4 when only r = 0 rows were read as self-similar.
+        code, out, err = run(capsys, "member", "--x", "1/4", "--family", *flags, "--limit")
+        assert (code, out, err) == (0, 'true\nwitness: {"base": 3, "preperiod": [], "period": [0, 2]}\n', "")
+
     def test_malformed_rational_exits_2(self, capsys):
         code, _, _ = run(capsys, "member", "--x", "pi/4", "--family", "proportional",
                          "--alpha", "1/3", "--depth", "2")
@@ -482,6 +489,15 @@ class TestCaps:
         assert (code, out, err) == (3, "", "the tail table to n = 1000000000000 exceeds the table size cap "
                                            "of 134217728 (rows x cell bits)\n")
 
+    def test_a_big_parameter_tail_table_keeps_its_bytes(self, capsys):
+        # Each generation is carried divided by its gcd; the rows are the bytes
+        # formatted from the unreduced prefix sums, as recorded before that change.
+        code, out, err = run(capsys, "counterexample", "--family", "lambda", "--lambda", "1e-400",
+                             "--n-max", "300")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2892a3f82d5540e4c4875304ea2f2fa8b507ebade0f25475ac1b1c0abf296970")
+
     @pytest.mark.parametrize("argv", [key.split()[1:] for key in RECORDED_TAILS],
                              ids=[key.split()[3] for key in RECORDED_TAILS])
     def test_the_benchmark_tail_tables_keep_their_recorded_bytes(self, capsys, argv):
@@ -565,7 +581,7 @@ class TestCaps:
             raise AssertionError("analyze computed a length it cannot print")
 
         monkeypatch.setattr(cli_module, "level_stats", forbidden)
-        monkeypatch.setattr(analysis_module, "measure_at_depth", forbidden)
+        monkeypatch.setattr(cli_module, "measure_at_depth", forbidden)
         code, out, err = run(capsys, "analyze", "--family", "proportional", "--alpha", "1e-1000",
                              "--depth", "2000")
         assert (code, out) == (2, "")
@@ -605,7 +621,7 @@ class TestCaps:
             raise AssertionError("analyze computed a count it cannot print")
 
         monkeypatch.setattr(cli_module, "level_stats", forbidden)
-        monkeypatch.setattr(analysis_module, "measure_at_depth", forbidden)
+        monkeypatch.setattr(cli_module, "measure_at_depth", forbidden)
         code, out, err = run(capsys, "analyze", "--family-json", json.dumps(family_to_json(family)),
                              "--depth", "10000000")
         assert (code, out) == (2, "")
@@ -922,7 +938,7 @@ class TestProcessEntry:
         (("member", "--family", "power", "--n", "4", "--x", "1/3", "--depth", "5"), 0,
          "['analysis'] json False"),
         (("render", "--family", "power", "--n", "4", "--depth", "2"), 0, "['render'] json False"),
-        (("counterexample", "--n-max", "3"), 0, "['analysis', 'counterexample'] json False"),
+        (("counterexample", "--n-max", "3"), 0, "['counterexample'] json False"),
         (("analyze", "--family", "power", "--n", "4", "--depth", "2"), 0, "['analysis'] json True"),
     ], ids=["help", "generate-csv", "generate-json", "member-depth", "render", "counterexample", "analyze"])
     def test_a_launch_executes_only_the_modules_its_command_reads(self, argv, code, executed):

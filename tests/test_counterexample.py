@@ -2,7 +2,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantorlike.analysis import limit_measure
 from cantorlike.counterexample import tail_measure, tail_table, tail_table_csv, tail_table_rows
 from cantorlike import families as families_module
 from cantorlike.families import (
@@ -11,6 +10,8 @@ from cantorlike.families import (
     Power,
     Proportional,
     iterate,
+    limit_measure,
+    measure_at_depth,
     removed_by_generation,
 )
 
@@ -131,8 +132,6 @@ class TestTailTable:
 
     def test_row_identity_against_stage_measure(self):
         # after the full generation g, removed mass + stage measure == 1
-        from cantorlike.analysis import measure_at_depth
-
         for g in range(1, 9):
             n = 2**g - 1
             _, acc, _ = tail_table(VOLTERRA, n)[n]

@@ -4,9 +4,10 @@ The rules record the package's structure: exact arithmetic with no private
 ``Fraction`` state and no collector toggles, no family dispatch, one family
 table, one integer reader and one digit-limit rule, the collector touched
 only by ``cli.run``, one walk of the Moran row, one closed form, one way to
-read a set, one value base, one fold, one cap type, and a CLI that reads
+read a set, one value base, one fold, one cap type, a CLI that reads
 ``analysis``, ``counterexample``, ``render`` and ``json`` only when its command
-runs. Each module of ``src/`` is read once, as text and as a syntax tree. A
+runs, and measures beside the closed form, so ``counterexample`` reads no
+``analysis``. Each module of ``src/`` is read once, as text and as a syntax tree. A
 rule that bans a pattern matches it line by line, as ``grep -n`` does; a rule
 that allows a pattern in one def or class finds the def or class a line lies
 in from the tree.
@@ -193,10 +194,20 @@ def cli_reads_lazy_modules_and_json_on_use(modules):
     return [m.hit(n) for m, n in lines]
 
 
+def measures_live_in_families(modules):
+    """measure_at_depth and limit_measure are defined only in families.py, beside
+    level_stats and the closed form they read, and counterexample.py imports
+    nothing from analysis: a counterexample launch or a library caller of a
+    measure never runs analysis."""
+    return (grep(modules, r"from \.analysis import", only="counterexample.py")
+            + grep(modules, r"def (measure_at_depth|limit_measure)\b", skip="families.py"))
+
+
 RULES = [no_private_fraction_state_or_hidden_identity, no_family_dispatch, cli_reads_kinds_from_the_family_table,
          integer_flags_are_read_by_cli_int, one_digit_limit_rule, gc_only_in_cli_run, one_walk_of_the_moran_row,
          closed_form_only_in_families, one_way_to_read_a_set, one_value_base_and_one_svg_path,
-         one_fold_and_one_block_list, every_cap_raises_depth_cap_error, cli_reads_lazy_modules_and_json_on_use]
+         one_fold_and_one_block_list, every_cap_raises_depth_cap_error, cli_reads_lazy_modules_and_json_on_use,
+         measures_live_in_families]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -205,7 +216,8 @@ def test_src_keeps_the_rule(rule):
     assert not hits, rule.__doc__ + "\n" + "\n".join(hits)
 
 
-CLI, EXACT, FAMILIES, ANALYSIS = (f"src/cantorlike/{name}.py" for name in ("cli", "exact", "families", "analysis"))
+CLI, EXACT, FAMILIES, ANALYSIS, COUNTEREXAMPLE = (f"src/cantorlike/{name}.py" for name in (
+    "cli", "exact", "families", "analysis", "counterexample"))
 
 # (rule, module, old, new): new in place of the first old, or appended to the
 # module when old is None. Each is a break a rule was written against.
@@ -253,6 +265,8 @@ BREAKS = [
     (cli_reads_lazy_modules_and_json_on_use, CLI, None, "from .analysis import member_at_depth"),
     (cli_reads_lazy_modules_and_json_on_use, CLI, None, "import json"),
     (cli_reads_lazy_modules_and_json_on_use, CLI, None, "_svg = render.render_svg"),
+    (measures_live_in_families, COUNTEREXAMPLE, None, "from .analysis import limit_measure"),
+    (measures_live_in_families, ANALYSIS, None, "def limit_measure(f): return moran_row(f).m"),
 ]
 
 

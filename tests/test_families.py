@@ -273,6 +273,13 @@ class TestIfs:
         with pytest.raises(ValueError):
             ifs_maps(LambdaFamily(F(1, 2)))
 
+    @pytest.mark.parametrize("f", [Power(3), LambdaFamily(F(1))], ids=repr)
+    def test_a_centred_removal_of_middle_thirds_has_the_ternary_forms(self, f):
+        # r = c - g (A = 0 in the closed form): every step removes the middle third.
+        assert ifs_maps(f) == ifs_maps(MIDDLE_THIRDS)
+        assert digit_form(f) == DigitSet(3, (0, 2))
+        assert ifs_step(iterate(f, 4), ifs_maps(f)) == iterate(f, 5)
+
 
 class TestDigitEquivalent:
     def test_middle_thirds(self):

@@ -4,7 +4,8 @@ The reference functions below are the earlier implementations, kept verbatim
 in substance: the per-step Fraction recurrence of ``level_stats``, the
 Fraction descent of ``member_at_depth``, the per-family branches that the
 Moran row replaced (the lengths of ``_steps``, ``limit_measure``,
-``ifs_maps``, the digit form of a proportional family and of the CLI,
+``ifs_maps`` (with the two centred removals that remove middle thirds),
+the digit form of a proportional family and of the CLI,
 ``similarity_dimension`` and ``family_to_json``), long division with a table of every
 remainder seen (one digit per step), the preperiod length found one gcd
 step at a time, the ``seen``-set ``member_limit``, the two-pass
@@ -46,8 +47,6 @@ from cantorlike.analysis import (
     base_expansion,
     cantor_function,
     dimension_estimates,
-    limit_measure,
-    measure_at_depth,
     member_at_depth,
     member_limit,
     membership_witness,
@@ -85,6 +84,8 @@ from cantorlike.families import (
     ifs_step,
     iterate,
     level_stats,
+    limit_measure,
+    measure_at_depth,
     moran_row,
     removed_by_generation,
     stage_ends,
@@ -559,6 +560,16 @@ def ref_ifs_maps(f):
     if isinstance(f, DigitSet):
         scale = F(1, f.n)
         return IfsMaps(tuple((scale, F(d, f.n)) for d in f.digits))
+    if isinstance(f, (Power, LambdaFamily)):
+        # A centred removal (n, lam) keeps 2 children of L_1 = (1 - lam/n)/2, then of
+        # L_2 = (L_1 - lam/n^2)/2. Its lengths solve a second-order linear recurrence
+        # (roots 1/2 and 1/n) from L_0 = 1, so they are L_1^j, one ratio at every step,
+        # iff L_2 = L_1^2: only at n = 3, lam = 1, where Power(3) and Lambda(1) both
+        # remove middle thirds.
+        n, lam = (f.n, 1) if isinstance(f, Power) else (3, f.lam)
+        scale = (1 - F(lam, n)) / 2
+        if (scale - F(lam, n**2)) / 2 == scale**2:
+            return IfsMaps(((scale, F(0)), (scale, 1 - scale)))
     raise ValueError(f"{type(f).__name__} families are not self-similar; no IFS form")
 
 
@@ -572,14 +583,16 @@ def ref_digit_equivalent(alpha):
 
 
 def ref_digit_form(family):
-    """The CLI's digit form for ``member --limit``, with None for its exit 4."""
+    """The CLI's digit form for ``member --limit``, with None for its exit 4: a
+    family with two IFS maps of ratio (1 - alpha)/2 has the digit form of
+    Proportional(alpha)."""
     if isinstance(family, DigitSet):
         return family
-    if isinstance(family, Proportional):
-        equivalent = ref_digit_equivalent(family.alpha)
-        if equivalent is not None:
-            return equivalent
-    return None
+    try:
+        (scale, _), _ = ref_ifs_maps(family).maps
+    except ValueError:
+        return None
+    return ref_digit_equivalent(1 - 2 * scale)
 
 
 def ref_similarity_dimension(f):
@@ -812,7 +825,7 @@ def test_length_floor_refuses_an_r_row_before_its_length_is_computed(capsys, mon
         raise AssertionError("analyze computed a length it cannot print")
 
     monkeypatch.setattr(cli_module, "level_stats", forbidden)
-    monkeypatch.setattr(analysis_module, "measure_at_depth", forbidden)
+    monkeypatch.setattr(cli_module, "measure_at_depth", forbidden)
     with pytest.raises(SystemExit) as exc:
         cli_module.main(["analyze", "--family", "power", "--n", str(10**1000), "--depth", "14000",
                          "--kmax", "1"])
@@ -1340,6 +1353,16 @@ def test_tail_measure_sums_whole_generations(monkeypatch):
     calls.clear()
     assert tail_measure(Power(4), 0) == F(1, 2)
     assert calls == []
+
+
+@pytest.mark.parametrize("f", (*FIXED_FAMILIES, LambdaFamily(F(1, 10**40))), ids=repr)
+def test_each_generation_of_a_tail_table_is_kept_reduced(f):
+    # (D_j, lengths, N, parents) divided by g = gcd(D_j, N, *lengths), so every row's
+    # gcds are taken on reduced integers.
+    gens, _ = counterexample_module._generations(f, 300, 1 - limit_measure(f))
+    assert gens
+    for denom, lengths, num, parents in gens:
+        assert math.gcd(denom, num, *lengths) == 1
 
 
 # --- stage listings and gaps straight from the integer stages ---------------------------
