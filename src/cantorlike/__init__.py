@@ -34,13 +34,13 @@ from .families import (
     level_stats,
     limit_measure,
     measure_at_depth,
+    member_at_depth,
     removed_by_generation,
 )
 
 _LAZY_NAMES = {
     "analysis": ("CANTOR_TERNARY", "DimensionReport", "ExpansionRecord", "base_expansion", "cantor_function",
-                 "dimension_estimates", "member_at_depth", "member_limit", "membership_witness",
-                 "similarity_dimension"),
+                 "dimension_estimates", "member_limit", "membership_witness", "similarity_dimension"),
     "counterexample": ("tail_measure", "tail_table"),
     "render": ("render_svg",),
 }

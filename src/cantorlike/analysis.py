@@ -8,7 +8,6 @@ deep stages do not lose precision to overflow.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
@@ -19,10 +18,11 @@ from .families import (
     DepthCapError,
     DigitSet,
     FamilySpec,
+    _check_walk,
     _closed_form,
-    _live_steps,
     _steps,
     digit_form,
+    member_at_depth,  # families' point descent, still read as analysis.member_at_depth
     moran_row,
 )
 
@@ -36,23 +36,6 @@ MAX_PERIOD_WORK = 1 << 32
 """Largest period, in digits times bits of q' (q with the primes of the base
 divided out), that a long division follows before it gives up with
 DepthCapError: each digit divides a remainder of about that many bits."""
-
-
-MAX_WALK_BITS = 1 << 14
-"""Largest integer, in bits, that a walk of the length recurrence may reach
-(``member_at_depth`` and the dimension estimates): member at depth 2000 on
-Lambda(1/2), at a point over 2 * 12^2000, is predicted at 15,172 bits."""
-
-
-def _check_walk(f: FamilySpec, k: int, unit: int) -> None:
-    """Refuse a walk of k steps of ``_steps(f, unit)`` before its first
-    step when its integers, below unit * s^j with j = _live_steps, can reach
-    unit bits + j x bits of s over MAX_WALK_BITS."""
-    row = moran_row(f)
-    bits = unit.bit_length() + _live_steps(row, k) * row.s.bit_length()
-    if bits > MAX_WALK_BITS:
-        raise DepthCapError(f"a walk of {_echo(k, str)} steps may reach {_echo(bits, str)}-bit "
-                            f"integers, over the walk cap of {MAX_WALK_BITS} bits")
 
 
 def _log(x: Fraction) -> float:
@@ -318,7 +301,7 @@ def similarity_dimension(f: FamilySpec) -> DimensionReport:
 
 def dimension_estimates(f: FamilySpec, kmax: int) -> DimensionReport:
     """Dilation estimates d_k = ln(count_k) / ln(1/length_k) for k = 1..kmax.
-    Raises DepthCapError, before the first step, for a walk over MAX_WALK_BITS."""
+    Raises DepthCapError, before the first step, for a walk over families.MAX_WALK_BITS."""
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {_echo(kmax, str)}")
     _check_walk(f, kmax, 1)
@@ -350,30 +333,6 @@ def membership_witness(x: Fraction, f: FamilySpec) -> ExpansionRecord | None:
     if not 0 <= x <= 1:
         return None
     return _expansion(x, form.n, set(form.digits))
-
-
-def member_at_depth(x: Fraction, f: FamilySpec, k: int) -> bool:
-    """Whether x lies in the stage-k set, by descending the refinement tree.
-
-    O(k) per query: at each step only the child interval containing x is
-    refined, never the whole stage. With x = p/q, the offset u of x from the
-    left end of its interval is an integer in the units 1/(D_j * q) of
-    ``_steps(f, q)``, and no gcd is taken. Where two children touch, either
-    holds x: both ends of every child survive at every depth. A walk whose
-    integers may pass MAX_WALK_BITS raises DepthCapError before its first step.
-    """
-    if not 0 <= x <= 1:
-        raise ValueError(f"membership query needs x in [0,1], got {_echo(x, str)}")
-    if k < 0:
-        raise ValueError(f"stage index must be nonnegative, got {_echo(k, str)}")
-    _check_walk(f, k, x.denominator)
-    u = x.numerator
-    for s, child, offsets in islice(_steps(f, x.denominator), k):
-        u *= s
-        u -= offsets[bisect_right(offsets, u) - 1]
-        if u > child:
-            return False
-    return True  # past a Power(2) collapse the stage no longer changes
 
 
 # --- the staircase map -----------------------------------------------------------

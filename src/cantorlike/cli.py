@@ -18,10 +18,7 @@ import os
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import cache
-from itertools import chain, islice, repeat, starmap
-from math import gcd
-from operator import add, floordiv, itemgetter, truediv
+from itertools import islice
 
 from . import analysis, counterexample, render
 from .exact import _digit_limit, _echo, _over_limit, _read_int, format_rational, parse_rational, rational_decimal
@@ -32,13 +29,13 @@ from .families import (
     Power,
     _length_bits,
     _live_steps,
-    _stage_halves,
     digit_form,
     family_from_json,
     family_to_json,
     level_stats,
     limit_measure,
     measure_at_depth,
+    member_at_depth,
     moran_row,
 )
 
@@ -135,15 +132,6 @@ def _parse_x(text: str) -> Fraction:
     return x
 
 
-# A stage row: its ends in the cells {} that _end_plans writes, then with
-# --decimal x / denom (integer true division rounds correctly, as does
-# rational_decimal). JSON rows are the text json.dumps gives for the dicts.
-_ROWS = {
-    ("csv", False): "{},{}",
-    ("csv", True): "{},{},%.15g,%.15g",
-    ("json", False): '{{"a": "{}", "b": "{}"}}',
-    ("json", True): '{{"a": "{}", "b": "{}", "a_decimal": "%.15g", "b_decimal": "%.15g"}}',
-}
 _CHUNK_ROWS = 4096
 
 
@@ -165,58 +153,6 @@ def _write_rows(rows: Iterable[str], sep: str, head: str = "", tail: str = "\n",
     write(tail)
 
 
-# Each endpoint of a stage is x = a + p over denom, a the left end of a block
-# of _stage_halves and p an inner end, and m = gcd(denom, *(each block's a))
-# divides every a. With h = gcd(p, m), h divides x and denom, and x/h = p/h
-# (mod m/h) with gcd(p/h, m/h) = 1, so x/h shares no prime with m/h. Hence
-# gcd(x, denom) = h for every a whenever each prime of denom/h divides m/h:
-# that is checked once per h, by stripping from denom/h what it shares with
-# m/h until 1 is left or nothing is shared. Then the end's cell, made before
-# any output, is "%d/" + str(denom // h); else (as for p = 0) it is "%d/%d".
-def _end_plans(denom: int, inner: list, blocks: list, row: str, sep: str, decimal: bool):
-    """block(a, i, j): the text of the block (a, i, j) of _stage_halves, one %
-    of the template of its rows on columns made by map, no Python code per row."""
-    m = gcd(denom, *(a for a, _, _ in blocks))
-    known = {}
-
-    def plan(p: int) -> tuple:
-        h = gcd(p, m)
-        if h not in known:
-            rest, shared = denom // h, m // h
-            while (t := gcd(rest, shared)) > 1:
-                rest //= t
-                shared = t * t  # exponents double: O(log) steps per h
-            known[h] = (h, f"%d/{denom // h}") if rest == 1 else (0, "%d/%d")
-        return known[h]
-
-    hs, cells = zip(*map(plan, inner))
-
-    @cache  # one layout per block shape: all intervals, and the cuts where blocks meet
-    def layout(i: int, j: int) -> tuple:
-        # The columns: the ends reduced, planned ones (h > 0) first, then the
-        # f denominators of the others, then the decimals; take orders them.
-        h, it = hs[2 * i:2 * j], iter(cells[2 * i:2 * j])
-        n, f = len(h), h.count(0)
-        order = sorted(range(n), key=lambda k: not h[k])
-        at = {k: r for r, k in enumerate(order)}
-        cols = [(at[k],) if h[k] else (at[k], at[k] + f) for k in range(n)]
-        take = itemgetter(*chain.from_iterable(cols[k] + cols[k + 1] + (n + f + at[k], n + f + at[k + 1])
-                                               [:2 * decimal] for k in range(0, n, 2)))
-        return (sep.join(map(row.format, it, it)), [inner[2 * i + k] for k in order],
-                [h[k] for k in order[:n - f]], take)
-
-    def block(a: int, i: int, j: int) -> str:
-        template, p, h, take = layout(i, j)
-        x = list(map(add, repeat(a), p))
-        g = list(map(gcd, x[len(h):], repeat(denom)))
-        columns = [*map(floordiv, x, h + g), *map(floordiv, repeat(denom), g)]
-        if decimal:
-            columns += map(truediv, x, repeat(denom))
-        return template % take(columns)
-
-    return block
-
-
 def _cmd_generate(args: argparse.Namespace) -> None:
     family = _build_family(args)
     _require_at_least("--depth", args.depth, 0)
@@ -229,10 +165,7 @@ def _cmd_generate(args: argparse.Namespace) -> None:
             _fail(EXIT_BAD_FAMILY, f"--width is too large for a float, got {_echo(args.width)}")
         render.render_svg(family, args.depth, args.width, args.row_height, sys.stdout.write)
         return
-    denom, inner, blocks = _stage_halves(family, args.depth)
-    sep, head, tail = (", ", "[", "]\n") if args.format == "json" else ("\n", "", "\n")
-    block = _end_plans(denom, inner, blocks, _ROWS[args.format, args.decimal], sep, args.decimal)
-    _write_rows(starmap(block, blocks), sep, head, tail, len(inner) // 2)
+    _write_rows(*render.stage_rows(family, args.depth, args.format, args.decimal))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
@@ -291,20 +224,32 @@ def _cmd_member(args: argparse.Namespace) -> None:
         if args.depth is None:
             _fail(EXIT_BAD_FAMILY, "member requires --depth or --limit")
         _require_at_least("--depth", args.depth, 0)
-        print("true" if analysis.member_at_depth(x, family, args.depth) else "false")
+        print("true" if member_at_depth(x, family, args.depth) else "false")
+
+
+_DIGIT_BYTES = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _expansion_json(record: analysis.ExpansionRecord, alternate: analysis.ExpansionRecord | None = None) -> str:
     """The text of json.dumps(record.to_json()), with "alternate_tail":
-    alternate.to_json() added when given. Digits are joined from a table of
-    the base's digit strings, built when it is no longer than the digits."""
+    alternate.to_json() added when given. Digits of a base up to 10 are laid
+    out in one bytearray, each digit's character every third byte with ", "
+    between; those of a larger base are joined from a table of the base's
+    digit strings, built when it is no longer than the digits."""
     base = record.base
     size = len(record.preperiod) + len(record.period)
     name = [str(d) for d in range(base)].__getitem__ if base <= size else str
 
+    def join(digits: tuple[int, ...]) -> str:
+        if base > 10:
+            return ", ".join(map(name, digits))
+        text = bytearray(b"0, ") * len(digits)
+        text[::3] = bytes(digits).translate(_DIGIT_BYTES)
+        del text[-2:]
+        return text.decode()
+
     def text(r: analysis.ExpansionRecord) -> str:
-        return (f'{{"base": {base}, "preperiod": [{", ".join(map(name, r.preperiod))}], '
-                f'"period": [{", ".join(map(name, r.period))}]}}')
+        return f'{{"base": {base}, "preperiod": [{join(r.preperiod)}], "period": [{join(r.period)}]}}'
 
     if alternate is None:
         return text(record)

@@ -19,10 +19,13 @@ The levels of the construction tree come from one fold of the step table, ``_fol
 removed gaps are cut from each level, and a stage is the flat integer ends of the blocks
 ``_stage_halves`` lists off two half-depth folds, wrapped by ``iterate`` in an ``IntervalSet``.
 A stage over ``STAGE_SIZE_CAP`` or ``DEFAULT_DEPTH_CAP`` is refused before anything is built.
+``member_at_depth`` places a point in stage k without building it, one child per step of ``_steps``;
+a walk whose integers could pass ``MAX_WALK_BITS`` is refused before its first step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
@@ -283,6 +286,48 @@ def _steps(f: FamilySpec, unit: int = 1) -> Iterator[tuple[int, int, list]]:
         if length == 0:
             return  # all intervals are points: no further step changes the stage
         parent, removal = length, removal * g
+
+
+MAX_WALK_BITS = 1 << 14
+"""Largest integer, in bits, that a walk of the length recurrence may reach
+(``member_at_depth`` and the dimension estimates): member at depth 2000 on
+Lambda(1/2), at a point over 2 * 12^2000, is predicted at 15,172 bits."""
+
+
+def _check_walk(f: FamilySpec, k: int, unit: int) -> None:
+    """Refuse a walk of k steps of ``_steps(f, unit)`` before its first
+    step when it takes one, j = _live_steps >= 1, and its integers, below
+    unit * s^j, can reach unit bits + j x bits of s over MAX_WALK_BITS."""
+    row = moran_row(f)
+    steps = _live_steps(row, k)
+    bits = unit.bit_length() + steps * row.s.bit_length()
+    if steps and bits > MAX_WALK_BITS:
+        raise DepthCapError(f"a walk of {_echo(k, str)} steps may reach {_echo(bits, str)}-bit "
+                            f"integers, over the walk cap of {MAX_WALK_BITS} bits")
+
+
+def member_at_depth(x: Fraction, f: FamilySpec, k: int) -> bool:
+    """Whether x lies in the stage-k set, by descending the refinement tree.
+
+    O(k) per query: at each step only the child interval containing x is
+    refined, never the whole stage. With x = p/q, the offset u of x from the
+    left end of its interval is an integer in the units 1/(D_j * q) of
+    ``_steps(f, q)``, and no gcd is taken. Where two children touch, either
+    holds x: both ends of every child survive at every depth. A walk whose
+    integers may pass MAX_WALK_BITS raises DepthCapError before its first step.
+    """
+    if not 0 <= x <= 1:
+        raise ValueError(f"membership query needs x in [0,1], got {_echo(x, str)}")
+    if k < 0:
+        raise ValueError(f"stage index must be nonnegative, got {_echo(k, str)}")
+    _check_walk(f, k, x.denominator)
+    u = x.numerator
+    for s, child, offsets in islice(_steps(f, x.denominator), k):
+        u *= s
+        u -= offsets[bisect_right(offsets, u) - 1]
+        if u > child:
+            return False
+    return True  # past a Power(2) collapse the stage no longer changes
 
 
 def _step_gaps(length: int, offsets: list) -> list:

@@ -1,18 +1,99 @@
-"""Deterministic SVG rendering of construction stages.
+"""The text of construction stages, in every format: CSV and JSON rows, and SVG.
 
-Mirrors the usual iteration diagrams: stage 0 on top, one row per stage,
-each surviving closed interval drawn as a filled rectangle. Output is a
-pure function of the inputs, so identical calls give byte-identical SVG.
+``stage_rows`` gives one stage as CSV or JSON rows, optionally with 15-digit
+decimal columns, a block of rows at a time. ``render_svg`` draws the usual
+iteration diagram: stage 0 on top, one row per stage, each surviving closed
+interval a filled rectangle. Output is a pure function of the inputs, so
+identical calls give byte-identical text.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from functools import cache
+from itertools import chain, repeat, starmap
+from math import gcd
+from operator import add, floordiv, itemgetter, truediv
 
 from .exact import _echo
-from .families import FamilySpec, _check_stage, iterate
+from .families import FamilySpec, _check_stage, _stage_halves, iterate
 
 _SLICE_RECTS = 4096  # rect lines per write at most, as the CLI's row chunks
+
+# A stage row: its ends in the cells {} that _end_plans writes, then with
+# decimal x / denom (integer true division rounds correctly, as does
+# rational_decimal). JSON rows are the text json.dumps gives for the dicts.
+_ROWS = {
+    ("csv", False): "{},{}",
+    ("csv", True): "{},{},%.15g,%.15g",
+    ("json", False): '{{"a": "{}", "b": "{}"}}',
+    ("json", True): '{{"a": "{}", "b": "{}", "a_decimal": "%.15g", "b_decimal": "%.15g"}}',
+}
+
+
+# Each endpoint of a stage is x = a + p over denom, a the left end of a block
+# of _stage_halves and p an inner end, and m = gcd(denom, *(each block's a))
+# divides every a. With h = gcd(p, m), h divides x and denom, and x/h = p/h
+# (mod m/h) with gcd(p/h, m/h) = 1, so x/h shares no prime with m/h. Hence
+# gcd(x, denom) = h for every a whenever each prime of denom/h divides m/h:
+# that is checked once per h, by stripping from denom/h what it shares with
+# m/h until 1 is left or nothing is shared. Then the end's cell, made before
+# any output, is "%d/" + str(denom // h); else (as for p = 0) it is "%d/%d".
+def _end_plans(denom: int, inner: list, blocks: list, row: str, sep: str, decimal: bool):
+    """block(a, i, j): the text of the block (a, i, j) of _stage_halves, one %
+    of the template of its rows on columns made by map, no Python code per row."""
+    m = gcd(denom, *(a for a, _, _ in blocks))
+    known = {}
+
+    def plan(p: int) -> tuple:
+        h = gcd(p, m)
+        if h not in known:
+            rest, shared = denom // h, m // h
+            while (t := gcd(rest, shared)) > 1:
+                rest //= t
+                shared = t * t  # exponents double: O(log) steps per h
+            known[h] = (h, f"%d/{denom // h}") if rest == 1 else (0, "%d/%d")
+        return known[h]
+
+    hs, cells = zip(*map(plan, inner))
+
+    @cache  # one layout per block shape: all intervals, and the cuts where blocks meet
+    def layout(i: int, j: int) -> tuple:
+        # The columns: the ends reduced, planned ones (h > 0) first, then the
+        # f denominators of the others, then the decimals; take orders them.
+        h, it = hs[2 * i:2 * j], iter(cells[2 * i:2 * j])
+        n, f = len(h), h.count(0)
+        order = sorted(range(n), key=lambda k: not h[k])
+        at = {k: r for r, k in enumerate(order)}
+        cols = [(at[k],) if h[k] else (at[k], at[k] + f) for k in range(n)]
+        take = itemgetter(*chain.from_iterable(cols[k] + cols[k + 1] + (n + f + at[k], n + f + at[k + 1])
+                                               [:2 * decimal] for k in range(0, n, 2)))
+        return (sep.join(map(row.format, it, it)), [inner[2 * i + k] for k in order],
+                [h[k] for k in order[:n - f]], take)
+
+    def block(a: int, i: int, j: int) -> str:
+        template, p, h, take = layout(i, j)
+        x = list(map(add, repeat(a), p))
+        g = list(map(gcd, x[len(h):], repeat(denom)))
+        columns = [*map(floordiv, x, h + g), *map(floordiv, repeat(denom), g)]
+        if decimal:
+            columns += map(truediv, x, repeat(denom))
+        return template % take(columns)
+
+    return block
+
+
+def stage_rows(family: FamilySpec, depth: int, fmt: str,
+               decimal: bool) -> tuple[Iterator[str], str, str, str, int]:
+    """Stage ``depth`` as text in ``fmt``, "csv" or "json": (the text of each
+    block of _stage_halves, the separator, head and tail around them, rows
+    per block), to be written head + sep.join(blocks) + tail. The stage's
+    integer ends are built here, its rows only as the blocks are read.
+    Raises as ``_stage_halves`` does, before any fold."""
+    denom, inner, blocks = _stage_halves(family, depth)
+    sep, head, tail = (", ", "[", "]\n") if fmt == "json" else ("\n", "", "\n")
+    block = _end_plans(denom, inner, blocks, _ROWS[fmt, decimal], sep, decimal)
+    return starmap(block, blocks), sep, head, tail, len(inner) // 2
 
 
 def _fmt(v: float) -> str:

@@ -6,6 +6,7 @@ from itertools import islice
 import pytest
 
 from cantorlike import analysis as analysis_module
+from cantorlike import families as families_module
 from cantorlike.analysis import (
     CANTOR_TERNARY,
     ESTIMATE_SEQUENCE,
@@ -14,7 +15,6 @@ from cantorlike.analysis import (
     base_expansion,
     cantor_function,
     dimension_estimates,
-    member_at_depth,
     member_limit,
     membership_witness,
     similarity_dimension,
@@ -31,6 +31,7 @@ from cantorlike.families import (
     iterate,
     limit_measure,
     measure_at_depth,
+    member_at_depth,
     moran_row,
 )
 
@@ -413,13 +414,25 @@ class TestWalkCap:
             walks.append((lambda: dimension_estimates(f, k), self.predicted(f, k, 1)))
         for walk, bits in walks:
             expected = walk()
-            monkeypatch.setattr(analysis_module, "MAX_WALK_BITS", bits)
+            monkeypatch.setattr(families_module, "MAX_WALK_BITS", bits)
             assert walk() == expected
-            monkeypatch.setattr(analysis_module, "MAX_WALK_BITS", bits - 1)
-            monkeypatch.setattr(analysis_module, "_steps", forbidden_walk)
+            monkeypatch.setattr(families_module, "MAX_WALK_BITS", bits - 1)
+            for module in (families_module, analysis_module):  # member_at_depth's walk, dimension_estimates'
+                monkeypatch.setattr(module, "_steps", forbidden_walk)
             with pytest.raises(DepthCapError, match=f"may reach {bits}-bit integers"):
                 walk()
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("f", FAMILIES, ids=repr)
+    def test_a_walk_of_no_steps_is_not_refused(self, f):
+        # Stage 0 is [0, 1]: member at depth 0 takes no step, so no integer of
+        # the walk grows past x's denominator, however large that is.
+        x = F(1, 3**12000)
+        assert self.predicted(f, 0, x.denominator) > families_module.MAX_WALK_BITS
+        assert member_at_depth(x, f, 0) is True
+        assert iterate(f, 0).contains_point(x)
+        with pytest.raises(DepthCapError, match="a walk of 1 steps may reach"):
+            member_at_depth(x, f, 1)
 
     @pytest.mark.parametrize("f", (MIDDLE_THIRDS, VOLTERRA, LambdaFamily(F(1, 2)),
                                    DigitSet(5, (0, 1, 4))), ids=repr)
@@ -428,7 +441,7 @@ class TestWalkCap:
         # stage-2000 ends and gap midpoints are, and analyze --kmax 300.
         s = moran_row(f).s
         x = F(1, 2 * s**2000)
-        assert self.predicted(f, 2000, x.denominator) <= analysis_module.MAX_WALK_BITS
+        assert self.predicted(f, 2000, x.denominator) <= families_module.MAX_WALK_BITS
         member_at_depth(x, f, 2000)
         assert len(dimension_estimates(f, 300).sequence) == 300
 

@@ -933,10 +933,11 @@ class TestProcessEntry:
 
     @pytest.mark.parametrize("argv, code, executed", [
         (("--help",), 0, "[] json False"),
-        (("generate", "--family", "power", "--n", "4", "--depth", "3", "--format", "csv"), 0, "[] json False"),
-        (("generate", "--family", "power", "--n", "4", "--depth", "3", "--format", "json"), 0, "[] json False"),
-        (("member", "--family", "power", "--n", "4", "--x", "1/3", "--depth", "5"), 0,
-         "['analysis'] json False"),
+        (("generate", "--family", "power", "--n", "4", "--depth", "3", "--format", "csv"), 0,
+         "['render'] json False"),
+        (("generate", "--family", "power", "--n", "4", "--depth", "3", "--format", "json"), 0,
+         "['render'] json False"),
+        (("member", "--family", "power", "--n", "4", "--x", "1/3", "--depth", "5"), 0, "[] json False"),
         (("render", "--family", "power", "--n", "4", "--depth", "2"), 0, "['render'] json False"),
         (("counterexample", "--n-max", "3"), 0, "['counterexample'] json False"),
         (("analyze", "--family", "power", "--n", "4", "--depth", "2"), 0, "['analysis'] json True"),

@@ -6,8 +6,9 @@ table, one integer reader and one digit-limit rule, the collector touched
 only by ``cli.run``, one walk of the Moran row, one closed form, one way to
 read a set, one value base, one fold, one cap type, a CLI that reads
 ``analysis``, ``counterexample``, ``render`` and ``json`` only when its command
-runs, and measures beside the closed form, so ``counterexample`` reads no
-``analysis``. Each module of ``src/`` is read once, as text and as a syntax tree. A
+runs, measures beside the closed form, so ``counterexample`` reads no
+``analysis``, the point descent beside the step table, so ``member --depth``
+reads none of the three, and the text of a stage in ``render``. Each module of ``src/`` is read once, as text and as a syntax tree. A
 rule that bans a pattern matches it line by line, as ``grep -n`` does; a rule
 that allows a pattern in one def or class finds the def or class a line lies
 in from the tree.
@@ -203,11 +204,25 @@ def measures_live_in_families(modules):
             + grep(modules, r"def (measure_at_depth|limit_measure)\b", skip="families.py"))
 
 
+def point_descent_lives_in_families(modules):
+    """member_at_depth, _check_walk and MAX_WALK_BITS are defined only in
+    families.py, beside the step table _steps that the descent walks: a
+    member --depth launch or a library caller of the descent never runs analysis."""
+    return grep(modules, r"def (member_at_depth|_check_walk)\b|^MAX_WALK_BITS\s*=", skip="families.py")
+
+
+def stage_text_lives_in_render(modules):
+    """The row templates _ROWS and the row writer _end_plans are defined only in
+    render.py, which holds the text of a stage in every format: a launch that
+    prints no stage compiles none of them."""
+    return grep(modules, r"^_ROWS\s*=|def _end_plans\b", skip="render.py")
+
+
 RULES = [no_private_fraction_state_or_hidden_identity, no_family_dispatch, cli_reads_kinds_from_the_family_table,
          integer_flags_are_read_by_cli_int, one_digit_limit_rule, gc_only_in_cli_run, one_walk_of_the_moran_row,
          closed_form_only_in_families, one_way_to_read_a_set, one_value_base_and_one_svg_path,
          one_fold_and_one_block_list, every_cap_raises_depth_cap_error, cli_reads_lazy_modules_and_json_on_use,
-         measures_live_in_families]
+         measures_live_in_families, point_descent_lives_in_families, stage_text_lives_in_render]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -267,6 +282,10 @@ BREAKS = [
     (cli_reads_lazy_modules_and_json_on_use, CLI, None, "_svg = render.render_svg"),
     (measures_live_in_families, COUNTEREXAMPLE, None, "from .analysis import limit_measure"),
     (measures_live_in_families, ANALYSIS, None, "def limit_measure(f): return moran_row(f).m"),
+    (point_descent_lives_in_families, ANALYSIS, None,
+     "MAX_WALK_BITS = 1 << 14\ndef _check_walk(f, k, unit): pass\ndef member_at_depth(x, f, k): return True"),
+    (point_descent_lives_in_families, CLI, None, "def member_at_depth(x, f, k): return True"),
+    (stage_text_lives_in_render, CLI, None, '_ROWS = {("csv", False): "{},{}"}\ndef _end_plans(): pass'),
 ]
 
 

@@ -69,8 +69,7 @@ def test_public_names_are_pinned():
 # modules on first use, so it resolves these through its __getattr__.
 LAZY_NAMES = {
     analysis: ["CANTOR_TERNARY", "DimensionReport", "ExpansionRecord", "base_expansion", "cantor_function",
-               "dimension_estimates", "member_at_depth", "member_limit", "membership_witness",
-               "similarity_dimension"],
+               "dimension_estimates", "member_limit", "membership_witness", "similarity_dimension"],
     counterexample: ["tail_measure", "tail_table"],
     render: ["render_svg"],
 }
@@ -94,24 +93,26 @@ def test_star_import_binds_the_pinned_names():
 
 
 def test_star_import_without_all_binds_only_the_eager_names():
-    # What __all__ adds are the 13 names of the modules loaded on first use.
+    # What __all__ adds are the 12 names of the modules loaded on first use.
     program = ("import cantorlike\ndel cantorlike.__all__\nnamespace = {}\n"
                "exec('from cantorlike import *', namespace)\n"
                "print(*sorted(name for name in namespace if name[0] != '_'))")
     names = fresh_python(program).decode().split()
     lazy = [name for names in LAZY_NAMES.values() for name in names]
     assert names == [name for name in PUBLIC_NAMES if name not in lazy]
-    assert (len(names), len(lazy)) == (30, 13)
+    assert (len(names), len(lazy)) == (31, 12)
 
 
 def test_a_measure_call_leaves_analysis_unexecuted():
     # measure_at_depth and limit_measure live in families, beside the closed form
-    # they read: until code reads a name of analysis, sys.modules holds the lazy
-    # module type, not ModuleType.
-    program = ("import sys, types\nimport cantorlike\nfrom cantorlike import Power\n"
+    # they read, and member_at_depth beside the step table it walks: until code
+    # reads a name of analysis, sys.modules holds the lazy module type, not ModuleType.
+    program = ("import sys, types\nimport cantorlike\nfrom fractions import Fraction\n"
+               "from cantorlike import Power\n"
                "print(cantorlike.measure_at_depth(Power(4), 3), cantorlike.limit_measure(Power(4)),\n"
+               "      cantorlike.member_at_depth(Fraction(7, 32), Power(4), 2),\n"
                "      type(sys.modules['cantorlike.analysis']) is types.ModuleType)")
-    assert fresh_python(program) == b"9/16 1/2 False\n"
+    assert fresh_python(program) == b"9/16 1/2 True False\n"
 
 
 def test_a_name_loaded_on_first_use_is_its_modules_object():

@@ -56,6 +56,7 @@ from cantorlike import cli as cli_module
 from cantorlike import counterexample as counterexample_module
 from cantorlike import exact as exact_module
 from cantorlike import families as families_module
+from cantorlike import render as render_module
 from cantorlike.counterexample import tail_measure, tail_table, tail_table_csv
 from cantorlike.exact import (
     ClosedInterval,
@@ -1607,7 +1608,7 @@ def test_generate_reduces_once_per_inner_endpoint(monkeypatch, f, depth):
         calls.append(len(args))
         return math.gcd(*args)
 
-    monkeypatch.setattr(cli_module, "gcd", counted)
+    monkeypatch.setattr(render_module, "gcd", counted)
     monkeypatch.setattr(sys, "stdout", Sink())
     assert cli_module.main(generate_argv(f, depth, "csv", False)) == 0
     assert sys.stdout.size == csv_listing_size(f, depth)
