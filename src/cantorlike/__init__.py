@@ -1,41 +1,32 @@
 """Exact construction and analysis of Cantor-like set families.
 
-``analysis``, ``counterexample`` and ``render`` are registered in
+``analysis``, ``counterexample``, ``render`` and ``sets`` are registered in
 ``sys.modules`` and as attributes of the package at import, but each is
 compiled and run only when code first reads one of its attributes, so a
-command that does not use one does not pay for it. Their public names
-resolve through the module ``__getattr__`` below.
+command that does not use one does not pay for it: ``sets``, which holds
+``IntervalSet`` and the set-valued API, runs only for a stage drawn as SVG or
+a library call that builds a set. Their public names resolve through the
+module ``__getattr__`` below.
 """
 
-from .exact import (
-    ClosedInterval,
-    IntervalSet,
-    format_rational,
-    parse_rational,
-)
+from .exact import format_rational, parse_rational
 from .families import (
     DEFAULT_DEPTH_CAP,
     ConstructionError,
     DepthCapError,
     DigitSet,
     FamilySpec,
-    IfsMaps,
     LambdaFamily,
     LevelStats,
-    OpenInterval,
     Power,
     Proportional,
     digit_form,
     family_from_json,
     family_to_json,
-    ifs_maps,
-    ifs_step,
-    iterate,
     level_stats,
     limit_measure,
     measure_at_depth,
     member_at_depth,
-    removed_by_generation,
 )
 
 _LAZY_NAMES = {
@@ -43,6 +34,8 @@ _LAZY_NAMES = {
                  "dimension_estimates", "member_limit", "membership_witness", "similarity_dimension"),
     "counterexample": ("tail_measure", "tail_table"),
     "render": ("render_svg",),
+    "sets": ("ClosedInterval", "IfsMaps", "IntervalSet", "OpenInterval", "ifs_maps", "ifs_step", "iterate",
+             "removed_by_generation"),
 }
 
 
@@ -59,7 +52,7 @@ def _lazy(name: str):
     return module
 
 
-analysis, counterexample, render = map(_lazy, _LAZY_NAMES)
+analysis, counterexample, render, sets = map(_lazy, _LAZY_NAMES)
 _OWNER = {name: module for module, names in _LAZY_NAMES.items() for name in names}
 
 

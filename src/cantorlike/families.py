@@ -17,10 +17,12 @@ measures off its closed form, ``_closed_form``; r = 0 or r = c - g makes it self
 
 The levels of the construction tree come from one fold of the step table, ``_fold``:
 removed gaps are cut from each level, and a stage is the flat integer ends of the blocks
-``_stage_halves`` lists off two half-depth folds, wrapped by ``iterate`` in an ``IntervalSet``.
+``_stage_halves`` lists off two half-depth folds, given as ``stage_ends``.
 A stage over ``STAGE_SIZE_CAP`` or ``DEFAULT_DEPTH_CAP`` is refused before anything is built.
 ``member_at_depth`` places a point in stage k without building it, one child per step of ``_steps``;
 a walk whose integers could pass ``MAX_WALK_BITS`` is refused before its first step.
+The set-valued API (``iterate``, ``removed_by_generation``, ``ifs_step``, ...) lives in ``sets``;
+the module ``__getattr__`` at the end resolves those names here, for old imports and pickles.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from collections import deque, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from math import gcd, lcm
-from operator import add, gt, itemgetter
+from math import gcd
+from operator import add
 
-from .exact import (IntervalSet, _Frozen, _affine_ends, _json_int, _json_ints, _json_rational, _json_shape,
-                    _echo, _merge, _read_int, format_rational, parse_rational)
+from .exact import (_Frozen, _json_int, _json_ints, _json_rational, _json_shape, _echo, _merge, _read_int,
+                    format_rational, parse_rational)
 
 DEFAULT_DEPTH_CAP = 24
 """Deepest stage built; binds only for Power(2): the size cap refuses the rest past 21."""
@@ -111,40 +113,6 @@ def moran_row(f: FamilySpec) -> MoranRow:
     """The one row of integers that every construction and query reads: the
     row of f's entry in the family table, ``_FAMILY_FIELDS``, at f's fields."""
     return _FAMILY_FIELDS[_kind(f)][1](*f._fields())
-
-
-class OpenInterval(_Frozen):
-    """An open interval (a, b), a < b; a removed gap."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Fraction, b: Fraction) -> None:
-        if a >= b:
-            raise ValueError(f"open interval needs a < b, got ({_echo(a, str)}, {_echo(b, str)})")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def length(self) -> Fraction:
-        return self.b - self.a
-
-
-class IfsMaps(_Frozen):
-    """Affine contraction system: a list of x -> scale*x + shift maps."""
-
-    __slots__ = ("maps",)
-
-    def __init__(self, maps: tuple[tuple[Fraction, Fraction], ...]) -> None:
-        images = []
-        for scale, shift in maps:
-            if not 0 < scale < 1:
-                raise ValueError(f"IFS scale must lie in (0,1), got {_echo(scale, str)}")
-            images.append((shift, scale + shift))
-        images.sort()
-        for (a0, b0), (a1, b1) in zip(images, images[1:]):
-            if a1 < b0:
-                raise ValueError("IFS images of [0,1] overlap")
-        object.__setattr__(self, "maps", maps)
 
 
 # --- integer stage engine -------------------------------------------------
@@ -247,26 +215,6 @@ def stage_ends(f: FamilySpec, k: int) -> tuple[int, list]:
     return denom, list(chain.from_iterable(map(add, repeat(a), inner[2 * i:2 * j]) for a, i, j in blocks))
 
 
-def iterate(f: FamilySpec, k: int) -> IntervalSet:
-    """The stage-k set of the construction, as an exact IntervalSet over the
-    integer ends of ``stage_ends``; no interval or Fraction object is built."""
-    return IntervalSet._from_ends(*stage_ends(f, k))
-
-
-def removed_by_generation(f: FamilySpec, k: int) -> list[list[OpenInterval]]:
-    """Removed open gaps, one list per generation 1..k, left-to-right within each.
-
-    Raises like ``_stage_halves``, before any gap is built: generation k holds
-    about as many gaps as stage k has intervals, over the same denominator."""
-    _check_stage(f, k)
-    out, steps = [], list(islice(_steps(f), k))
-    for (s, length, offsets), (denom, lefts, _) in zip(steps, _fold(steps)):  # levels 0..k-1
-        denom, gaps = denom * s, _step_gaps(length, offsets)
-        out.append([OpenInterval(Fraction(a * s + g0, denom), Fraction(a * s + g1, denom))
-                    for a in lefts for g0, g1 in gaps])
-    return out + [[] for _ in range(k - len(out))]  # past a Power(2) collapse
-
-
 LevelStats = namedtuple("LevelStats", "count length")
 
 
@@ -302,7 +250,7 @@ def _check_walk(f: FamilySpec, k: int, unit: int) -> None:
     steps = _live_steps(row, k)
     bits = unit.bit_length() + steps * row.s.bit_length()
     if steps and bits > MAX_WALK_BITS:
-        raise DepthCapError(f"a walk of {_echo(k, str)} steps may reach {_echo(bits, str)}-bit "
+        raise DepthCapError(f"a walk of {_echo(k, str)} step{'s' * (k != 1)} may reach {_echo(bits, str)}-bit "
                             f"integers, over the walk cap of {MAX_WALK_BITS} bits")
 
 
@@ -403,39 +351,9 @@ def limit_measure(f: FamilySpec) -> Fraction:
     return a if row.m * alpha == 1 else Fraction(0)
 
 
-def ifs_step(s: IntervalSet, maps: IfsMaps) -> IntervalSet:
-    """One application of the IFS: the union of the affine images of s.
-
-    Every image is streamed over the one denominator s.denom * L, L the lcm of
-    the maps' denominators, into one flat list of ends in the order of the
-    maps' shifts, which is merged in place: the peak is one list the size of
-    the union. It is sorted unless the last start of one image lies past the
-    first start of the next (the images interleave, as when s leaves [0, 1]),
-    and only then are its intervals sorted. Overlapping images raise
-    ConstructionError."""
-    L = lcm(*(x.denominator for scale_shift in maps.maps for x in scale_shift))
-    n, by_shift = len(s.ends), sorted(maps.maps, key=itemgetter(1))
-    union = list(chain.from_iterable(_affine_ends(s, scale, shift, L) for scale, shift in by_shift))
-    if n and any(map(gt, union[n - 2::n], union[n::n])):
-        union = list(chain.from_iterable(sorted(zip(union[::2], union[1::2]))))
-    union = IntervalSet._from_ends(s.denom * L, _merge(union))
-    # The images are disjoint iff the union is as long as all of them together.
-    if union.total_length != sum(scale for scale, _ in by_shift) * s.total_length:
-        raise ConstructionError("IFS images overlap; union is not disjoint")
-    return union
-
-
 def _self_similar(row: MoranRow) -> bool:
     # Every step repeats step 1 at one ratio: r = 0 or r = c - g, B = 0 or A = 0 in _closed_form.
     return row.r in (0, row.c - row.g)
-
-
-def ifs_maps(f: FamilySpec) -> IfsMaps:
-    """The contraction system of a self-similar family: x -> (length * x + o) / s per child offset o of step 1."""
-    if not _self_similar(moran_row(f)):
-        raise ValueError(f"{type(f).__name__} families are not self-similar; no IFS form")
-    s, length, offsets = next(_steps(f))
-    return IfsMaps(tuple((Fraction(length, s), Fraction(o, s)) for o in offsets))
 
 
 def digit_form(f: FamilySpec) -> DigitSet | None:
@@ -500,3 +418,10 @@ def family_from_json(obj: object) -> FamilySpec:
     if extra := [key for key in obj if key != "family" and key not in names]:
         raise ValueError(f"family JSON has a key {_echo(extra[0])} that family {kind!r} does not read")
     return cls(*(read(obj[name], name) for name, read, _, _ in fields))
+
+
+def __getattr__(name: str):
+    if name in ("OpenInterval", "IfsMaps", "iterate", "removed_by_generation", "ifs_step", "ifs_maps"):
+        from . import sets
+        return getattr(sets, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,8 +15,9 @@ from itertools import chain, repeat, starmap
 from math import gcd
 from operator import add, floordiv, itemgetter, truediv
 
+from . import sets
 from .exact import _echo
-from .families import FamilySpec, _check_stage, _stage_halves, iterate
+from .families import FamilySpec, _check_stage, _stage_halves
 
 _SLICE_RECTS = 4096  # rect lines per write at most, as the CLI's row chunks
 
@@ -124,7 +125,7 @@ def render_svg(family: FamilySpec, depth: int, width_px: int = 800,
     emit(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height}" '
          f'viewBox="0 0 {width_px} {height}">\n')
     for stage in range(depth + 1):
-        row = iterate(family, stage)
+        row = sets.iterate(family, stage)
         denom, ends = row.denom, row.ends
         # Every block of a stage has one width, except where touching digit
         # blocks merged, so the rest of a rect is formatted once per distinct

@@ -11,9 +11,8 @@ import pytest
 
 import test_properties as props
 from cantorlike.analysis import dimension_estimates, similarity_dimension
-from cantorlike.exact import ClosedInterval, IntervalSet
-from cantorlike.families import (DigitSet, LambdaFamily, Power, Proportional, iterate, limit_measure,
-                                 measure_at_depth)
+from cantorlike.families import DigitSet, LambdaFamily, Power, Proportional, limit_measure, measure_at_depth
+from cantorlike.sets import ClosedInterval, IntervalSet, iterate
 from cantorlike.counterexample import tail_measure
 
 MIDDLE_THIRDS = Proportional(F(1, 3))

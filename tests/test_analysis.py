@@ -28,12 +28,12 @@ from cantorlike.families import (
     Proportional,
     _live_steps,
     _steps,
-    iterate,
     limit_measure,
     measure_at_depth,
     member_at_depth,
     moran_row,
 )
+from cantorlike.sets import iterate
 
 MIDDLE_THIRDS = Proportional(F(1, 3))
 VOLTERRA = Power(4)
@@ -431,7 +431,7 @@ class TestWalkCap:
         assert self.predicted(f, 0, x.denominator) > families_module.MAX_WALK_BITS
         assert member_at_depth(x, f, 0) is True
         assert iterate(f, 0).contains_point(x)
-        with pytest.raises(DepthCapError, match="a walk of 1 steps may reach"):
+        with pytest.raises(DepthCapError, match="a walk of 1 step may reach"):
             member_at_depth(x, f, 1)
 
     @pytest.mark.parametrize("f", (MIDDLE_THIRDS, VOLTERRA, LambdaFamily(F(1, 2)),

@@ -15,9 +15,10 @@ import pytest
 from cantorlike import cli as cli_module
 from cantorlike.cli import main
 from cantorlike.counterexample import tail_table_csv, tail_table_rows
-from cantorlike.exact import IntervalSet, _digit_limit
-from cantorlike.families import (_FAMILY_FIELDS, DigitSet, LambdaFamily, Power, Proportional,
-                                  family_to_json, iterate, moran_row)
+from cantorlike.exact import _digit_limit
+from cantorlike.families import (_FAMILY_FIELDS, DigitSet, LambdaFamily, Power, Proportional, family_to_json,
+                                 moran_row)
+from cantorlike.sets import IntervalSet, iterate
 from cantorlike.render import render_svg
 from fractions import Fraction as F
 
@@ -408,12 +409,12 @@ class TestRender:
         assert (code, out, err) == (3, "", "stage 25 exceeds depth cap 24\n")
 
     def test_depth_over_cap_builds_no_stage(self, capsys, monkeypatch):
-        from cantorlike import render
+        from cantorlike import sets
 
         def no_stage(*args, **kwargs):
             raise AssertionError("a stage was built before the cap check")
 
-        monkeypatch.setattr(render, "iterate", no_stage)
+        monkeypatch.setattr(sets, "iterate", no_stage)
         code, out, err = run(capsys, "render", "--family", "power", "--n", "4", "--depth", "30")
         assert (code, out, err) == (3, "", "stage 30 exceeds depth cap 24\n")
 
@@ -938,16 +939,19 @@ class TestProcessEntry:
         (("generate", "--family", "power", "--n", "4", "--depth", "3", "--format", "json"), 0,
          "['render'] json False"),
         (("member", "--family", "power", "--n", "4", "--x", "1/3", "--depth", "5"), 0, "[] json False"),
-        (("render", "--family", "power", "--n", "4", "--depth", "2"), 0, "['render'] json False"),
+        (("render", "--family", "power", "--n", "4", "--depth", "2"), 0, "['render', 'sets'] json False"),
+        (("generate", "--family", "power", "--n", "4", "--depth", "2", "--format", "svg"), 0,
+         "['render', 'sets'] json False"),
         (("counterexample", "--n-max", "3"), 0, "['counterexample'] json False"),
         (("analyze", "--family", "power", "--n", "4", "--depth", "2"), 0, "['analysis'] json True"),
-    ], ids=["help", "generate-csv", "generate-json", "member-depth", "render", "counterexample", "analyze"])
+    ], ids=["help", "generate-csv", "generate-json", "member-depth", "render", "generate-svg", "counterexample",
+            "analyze"])
     def test_a_launch_executes_only_the_modules_its_command_reads(self, argv, code, executed):
-        # analysis, counterexample and render are registered at import but run on
-        # first use: until then sys.modules holds the lazy module type, not ModuleType.
+        # analysis, counterexample, render and sets are registered at import but run
+        # on first use: until then sys.modules holds the lazy module type, not ModuleType.
         program = ("import atexit, sys, types\n"
                    "def executed():\n"
-                   "    names = [name for name in ('analysis', 'counterexample', 'render')\n"
+                   "    names = [name for name in ('analysis', 'counterexample', 'render', 'sets')\n"
                    "             if type(sys.modules[f'cantorlike.{name}']) is types.ModuleType]\n"
                    "    print(names, 'json', 'json' in sys.modules, file=sys.stderr)\n"
                    "atexit.register(executed)\n"

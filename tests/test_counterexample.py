@@ -6,12 +6,14 @@ from cantorlike.counterexample import tail_measure, tail_table, tail_table_csv, 
 from cantorlike import families as families_module
 from cantorlike.families import (
     DepthCapError,
-    OpenInterval,
     Power,
     Proportional,
-    iterate,
     limit_measure,
     measure_at_depth,
+)
+from cantorlike.sets import (
+    OpenInterval,
+    iterate,
     removed_by_generation,
 )
 

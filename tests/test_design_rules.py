@@ -8,10 +8,11 @@ read a set, one value base, one fold, one cap type, a CLI that reads
 ``analysis``, ``counterexample``, ``render`` and ``json`` only when its command
 runs, measures beside the closed form, so ``counterexample`` reads no
 ``analysis``, the point descent beside the step table, so ``member --depth``
-reads none of the three, and the text of a stage in ``render``. Each module of ``src/`` is read once, as text and as a syntax tree. A
-rule that bans a pattern matches it line by line, as ``grep -n`` does; a rule
-that allows a pattern in one def or class finds the def or class a line lies
-in from the tree.
+reads none of the three, the text of a stage in ``render``, and the set-valued
+API in ``sets``, which no module reads at import. Each module of ``src/`` is
+read once, as text and as a syntax tree. A rule that bans a pattern matches it
+line by line, as ``grep -n`` does; a rule that allows a pattern in one def or
+class finds the def or class a line lies in from the tree.
 
 ``test_each_rule_fails_on_its_recorded_break`` keeps, for every rule, the
 break it was written against: the edit is made to the source in memory, and
@@ -218,11 +219,34 @@ def stage_text_lives_in_render(modules):
     return grep(modules, r"^_ROWS\s*=|def _end_plans\b", skip="render.py")
 
 
+SET_NAMES = ("ClosedInterval", "IntervalSet", "OpenInterval", "IfsMaps", "iterate", "removed_by_generation",
+             "ifs_step", "ifs_maps")
+
+
+def set_api_lives_in_sets(modules):
+    """The eight names of SET_NAMES are defined only in sets.py, and no module
+    of src/ imports one of them, or reads a name off sets, at module level:
+    render.py reaches them through sets. at call time. The package loads sets
+    on first use, so a launch that builds no set compiles none of them."""
+    lines = set()
+    for m in modules:
+        scopes = m.scopes()
+        for node in ast.walk(m.tree):
+            if any(s.startswith("def ") for s in scopes.get(getattr(node, "lineno", 0), ())):
+                continue
+            if (type(node) is ast.ImportFrom and any(a.name in SET_NAMES for a in node.names)
+                    or type(node) is ast.Attribute and type(node.value) is ast.Name and node.value.id == "sets"):
+                lines.add((m, node.lineno))
+    return ([m.hit(n) for m, n in lines]
+            + grep(modules, rf"^(class|def) ({'|'.join(SET_NAMES)})\b", skip="sets.py"))
+
+
 RULES = [no_private_fraction_state_or_hidden_identity, no_family_dispatch, cli_reads_kinds_from_the_family_table,
          integer_flags_are_read_by_cli_int, one_digit_limit_rule, gc_only_in_cli_run, one_walk_of_the_moran_row,
          closed_form_only_in_families, one_way_to_read_a_set, one_value_base_and_one_svg_path,
          one_fold_and_one_block_list, every_cap_raises_depth_cap_error, cli_reads_lazy_modules_and_json_on_use,
-         measures_live_in_families, point_descent_lives_in_families, stage_text_lives_in_render]
+         measures_live_in_families, point_descent_lives_in_families, stage_text_lives_in_render,
+         set_api_lives_in_sets]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -231,8 +255,8 @@ def test_src_keeps_the_rule(rule):
     assert not hits, rule.__doc__ + "\n" + "\n".join(hits)
 
 
-CLI, EXACT, FAMILIES, ANALYSIS, COUNTEREXAMPLE = (f"src/cantorlike/{name}.py" for name in (
-    "cli", "exact", "families", "analysis", "counterexample"))
+CLI, EXACT, FAMILIES, ANALYSIS, COUNTEREXAMPLE, RENDER = (f"src/cantorlike/{name}.py" for name in (
+    "cli", "exact", "families", "analysis", "counterexample", "render"))
 
 # (rule, module, old, new): new in place of the first old, or appended to the
 # module when old is None. Each is a break a rule was written against.
@@ -286,6 +310,10 @@ BREAKS = [
      "MAX_WALK_BITS = 1 << 14\ndef _check_walk(f, k, unit): pass\ndef member_at_depth(x, f, k): return True"),
     (point_descent_lives_in_families, CLI, None, "def member_at_depth(x, f, k): return True"),
     (stage_text_lives_in_render, CLI, None, '_ROWS = {("csv", False): "{},{}"}\ndef _end_plans(): pass'),
+    (set_api_lives_in_sets, EXACT, None, "class IntervalSet(_Frozen): pass"),
+    (set_api_lives_in_sets, FAMILIES, None, "def ifs_step(s, maps): return s"),
+    (set_api_lives_in_sets, RENDER, None, "from .families import iterate"),
+    (set_api_lives_in_sets, RENDER, None, "_iterate = sets.iterate"),
 ]
 
 

@@ -5,8 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from cantorlike.exact import (
-    ClosedInterval,
-    IntervalSet,
     _digit_limit,
     _echo,
     _read_int,
@@ -14,6 +12,7 @@ from cantorlike.exact import (
     parse_rational,
     rational_decimal,
 )
+from cantorlike.sets import ClosedInterval, IntervalSet
 
 
 def ci(a, b):

@@ -2,26 +2,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantorlike.exact import ClosedInterval, IntervalSet
 from cantorlike.families import (
     ConstructionError,
     DepthCapError,
     DigitSet,
-    IfsMaps,
     LambdaFamily,
-    OpenInterval,
     Power,
     Proportional,
     digit_form,
     family_from_json,
     family_to_json,
-    ifs_maps,
-    ifs_step,
-    iterate,
     level_stats,
     moran_row,
-    removed_by_generation,
 )
+from cantorlike.sets import (ClosedInterval, IfsMaps, IntervalSet, OpenInterval, ifs_maps, ifs_step, iterate,
+                             removed_by_generation)
 
 
 def ci(a, b):

@@ -14,18 +14,14 @@ from cantorlike.analysis import (
     member_limit,
     membership_witness,
 )
-from cantorlike.exact import ClosedInterval, IntervalSet
 from cantorlike.families import (
     DigitSet,
     LambdaFamily,
     Power,
     Proportional,
     digit_form,
-    ifs_maps,
-    ifs_step,
-    iterate,
-    removed_by_generation,
 )
+from cantorlike.sets import ClosedInterval, IntervalSet, ifs_maps, ifs_step, iterate, removed_by_generation
 
 SEED = 20260823
 

@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 import cantorlike
-from cantorlike import analysis, counterexample, exact, families, render
+from cantorlike import analysis, counterexample, exact, families, render, sets
 from cantorlike.families import Power
 
 PUBLIC_NAMES = [
@@ -47,7 +47,7 @@ PUBLIC_NAMES = [
     "families", "family_from_json", "family_to_json", "format_rational", "ifs_maps", "ifs_step",
     "iterate", "level_stats", "limit_measure", "measure_at_depth", "member_at_depth",
     "member_limit", "membership_witness", "parse_rational", "removed_by_generation",
-    "render", "render_svg", "similarity_dimension", "tail_measure", "tail_table",
+    "render", "render_svg", "sets", "similarity_dimension", "tail_measure", "tail_table",
 ]
 
 
@@ -61,17 +61,19 @@ def test_public_names_are_pinned():
     proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                           env=env, timeout=60)
     names = proc.stdout.split()
-    assert (proc.returncode, proc.stderr, len(names)) == (0, "", 43)
+    assert (proc.returncode, proc.stderr, len(names)) == (0, "", 44)
     assert names == PUBLIC_NAMES
 
 
-# The names of analysis, counterexample and render: the package loads those
-# modules on first use, so it resolves these through its __getattr__.
+# The names of analysis, counterexample, render and sets: the package loads
+# those modules on first use, so it resolves these through its __getattr__.
 LAZY_NAMES = {
     analysis: ["CANTOR_TERNARY", "DimensionReport", "ExpansionRecord", "base_expansion", "cantor_function",
                "dimension_estimates", "member_limit", "membership_witness", "similarity_dimension"],
     counterexample: ["tail_measure", "tail_table"],
     render: ["render_svg"],
+    sets: ["ClosedInterval", "IfsMaps", "IntervalSet", "OpenInterval", "ifs_maps", "ifs_step", "iterate",
+           "removed_by_generation"],
 }
 
 
@@ -93,14 +95,14 @@ def test_star_import_binds_the_pinned_names():
 
 
 def test_star_import_without_all_binds_only_the_eager_names():
-    # What __all__ adds are the 12 names of the modules loaded on first use.
+    # What __all__ adds are the 20 names of the modules loaded on first use.
     program = ("import cantorlike\ndel cantorlike.__all__\nnamespace = {}\n"
                "exec('from cantorlike import *', namespace)\n"
                "print(*sorted(name for name in namespace if name[0] != '_'))")
     names = fresh_python(program).decode().split()
     lazy = [name for names in LAZY_NAMES.values() for name in names]
     assert names == [name for name in PUBLIC_NAMES if name not in lazy]
-    assert (len(names), len(lazy)) == (31, 12)
+    assert (len(names), len(lazy)) == (24, 20)
 
 
 def test_a_measure_call_leaves_analysis_unexecuted():
@@ -113,6 +115,36 @@ def test_a_measure_call_leaves_analysis_unexecuted():
                "      cantorlike.member_at_depth(Fraction(7, 32), Power(4), 2),\n"
                "      type(sys.modules['cantorlike.analysis']) is types.ModuleType)")
     assert fresh_python(program) == b"9/16 1/2 True False\n"
+
+
+def test_a_point_or_measure_call_leaves_sets_unexecuted_and_a_set_call_runs_it():
+    # The point descent, the measures, the closed form and the digit form read
+    # integers and the Moran row: only a call that builds a set executes sets.
+    program = ("import sys, types\nimport cantorlike\nfrom fractions import Fraction\n"
+               "from cantorlike import Power, Proportional\n"
+               "def executed():\n"
+               "    return type(sys.modules['cantorlike.sets']) is types.ModuleType\n"
+               "print(cantorlike.member_at_depth(Fraction(7, 32), Power(4), 2),\n"
+               "      cantorlike.measure_at_depth(Power(4), 3), cantorlike.level_stats(Power(4), 2).count,\n"
+               "      cantorlike.digit_form(Proportional(Fraction(1, 3))).digits, executed())\n"
+               "print(len(cantorlike.iterate(Power(4), 2)), executed())")
+    assert fresh_python(program) == b"True 9/16 4 (0, 2) False\n4 True\n"
+
+
+def test_the_old_homes_of_the_set_names_give_the_sets_objects():
+    # exact and families resolve what moved to sets through their module
+    # __getattr__, so imports (and pickles) that name the old module still work.
+    from cantorlike.exact import IntervalSet
+    from cantorlike.families import iterate
+
+    assert IntervalSet is sets.IntervalSet and iterate is sets.iterate
+    for module, names in ((exact, ("ClosedInterval", "IntervalSet")),
+                          (families, ("IfsMaps", "OpenInterval", "ifs_maps", "ifs_step", "iterate",
+                                      "removed_by_generation"))):
+        for name in names:
+            assert getattr(module, name) is getattr(sets, name)
+        with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'render_svg'"):
+            module.render_svg
 
 
 def test_a_name_loaded_on_first_use_is_its_modules_object():
@@ -143,24 +175,24 @@ def test_digit_form_is_the_families_one():
     (counterexample, "removed_sequence"),
     (counterexample, "RemovedSequence"),
     (counterexample, "partial_indicator_discontinuity_count"),
-    (exact.ClosedInterval, "contains"),
+    (sets.ClosedInterval, "contains"),
     (families, "stage_stream"),
     (render, "RenderSpec"),
     (counterexample, "total_removed_measure"),
     (counterexample, "discontinuity_report"),
     (counterexample, "DiscontinuityReport"),
     (exact, "UNIT"),
-    (exact.IntervalSet, "dumps"),
-    (exact.IntervalSet, "loads"),
+    (sets.IntervalSet, "dumps"),
+    (sets.IntervalSet, "loads"),
     (families, "StageSizeError"),
     (analysis, "PeriodCapError"),
-    (exact.IntervalSet, "pairs"),
+    (sets.IntervalSet, "pairs"),
     (families, "stage_pairs"),
-    (exact.ClosedInterval, "is_degenerate"),
+    (sets.ClosedInterval, "is_degenerate"),
     (analysis.ExpansionRecord, "terminating"),
     (analysis.ExpansionRecord, "digits_used"),
     (exact, "normalize"),
-    (exact.IntervalSet, "intervals"),
+    (sets.IntervalSet, "intervals"),
     (families.LevelStats, "min_length"),
     (families.LevelStats, "max_length"),
 ])

@@ -54,13 +54,11 @@ from cantorlike.analysis import (
 )
 from cantorlike import cli as cli_module
 from cantorlike import counterexample as counterexample_module
-from cantorlike import exact as exact_module
 from cantorlike import families as families_module
 from cantorlike import render as render_module
+from cantorlike import sets as sets_module
 from cantorlike.counterexample import tail_measure, tail_table, tail_table_csv
 from cantorlike.exact import (
-    ClosedInterval,
-    IntervalSet,
     _digit_limit,
     format_rational,
     rational_decimal,
@@ -69,7 +67,6 @@ from cantorlike.families import (
     ConstructionError,
     DepthCapError,
     DigitSet,
-    IfsMaps,
     LambdaFamily,
     Power,
     Proportional,
@@ -81,15 +78,20 @@ from cantorlike.families import (
     digit_form,
     family_from_json,
     family_to_json,
-    ifs_maps,
-    ifs_step,
-    iterate,
     level_stats,
     limit_measure,
     measure_at_depth,
     moran_row,
-    removed_by_generation,
     stage_ends,
+)
+from cantorlike.sets import (
+    ClosedInterval,
+    IfsMaps,
+    IntervalSet,
+    ifs_maps,
+    ifs_step,
+    iterate,
+    removed_by_generation,
 )
 from cantorlike.render import render_svg
 
@@ -1669,10 +1671,11 @@ def test_generate_builds_no_interval_objects(monkeypatch, capsys, fmt, decimal):
     def forbidden(*args, **kwargs):
         raise AssertionError("generate built a stage set or an interval object")
 
-    for name in ("iterate", "stage_ends"):  # generate reads the two halves itself
-        monkeypatch.setattr(families_module, name, forbidden)
+    # generate reads the two halves itself: it builds neither the stage's ends nor its set
+    for module, name in ((sets_module, "iterate"), (families_module, "stage_ends")):
+        monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(cli_module, name, forbidden, raising=False)
-    monkeypatch.setattr(exact_module.ClosedInterval, "__init__", forbidden)
+    monkeypatch.setattr(sets_module.ClosedInterval, "__init__", forbidden)
     assert generate_stdout(capsys, f, 3, fmt, decimal) == expected
 
 
@@ -1892,7 +1895,7 @@ def test_iterate_builds_no_interval_objects(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an interval object was built")
 
-    monkeypatch.setattr(exact_module.ClosedInterval, "__init__", forbidden)
+    monkeypatch.setattr(sets_module.ClosedInterval, "__init__", forbidden)
     f = Proportional(F(1, 3))
     stage, finer = iterate(f, 6), iterate(f, 7)
     assert stage.total_length == F(2, 3) ** 6

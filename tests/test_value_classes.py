@@ -18,17 +18,13 @@ from pathlib import Path
 import pytest
 
 from cantorlike.analysis import DimensionReport, ExpansionRecord
-from cantorlike.exact import ClosedInterval, IntervalSet
 from cantorlike.families import (
     DigitSet,
-    IfsMaps,
     LambdaFamily,
-    OpenInterval,
     Power,
     Proportional,
-    ifs_step,
-    iterate,
 )
+from cantorlike.sets import ClosedInterval, IfsMaps, IntervalSet, OpenInterval, ifs_step, iterate
 
 # (class, fields in order, the same fields with one value changed, repr text)
 CASES = [
@@ -158,6 +154,57 @@ def test_interval_set_copies_and_pickles_round_trip():
                         for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
             assert type(clone) is IntervalSet and clone == s and hash(clone) == hash(s)
             assert (clone.denom, clone.ends) == (s.denom, s.ends) and repr(clone) == repr(s)
+
+
+# (Power(4) stage 2, ClosedInterval(1/3, 2/3), OpenInterval(1/3, 2/3), the
+# ternary IfsMaps) pickled at protocols 0, 2 and 5 when IntervalSet and
+# ClosedInterval lived in cantorlike.exact and OpenInterval and IfsMaps in
+# cantorlike.families: the pickles name those modules.
+OLD_PICKLES = {
+    0: (b'(c__builtin__\ngetattr\np0\n(ccantorlike.exact\nIntervalSet\np1\nV_from_ends\np2\ntp3\nRp4\n(I32'
+        b'\n(lp5\nI0\naI5\naI7\naI12\naI20\naI25\naI27\naI32\natp6\nRp7\nccantorlike.exact\nClosedInterval'
+        b'\np8\n(cfractions\nFraction\np9\n(I1\nI3\ntp10\nRp11\ng9\n(I2\nI3\ntp12\nRp13\ntp14\nRp15\nccant'
+        b'orlike.families\nOpenInterval\np16\n(g9\n(I1\nI3\ntp17\nRp18\ng9\n(I2\nI3\ntp19\nRp20\ntp21\nRp2'
+        b'2\nccantorlike.families\nIfsMaps\np23\n(((g9\n(I1\nI3\ntp24\nRp25\ng9\n(I0\nI1\ntp26\nRp27\ntp28'
+        b'\n(g9\n(I1\nI3\ntp29\nRp30\ng9\n(I2\nI3\ntp31\nRp32\ntp33\ntp34\ntp35\nRp36\ntp37\n.'),
+    2: (b'\x80\x02(c__builtin__\ngetattr\nq\x00ccantorlike.exact\nIntervalSet\nq\x01X\n\x00\x00\x00_from_e'
+        b'ndsq\x02\x86q\x03Rq\x04K ]q\x05(K\x00K\x05K\x07K\x0cK\x14K\x19K\x1bK e\x86q\x06Rq\x07ccantorlike'
+        b'.exact\nClosedInterval\nq\x08cfractions\nFraction\nq\tK\x01K\x03\x86q\nRq\x0bh\tK\x02K\x03\x86q'
+        b'\x0cRq\r\x86q\x0eRq\x0fccantorlike.families\nOpenInterval\nq\x10h\tK\x01K\x03\x86q\x11Rq\x12h\tK'
+        b'\x02K\x03\x86q\x13Rq\x14\x86q\x15Rq\x16ccantorlike.families\nIfsMaps\nq\x17h\tK\x01K\x03\x86q'
+        b'\x18Rq\x19h\tK\x00K\x01\x86q\x1aRq\x1b\x86q\x1ch\tK\x01K\x03\x86q\x1dRq\x1eh\tK\x02K\x03\x86q'
+        b'\x1fRq \x86q!\x86q"\x85q#Rq$tq%.'),
+    5: (b'\x80\x05\x95,\x01\x00\x00\x00\x00\x00\x00(\x8c\x08builtins\x94\x8c\x07getattr\x94\x93\x94\x8c'
+        b'\x10cantorlike.exact\x94\x8c\x0bIntervalSet\x94\x93\x94\x8c\n_from_ends\x94\x86\x94R\x94K ]\x94('
+        b'K\x00K\x05K\x07K\x0cK\x14K\x19K\x1bK e\x86\x94R\x94h\x03\x8c\x0eClosedInterval\x94\x93\x94\x8c\t'
+        b'fractions\x94\x8c\x08Fraction\x94\x93\x94K\x01K\x03\x86\x94R\x94h\x10K\x02K\x03\x86\x94R\x94\x86'
+        b'\x94R\x94\x8c\x13cantorlike.families\x94\x8c\x0cOpenInterval\x94\x93\x94h\x10K\x01K\x03\x86\x94R'
+        b'\x94h\x10K\x02K\x03\x86\x94R\x94\x86\x94R\x94h\x17\x8c\x07IfsMaps\x94\x93\x94h\x10K\x01K\x03\x86'
+        b'\x94R\x94h\x10K\x00K\x01\x86\x94R\x94\x86\x94h\x10K\x01K\x03\x86\x94R\x94h\x10K\x02K\x03\x86\x94'
+        b'R\x94\x86\x94\x86\x94\x85\x94R\x94t\x94.'),
+}
+
+
+def old_pickle_values():
+    return (iterate(Power(4), 2), ClosedInterval(F(1, 3), F(2, 3)), OpenInterval(F(1, 3), F(2, 3)),
+            IfsMaps(((F(1, 3), F(0)), (F(1, 3), F(2, 3)))))
+
+
+@pytest.mark.parametrize("protocol", sorted(OLD_PICKLES))
+def test_pickles_that_name_the_old_modules_still_load(protocol):
+    # exact and families resolve the moved classes through their module __getattr__.
+    data = OLD_PICKLES[protocol]
+    values = pickle.loads(data)
+    assert values == old_pickle_values()
+    assert [type(v) for v in values] == [IntervalSet, ClosedInterval, OpenInterval, IfsMaps]
+    # and in a fresh interpreter, where sets is not yet loaded when the pickle names exact
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    program = "import pickle, sys\nprint(repr(pickle.loads(sys.stdin.buffer.read())))"
+    proc = subprocess.run([sys.executable, "-c", program], input=data, capture_output=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (0, repr(values) + "\n", b"")
 
 
 def test_equal_interval_sets_compare_and_hash_equal_however_built():
