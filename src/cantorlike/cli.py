@@ -277,7 +277,7 @@ def _cmd_cantor_fn(args: argparse.Namespace) -> None:
 def _cmd_counterexample(args: argparse.Namespace) -> None:
     family = _build_family(args, Power(4))
     _require_at_least("--n-max", args.n_max, 0)
-    _write_rows(counterexample.tail_table_rows(family, args.n_max), "\n")
+    _write_rows(counterexample.tail_table_rows(family, args.n_max), "\n", per=counterexample._BLOCK)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import accumulate, chain, cycle, groupby, islice, repeat
 from math import gcd
+from operator import floordiv, mul, sub, truediv
 
 from .families import DepthCapError, FamilySpec, _gaps, limit_measure
 from .exact import _digit_limit, _echo
@@ -26,6 +28,9 @@ TAIL_TABLE_CAP = 1 << 27
 tail_table_rows admit: the budget STAGE_SIZE_CAP gives a stage, so a table is
 about as large as the largest stage listing. Power(4) and Lambda(1/2) to n = 30000
 are about 2^19.8 and 2^19.5; to n = 10^6 about 2^25.3 and 2^25.0."""
+
+_BLOCK = 4096  # rows per block of tail_table_rows, as the CLI's row chunks
+_ROW = "%d,%d/%d,%d/%d,%.15g"  # n, the sum and the tail reduced, the tail's decimal
 
 
 def _generations(f: FamilySpec, n_max: int, total: Fraction) -> tuple[list[tuple[int, list, int, int]], int]:
@@ -55,28 +60,25 @@ def _generations(f: FamilySpec, n_max: int, total: Fraction) -> tuple[list[tuple
     return gens, widest
 
 
-def _prefix_sums(gens: list, n_max: int) -> Iterator[tuple[int, int, int]]:
-    """(n, num, denom) with sum_{i <= n} |E_i| = num/denom, for n = 0..n_max.
-
-    One pass over the generations of _generations: the sum is kept as an
-    integer numerator over the reduced denominator of the current generation,
-    from the numerator that generation starts at. Past the last removal the
-    sums simply stay put.
-    """
-    n, num, denom = 0, 0, 1
-    yield n, num, denom
-    if n_max <= 0:
-        return
+def _pieces(gens: list, n_max: int) -> Iterator[tuple[int, int, list]]:
+    """(n, denom, nums): rows n, n + 1, ... of 0..n_max, whose sums sum_{i <= n} |E_i| are
+    num/denom for num in nums. Row 0 comes first, then each generation of _generations,
+    cut at its end and at every multiple of _BLOCK rows; a piece's numerators are one
+    accumulate of its lengths from the numerator before it. Past the last removal the
+    sums stay put."""
+    yield 0, 1, [0]
+    n, num, denom = 1, 0, 1  # the next row, and the sum before it as num/denom
     for denom, lengths, num, parents in gens:
-        for _ in range(parents):
-            for length in lengths:
-                n += 1
-                num += length
-                yield n, num, denom
-                if n == n_max:
-                    return
-    for n in range(n + 1, n_max + 1):  # a fixpoint: no further removals exist
-        yield n, num, denom
+        stop, r = min(n + parents * len(lengths), n_max + 1), 0  # r: the next row's place in lengths
+        while n < stop:
+            k = min(stop, n - n % _BLOCK + _BLOCK) - n
+            nums = list(accumulate(islice(cycle(lengths), r, r + k), initial=num))
+            yield n, denom, nums[1:]
+            n, num, r = n + k, nums[-1], (r + k) % len(lengths)
+    while n <= n_max:  # a fixpoint: no further removals exist
+        k = min(n_max + 1, n - n % _BLOCK + _BLOCK) - n
+        yield n, denom, [num] * k
+        n += k
 
 
 def tail_measure(f: FamilySpec, n: int) -> Fraction:
@@ -107,18 +109,20 @@ def tail_table(f: FamilySpec, n_max: int) -> list[tuple[int, Fraction, Fraction]
     total = 1 - limit_measure(f)
     rows = []
     gens, _ = _generations(f, n_max, total)
-    for n, num, denom in _prefix_sums(gens, n_max):
-        acc = Fraction(num, denom)
-        rows.append((n, acc, total - acc))
+    for start, denom, nums in _pieces(gens, n_max):
+        for n, num in enumerate(nums, start):
+            acc = Fraction(num, denom)
+            rows.append((n, acc, total - acc))
     return rows
 
 
 def tail_table_rows(f: FamilySpec, n_max: int) -> Iterator[str]:
-    """The tail table as CSV lines without line ends, header first, formatted
-    from integers: each p/q cell is reduced by one gcd, and the decimal column
-    is the integer true division num / den, which is correctly rounded and so
-    equals float(Fraction). Rows are made one at a time, so a writer can emit
-    them in bounded chunks.
+    """The tail table as CSV text without a final line end: the header line, then
+    the rows in blocks of _BLOCK lines (row 0 in the first), so a writer holds one
+    block at a time. A block's rows are made from columns, one map per column over
+    each piece of _pieces: each p/q cell is reduced by one gcd, and the decimal
+    column is the integer true division num / den, which is correctly rounded and
+    so equals float(Fraction); then one % of _ROW per row.
 
     Before the header, the generations that rows 1..n_max reach are read
     (_generations): a table over TAIL_TABLE_CAP raises DepthCapError, and one
@@ -130,20 +134,26 @@ def tail_table_rows(f: FamilySpec, n_max: int) -> Iterator[str]:
     total = 1 - limit_measure(f)
     tp, tq = total.numerator, total.denominator
     gens, bits = _generations(f, n_max, total)
+
+    def columns(n: int, denom: int, nums: list) -> tuple:
+        g = list(map(gcd, nums, repeat(denom)))
+        tails, tail_den = list(map(sub, repeat(tp * denom), map(mul, repeat(tq), nums))), tq * denom
+        h = list(map(gcd, tails, repeat(tail_den)))
+        return (range(n, n + len(nums)), map(floordiv, nums, g), map(floordiv, repeat(denom), g),
+                map(floordiv, tails, h), map(floordiv, repeat(tail_den), h), map(truediv, tails, repeat(tail_den)))
+
     if (limit := _digit_limit()) and bits >= (top := 10**limit).bit_length():  # else every cell is under top
-        for n, num, denom in _prefix_sums(gens, n_max):
-            if (tail_den := tq * denom) >= top:  # else no cell of the row can pass the limit
-                for den in (denom // gcd(num, denom), tail_den // gcd(tp * denom - tq * num, tail_den)):
-                    if den >= top:
-                        str(den)  # the refusal that writing the row would meet
+        for n, denom, nums in _pieces(gens, n_max):
+            if tq * denom >= top:  # else no cell of the piece can pass the limit
+                _, _, dens, _, tail_dens, _ = columns(n, denom, nums)
+                if (den := max(chain(dens, tail_dens))) >= top:
+                    str(den)  # the refusal that writing the row would meet
     yield "n,sum_removed,tail,tail_decimal"
-    for n, num, denom in _prefix_sums(gens, n_max):
-        tail_num, tail_den = tp * denom - tq * num, tq * denom
-        yield (f"{n},{num // (g := gcd(num, denom))}/{denom // g},"
-               f"{tail_num // (h := gcd(tail_num, tail_den))}/{tail_den // h},"
-               f"{tail_num / tail_den:.15g}")
+    for _, pieces in groupby(_pieces(gens, n_max), lambda piece: piece[0] // _BLOCK):
+        yield "\n".join(map(_ROW.__mod__, chain.from_iterable(zip(*columns(*piece)) for piece in pieces)))
 
 
 def tail_table_csv(f: FamilySpec, n_max: int) -> str:
-    """The tail table as one CSV string: the lines of tail_table_rows."""
+    """The tail table as one CSV string: the header and blocks of tail_table_rows,
+    each followed by a line end."""
     return "\n".join(tail_table_rows(f, n_max)) + "\n"

@@ -13,7 +13,7 @@ from collections.abc import Callable, Iterator
 from functools import cache
 from itertools import chain, repeat, starmap
 from math import gcd
-from operator import add, floordiv, itemgetter, truediv
+from operator import add, floordiv, itemgetter, mul, sub, truediv
 
 from . import sets
 from .exact import _echo
@@ -39,7 +39,8 @@ _ROWS = {
 # gcd(x, denom) = h for every a whenever each prime of denom/h divides m/h:
 # that is checked once per h, by stripping from denom/h what it shares with
 # m/h until 1 is left or nothing is shared. Then the end's cell, made before
-# any output, is "%d/" + str(denom // h); else (as for p = 0) it is "%d/%d".
+# any output, is "%d/" + str(denom // h); else (as for p = 0) it is "%d/%d",
+# and gcd(x, denom) = gcd(x, h * rest), rest what is left of denom/h.
 def _end_plans(denom: int, inner: list, blocks: list, row: str, sep: str, decimal: bool):
     """block(a, i, j): the text of the block (a, i, j) of _stage_halves, one %
     of the template of its rows on columns made by map, no Python code per row."""
@@ -53,10 +54,10 @@ def _end_plans(denom: int, inner: list, blocks: list, row: str, sep: str, decima
             while (t := gcd(rest, shared)) > 1:
                 rest //= t
                 shared = t * t  # exponents double: O(log) steps per h
-            known[h] = (h, f"%d/{denom // h}") if rest == 1 else (0, "%d/%d")
+            known[h] = (h, f"%d/{denom // h}", h) if rest == 1 else (0, "%d/%d", h * rest)
         return known[h]
 
-    hs, cells = zip(*map(plan, inner))
+    hs, cells, mods = zip(*map(plan, inner))
 
     @cache  # one layout per block shape: all intervals, and the cuts where blocks meet
     def layout(i: int, j: int) -> tuple:
@@ -70,12 +71,12 @@ def _end_plans(denom: int, inner: list, blocks: list, row: str, sep: str, decima
         take = itemgetter(*chain.from_iterable(cols[k] + cols[k + 1] + (n + f + at[k], n + f + at[k + 1])
                                                [:2 * decimal] for k in range(0, n, 2)))
         return (sep.join(map(row.format, it, it)), [inner[2 * i + k] for k in order],
-                [h[k] for k in order[:n - f]], take)
+                [h[k] for k in order[:n - f]], [mods[2 * i + k] for k in order[n - f:]], take)
 
     def block(a: int, i: int, j: int) -> str:
-        template, p, h, take = layout(i, j)
+        template, p, h, mod, take = layout(i, j)
         x = list(map(add, repeat(a), p))
-        g = list(map(gcd, x[len(h):], repeat(denom)))
+        g = list(map(gcd, x[len(h):], mod))
         columns = [*map(floordiv, x, h + g), *map(floordiv, repeat(denom), g)]
         if decimal:
             columns += map(truediv, x, repeat(denom))
@@ -97,8 +98,10 @@ def stage_rows(family: FamilySpec, depth: int, fmt: str,
     return starmap(block, blocks), sep, head, tail, len(inner) // 2
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.3f}".rstrip("0").rstrip(".")
+def _decimals(values: tuple) -> tuple:
+    """Each v at 3 decimals less trailing zeros and point: one % and three replaces."""
+    text = ("%.3f\n" * len(values)) % values
+    return tuple(text.replace("00\n", "\n").replace("0\n", "\n").replace(".\n", "\n").split())
 
 
 def render_svg(family: FamilySpec, depth: int, width_px: int = 800,
@@ -127,15 +130,17 @@ def render_svg(family: FamilySpec, depth: int, width_px: int = 800,
     for stage in range(depth + 1):
         row = sets.iterate(family, stage)
         denom, ends = row.denom, row.ends
-        # Every block of a stage has one width, except where touching digit
-        # blocks merged, so the rest of a rect is formatted once per distinct
-        # b - a and only x once per rect. int / int is correctly rounded, so
-        # both equal float(Fraction) * width_px; max(..., 1.0) keeps points visible.
-        tails = {d: f'" y="{stage * row_height_px}" width="{_fmt(max(d / denom * width_px, 1.0))}" '
-                    f'height="{bar_h}" fill="#1f2430"/>\n'
-                 for d in {b - a for a, b in zip(ends[::2], ends[1::2])}}
+        # A rect's template is made once per distinct b - a (one but where touching digit
+        # blocks merged); a slice is one % of its templates on its x column, in one expression
+        # so that no slice's text outlives its write. int / int is correctly rounded, so x and
+        # width are float(Fraction) * width_px; max(..., 1.0) keeps points visible.
+        widths = tuple({b - a for a, b in zip(ends[::2], ends[1::2])})
+        tails = {d: f'<rect x="%s" y="{stage * row_height_px}" width="{w}" height="{bar_h}" fill="#1f2430"/>\n'
+                 for d, w in zip(widths, _decimals(tuple(max(d / denom * width_px, 1.0) for d in widths)))}
         for i in range(0, len(ends), 2 * _SLICE_RECTS):
-            it = iter(ends[i:i + 2 * _SLICE_RECTS])
-            emit("".join([f'<rect x="{_fmt(a / denom * width_px)}{tails[b - a]}' for a, b in zip(it, it)]))
+            lefts, rights = ends[i:i + 2 * _SLICE_RECTS:2], ends[i + 1:i + 2 * _SLICE_RECTS:2]
+            emit((tails[widths[0]] * len(lefts) if len(widths) == 1
+                  else "".join(map(tails.__getitem__, map(sub, rights, lefts))))
+                 % _decimals(tuple(map(mul, map(truediv, lefts, repeat(denom)), repeat(width_px)))))
     emit("</svg>\n")
     return "".join(parts) if write is None else None

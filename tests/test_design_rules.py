@@ -9,7 +9,8 @@ read a set, one value base, one fold, one cap type, a CLI that reads
 runs, measures beside the closed form, so ``counterexample`` reads no
 ``analysis``, the point descent beside the step table, so ``member --depth``
 reads none of the three, the text of a stage in ``render``, and the set-valued
-API in ``sets``, which no module reads at import. Each module of ``src/`` is
+API in ``sets``, which no module reads at import, and the rows of the tail
+table and the rects of the SVG made by column. Each module of ``src/`` is
 read once, as text and as a syntax tree. A rule that bans a pattern matches it
 line by line, as ``grep -n`` does; a rule that allows a pattern in one def or
 class finds the def or class a line lies in from the tree.
@@ -241,12 +242,23 @@ def set_api_lives_in_sets(modules):
             + grep(modules, rf"^(class|def) ({'|'.join(SET_NAMES)})\b", skip="sets.py"))
 
 
+def rows_and_rects_are_made_by_column(modules):
+    """The tail table's rows and the SVG's rects are made from columns, one % per
+    row or slice: in counterexample.py the 15-digit decimal is written only in the
+    row template _ROW, render.py has one 3-decimal format, in _decimals, and the
+    per-row writers _prefix_sums and _fmt are gone."""
+    decimals = grep(modules, r"\.3f", only="render.py")
+    return list(set(outside(modules, r"\.15g", lambda m, line, scope: m.name != "counterexample.py"
+                            or line.startswith("_ROW = "))
+                    + decimals[1:] + grep(modules, r"def (_prefix_sums|_fmt)\b")))
+
+
 RULES = [no_private_fraction_state_or_hidden_identity, no_family_dispatch, cli_reads_kinds_from_the_family_table,
          integer_flags_are_read_by_cli_int, one_digit_limit_rule, gc_only_in_cli_run, one_walk_of_the_moran_row,
          closed_form_only_in_families, one_way_to_read_a_set, one_value_base_and_one_svg_path,
          one_fold_and_one_block_list, every_cap_raises_depth_cap_error, cli_reads_lazy_modules_and_json_on_use,
          measures_live_in_families, point_descent_lives_in_families, stage_text_lives_in_render,
-         set_api_lives_in_sets]
+         set_api_lives_in_sets, rows_and_rects_are_made_by_column]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -314,6 +326,8 @@ BREAKS = [
     (set_api_lives_in_sets, FAMILIES, None, "def ifs_step(s, maps): return s"),
     (set_api_lives_in_sets, RENDER, None, "from .families import iterate"),
     (set_api_lives_in_sets, RENDER, None, "_iterate = sets.iterate"),
+    (rows_and_rects_are_made_by_column, COUNTEREXAMPLE, None, 'f"{tail_num / tail_den:.15g}"'),
+    (rows_and_rects_are_made_by_column, RENDER, None, 'def _fmt(v): return f"{v:.3f}".rstrip("0")'),
 ]
 
 

@@ -1310,6 +1310,34 @@ def test_tail_measure_matches_reference(f, n):
     assert tail_measure(f, n) == ref_tail_measure(f, n)
 
 
+# The tail table goes out in blocks of 4096 rows, row 0 in the first, each made
+# from the pieces of generations cut at the block ends.
+SEAM_N_MAX = (0, 1, 4095, 4096, 4097, 8191, 8192, 8193, 12289)
+SEAM_FAMILIES = (
+    DigitSet(7, (0, 2, 4, 6)),  # generation 7 starts at row 4096: its seam at 8192 falls mid-cycle
+    DigitSet(7, (0, 1, 4, 6)),  # gaps 2 and 1 a parent: generation 7 runs from row 2731, past 4096 mid-cycle
+    Power(2),                   # three removals, then fixpoint rows across every seam
+    Power(4),
+    LambdaFamily(F(1, 2)),
+)
+
+
+@pytest.mark.parametrize("f", SEAM_FAMILIES, ids=repr)
+def test_tail_table_blocks_meet_at_their_seams(capsys, f):
+    # A table to n_max is the first n_max + 2 lines of any longer one.
+    lines = ref_tail_table_csv(f, max(SEAM_N_MAX)).splitlines(keepends=True)
+    argv = ["counterexample", "--family-json", json.dumps(family_to_json(f)), "--n-max"]
+    for n_max in SEAM_N_MAX:
+        expected = "".join(lines[:n_max + 2])
+        assert tail_table_csv(f, n_max) == expected, n_max
+        assert cli_module.main([*argv, str(n_max)]) == 0
+        assert capsys.readouterr().out == expected, n_max
+        head, *blocks = counterexample_module.tail_table_rows(f, n_max)
+        assert head == "n,sum_removed,tail,tail_decimal"
+        assert [block.count("\n") + 1 for block in blocks] == [4096] * ((n_max + 1) // 4096) + (
+            [(n_max + 1) % 4096] if (n_max + 1) % 4096 else []), n_max
+
+
 # --- one pass over the step table -------------------------------------------------------
 
 def count_steps(monkeypatch):
@@ -1572,6 +1600,20 @@ def keeps_a_prime_the_outer_ends_lack(f, k):
     return denom // math.gcd(denom, m ** denom.bit_length()) > 1
 
 
+@pytest.mark.parametrize("f", [LambdaFamily(F(1, 5)), LambdaFamily(F(2, 7)), LambdaFamily(F(1, 35)),
+                               LambdaFamily(F(3, 10))], ids=repr)
+def test_generate_reduces_unplanned_ends_by_their_part_of_the_denominator(capsys, f):
+    # From stage 2 on, these denominators keep a prime the outer ends lack, so
+    # some ends have no planned gcd: each is reduced by gcd(x, h * rest), rest
+    # the part of denom / h prime to m / h, in place of gcd(x, denom).
+    assert all(keeps_a_prime_the_outer_ends_lack(f, depth) for depth in range(2, 9))
+    for depth in range(1, 9):
+        for fmt in ("json", "csv"):
+            for decimal in (False, True):
+                assert generate_stdout(capsys, f, depth, fmt, decimal) == ref_generate(f, depth, fmt,
+                                                                                       decimal), depth
+
+
 @pytest.mark.parametrize("f, depth", [(LambdaFamily(F(1, 5)), 4), (Power(2), 5)], ids=repr)
 def test_generate_where_the_denominator_keeps_a_prime_the_outer_ends_lack(capsys, f, depth):
     # Lambda(1/5): stage 4 is over 1620 = 2^2 3^4 5 and every outer left end
@@ -1694,6 +1736,30 @@ def test_render_refuses_a_size_under_one_pixel():
     # A width past the largest float is refused too, and before any row is built.
     with pytest.raises(ValueError, match=r"^width_px is too large for a float, got 2000"):
         render_svg(Power(4), 30, width_px=2 * 10**308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(0, 1e40),
+    st.integers(0, 10**15).map(float),                       # exact integers: the ".000" path
+    st.integers(0, 10**12).map(lambda i: i + 0.5),
+    st.integers(0, 10**12).map(lambda i: i + 0.05),
+    st.integers(0, 10**12).map(lambda i: (2 * i + 1) / 2000),  # x.yyy5: ties at the third decimal
+), min_size=1, max_size=40))
+@example([float(2**53 - 1), float(2**53), float(2**53 + 1), 0.0, 1.0, 0.0005, 0.9995, 1e40])
+def test_svg_x_column_equals_each_value_stripped_alone(values):
+    assert render_module._decimals(tuple(values)) == tuple(map(ref_fmt, values))
+
+
+@pytest.mark.parametrize("width", [1, 3**9, 10**12, 10**39])
+@pytest.mark.parametrize("f, depth", [(Proportional(F(1, 3)), 9), (DigitSet(5, (0, 1, 4)), 4), (Power(4), 7)],
+                         ids=repr)
+def test_render_matches_per_rect_reference_at_extreme_widths(f, depth, width):
+    # 3^9 px makes every ternary x integral; 10^12 and 10^39 px give x columns of 13 to 40 digits.
+    if isinstance(f, DigitSet):  # touching blocks merged: the rects of a row have several widths
+        denom, ends = stage_ends(f, depth)
+        assert len({b - a for a, b in zip(ends[::2], ends[1::2])}) > 1
+    assert render_svg(f, depth, width_px=width) == ref_render_svg(f, depth, width, 28)
 
 
 # --- the integer IntervalSet against the Fraction one ------------------------------------
