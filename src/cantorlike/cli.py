@@ -16,9 +16,7 @@ import argparse
 import gc
 import os
 import sys
-from collections.abc import Iterable
 from fractions import Fraction
-from itertools import islice
 
 from . import analysis, counterexample, render
 from .exact import _digit_limit, _echo, _over_limit, _read_int, format_rational, parse_rational, rational_decimal
@@ -132,27 +130,6 @@ def _parse_x(text: str) -> Fraction:
     return x
 
 
-_CHUNK_ROWS = 4096
-
-
-def _write_rows(rows: Iterable[str], sep: str, head: str = "", tail: str = "\n", per: int = 1) -> None:
-    """Write head + sep.join(rows) + tail to stdout a chunk of about _CHUNK_ROWS
-    rows (of items of ``per`` rows each) at a time, the separator between chunks
-    apart, so one chunk's items and text are held at most and no row goes alone.
-    The first chunk is made before the head goes out, so a first chunk too
-    large to print fails with nothing written."""
-    write = sys.stdout.write
-    rows, size = iter(rows), max(1, _CHUNK_ROWS // per)
-    chunk = list(islice(rows, size))
-    write(head)
-    while chunk:
-        write(sep.join(chunk))
-        del chunk  # the rows go before the next chunk is read
-        if chunk := list(islice(rows, size)):
-            write(sep)
-    write(tail)
-
-
 def _cmd_generate(args: argparse.Namespace) -> None:
     family = _build_family(args)
     _require_at_least("--depth", args.depth, 0)
@@ -165,7 +142,9 @@ def _cmd_generate(args: argparse.Namespace) -> None:
             _fail(EXIT_BAD_FAMILY, f"--width is too large for a float, got {_echo(args.width)}")
         render.render_svg(family, args.depth, args.width, args.row_height, sys.stdout.write)
         return
-    _write_rows(*render.stage_rows(family, args.depth, args.format, args.decimal))
+    for piece in render.stage_rows(family, args.depth, args.format, args.decimal):
+        sys.stdout.write(piece)
+        del piece  # the piece goes before the next one is made
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
@@ -277,7 +256,9 @@ def _cmd_cantor_fn(args: argparse.Namespace) -> None:
 def _cmd_counterexample(args: argparse.Namespace) -> None:
     family = _build_family(args, Power(4))
     _require_at_least("--n-max", args.n_max, 0)
-    _write_rows(counterexample.tail_table_rows(family, args.n_max), "\n", per=counterexample._BLOCK)
+    for piece in counterexample.tail_table_rows(family, args.n_max):
+        sys.stdout.write(piece)
+        del piece  # the piece goes before the next one is made
 
 
 def build_parser() -> argparse.ArgumentParser:

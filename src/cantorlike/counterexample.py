@@ -29,8 +29,8 @@ tail_table_rows admit: the budget STAGE_SIZE_CAP gives a stage, so a table is
 about as large as the largest stage listing. Power(4) and Lambda(1/2) to n = 30000
 are about 2^19.8 and 2^19.5; to n = 10^6 about 2^25.3 and 2^25.0."""
 
-_BLOCK = 4096  # rows per block of tail_table_rows, as the CLI's row chunks
-_ROW = "%d,%d/%d,%d/%d,%.15g"  # n, the sum and the tail reduced, the tail's decimal
+_BLOCK = 4096  # rows per block of tail_table_rows
+_ROW = "%d,%d/%d,%d/%d,%.15g\n"  # n, the sum and the tail reduced, the tail's decimal
 
 
 def _generations(f: FamilySpec, n_max: int, total: Fraction) -> tuple[list[tuple[int, list, int, int]], int]:
@@ -117,12 +117,13 @@ def tail_table(f: FamilySpec, n_max: int) -> list[tuple[int, Fraction, Fraction]
 
 
 def tail_table_rows(f: FamilySpec, n_max: int) -> Iterator[str]:
-    """The tail table as CSV text without a final line end: the header line, then
-    the rows in blocks of _BLOCK lines (row 0 in the first), so a writer holds one
-    block at a time. A block's rows are made from columns, one map per column over
-    each piece of _pieces: each p/q cell is reduced by one gcd, and the decimal
-    column is the integer true division num / den, which is correctly rounded and
-    so equals float(Fraction); then one % of _ROW per row.
+    """The tail table as CSV text in pieces whose join is the table: the header
+    line, then the rows in blocks of _BLOCK lines (row 0 in the first), each
+    piece ending in a line end, so a writer holds one block at a time. A block's
+    rows are made from columns, one map per column over each piece of _pieces:
+    each p/q cell is reduced by one gcd, and the decimal column is the integer
+    true division num / den, which is correctly rounded and so equals
+    float(Fraction); then one % of _ROW per row.
 
     Before the header, the generations that rows 1..n_max reach are read
     (_generations): a table over TAIL_TABLE_CAP raises DepthCapError, and one
@@ -148,12 +149,11 @@ def tail_table_rows(f: FamilySpec, n_max: int) -> Iterator[str]:
                 _, _, dens, _, tail_dens, _ = columns(n, denom, nums)
                 if (den := max(chain(dens, tail_dens))) >= top:
                     str(den)  # the refusal that writing the row would meet
-    yield "n,sum_removed,tail,tail_decimal"
+    yield "n,sum_removed,tail,tail_decimal\n"
     for _, pieces in groupby(_pieces(gens, n_max), lambda piece: piece[0] // _BLOCK):
-        yield "\n".join(map(_ROW.__mod__, chain.from_iterable(zip(*columns(*piece)) for piece in pieces)))
+        yield "".join(map(_ROW.__mod__, chain.from_iterable(zip(*columns(*piece)) for piece in pieces)))
 
 
 def tail_table_csv(f: FamilySpec, n_max: int) -> str:
-    """The tail table as one CSV string: the header and blocks of tail_table_rows,
-    each followed by a line end."""
-    return "\n".join(tail_table_rows(f, n_max)) + "\n"
+    """The tail table as one CSV string: the join of the pieces of tail_table_rows."""
+    return "".join(tail_table_rows(f, n_max))

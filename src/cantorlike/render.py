@@ -1,17 +1,18 @@
 """The text of construction stages, in every format: CSV and JSON rows, and SVG.
 
-``stage_rows`` gives one stage as CSV or JSON rows, optionally with 15-digit
-decimal columns, a block of rows at a time. ``render_svg`` draws the usual
-iteration diagram: stage 0 on top, one row per stage, each surviving closed
-interval a filled rectangle. Output is a pure function of the inputs, so
-identical calls give byte-identical text.
+``stage_rows`` yields one stage as CSV or JSON rows, optionally with 15-digit
+decimal columns, in pieces of about _PIECE_ROWS rows. ``render_svg`` draws the
+usual iteration diagram: stage 0 on top, one row per stage, each surviving
+closed interval a filled rectangle, in slices of at most _PIECE_ROWS rects.
+Output is a pure function of the inputs, so identical calls give
+byte-identical text.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import cache
-from itertools import chain, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 from math import gcd
 from operator import add, floordiv, itemgetter, mul, sub, truediv
 
@@ -19,7 +20,7 @@ from . import sets
 from .exact import _echo
 from .families import FamilySpec, _check_stage, _stage_halves
 
-_SLICE_RECTS = 4096  # rect lines per write at most, as the CLI's row chunks
+_PIECE_ROWS = 4096  # rows a piece of stage text holds about, rect lines an SVG slice at most
 
 # A stage row: its ends in the cells {} that _end_plans writes, then with
 # decimal x / denom (integer true division rounds correctly, as does
@@ -85,17 +86,26 @@ def _end_plans(denom: int, inner: list, blocks: list, row: str, sep: str, decima
     return block
 
 
-def stage_rows(family: FamilySpec, depth: int, fmt: str,
-               decimal: bool) -> tuple[Iterator[str], str, str, str, int]:
-    """Stage ``depth`` as text in ``fmt``, "csv" or "json": (the text of each
-    block of _stage_halves, the separator, head and tail around them, rows
-    per block), to be written head + sep.join(blocks) + tail. The stage's
-    integer ends are built here, its rows only as the blocks are read.
-    Raises as ``_stage_halves`` does, before any fold."""
+def stage_rows(family: FamilySpec, depth: int, fmt: str, decimal: bool) -> Iterator[str]:
+    """Stage ``depth`` as text in ``fmt``, "csv" or "json", in pieces whose join
+    is the listing: the head, then chunks of max(1, _PIECE_ROWS // rows per
+    block) blocks of _stage_halves with the separator as a piece between
+    chunks, then the tail. The stage's integer ends are built on the first
+    next(), which raises as ``_stage_halves`` does before anything is yielded,
+    and the first chunk before the head, so a row too large to print fails
+    with nothing yielded; the rows are made only as the chunks are read."""
     denom, inner, blocks = _stage_halves(family, depth)
     sep, head, tail = (", ", "[", "]\n") if fmt == "json" else ("\n", "", "\n")
     block = _end_plans(denom, inner, blocks, _ROWS[fmt, decimal], sep, decimal)
-    return starmap(block, blocks), sep, head, tail, len(inner) // 2
+    texts, size = starmap(block, blocks), max(1, _PIECE_ROWS // (len(inner) // 2))
+    chunk = sep.join(islice(texts, size))
+    yield head
+    while chunk:
+        yield chunk
+        del chunk  # the chunk goes before the next one is made
+        if chunk := sep.join(islice(texts, size)):
+            yield sep
+    yield tail
 
 
 def _decimals(values: tuple) -> tuple:
@@ -107,7 +117,7 @@ def _decimals(values: tuple) -> tuple:
 def render_svg(family: FamilySpec, depth: int, width_px: int = 800,
                row_height_px: int = 28, write: Callable[[str], object] | None = None) -> str | None:
     """Stages 0..depth as an SVG, width_px by (depth + 1) * row_height_px.
-    With ``write``, the header, each row in slices of at most _SLICE_RECTS
+    With ``write``, the header, each row in slices of at most _PIECE_ROWS
     rect lines, and the closing tag go to it as they are made, and None is
     returned; without, the slices are joined and returned. Raises before
     any row is built: ValueError for a size under 1 px or a width too large
@@ -137,8 +147,8 @@ def render_svg(family: FamilySpec, depth: int, width_px: int = 800,
         widths = tuple({b - a for a, b in zip(ends[::2], ends[1::2])})
         tails = {d: f'<rect x="%s" y="{stage * row_height_px}" width="{w}" height="{bar_h}" fill="#1f2430"/>\n'
                  for d, w in zip(widths, _decimals(tuple(max(d / denom * width_px, 1.0) for d in widths)))}
-        for i in range(0, len(ends), 2 * _SLICE_RECTS):
-            lefts, rights = ends[i:i + 2 * _SLICE_RECTS:2], ends[i + 1:i + 2 * _SLICE_RECTS:2]
+        for i in range(0, len(ends), 2 * _PIECE_ROWS):
+            lefts, rights = ends[i:i + 2 * _PIECE_ROWS:2], ends[i + 1:i + 2 * _PIECE_ROWS:2]
             emit((tails[widths[0]] * len(lefts) if len(widths) == 1
                   else "".join(map(tails.__getitem__, map(sub, rights, lefts))))
                  % _decimals(tuple(map(mul, map(truediv, lefts, repeat(denom)), repeat(width_px)))))

@@ -484,7 +484,7 @@ class TestCaps:
         # Lambda(1e-4000) to n = 1000: a 146,191-bit bound a row, against 13,304
         # bits for the widest cell printed. Its header comes at once (no cell can
         # pass the digit limit); a table far past the cap is still refused first.
-        assert next(tail_table_rows(LambdaFamily(F(1, 10**4000)), 1000)) == "n,sum_removed,tail,tail_decimal"
+        assert next(tail_table_rows(LambdaFamily(F(1, 10**4000)), 1000)) == "n,sum_removed,tail,tail_decimal\n"
         code, out, err = run(capsys, "counterexample", "--family", "lambda", "--lambda", "1e-4000",
                              "--n-max", "1000000000000")
         assert (code, out, err) == (3, "", "the tail table to n = 1000000000000 exceeds the table size cap "

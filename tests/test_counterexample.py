@@ -118,7 +118,7 @@ class TestTailTable:
         # Rows 0..n_max of Power(4) to n = 2,982,615 reach generation 22, whose
         # reduced cells are at most 45 bits (D_22 has 67): 2,982,616 rows of 45 bits
         # is under 2^27, and one more row is over it.
-        assert next(tail_table_rows(VOLTERRA, 2982615)) == "n,sum_removed,tail,tail_decimal"
+        assert next(tail_table_rows(VOLTERRA, 2982615)) == "n,sum_removed,tail,tail_decimal\n"
         with pytest.raises(DepthCapError, match="^the tail table to n = 2982616 exceeds the table size cap "
                                                 r"of 134217728 \(rows x cell bits\)$"):
             next(tail_table_rows(VOLTERRA, 2982616))

@@ -9,8 +9,9 @@ read a set, one value base, one fold, one cap type, a CLI that reads
 runs, measures beside the closed form, so ``counterexample`` reads no
 ``analysis``, the point descent beside the step table, so ``member --depth``
 reads none of the three, the text of a stage in ``render``, and the set-valued
-API in ``sets``, which no module reads at import, and the rows of the tail
-table and the rects of the SVG made by column. Each module of ``src/`` is
+API in ``sets``, which no module reads at import, the rows of the tail
+table and the rects of the SVG made by column, and a streamed listing cut into
+pieces by its producer, not by the CLI. Each module of ``src/`` is
 read once, as text and as a syntax tree. A rule that bans a pattern matches it
 line by line, as ``grep -n`` does; a rule that allows a pattern in one def or
 class finds the def or class a line lies in from the tree.
@@ -253,12 +254,23 @@ def rows_and_rects_are_made_by_column(modules):
                     + decimals[1:] + grep(modules, r"def (_prefix_sums|_fmt)\b")))
 
 
+def each_producer_yields_its_own_text(modules):
+    """render.stage_rows and counterexample.tail_table_rows yield the exact text
+    of their listings in pieces, and the CLI writes each piece as it comes:
+    cli.py defines no row regrouper _write_rows or _CHUNK_ROWS and reads no
+    private name of analysis, counterexample or render (as it read
+    counterexample._BLOCK), and no module sizes its pieces "as the CLI's row
+    chunks"."""
+    return (grep(modules, r"def _write_rows\b|^_CHUNK_ROWS\s*=|\b(analysis|counterexample|render)\._", only="cli.py")
+            + grep(modules, r"as the CLI's row chunks"))
+
+
 RULES = [no_private_fraction_state_or_hidden_identity, no_family_dispatch, cli_reads_kinds_from_the_family_table,
          integer_flags_are_read_by_cli_int, one_digit_limit_rule, gc_only_in_cli_run, one_walk_of_the_moran_row,
          closed_form_only_in_families, one_way_to_read_a_set, one_value_base_and_one_svg_path,
          one_fold_and_one_block_list, every_cap_raises_depth_cap_error, cli_reads_lazy_modules_and_json_on_use,
          measures_live_in_families, point_descent_lives_in_families, stage_text_lives_in_render,
-         set_api_lives_in_sets, rows_and_rects_are_made_by_column]
+         set_api_lives_in_sets, rows_and_rects_are_made_by_column, each_producer_yields_its_own_text]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -328,6 +340,13 @@ BREAKS = [
     (set_api_lives_in_sets, RENDER, None, "_iterate = sets.iterate"),
     (rows_and_rects_are_made_by_column, COUNTEREXAMPLE, None, 'f"{tail_num / tail_den:.15g}"'),
     (rows_and_rects_are_made_by_column, RENDER, None, 'def _fmt(v): return f"{v:.3f}".rstrip("0")'),
+    (each_producer_yields_its_own_text, CLI, None, "_CHUNK_ROWS = 4096"),
+    (each_producer_yields_its_own_text, CLI,
+     "    for piece in counterexample.tail_table_rows(family, args.n_max):\n"
+     "        sys.stdout.write(piece)\n        del piece  # the piece goes before the next one is made\n",
+     '    _write_rows(counterexample.tail_table_rows(family, args.n_max), "\\n", per=counterexample._BLOCK)\n'),
+    (each_producer_yields_its_own_text, COUNTEREXAMPLE, "_BLOCK = 4096  # rows per block of tail_table_rows\n",
+     "_BLOCK = 4096  # rows per block of tail_table_rows, as the CLI's row chunks\n"),
 ]
 
 

@@ -1333,8 +1333,8 @@ def test_tail_table_blocks_meet_at_their_seams(capsys, f):
         assert cli_module.main([*argv, str(n_max)]) == 0
         assert capsys.readouterr().out == expected, n_max
         head, *blocks = counterexample_module.tail_table_rows(f, n_max)
-        assert head == "n,sum_removed,tail,tail_decimal"
-        assert [block.count("\n") + 1 for block in blocks] == [4096] * ((n_max + 1) // 4096) + (
+        assert head == "n,sum_removed,tail,tail_decimal\n"
+        assert [block.count("\n") for block in blocks] == [4096] * ((n_max + 1) // 4096) + (
             [(n_max + 1) % 4096] if (n_max + 1) % 4096 else []), n_max
 
 
@@ -1685,18 +1685,52 @@ def test_generate_row_writer_holds_two_half_stages(monkeypatch, f, depth):
     assert peak < 500_000, peak
 
 
-def test_row_writer_holds_one_chunk_at_a_time(monkeypatch):
-    # Three chunks of fresh 100-character rows, as the stage rows are made.
-    # Writing lead + the joined chunk held the chunk's text twice, and the
-    # rows of one chunk were still held while the next chunk was read.
-    chunk, width = cli_module._CHUNK_ROWS, 100
-    rows = (f"{i:0{width}d}" for i in range(3 * chunk))
+@pytest.mark.parametrize("decimal", (False, True))
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("f", (Proportional(F(1, 3)), Power(2), Power(4), LambdaFamily(F(1, 2)),
+                               DigitSet(5, (0, 1, 4))), ids=repr)
+def test_stage_rows_join_to_the_listing(f, fmt, decimal):
+    # The pieces are the listing in order: the head, chunks of whole blocks
+    # with the separator as a piece between them, the tail. Digit 5{0,1,4}
+    # merges touching blocks, and its stage 8 (121 blocks of 42 rows or
+    # fewer) runs over two chunks.
+    head, sep, tail = ("[", ", ", "]\n") if fmt == "json" else ("", "\n", "\n")
+    for depth in range(9):
+        pieces = list(render_module.stage_rows(f, depth, fmt, decimal))
+        assert "".join(pieces) == ref_generate(f, depth, fmt, decimal), depth
+        assert (pieces[0], pieces[-1], set(pieces[2:-1:2])) == (head, tail, {sep} if len(pieces) > 3 else set())
+        rows = [p.count("{") if fmt == "json" else p.count("\n") + 1 for p in pieces[1:-1:2]]
+        assert max(rows) <= render_module._PIECE_ROWS + len(_stage_halves(f, depth)[1]) // 2, (depth, rows)
+
+
+@pytest.mark.parametrize("depth, error", ((22, DepthCapError), (-1, ValueError)))
+def test_stage_rows_refuses_on_its_first_next(depth, error):
+    rows = render_module.stage_rows(Proportional(F(1, 3)), depth, "csv", False)  # a generator: nothing runs yet
+    with pytest.raises(error):
+        next(rows)
+
+
+@pytest.mark.parametrize("module, name, argv", (
+    (render_module, "stage_rows", generate_argv(Power(4), 0, "csv", False)),
+    (counterexample_module, "tail_table_rows", ["counterexample", "--n-max", "0"])), ids=("generate", "counterexample"))
+def test_row_writer_holds_one_chunk_at_a_time(monkeypatch, module, name, argv):
+    # Three pieces of 4096 fresh 100-character rows, each ending in a line end,
+    # as the tail table's blocks are made. The writer drops each piece before
+    # the next is made: holding the last piece while the next one's rows were
+    # made and joined held two pieces' text.
+    chunk, width = render_module._PIECE_ROWS, 100
+
+    def pieces(*args):
+        tracemalloc.start()  # main has read its arguments: what is traced from here is the writer's
+        for k in range(3):
+            yield "".join([f"{i:0{width}d}\n" for i in range(k * chunk, (k + 1) * chunk)])
+
     bound = (chunk * sys.getsizeof("0" * width) + sys.getsizeof([None] * chunk)
              + sys.getsizeof("0" * (chunk * (width + 1))) + 65_536)
+    monkeypatch.setattr(module, name, pieces)
     monkeypatch.setattr(sys, "stdout", Sink())
-    tracemalloc.start()
     try:
-        cli_module._write_rows(rows, "\n")
+        assert cli_module.main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
